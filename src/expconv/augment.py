@@ -125,18 +125,29 @@ def apply_op(x, spec: AugmentSpec, rng: np.random.Generator) -> np.ndarray:
     raise ValueError(f"unknown op {spec.op!r}")
 
 
-def apply_pipeline(x, specs, rng: np.random.Generator) -> np.ndarray:
+def private_streams(specs) -> list:
+    """One generator per spec that carries its own seed (None for the
+    others), in spec order. Build it once per run and pass it to every
+    apply_pipeline call, so each window continues the stream."""
+    return [make_rng(spec.seed) if spec.seed is not None else None
+            for spec in specs]
+
+
+def apply_pipeline(x, specs, rng: np.random.Generator,
+                   streams: list | None = None) -> np.ndarray:
     """Apply each spec independently with its probability, in list order.
 
     The gate draw is consumed whether or not the spec fires. Specs that
     need more randomness than the gate should carry their own seed if
-    downstream draws must not depend on the gate outcomes.
+    downstream draws must not depend on the gate outcomes; they draw from
+    ``streams`` (see private_streams), fresh ones when it is omitted.
     """
     out = _check_window(x)
-    for spec in specs:
+    if streams is None:
+        streams = private_streams(specs)
+    for spec, stream in zip(specs, streams):
         fire = rng.uniform() < spec.probability
         if not fire:
             continue
-        op_rng = make_rng(spec.seed) if spec.seed is not None else rng
-        out = apply_op(out, spec, op_rng)
+        out = apply_op(out, spec, stream if stream is not None else rng)
     return out

@@ -7,7 +7,7 @@ and seed overrides applied, is echoed into the output directory so a
 run can be reproduced from its own artifacts.
 
 Exit codes: 0 success, 1 numeric or check failure (failed gradient
-check, non-finite loss), 2 configuration or I/O problems.
+check, non-finite loss or feature map), 2 configuration or I/O problems.
 """
 
 from __future__ import annotations
@@ -25,7 +25,13 @@ try:
 except ImportError as exc:  # pragma: no cover
     raise ImportError("the CLI requires the jsonschema package") from exc
 
-from .augment import GRANULARITIES, OPS, AugmentSpec, apply_pipeline
+from .augment import (
+    GRANULARITIES,
+    OPS,
+    AugmentSpec,
+    apply_pipeline,
+    private_streams,
+)
 from .constraints import KINDS, MODES, ConstraintPolicy
 from .dataset import (
     N_VARIABLES,
@@ -456,7 +462,8 @@ def cmd_augment(args) -> int:
     specs = _augments_from(cfg)
     seed = args.seed if args.seed is not None else cfg["train"]["seed"]
     rng = make_rng(seed)
-    augmented = np.stack([apply_pipeline(w, specs, rng)
+    streams = private_streams(specs)
+    augmented = np.stack([apply_pipeline(w, specs, rng, streams)
                           for w in train_ds.windows]) \
         if len(train_ds) else train_ds.windows
     out_ds = WindowedDataset(augmented, train_ds.labels,

@@ -14,6 +14,14 @@ products. Derivatives with respect to the exponent side always use the
 clamped log; derivatives with respect to x treat the clamped magnitude as
 locally constant, so the function/gradient pair stays consistent away from
 the clamp boundary.
+
+``layer_backward`` works on the layer kernel's patch matrix for all
+channels at once and reads the signs, log-magnitudes and powered values
+from the ``LayerCache`` that ``layer_forward`` filled; it never evaluates
+the exponent stage again. Called without a cache (gradient checks, single
+calls), it first runs the same forward kernel to fill one, so training and
+checking share one code path. Every contraction over patches is a matrix
+product.
 """
 
 from __future__ import annotations
@@ -23,24 +31,25 @@ from dataclasses import dataclass
 import numpy as np
 
 from .layers import (
+    BLOCK_ROWS,
     Bilinear,
     ColShared,
     Elementwise,
     EwmVariant,
     FullMatrix,
+    LayerCache,
     LayerParams,
     RowShared,
     Standard,
-    _unvec_patches,
-    _vec_patches,
+    _col_major_order,
     activation_grad,
     channel_preact,
-    expand_shared,
-    extract_patches,
+    exponent_operator,
+    extract_patches,  # noqa: F401  (part of this module's namespace)
     layer_forward,
-    vec,
+    row_blocks,
 )
-from .numerics import DEFAULT_EPS, log_magnitude, make_rng
+from .numerics import DEFAULT_EPS, make_rng
 
 REL_ERR_FLOOR = 1e-8
 
@@ -57,93 +66,106 @@ class GradBundle:
 
 
 # --------------------------------------------------------------------------
-# Per-channel backward over a stack of patches (..., k_h, k_w) with
-# upstream (...). Returns (d_weights, d_bias, d_ewm, d_patches).
+# Backward of the layer kernel over flattened patches. With g the upstream
+# gradient of channel m's pre-activation, P its powered values, w its
+# filter and L the clamped log-magnitudes, the exponent stage's gradient is
+# D = g * w * P (d loss / d mixed log), and:
+#   d w  = g @ P
+#   d E  = sum over patches of D * L          (diagonal operators)
+#   d K  = D.T @ L                            (matrix operators)
+#   d L  = D * E  or  D @ K                   (summed over channels)
+#   d x  = d L / x  outside the eps clamp, 0 inside (d log|x| / dx = 1/x)
 
-def _backward_powered(patches, weights, exponents, upstream, eps):
-    sign = np.where(patches >= 0.0, 1.0, -1.0)
-    mag = np.maximum(np.abs(patches), eps)
-    powered = sign * mag**exponents
-    log_mag = np.log(mag)
-    u = upstream[..., None, None]
-    lead_axes = tuple(range(patches.ndim - 2))
-    d_weights = np.sum(u * powered, axis=lead_axes)
-    d_exponents = weights * np.sum(u * powered * log_mag, axis=lead_axes)
-    mask = np.abs(patches) > eps
-    d_patches = u * weights * exponents * mag**(exponents - 1.0) * mask
-    return d_weights, d_exponents, d_patches
+def _payload_grads(params: LayerParams, d_op: np.ndarray) -> list:
+    """Per-channel payload gradients from the stacked operator gradient."""
+    k_h, k_w = params.k_h, params.k_w
+    variant = params.variant
+    if variant in ("elementwise", "row_shared", "col_shared"):
+        d_exp = d_op.reshape(-1, k_h, k_w)
+        if variant == "elementwise":
+            return [Elementwise(d) for d in d_exp]
+        # tied positions accumulate: row or column sums of the expanded grid
+        if variant == "row_shared":
+            return [RowShared(d.sum(axis=1)) for d in d_exp]
+        return [ColShared(d.sum(axis=0)) for d in d_exp]
+    if variant == "bilinear":
+        # K[(a, d), (b, c)] = row_mix[a, b] * col_mix[c, d]
+        d_k = d_op.reshape(-1, k_h, k_w, k_h, k_w)
+        return [Bilinear(np.einsum("adbc,cd->ab", d, e.col_mix),
+                         np.einsum("adbc,ab->cd", d, e.row_mix))
+                for d, e in zip(d_k, params.ewms)]
+    order = _col_major_order(k_h, k_w)
+    grads = []
+    for d in d_op:
+        d_mix = np.empty_like(d)
+        d_mix[np.ix_(order, order)] = d
+        grads.append(FullMatrix(d_mix))
+    return grads
+
+
+def patch_backward(params: LayerParams, cache: LayerCache,
+                   upstream: np.ndarray, eps: float = DEFAULT_EPS):
+    """Gradients from the pre-activation upstream (N, M) and a filled cache:
+    (d_weights, d_biases, d_ewms, d_patches (N, n))."""
+    out_ch = params.out_channels
+    weights = params.weights.reshape(out_ch, -1)
+    patches = cache.patches
+    g = np.ascontiguousarray(upstream.T)  # (M, N)
+    d_biases = g.sum(axis=1)
+    op = exponent_operator(params)
+    d_weights = np.zeros_like(weights)
+    d_patches = np.empty_like(patches)
+    if op is not None:
+        log_mag, powered = cache.log_mag, cache.powered
+        # d_mixed = (g * P) * w, so the filter folds into the operator for
+        # d L and into d_op after the sums over patches
+        diag = op.ndim == 2
+        scaled_op = weights * op if diag else weights[:, :, None] * op
+        d_op = np.zeros_like(op)
+        gp_buf = np.empty((min(BLOCK_ROWS, len(patches)), patches.shape[1]))
+    for rows in row_blocks(len(patches)):
+        x, d_x = patches[rows], d_patches[rows]
+        if op is None:
+            d_weights += g[:, rows] @ x
+            np.matmul(g[:, rows].T, weights, out=d_x)
+            continue
+        log_x = log_mag[rows]
+        d_x[...] = 0.0  # d L of the block, turned into d x below
+        gp = gp_buf[:len(x)]  # g * P of one channel
+        for m in range(out_ch):
+            g_m, p_m = g[m, rows], powered[m, rows]
+            d_weights[m] += g_m @ p_m
+            np.multiply(p_m, g_m[:, None], out=gp)
+            if diag:
+                d_op[m] += np.einsum("pi,pi->i", gp, log_x)
+                gp *= scaled_op[m]
+                d_x += gp
+            else:
+                d_op[m] += gp.T @ log_x
+                d_x += gp @ scaled_op[m]
+        outside = np.abs(x) > eps
+        np.divide(d_x, x, out=d_x, where=outside)
+        d_x *= outside
+    d_weights = d_weights.reshape(params.weights.shape)
+    if op is None:
+        return d_weights, d_biases, [None] * out_ch, d_patches
+    d_op *= weights if diag else weights[:, :, None]
+    return d_weights, d_biases, _payload_grads(params, d_op), d_patches
 
 
 def channel_backward(patches: np.ndarray, weights: np.ndarray, bias: float,
                      ewm: EwmVariant, upstream: np.ndarray,
                      eps: float = DEFAULT_EPS):
-    """Backward of channel_preact for one output channel."""
-    k_h, k_w = weights.shape
-    upstream = np.asarray(upstream, dtype=np.float64)
-    d_bias = float(np.sum(upstream))
-    lead_axes = tuple(range(patches.ndim - 2))
-    u = upstream[..., None, None]
-
-    if isinstance(ewm, Standard):
-        d_weights = np.sum(u * patches, axis=lead_axes)
-        d_patches = u * weights
-        return d_weights, d_bias, None, d_patches
-
-    if isinstance(ewm, (Elementwise, RowShared, ColShared)):
-        if isinstance(ewm, Elementwise):
-            exponents = ewm.exponents
-        else:
-            exponents = expand_shared(ewm, k_h, k_w)
-        d_weights, d_exp, d_patches = _backward_powered(
-            patches, weights, exponents, upstream, eps)
-        if isinstance(ewm, Elementwise):
-            d_ewm = Elementwise(d_exp)
-        elif isinstance(ewm, RowShared):
-            # tied positions accumulate: row sums of the expanded gradient
-            d_ewm = RowShared(d_exp.sum(axis=1))
-        else:
-            d_ewm = ColShared(d_exp.sum(axis=0))
-        return d_weights, d_bias, d_ewm, d_patches
-
-    if isinstance(ewm, Bilinear):
-        log_mag = log_magnitude(patches, eps)
-        mixed = np.einsum("ab,...bc,cd->...ad", ewm.row_mix, log_mag, ewm.col_mix)
-        sign = np.where(patches >= 0.0, 1.0, -1.0)
-        powered = sign * np.exp(mixed)
-        d_weights = np.sum(u * powered, axis=lead_axes)
-        d_mixed = u * weights * powered
-        lc = np.einsum("...bc,cd->...bd", log_mag, ewm.col_mix)   # L @ col_mix
-        rl = np.einsum("ab,...bc->...ac", ewm.row_mix, log_mag)   # row_mix @ L
-        d_mixed_f = d_mixed.reshape(-1, k_h, k_w)
-        d_row_mix = np.einsum("xad,xbd->ab", d_mixed_f, lc.reshape(-1, k_h, k_w))
-        d_col_mix = np.einsum("xac,xad->cd", rl.reshape(-1, k_h, k_w), d_mixed_f)
-        d_log = np.einsum("ab,...ad,cd->...bc", ewm.row_mix, d_mixed, ewm.col_mix)
-        mask = np.abs(patches) > eps
-        mag = np.maximum(np.abs(patches), eps)
-        d_patches = d_log * sign / mag * mask
-        return d_weights, d_bias, Bilinear(d_row_mix, d_col_mix), d_patches
-
-    if isinstance(ewm, FullMatrix):
-        x_vec = _vec_patches(patches)
-        sign = np.where(x_vec >= 0.0, 1.0, -1.0)
-        mag = np.maximum(np.abs(x_vec), eps)
-        log_mag = np.log(mag)
-        z = sign * np.exp(np.einsum("ji,...i->...j", ewm.mix, log_mag))
-        weight_vec = vec(weights)
-        lead = tuple(range(x_vec.ndim - 1))
-        d_weights = _unvec_patches(
-            np.sum(upstream[..., None] * z, axis=lead), k_h, k_w)
-        d_z = upstream[..., None] * weight_vec
-        d_mixlog = d_z * z       # d/d(mix @ log) of sign * exp(...)
-        n = k_h * k_w
-        d_mix = np.einsum("xj,xi->ji", d_mixlog.reshape(-1, n),
-                          log_mag.reshape(-1, n))
-        d_logvec = np.einsum("...j,ji->...i", d_mixlog, ewm.mix)
-        mask = np.abs(x_vec) > eps
-        d_patches = _unvec_patches(d_logvec * sign / mag * mask, k_h, k_w)
-        return d_weights, d_bias, FullMatrix(d_mix), d_patches
-
-    raise TypeError(f"unknown variant {type(ewm).__name__}")
+    """Backward of channel_preact for one output channel over a stack of
+    patches (..., k_h, k_w) with upstream (...). Returns (d_weights,
+    d_bias, d_ewm, d_patches)."""
+    patches = np.asarray(patches, dtype=np.float64)
+    cache = LayerCache()
+    channel_preact(patches, weights, bias, ewm, eps, cache)
+    params = LayerParams(np.asarray(weights)[None], np.array([bias]), [ewm])
+    up = np.asarray(upstream, dtype=np.float64).reshape(-1, 1)
+    d_w, d_b, d_ewms, d_p = patch_backward(params, cache, up, eps)
+    return d_w[0], float(d_b[0]), d_ewms[0], d_p.reshape(patches.shape)
 
 
 def unit_backward(x: np.ndarray, weights: np.ndarray, bias: float,
@@ -178,32 +200,25 @@ def scatter_patch_grads(d_patches: np.ndarray, input_shape: tuple,
 
 
 def layer_backward(x: np.ndarray, params: LayerParams, upstream: np.ndarray,
-                   eps: float = DEFAULT_EPS) -> GradBundle:
+                   eps: float = DEFAULT_EPS,
+                   cache: LayerCache | None = None) -> GradBundle:
     """Backward through one layer (activation included).
 
     ``upstream`` is d(loss)/d(feature map), shaped like the layer output
-    (..., grid_t, grid_c, out_channels).
+    (..., grid_t, grid_c, out_channels). ``cache`` is the one
+    ``layer_forward`` filled for this input and these parameters; without
+    one, the forward kernel runs here to fill a fresh cache.
     """
     x = np.asarray(x, dtype=np.float64)
-    upstream = np.asarray(upstream, dtype=np.float64)
-    patches = extract_patches(x, params.k_h, params.k_w,
-                              params.stride_t, params.stride_c)
-    d_weights = np.zeros_like(params.weights)
-    d_biases = np.zeros_like(params.biases)
-    d_ewms = []
-    d_patches_total = np.zeros_like(patches)
-    for m in range(params.out_channels):
-        preact = channel_preact(patches, params.weights[m],
-                                float(params.biases[m]), params.ewms[m], eps)
-        u_eff = upstream[..., m] * activation_grad(preact, params.activation)
-        d_w, d_b, d_ewm, d_p = channel_backward(
-            patches, params.weights[m], float(params.biases[m]),
-            params.ewms[m], u_eff, eps)
-        d_weights[m] = d_w
-        d_biases[m] = d_b
-        d_ewms.append(d_ewm)
-        d_patches_total += d_p
-    d_input = scatter_patch_grads(d_patches_total, x.shape,
+    if cache is None:
+        cache = LayerCache()
+        layer_forward(x, params, eps, cache)
+    g = activation_grad(cache.output, params.activation)
+    g *= upstream
+    d_weights, d_biases, d_ewms, d_patches = patch_backward(
+        params, cache, g.reshape(-1, params.out_channels), eps)
+    grid = cache.output.shape[:-1] + (params.k_h, params.k_w)
+    d_input = scatter_patch_grads(d_patches.reshape(grid), x.shape,
                                   params.stride_t, params.stride_c)
     return GradBundle(d_weights, d_biases, d_ewms, d_input)
 

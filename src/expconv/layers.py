@@ -15,6 +15,26 @@ stage. Five exponent configurations are supported:
 Negative inputs are handled by computing on magnitudes (clamped at eps)
 and re-applying the original elementwise sign, which reduces exactly to
 ``signed_pow`` whenever the mixing is diagonal.
+
+A layer evaluates all of its output channels from one patch matrix, the
+im2col layout of Chellapilla et al. (2006), "High Performance
+Convolutional Neural Networks for Document Processing": the sign and the
+clamped log-magnitude log(max(|x|, eps)) of every patch entry are computed
+once per layer. Channel m's powered values are then sign * exp(E[m] * L)
+for the elementwise family and sign * exp(L @ K[m].T) for the mixing
+variants (bilinear as K = kron(row_mix, col_mix.T), so row_mix @ L @
+col_mix is one matrix product over all patches), and its pre-activation is
+one matrix-vector product with its filter.
+
+``layer_forward(x, params, eps, cache)`` fills an optional ``LayerCache``
+(patches, log-magnitudes, every channel's powered values, the output) that
+``layer_backward`` reads, so the exponent stage runs once per training
+step. Patches are processed in row blocks small enough to stay in the CPU
+cache while every channel reads them; without a cache, two block-sized
+buffers are reused, so evaluating a large batch holds neither a full log
+array nor every channel's powered values. The
+single-receptive-field ``unit_*`` functions are separate direct
+implementations and serve as the oracle for the layer kernel.
 """
 
 from __future__ import annotations
@@ -26,7 +46,6 @@ import numpy as np
 from .numerics import (
     DEFAULT_EPS,
     as_tensor,
-    check_finite,
     extract_patches,
     log_magnitude,
     patch_grid,
@@ -320,99 +339,177 @@ def unit_forward(x: np.ndarray, weights: np.ndarray, bias: float,
 
 
 # --------------------------------------------------------------------------
-# Vectorized per-channel evaluation over a stack of patches. ``patches``
-# has shape (..., k_h, k_w); outputs have the leading shape (...).
+# Layer kernel. Patches are flattened row-major to (N, n) with n = k_h * k_w
+# (the im2col layout). Every exponent variant is an operator on the clamped
+# log-magnitudes L of a patch: a diagonal (elementwise, row_shared and
+# col_shared, stacked (M, n)) or a full matrix (bilinear and full_matrix,
+# stacked (M, n, n)). Channel m's powered values are sign * exp(L * E[m])
+# or sign * exp(L @ K[m].T), and its pre-activation is one matrix-vector
+# product with its flattened filter.
 
-def _vec_patches(patches: np.ndarray) -> np.ndarray:
-    # column-major vec of the trailing two axes
-    lead = patches.shape[:-2]
-    n = patches.shape[-2] * patches.shape[-1]
-    return patches.swapaxes(-2, -1).reshape(*lead, n)
+@dataclass
+class LayerCache:
+    """What ``layer_forward`` keeps for ``layer_backward`` when given one.
+
+    patches  (N, n) flattened receptive fields, -0.0 stored as +0.0
+    log_mag  (N, n) clamped log-magnitudes; None for standard layers
+    powered  (M, N, n) signed powered values of every channel; None for
+             standard layers
+    output   the feature map, (..., grid_t, grid_c, M)
+    """
+
+    patches: np.ndarray | None = None
+    log_mag: np.ndarray | None = None
+    powered: np.ndarray | None = None
+    output: np.ndarray | None = None
 
 
-def _unvec_patches(vecs: np.ndarray, k_h: int, k_w: int) -> np.ndarray:
-    lead = vecs.shape[:-1]
-    return vecs.reshape(*lead, k_w, k_h).swapaxes(-2, -1)
+def _col_major_order(k_h: int, k_w: int) -> np.ndarray:
+    """Column-major vec index of each row-major patch position."""
+    return np.arange(k_h * k_w).reshape(k_w, k_h).T.reshape(-1)
+
+
+def exponent_operator(params: LayerParams) -> np.ndarray | None:
+    """Every channel's exponent stage as one stacked array acting on the
+    row-major flattened log-magnitudes: None for standard, (M, n) diagonal
+    exponents for the elementwise family, (M, n, n) matrices for bilinear
+    (kron(row_mix, col_mix.T)) and full_matrix (mix, reordered from the
+    column-major vec)."""
+    k_h, k_w = params.k_h, params.k_w
+    ewms = params.ewms
+    variant = params.variant
+    if variant == "standard":
+        return None
+    if variant == "elementwise":
+        return np.stack([e.exponents.reshape(-1) for e in ewms])
+    if variant in ("row_shared", "col_shared"):
+        return np.stack([expand_shared(e, k_h, k_w).reshape(-1) for e in ewms])
+    if variant == "bilinear":
+        return np.stack([np.kron(e.row_mix, e.col_mix.T) for e in ewms])
+    order = _col_major_order(k_h, k_w)
+    return np.stack([e.mix[np.ix_(order, order)] for e in ewms])
+
+
+# Patches are processed in blocks of this many rows, so that a block's log,
+# powered and sign arrays stay in cache while every channel reads them, and
+# every matrix product is small enough to run on the calling thread.
+BLOCK_ROWS = 2048
+
+
+def row_blocks(n_rows: int):
+    """Consecutive row slices of at most BLOCK_ROWS rows covering n_rows."""
+    return [slice(start, min(start + BLOCK_ROWS, n_rows))
+            for start in range(0, n_rows, BLOCK_ROWS)]
+
+
+def patch_preacts(patches: np.ndarray, params: LayerParams,
+                  eps: float = DEFAULT_EPS,
+                  cache: LayerCache | None = None) -> np.ndarray:
+    """Pre-activations (N, M) of every channel over flattened patches (N, n).
+
+    ``patches`` may be modified in place (-0.0 becomes +0.0). With a cache,
+    the log-magnitudes and every channel's powered values are kept in it;
+    without one, two block-sized buffers are reused, so evaluating a large
+    batch holds neither an (N, n) log array nor an (M, N, n) one.
+    """
+    out_ch = params.out_channels
+    weights = params.weights.reshape(out_ch, -1)
+    op = exponent_operator(params)
+    n_patch, n = patches.shape
+    if cache is not None:
+        cache.patches = patches
+    if op is not None and cache is not None:
+        log_mag = np.empty_like(patches)
+        powered = np.empty((out_ch, n_patch, n))
+        cache.log_mag, cache.powered = log_mag, powered
+    elif op is not None:
+        log_buf = np.empty((min(BLOCK_ROWS, n_patch), n))
+        z_buf = np.empty_like(log_buf)
+    channel_major = np.empty((out_ch, n_patch))
+    with np.errstate(over="ignore"):  # overflow is reported by layer_forward
+        for rows in row_blocks(n_patch):
+            x = patches[rows]
+            if op is None:
+                np.matmul(weights, x.T, out=channel_major[:, rows])
+                continue
+            x += 0.0  # copysign then gives sign(0) = +1, as signed_pow
+            log_x = log_mag[rows] if cache is not None else log_buf[:len(x)]
+            np.abs(x, out=log_x)
+            np.maximum(log_x, eps, out=log_x)
+            np.log(log_x, out=log_x)
+            for m in range(out_ch):
+                z = powered[m, rows] if cache is not None else z_buf[:len(x)]
+                if op.ndim == 2:
+                    np.multiply(log_x, op[m], out=z)
+                else:
+                    np.matmul(log_x, op[m].T, out=z)
+                np.exp(z, out=z)
+                np.copysign(z, x, out=z)
+                np.matmul(z, weights[m], out=channel_major[m, rows])
+    preact = channel_major.T
+    preact += params.biases
+    return preact
 
 
 def channel_preact(patches: np.ndarray, weights: np.ndarray, bias: float,
-                   ewm: EwmVariant, eps: float = DEFAULT_EPS) -> np.ndarray:
-    """Pre-activation outputs of one channel over many receptive fields."""
-    k_h, k_w = weights.shape
-    if isinstance(ewm, Standard):
-        return np.einsum("...ij,ij->...", patches, weights) + bias
-
-    if isinstance(ewm, (Elementwise, RowShared, ColShared)):
-        if isinstance(ewm, Elementwise):
-            exponents = ewm.exponents
-        else:
-            exponents = expand_shared(ewm, k_h, k_w)
-        sign = np.where(patches >= 0.0, 1.0, -1.0)
-        mag = np.maximum(np.abs(patches), eps)
-        powered = sign * mag**exponents
-        return np.einsum("...ij,ij->...", powered, weights) + bias
-
-    if isinstance(ewm, Bilinear):
-        log_mag = log_magnitude(patches, eps)
-        mixed = np.einsum("ab,...bc,cd->...ad", ewm.row_mix, log_mag, ewm.col_mix)
-        sign = np.where(patches >= 0.0, 1.0, -1.0)
-        powered = sign * np.exp(mixed)
-        return np.einsum("...ij,ij->...", powered, weights) + bias
-
-    if isinstance(ewm, FullMatrix):
-        x_vec = _vec_patches(patches)
-        sign = np.where(x_vec >= 0.0, 1.0, -1.0)
-        powered = sign * np.exp(np.einsum("ji,...i->...j", ewm.mix,
-                                          log_magnitude(x_vec, eps)))
-        return powered @ vec(weights) + bias
-
-    raise TypeError(f"unknown variant {type(ewm).__name__}")
+                   ewm: EwmVariant, eps: float = DEFAULT_EPS,
+                   cache: LayerCache | None = None) -> np.ndarray:
+    """Pre-activations of one channel over a stack of patches (..., k_h, k_w),
+    through the layer kernel; ``patches`` is left as it was."""
+    params = LayerParams(np.asarray(weights)[None], np.array([bias]), [ewm])
+    n = params.k_h * params.k_w
+    flat = np.array(patches, dtype=np.float64).reshape(-1, n)
+    return patch_preacts(flat, params, eps, cache)[:, 0].reshape(
+        np.shape(patches)[:-2])
 
 
-def apply_activation(preact: np.ndarray, activation: str) -> np.ndarray:
+def apply_activation(preact: np.ndarray, activation: str,
+                     inplace: bool = False) -> np.ndarray:
+    """The activation of ``preact``; with ``inplace``, written over it."""
+    out = preact if inplace else None
     if activation == "relu":
-        return np.maximum(preact, 0.0)
+        return np.maximum(preact, 0.0, out=out)
     if activation == "tanh":
-        return np.tanh(preact)
+        return np.tanh(preact, out=out)
     if activation == "identity":
         return preact
     raise ValueError(f"unknown activation {activation!r}")
 
 
-def activation_grad(preact: np.ndarray, activation: str) -> np.ndarray:
+def activation_grad(output: np.ndarray, activation: str) -> np.ndarray:
+    """Derivative of the activation, written in terms of its output."""
     if activation == "relu":
-        return (preact > 0.0).astype(np.float64)
+        return (output > 0.0).astype(np.float64)
     if activation == "tanh":
-        t = np.tanh(preact)
-        return 1.0 - t * t
+        return 1.0 - output * output
     if activation == "identity":
-        return np.ones_like(preact)
+        return np.ones_like(output)
     raise ValueError(f"unknown activation {activation!r}")
 
 
-def layer_preact(x: np.ndarray, params: LayerParams,
-                 eps: float = DEFAULT_EPS) -> np.ndarray:
-    """Pre-activation feature map, shape (..., grid_t, grid_c, out_channels)."""
-    patches = extract_patches(np.asarray(x, dtype=np.float64),
-                              params.k_h, params.k_w,
-                              params.stride_t, params.stride_c)
-    channels = [
-        channel_preact(patches, params.weights[m], float(params.biases[m]),
-                       params.ewms[m], eps)
-        for m in range(params.out_channels)
-    ]
-    return np.stack(channels, axis=-1)
-
-
 def layer_forward(x: np.ndarray, params: LayerParams,
-                  eps: float = DEFAULT_EPS) -> np.ndarray:
+                  eps: float = DEFAULT_EPS,
+                  cache: LayerCache | None = None) -> np.ndarray:
     """Slide every channel's unit over the input and apply the activation.
 
     Accepts a (T, C) input or a batch (..., T, C); the feature map has
     shape (..., grid_t, grid_c, out_channels). Parameters are not mutated.
+    A cache, when given, is filled for ``layer_backward``. A non-finite
+    pre-activation (an overflowing power) raises FloatingPointError.
     """
-    out = apply_activation(layer_preact(x, params, eps), params.activation)
-    return check_finite(out, "feature map")
+    patches = extract_patches(np.asarray(x, dtype=np.float64),
+                              params.k_h, params.k_w,
+                              params.stride_t, params.stride_c)
+    lead = patches.shape[:-2]
+    preact = patch_preacts(patches.reshape(-1, params.k_h * params.k_w),
+                           params, eps, cache)
+    if not np.isfinite(preact).all():
+        raise FloatingPointError("feature map contains non-finite values")
+    out = apply_activation(preact.reshape(*lead, params.out_channels),
+                           params.activation, inplace=True)
+    if cache is not None:
+        cache.output = out
+    return out
 
 
 def output_grid(params: LayerParams, rows: int, cols: int) -> tuple[int, int]:

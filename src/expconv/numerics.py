@@ -22,12 +22,6 @@ def as_tensor(values, name: str = "tensor") -> np.ndarray:
     return arr
 
 
-def check_finite(arr: np.ndarray, name: str = "result") -> np.ndarray:
-    if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{name} contains non-finite values")
-    return arr
-
-
 def make_rng(seed: int) -> np.random.Generator:
     """Deterministic generator (PCG64): identical seed, identical stream."""
     return np.random.Generator(np.random.PCG64(seed))

@@ -17,12 +17,13 @@ beyond the linear core still receives a small pull back.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .augment import AugmentSpec, apply_pipeline
+from .augment import AugmentSpec, apply_pipeline, private_streams
 from .constraints import (
     ConstraintPolicy,
     clip_params_inplace,
@@ -33,7 +34,7 @@ from .constraints import (
 )
 from .dataset import WindowedDataset
 from .gradients import layer_backward
-from .layers import LayerParams, layer_forward, output_grid
+from .layers import LayerCache, LayerParams, layer_forward, output_grid
 from .numerics import make_rng
 
 FORMAT_MAGIC = b"EXPC"
@@ -144,14 +145,31 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     return expz / expz.sum(axis=-1, keepdims=True)
 
 
-def _forward_trace(net: Network, x: np.ndarray):
-    """Run the conv stack, keeping per-layer inputs and raw outputs."""
+def _materialized_layers(net: Network) -> list:
+    return [materialized_layer(layer, policy)
+            for layer, policy in zip(net.layers, net.policies)]
+
+
+def _forward_trace(net: Network, x: np.ndarray, layers: list | None = None,
+                   caches: list | None = None):
+    """Run the conv stack, keeping per-layer inputs and raw outputs.
+
+    ``layers`` are the materialized layers (built here when omitted); with
+    ``caches``, one LayerCache per layer, each layer's forward state is
+    kept for the backward pass.
+    """
+    if layers is None:
+        layers = _materialized_layers(net)
     inputs = []
     outputs = []
     cur = np.asarray(x, dtype=np.float64)
-    for layer, policy in zip(net.layers, net.policies):
+    for i, layer in enumerate(layers):
         inputs.append(cur)
-        out = layer_forward(cur, materialized_layer(layer, policy))
+        try:
+            out = layer_forward(cur, layer,
+                                cache=None if caches is None else caches[i])
+        except FloatingPointError as exc:
+            raise FloatingPointError(f"layer {i}: {exc}") from exc
         outputs.append(out)
         cur = out[..., 0]  # single channel between layers
     feats = outputs[-1].reshape(x.shape[0], -1)
@@ -211,7 +229,10 @@ def network_loss_grads(net: Network, windows: np.ndarray,
     windows = np.asarray(windows, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
     n = windows.shape[0]
-    inputs, outputs, feats, logits = _forward_trace(net, windows)
+    evaluated = _materialized_layers(net)
+    caches = [LayerCache() for _ in evaluated]
+    inputs, outputs, feats, logits = _forward_trace(net, windows, evaluated,
+                                                    caches)
     loss = cross_entropy(logits, labels)
     if not np.isfinite(loss):
         raise FloatingPointError("non-finite loss")
@@ -227,8 +248,9 @@ def network_loss_grads(net: Network, windows: np.ndarray,
     layer_grads = [None] * len(net.layers)
     for i in range(len(net.layers) - 1, -1, -1):
         layer, policy = net.layers[i], net.policies[i]
-        bundle = layer_backward(inputs[i], materialized_layer(layer, policy),
-                                upstream)
+        bundle = layer_backward(inputs[i], evaluated[i], upstream,
+                                cache=caches[i])
+        caches[i] = None  # release the powered values before the next layer
         bundle.d_ewms = _chain_payload_grads(layer, policy, bundle.d_ewms)
         layer_grads[i] = bundle
         if i > 0:
@@ -420,6 +442,7 @@ def train(net: Network, dataset: WindowedDataset, config: TrainConfig,
     if config.epochs == 0:
         return net, history
     shuffle_rng, aug_rng = make_rng(config.seed).spawn(2)
+    streams = private_streams(config.augments)
     optimizer = make_optimizer(config)
     eval_set = eval_dataset if eval_dataset is not None else dataset
     for epoch in range(config.epochs):
@@ -430,13 +453,13 @@ def train(net: Network, dataset: WindowedDataset, config: TrainConfig,
             xb = dataset.windows[idx]
             yb = dataset.labels[idx]
             if config.augments:
-                xb = np.stack([apply_pipeline(w, config.augments, aug_rng)
-                               for w in xb])
+                xb = np.stack([apply_pipeline(w, config.augments, aug_rng,
+                                              streams) for w in xb])
             try:
                 loss, grads = network_loss_grads(net, xb, yb)
             except FloatingPointError as exc:
                 raise FloatingPointError(
-                    f"non-finite loss at epoch {epoch}, "
+                    f"{exc} at epoch {epoch}, "
                     f"batch {start // config.batch_size}") from exc
             optimizer.step(_param_grad_pairs(net, grads))
             enforce_constraints(net)
@@ -511,25 +534,47 @@ def save_model(net: Network, path) -> None:
 
 
 def load_model(path) -> Network:
+    """Read a model written by save_model. A corrupt or truncated file
+    raises ValueError naming the path."""
     with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != FORMAT_MAGIC:
-            raise ValueError(f"{path}: not a model file (magic {magic!r})")
-        (version,) = struct.unpack("<I", fh.read(4))
-        if version != FORMAT_VERSION:
-            raise ValueError(f"{path}: unsupported format version {version}")
-        (meta_len,) = struct.unpack("<Q", fh.read(8))
-        meta = json.loads(fh.read(meta_len).decode("utf-8"))
-        tensors = []
-        for shape in meta["tensor_shapes"]:
-            count = int(np.prod(shape)) if shape else 1
-            buf = fh.read(count * 8)
-            if len(buf) != count * 8:
-                raise ValueError(f"{path}: truncated tensor data")
-            tensors.append(np.frombuffer(buf, dtype="<f8").reshape(shape)
-                           .astype(np.float64))
-        if fh.read(1):
-            raise ValueError(f"{path}: trailing data")
+        blob = fh.read()
+    header = 4 + 4 + 8
+    if blob[:4] != FORMAT_MAGIC:
+        raise ValueError(f"{path}: not a model file (magic {blob[:4]!r})")
+    if len(blob) < header:
+        raise ValueError(f"{path}: truncated header")
+    version, meta_len = struct.unpack_from("<IQ", blob, 4)
+    if version != FORMAT_VERSION:
+        raise ValueError(f"{path}: unsupported format version {version}")
+    if meta_len > len(blob) - header:
+        raise ValueError(f"{path}: metadata length {meta_len} exceeds the "
+                         f"{len(blob) - header} bytes after the header")
+    try:
+        meta = json.loads(blob[header:header + meta_len].decode("utf-8"))
+        return _network_from(meta, blob, header + meta_len)
+    except (KeyError, TypeError, IndexError) as exc:
+        raise ValueError(f"{path}: malformed metadata "
+                         f"({type(exc).__name__}: {exc})") from exc
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
+
+
+def _network_from(meta: dict, blob: bytes, pos: int) -> Network:
+    """The network described by parsed metadata, with its tensors read from
+    ``blob`` starting at ``pos``."""
+    tensors = []
+    for shape in meta["tensor_shapes"]:
+        if any(not isinstance(d, int) or d < 0 for d in shape):
+            raise TypeError(f"tensor shape {shape} is not a list of sizes")
+        count = math.prod(shape)
+        if count * 8 > len(blob) - pos:
+            raise ValueError("truncated tensor data")
+        tensors.append(np.frombuffer(blob, dtype="<f8", count=count,
+                                     offset=pos).reshape(shape)
+                       .astype(np.float64))
+        pos += count * 8
+    if pos != len(blob):
+        raise ValueError("trailing data")
 
     layers = []
     policies = []

@@ -16,6 +16,7 @@ from expconv.augment import (
     flip_bidirectional,
     flip_blockwise,
     flip_lr,
+    private_streams,
 )
 from expconv.numerics import make_rng
 
@@ -176,6 +177,19 @@ class TestPipeline:
         b = apply_pipeline(x, [AugmentSpec("flip_lr", probability=1.0), spec],
                            make_rng(2))
         np.testing.assert_array_equal(a, flip_lr(b))
+
+    def test_private_stream_continues_across_calls(self):
+        x = np.abs(random_window(26)) + 0.5
+        spec = AugmentSpec("exp_augment", probability=1.0, seed=99,
+                           granularity="per_channel")
+        streams = private_streams([spec])
+        rng = make_rng(3)
+        a = apply_pipeline(x, [spec], rng, streams)
+        b = apply_pipeline(x, [spec], rng, streams)
+        assert not np.allclose(a, b)
+        # fresh streams start the private sequence over
+        np.testing.assert_array_equal(
+            apply_pipeline(x, [spec], make_rng(4), private_streams([spec])), a)
 
     def test_pipeline_reproducible(self):
         x = random_window(25)

@@ -5,6 +5,7 @@ from the echoed configuration."""
 import json
 
 import numpy as np
+import pytest
 
 from expconv import cli
 from expconv.dataset import (
@@ -15,7 +16,7 @@ from expconv.dataset import (
     save_run_text,
 )
 from expconv.numerics import make_rng
-from expconv.training import load_model
+from expconv.training import build_network, load_model, save_model
 
 
 def write_config(tmp_path, name="config.json", **overrides):
@@ -218,6 +219,23 @@ class TestEvalCommand:
         assert rc == 2
         assert "classes" in capsys.readouterr().err
 
+    @pytest.mark.filterwarnings("error")  # an overflow warning would fail
+    def test_overflowing_feature_map_exits_1(self, tmp_path, capsys):
+        net = build_network((6, 3), 2, [{"variant": "elementwise", "k_h": 1,
+                                         "k_w": 1, "activation": "tanh"}])
+        net.layers[0].ewms[0].exponents[:] = 400.0
+        model = tmp_path / "model.bin"
+        save_model(net, model)
+        path = write_config(
+            tmp_path,
+            data={"synthetic": {"win_len": 6, "channels": 3, "count": 30,
+                                "mag_lo": 10.0, "mag_hi": 20.0}})
+        rc = cli.main(["eval", "--config", str(path), "--model", str(model)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert "layer 0" in err and "non-finite" in err
+
     def test_missing_model_file(self, tmp_path):
         path = write_config(tmp_path)
         assert cli.main(["eval", "--config", str(path),
@@ -280,6 +298,22 @@ class TestAugmentCommand:
         train_ds, _, _, _ = cli.build_datasets(cli.load_config(str(path)))
         np.testing.assert_array_equal(out.windows,
                                       train_ds.windows[:, ::-1, :])
+
+    def test_private_seed_draws_differ_between_windows(self, tmp_path):
+        path = write_config(
+            tmp_path,
+            augment=[{"op": "exp_augment", "probability": 1.0, "seed": 5,
+                      "granularity": "per_channel", "lo": 0.5, "hi": 1.5}])
+        assert cli.main(["augment", "--config", str(path)]) == 0
+        out = load_windows_csv(tmp_path / "out" / "augmented.csv")
+        train_ds, _, _, _ = cli.build_datasets(cli.load_config(str(path)))
+        log_in = np.log(np.abs(train_ds.windows))
+        powers = np.log(np.abs(out.windows)) / log_in
+        # each window has one power per channel; read it off the entry
+        # whose magnitude is farthest from 1
+        far = np.argmax(np.abs(log_in), axis=1, keepdims=True)
+        per_window = np.take_along_axis(powers, far, axis=1)[:, 0]
+        assert not np.allclose(per_window[0], per_window[1], atol=1e-3)
 
 
 class TestBundledConfig:

@@ -15,15 +15,18 @@ from expconv.gradients import (
     run_variant_checks,
     unit_backward,
 )
+from expconv.constraints import payload_arrays
 from expconv.layers import (
     Bilinear,
     ColShared,
     Elementwise,
     FullMatrix,
+    LayerCache,
     LayerParams,
     RowShared,
     Standard,
     expand_shared,
+    layer_forward,
 )
 from expconv.numerics import make_rng
 
@@ -214,3 +217,50 @@ class TestLayerBackwardGeometry:
         assert (1, 1) in CHECK_KERNELS
         assert (2, 2) in CHECK_KERNELS
         assert (3, 2) in CHECK_KERNELS
+
+
+def random_payload(variant, k_h, k_w, rng):
+    n = k_h * k_w
+    if variant == "standard":
+        return Standard()
+    if variant == "elementwise":
+        return Elementwise(rng.uniform(0.5, 1.5, size=(k_h, k_w)))
+    if variant == "row_shared":
+        return RowShared(rng.uniform(0.5, 1.5, size=k_h))
+    if variant == "col_shared":
+        return ColShared(rng.uniform(0.5, 1.5, size=k_w))
+    if variant == "bilinear":
+        return Bilinear(np.eye(k_h) + rng.uniform(-0.2, 0.2, (k_h, k_h)),
+                        np.eye(k_w) + rng.uniform(-0.2, 0.2, (k_w, k_w)))
+    return FullMatrix(np.eye(n) + rng.uniform(-0.2, 0.2, (n, n)))
+
+
+class TestLayerCache:
+    @pytest.mark.parametrize("variant", ALL_VARIANTS)
+    @pytest.mark.parametrize("activation", ("relu", "tanh", "identity"))
+    @pytest.mark.parametrize("stride", ((1, 1), (2, 1)))
+    def test_cached_backward_matches_uncached(self, variant, activation,
+                                              stride):
+        rng = make_rng(ALL_VARIANTS.index(variant))
+        k_h, k_w = 3, 2
+        params = LayerParams(
+            rng.normal(size=(3, k_h, k_w)), rng.normal(size=3),
+            [random_payload(variant, k_h, k_w, rng) for _ in range(3)],
+            stride_t=stride[0], stride_c=stride[1], activation=activation)
+        x = rng.normal(size=(2, 9, 6))  # signed, some entries near zero
+        x[0, 0, 0] = -0.0
+        cache = LayerCache()
+        out = layer_forward(x, params, cache=cache)
+        np.testing.assert_array_equal(out, layer_forward(x, params))
+        upstream = rng.normal(size=out.shape)
+        cached = layer_backward(x, params, upstream, cache=cache)
+        fresh = layer_backward(x, params, upstream)
+        pairs = [(cached.d_weights, fresh.d_weights),
+                 (cached.d_biases, fresh.d_biases),
+                 (cached.d_input, fresh.d_input)]
+        for a, b in zip(cached.d_ewms, fresh.d_ewms):
+            if a is not None:
+                pairs += zip(payload_arrays(a), payload_arrays(b))
+        for a, b in pairs:
+            np.testing.assert_allclose(a, b, rtol=0, atol=1e-12)
+

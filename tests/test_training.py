@@ -2,6 +2,9 @@
 optimizers, the training loop with constraint enforcement, evaluation
 metrics, and the binary model format."""
 
+import json
+import struct
+
 import numpy as np
 import pytest
 
@@ -177,6 +180,23 @@ class TestNetworkGradients:
         net = tiny_net("row_shared", seed=14, policy=pol)
         ds = labeled_windows(4, n=3)
         self._fd_check(net, ds.windows, ds.labels, tol=2e-6)
+
+    def test_bilinear_into_full_matrix_under_sigmoid_reparam(self):
+        # the layer stack of the synthetic benchmark workload, shrunk
+        pol = ConstraintPolicy(mode="reparam", kind="sigmoid")
+        net = build_network(
+            (6, 5), 2,
+            [{"variant": "bilinear", "k_h": 3, "k_w": 3, "activation": "tanh"},
+             {"variant": "full_matrix", "k_h": 2, "k_w": 2,
+              "out_channels": 2, "activation": "tanh"}],
+            policy=pol, seed=15)
+        rng = make_rng(16)
+        for layer in net.layers:
+            for ewm in layer.ewms:
+                for arr in payload_arrays(ewm):
+                    arr += rng.uniform(-0.1, 0.1, size=arr.shape)
+        ds = labeled_windows(5, n=3, shape=(6, 5))
+        self._fd_check(net, ds.windows, ds.labels, tol=1e-6)
 
     def test_single_sgd_step_decreases_loss(self):
         for seed in range(20):
@@ -446,6 +466,30 @@ class TestModelFormat:
         blob = path.read_bytes()
         path.write_bytes(blob[:-8])
         with pytest.raises(ValueError, match="truncated"):
+            load_model(path)
+
+    def test_oversized_metadata_length_rejected(self, tmp_path):
+        net = tiny_net(seed=66)
+        path = tmp_path / "model.bin"
+        save_model(net, path)
+        blob = bytearray(path.read_bytes())
+        blob[8:16] = (2 ** 62).to_bytes(8, "little")
+        path.write_bytes(bytes(blob))
+        with pytest.raises(ValueError, match="metadata length"):
+            load_model(path)
+
+    def test_missing_metadata_key_rejected(self, tmp_path):
+        net = tiny_net(seed=67)
+        path = tmp_path / "model.bin"
+        save_model(net, path)
+        blob = path.read_bytes()
+        (meta_len,) = struct.unpack_from("<Q", blob, 8)
+        meta = json.loads(blob[16:16 + meta_len])
+        del meta["layers"][0]["stride_t"]
+        new_meta = json.dumps(meta).encode()
+        path.write_bytes(blob[:8] + struct.pack("<Q", len(new_meta))
+                         + new_meta + blob[16 + meta_len:])
+        with pytest.raises(ValueError, match="stride_t"):
             load_model(path)
 
     def test_param_array_order(self):

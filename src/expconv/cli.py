@@ -275,6 +275,28 @@ def _train_config_from(cfg: dict, policy: ConstraintPolicy) -> TrainConfig:
         raise ConfigError(f"train: {exc}") from exc
 
 
+def _synthetic_task(s: dict):
+    """The task a data.synthetic section describes, defaults filled in."""
+    return gen_synthetic(
+        win_len=s.get("win_len", 8), channels=s.get("channels", 4),
+        exponent=s.get("exponent", 2.0), noise=s.get("noise", 0.05),
+        count=s.get("count", 200), seed=s.get("seed", 0),
+        margin_scale=s.get("margin_scale", 0.25),
+        mag_lo=s.get("mag_lo", 0.2), mag_hi=s.get("mag_hi", 3.0))
+
+
+def _class_windows(runs: list, stats, label_of: dict, win_len: int,
+                   stride: int) -> WindowedDataset:
+    """Normalized windows of every run, merged, with fault ids remapped to
+    class indices."""
+    parts = []
+    for run in runs:
+        ds = make_windows(apply_normalize(run, stats), win_len, stride)
+        ds.labels = np.array([label_of[l] for l in ds.labels.tolist()])
+        parts.append(ds)
+    return merge_windows(parts)
+
+
 def build_datasets(cfg: dict):
     """(train windows, test windows or None, n_classes, channels).
 
@@ -287,12 +309,7 @@ def build_datasets(cfg: dict):
     data = cfg["data"]
     if "synthetic" in data:
         s = data["synthetic"]
-        task = gen_synthetic(
-            win_len=s.get("win_len", 8), channels=s.get("channels", 4),
-            exponent=s.get("exponent", 2.0), noise=s.get("noise", 0.05),
-            count=s.get("count", 200), seed=s.get("seed", 0),
-            margin_scale=s.get("margin_scale", 0.25),
-            mag_lo=s.get("mag_lo", 0.2), mag_hi=s.get("mag_hi", 3.0))
+        task = _synthetic_task(s)
         frac = s.get("train_fraction", 2.0 / 3.0)
         n_train = int(round(frac * len(task)))
         win_len = task.win_len if len(task) else s.get("win_len", 8)
@@ -311,23 +328,13 @@ def build_datasets(cfg: dict):
     train_runs = [load_run(os.path.join(root, run_filename(fid, "train")),
                            fid, "train") for fid in fault_ids]
     stats = fit_normalize(train_runs)
-    train_parts = []
-    for run in train_runs:
-        ds = make_windows(apply_normalize(run, stats), win_len, stride)
-        ds.labels = np.array([label_of[l] for l in ds.labels.tolist()])
-        train_parts.append(ds)
-    train_ds = merge_windows(train_parts)
-
-    test_parts = []
-    for fid in fault_ids:
-        path = os.path.join(root, run_filename(fid, "test"))
-        if not os.path.exists(path):
-            continue
-        run = load_run(path, fid, "test")
-        ds = make_windows(apply_normalize(run, stats), win_len, stride)
-        ds.labels = np.array([label_of[l] for l in ds.labels.tolist()])
-        test_parts.append(ds)
-    test_ds = merge_windows(test_parts) if test_parts else None
+    train_ds = _class_windows(train_runs, stats, label_of, win_len, stride)
+    test_paths = [(fid, os.path.join(root, run_filename(fid, "test")))
+                  for fid in fault_ids]
+    test_runs = [load_run(path, fid, "test") for fid, path in test_paths
+                 if os.path.exists(path)]
+    test_ds = (_class_windows(test_runs, stats, label_of, win_len, stride)
+               if test_runs else None)
     return train_ds, test_ds, len(fault_ids), N_VARIABLES
 
 
@@ -439,13 +446,7 @@ def cmd_synth(args) -> int:
         cfg["data"]["synthetic"]["seed"] = args.seed
     out_dir = _out_dir(args, cfg)
     _echo_config(cfg, out_dir)
-    s = cfg["data"]["synthetic"]
-    task = gen_synthetic(
-        win_len=s.get("win_len", 8), channels=s.get("channels", 4),
-        exponent=s.get("exponent", 2.0), noise=s.get("noise", 0.05),
-        count=s.get("count", 200), seed=s.get("seed", 0),
-        margin_scale=s.get("margin_scale", 0.25),
-        mag_lo=s.get("mag_lo", 0.2), mag_hi=s.get("mag_hi", 3.0))
+    task = _synthetic_task(cfg["data"]["synthetic"])
     save_windows_csv(task.as_windowed(), os.path.join(out_dir, "dataset.csv"))
     print(f"generated {len(task)} windows "
           f"(exponent {task.exponent}, noise {task.noise}, "
@@ -478,6 +479,13 @@ def cmd_augment(args) -> int:
 # --------------------------------------------------------------------------
 # Entry point
 
+def positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="expconv",
@@ -498,7 +506,7 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=["all"] + sorted(VARIANT_TYPES))
     p.add_argument("--tol", type=float, default=1e-6,
                    help="relative-error tolerance (default 1e-6)")
-    p.add_argument("--checks", type=int, default=10,
+    p.add_argument("--checks", type=positive_int, default=10,
                    help="seeds per variant and kernel shape (default 10)")
     p.set_defaults(func=cmd_gradcheck)
 

@@ -1,9 +1,10 @@
 """Exponent bound enforcement and initialization.
 
 Exponents are kept inside a per-layer interval [v_min, v_max] in one of
-three ways: clipping the parameters, projecting them back after each
-optimizer step, or training an unconstrained value that is mapped into
-the interval by a smooth monotone function. The hard-sigmoid map keeps a
+two ways: clipping the stored values back into it after every optimizer
+step (mode "clip", with "project" accepted as another name for it), or
+training an unconstrained value that is mapped into the interval by a
+smooth monotone function (mode "reparam"). The hard-sigmoid map keeps a
 small residual slope outside its linear core so a saturated parameter can
 still recover (a plain clamp would zero its gradient for good).
 
@@ -18,16 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .layers import (
-    Bilinear,
-    ColShared,
-    Elementwise,
-    EwmVariant,
-    FullMatrix,
-    RowShared,
-    Standard,
-    VARIANT_TYPES,
-)
+from .layers import VARIANT_TYPES, Payload, payload_arrays, payload_map
 
 DEFAULT_V_MIN = -2.0
 DEFAULT_V_MAX = 4.0
@@ -44,10 +36,10 @@ _RESIDUAL_SLOPE = 1e-3
 class ConstraintPolicy:
     """Per-layer exponent bounds and how to enforce them.
 
-    mode "clip" clamps parameters in place, "project" clamps after every
-    optimizer step (operationally the same projection point in this
-    implementation), "reparam" trains unconstrained values through the
-    map selected by ``kind``.
+    mode "clip" clamps the stored exponents into the bounds after every
+    optimizer step ("project" is accepted as another name for it, so
+    older configs and models still load); "reparam" trains unconstrained
+    values through the map selected by ``kind``.
     """
 
     v_min: float = DEFAULT_V_MIN
@@ -74,49 +66,16 @@ class ConstraintPolicy:
         return 0.5 * (self.v_max - self.v_min)
 
 
-def _payload_map(ewm: EwmVariant, fn) -> EwmVariant:
-    """Apply fn to every exponent array of a payload, returning a new payload."""
-    if isinstance(ewm, Standard):
-        return Standard()
-    if isinstance(ewm, Elementwise):
-        return Elementwise(fn(ewm.exponents))
-    if isinstance(ewm, RowShared):
-        return RowShared(fn(ewm.row_exponents))
-    if isinstance(ewm, ColShared):
-        return ColShared(fn(ewm.col_exponents))
-    if isinstance(ewm, Bilinear):
-        return Bilinear(fn(ewm.row_mix), fn(ewm.col_mix))
-    if isinstance(ewm, FullMatrix):
-        return FullMatrix(fn(ewm.mix))
-    raise TypeError(f"unknown variant {type(ewm).__name__}")
-
-
-def clip_params(ewm: EwmVariant, policy: ConstraintPolicy) -> EwmVariant:
+def clip_params(ewm: Payload, policy: ConstraintPolicy) -> Payload:
     """Clamp every exponent entry into [v_min, v_max]; idempotent."""
-    if policy.mode not in ("clip", "project"):
+    if policy.mode == "reparam":
         raise ValueError("clip_params applies to clip/project modes only")
-    return _payload_map(ewm, lambda a: np.clip(a, policy.v_min, policy.v_max))
+    return payload_map(ewm, lambda a: np.clip(a, policy.v_min, policy.v_max))
 
 
-def clip_params_inplace(ewm: EwmVariant, policy: ConstraintPolicy) -> None:
+def clip_params_inplace(ewm: Payload, policy: ConstraintPolicy) -> None:
     for arr in payload_arrays(ewm):
         np.clip(arr, policy.v_min, policy.v_max, out=arr)
-
-
-def payload_arrays(ewm: EwmVariant) -> list[np.ndarray]:
-    if isinstance(ewm, Standard):
-        return []
-    if isinstance(ewm, Elementwise):
-        return [ewm.exponents]
-    if isinstance(ewm, RowShared):
-        return [ewm.row_exponents]
-    if isinstance(ewm, ColShared):
-        return [ewm.col_exponents]
-    if isinstance(ewm, Bilinear):
-        return [ewm.row_mix, ewm.col_mix]
-    if isinstance(ewm, FullMatrix):
-        return [ewm.mix]
-    raise TypeError(f"unknown variant {type(ewm).__name__}")
 
 
 # --------------------------------------------------------------------------
@@ -214,7 +173,7 @@ def effective_value(w_hat, policy: ConstraintPolicy):
     return np.clip(reparam_forward(w_hat, policy), policy.v_min, policy.v_max)
 
 
-def effective_payload(ewm: EwmVariant, policy: ConstraintPolicy) -> EwmVariant:
+def effective_payload(ewm: Payload, policy: ConstraintPolicy) -> Payload:
     """Materialize the effective exponent payload for a layer forward pass.
 
     Under reparam the stored payload is unconstrained and gets mapped;
@@ -223,44 +182,27 @@ def effective_payload(ewm: EwmVariant, policy: ConstraintPolicy) -> EwmVariant:
     """
     if policy.mode != "reparam":
         return ewm
-    return _payload_map(ewm, lambda a: effective_value(a, policy))
+    return payload_map(ewm, lambda a: effective_value(a, policy))
 
 
 # --------------------------------------------------------------------------
 # Initialization
 
 def init_exponents(variant: str, k_h: int, k_w: int,
-                   policy: ConstraintPolicy | None = None) -> EwmVariant:
+                   policy: ConstraintPolicy | None = None) -> Payload:
     """Neutral initialization: all-ones exponents, identity mixing matrices.
 
     With a reparam-mode policy, the returned payload stores the
     unconstrained preimages of those targets, so the materialized layer
-    still starts as a standard convolution. Matrix variants need v_min < 0
-    in that case (the identity's zero entries must be invertible).
+    still starts as a standard convolution; ``reparam_invert`` rejects a
+    target outside (v_min, v_max), such as an identity's zeros when
+    v_min >= 0.
     """
     if variant not in VARIANT_TYPES:
         raise ValueError(f"unknown variant {variant!r}")
     if k_h < 1 or k_w < 1:
         raise ValueError("kernel dims must be >= 1")
-    n = k_h * k_w
-    if variant == "standard":
-        return Standard()
-    if variant == "elementwise":
-        target: EwmVariant = Elementwise(np.ones((k_h, k_w)))
-    elif variant == "row_shared":
-        target = RowShared(np.ones(k_h))
-    elif variant == "col_shared":
-        target = ColShared(np.ones(k_w))
-    elif variant == "bilinear":
-        target = Bilinear(np.eye(k_h), np.eye(k_w))
-    else:
-        target = FullMatrix(np.eye(n))
-
+    target = VARIANT_TYPES[variant].neutral(k_h, k_w)
     if policy is not None and policy.mode == "reparam":
-        if variant in ("bilinear", "full_matrix") and policy.v_min >= 0.0:
-            raise ValueError(
-                "identity initialization needs v_min < 0 under "
-                "reparameterization (zero entries must be invertible)")
-        return _payload_map(target, lambda a: np.asarray(
-            reparam_invert(a, policy), dtype=np.float64))
+        return payload_map(target, lambda a: reparam_invert(a, policy))
     return target

@@ -26,7 +26,7 @@ product.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -35,18 +35,18 @@ from .layers import (
     Bilinear,
     ColShared,
     Elementwise,
-    EwmVariant,
     FullMatrix,
     LayerCache,
     LayerParams,
+    Payload,
     RowShared,
     Standard,
-    _col_major_order,
     activation_grad,
     channel_preact,
     exponent_operator,
     extract_patches,  # noqa: F401  (part of this module's namespace)
     layer_forward,
+    payload_arrays,
     row_blocks,
 )
 from .numerics import DEFAULT_EPS, make_rng
@@ -75,33 +75,6 @@ class GradBundle:
 #   d K  = D.T @ L                            (matrix operators)
 #   d L  = D * E  or  D @ K                   (summed over channels)
 #   d x  = d L / x  outside the eps clamp, 0 inside (d log|x| / dx = 1/x)
-
-def _payload_grads(params: LayerParams, d_op: np.ndarray) -> list:
-    """Per-channel payload gradients from the stacked operator gradient."""
-    k_h, k_w = params.k_h, params.k_w
-    variant = params.variant
-    if variant in ("elementwise", "row_shared", "col_shared"):
-        d_exp = d_op.reshape(-1, k_h, k_w)
-        if variant == "elementwise":
-            return [Elementwise(d) for d in d_exp]
-        # tied positions accumulate: row or column sums of the expanded grid
-        if variant == "row_shared":
-            return [RowShared(d.sum(axis=1)) for d in d_exp]
-        return [ColShared(d.sum(axis=0)) for d in d_exp]
-    if variant == "bilinear":
-        # K[(a, d), (b, c)] = row_mix[a, b] * col_mix[c, d]
-        d_k = d_op.reshape(-1, k_h, k_w, k_h, k_w)
-        return [Bilinear(np.einsum("adbc,cd->ab", d, e.col_mix),
-                         np.einsum("adbc,ab->cd", d, e.row_mix))
-                for d, e in zip(d_k, params.ewms)]
-    order = _col_major_order(k_h, k_w)
-    grads = []
-    for d in d_op:
-        d_mix = np.empty_like(d)
-        d_mix[np.ix_(order, order)] = d
-        grads.append(FullMatrix(d_mix))
-    return grads
-
 
 def patch_backward(params: LayerParams, cache: LayerCache,
                    upstream: np.ndarray, eps: float = DEFAULT_EPS):
@@ -150,38 +123,27 @@ def patch_backward(params: LayerParams, cache: LayerCache,
     if op is None:
         return d_weights, d_biases, [None] * out_ch, d_patches
     d_op *= weights if diag else weights[:, :, None]
-    return d_weights, d_biases, _payload_grads(params, d_op), d_patches
-
-
-def channel_backward(patches: np.ndarray, weights: np.ndarray, bias: float,
-                     ewm: EwmVariant, upstream: np.ndarray,
-                     eps: float = DEFAULT_EPS):
-    """Backward of channel_preact for one output channel over a stack of
-    patches (..., k_h, k_w) with upstream (...). Returns (d_weights,
-    d_bias, d_ewm, d_patches)."""
-    patches = np.asarray(patches, dtype=np.float64)
-    cache = LayerCache()
-    channel_preact(patches, weights, bias, ewm, eps, cache)
-    params = LayerParams(np.asarray(weights)[None], np.array([bias]), [ewm])
-    up = np.asarray(upstream, dtype=np.float64).reshape(-1, 1)
-    d_w, d_b, d_ewms, d_p = patch_backward(params, cache, up, eps)
-    return d_w[0], float(d_b[0]), d_ewms[0], d_p.reshape(patches.shape)
+    d_ewms = [e.operator_grad(d, params.k_h, params.k_w)
+              for e, d in zip(params.ewms, d_op)]
+    return d_weights, d_biases, d_ewms, d_patches
 
 
 def unit_backward(x: np.ndarray, weights: np.ndarray, bias: float,
-                  ewm: EwmVariant, upstream: float = 1.0,
+                  ewm: Payload, upstream: float = 1.0,
                   eps: float = DEFAULT_EPS):
-    """Single-receptive-field backward.
+    """Single-receptive-field backward through the layer kernel.
 
     Returns (d_weights, d_bias, d_ewm, d_x); d_ewm carries the payload
     gradient in the payload's own structure (None for Standard).
     """
     x = np.asarray(x, dtype=np.float64)
-    patches = x[None, :, :]
-    up = np.asarray([upstream], dtype=np.float64)
-    d_w, d_b, d_ewm, d_patches = channel_backward(
-        patches, np.asarray(weights, dtype=np.float64), bias, ewm, up, eps)
-    return d_w, d_b, d_ewm, d_patches[0]
+    weights = np.asarray(weights, dtype=np.float64)
+    cache = LayerCache()
+    channel_preact(x[None], weights, bias, ewm, eps, cache)
+    params = LayerParams(weights[None], np.array([bias]), [ewm])
+    d_w, d_b, d_ewms, d_x = patch_backward(
+        params, cache, np.array([[upstream]], dtype=np.float64), eps)
+    return d_w[0], float(d_b[0]), d_ewms[0], d_x.reshape(x.shape)
 
 
 def scatter_patch_grads(d_patches: np.ndarray, input_shape: tuple,
@@ -301,23 +263,6 @@ class GradCheckReport:
         return "\n".join(lines)
 
 
-def _payload_arrays(ewm: EwmVariant) -> list:
-    """(group name, array) pairs for the trainable exponent parameters."""
-    if isinstance(ewm, Standard):
-        return []
-    if isinstance(ewm, Elementwise):
-        return [("exponents", ewm.exponents)]
-    if isinstance(ewm, RowShared):
-        return [("row_exponents", ewm.row_exponents)]
-    if isinstance(ewm, ColShared):
-        return [("col_exponents", ewm.col_exponents)]
-    if isinstance(ewm, Bilinear):
-        return [("row_mix", ewm.row_mix), ("col_mix", ewm.col_mix)]
-    if isinstance(ewm, FullMatrix):
-        return [("mix", ewm.mix)]
-    raise TypeError(f"unknown variant {type(ewm).__name__}")
-
-
 def grad_check(params: LayerParams, x: np.ndarray,
                loss_weights: np.ndarray | None = None,
                tol: float = 1e-6, h: float = 1e-5, seed: int = 0,
@@ -365,11 +310,10 @@ def grad_check(params: LayerParams, x: np.ndarray,
         check_group("weights", [params.weights], [bundle.d_weights]),
         check_group("biases", [params.biases], [bundle.d_biases]),
     ]
-    payload_names = [n for n, _ in _payload_arrays(params.ewms[0])]
-    for pi, pname in enumerate(payload_names):
-        live = [_payload_arrays(e)[pi][1] for e in params.ewms]
-        analytic = [_payload_arrays(d)[pi][1] for d in bundle.d_ewms]
-        groups.append(check_group(pname, live, analytic))
+    for pi, field in enumerate(fields(params.ewms[0])):
+        live = [payload_arrays(e)[pi] for e in params.ewms]
+        analytic = [payload_arrays(d)[pi] for d in bundle.d_ewms]
+        groups.append(check_group(field.name, live, analytic))
 
     def f_input(vals):
         x[...] = vals
@@ -398,8 +342,6 @@ def grad_check(params: LayerParams, x: np.ndarray,
 # mixing variants is covered by dedicated tests.
 
 CHECK_KERNELS = ((1, 1), (2, 2), (3, 2))
-CHECK_VARIANTS = ("standard", "elementwise", "row_shared", "col_shared",
-                  "bilinear", "full_matrix")
 
 
 def _sample_magnitudes(rng, shape, lo=0.1, hi=3.0, log_gap=0.1):

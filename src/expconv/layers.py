@@ -2,7 +2,7 @@
 
 A unit reads one receptive field X (k_h rows = time steps, k_w columns =
 sensor channels) and combines a standard linear filter with an exponent
-stage. Five exponent configurations are supported:
+stage. Six exponent configurations are supported:
 
 * Standard      -- no exponent stage, plain linear filter.
 * Elementwise   -- one exponent per receptive-field entry.
@@ -12,6 +12,16 @@ stage. Five exponent configurations are supported:
 * FullMatrix    -- log-magnitudes of the vectorized patch mixed by an
                   n x n matrix (n = k_h * k_w), the most general form.
 
+Each configuration is one payload dataclass, and that class is the only
+place the variant is described: its fields are its arrays in the order
+the model file stores them, and its methods give their shapes for a
+kernel (``shapes``), the payload that reduces the unit to a standard
+filter (``neutral``: ones or identities), its operator on the row-major
+flattened log-magnitudes (``operator``: an (n,) diagonal or an (n, n)
+matrix) and the payload gradient from that operator's gradient
+(``operator_grad``). ``VARIANT_TYPES`` maps variant names to the classes;
+``payload_arrays`` and ``payload_map`` reach the arrays of any payload.
+
 Negative inputs are handled by computing on magnitudes (clamped at eps)
 and re-applying the original elementwise sign, which reduces exactly to
 ``signed_pow`` whenever the mixing is diagonal.
@@ -19,12 +29,12 @@ and re-applying the original elementwise sign, which reduces exactly to
 A layer evaluates all of its output channels from one patch matrix, the
 im2col layout of Chellapilla et al. (2006), "High Performance
 Convolutional Neural Networks for Document Processing": the sign and the
-clamped log-magnitude log(max(|x|, eps)) of every patch entry are computed
-once per layer. Channel m's powered values are then sign * exp(E[m] * L)
-for the elementwise family and sign * exp(L @ K[m].T) for the mixing
-variants (bilinear as K = kron(row_mix, col_mix.T), so row_mix @ L @
-col_mix is one matrix product over all patches), and its pre-activation is
-one matrix-vector product with its filter.
+clamped log-magnitude L = log(max(|x|, eps)) of every patch entry are
+computed once per layer. Channel m's powered values are then
+sign * exp(E[m] * L) for a diagonal operator and sign * exp(L @ K[m].T)
+for a matrix (bilinear as K = kron(row_mix, col_mix.T), so
+row_mix @ L @ col_mix is one matrix product over all patches), and its
+pre-activation is one matrix-vector product with its filter.
 
 ``layer_forward(x, params, eps, cache)`` fills an optional ``LayerCache``
 (patches, log-magnitudes, every channel's powered values, the output) that
@@ -39,7 +49,7 @@ implementations and serve as the oracle for the layer kernel.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -58,127 +68,176 @@ ACTIVATIONS = ("relu", "tanh", "identity")
 
 # --------------------------------------------------------------------------
 # Exponent payloads (one per output channel; the payload is shared across
-# every spatial position of that channel).
+# every spatial position of that channel), one class per variant.
+
+class Payload:
+    """Base of the exponent payloads; subclasses are dataclasses whose
+    fields are float64 arrays."""
+
+    name = ""
+
+    def __post_init__(self):
+        for f in fields(self):
+            setattr(self, f.name, as_tensor(getattr(self, f.name), f.name))
+
+    @staticmethod
+    def shapes(k_h: int, k_w: int) -> tuple:
+        """The shape of each field for a k_h x k_w kernel."""
+        return ()
+
+    @classmethod
+    def neutral(cls, k_h: int, k_w: int) -> Payload:
+        """The payload that makes the unit a standard linear filter."""
+        return cls(*(np.ones(s) for s in cls.shapes(k_h, k_w)))
+
+    def operator(self, k_h: int, k_w: int) -> np.ndarray | None:
+        """The exponent stage on row-major flattened log|x| (n = k_h * k_w
+        entries): an (n,) diagonal, an (n, n) matrix, or None for none."""
+        return None
+
+    def operator_grad(self, d_op: np.ndarray, k_h: int, k_w: int) -> Payload:
+        """The payload gradient from the gradient of ``operator``."""
+        raise NotImplementedError
+
 
 @dataclass
-class Standard:
+class Standard(Payload):
     """Plain linear filter; no exponent parameters."""
 
+    name = "standard"
+
 
 @dataclass
-class Elementwise:
+class Elementwise(Payload):
+    """One exponent per receptive-field entry."""
+
     exponents: np.ndarray  # (k_h, k_w)
+    name = "elementwise"
 
-    def __post_init__(self):
-        self.exponents = as_tensor(self.exponents, "exponents")
-        if self.exponents.ndim != 2:
-            raise ValueError("elementwise exponents must be 2-D")
+    @staticmethod
+    def shapes(k_h, k_w):
+        return ((k_h, k_w),)
 
+    def operator(self, k_h, k_w):
+        return self.exponents.reshape(-1)
 
-@dataclass
-class RowShared:
-    row_exponents: np.ndarray  # (k_h,), one exponent per time step
-
-    def __post_init__(self):
-        self.row_exponents = as_tensor(self.row_exponents, "row_exponents")
-        if self.row_exponents.ndim != 1:
-            raise ValueError("row exponents must be 1-D")
+    def operator_grad(self, d_op, k_h, k_w):
+        return Elementwise(d_op.reshape(k_h, k_w))
 
 
 @dataclass
-class ColShared:
-    col_exponents: np.ndarray  # (k_w,), one exponent per sensor channel
+class RowShared(Payload):
+    """One exponent per time-step row, tied across the row."""
 
-    def __post_init__(self):
-        self.col_exponents = as_tensor(self.col_exponents, "col_exponents")
-        if self.col_exponents.ndim != 1:
-            raise ValueError("column exponents must be 1-D")
+    row_exponents: np.ndarray  # (k_h,)
+    name = "row_shared"
+
+    @staticmethod
+    def shapes(k_h, k_w):
+        return ((k_h,),)
+
+    def operator(self, k_h, k_w):
+        return np.repeat(self.row_exponents, k_w)
+
+    def operator_grad(self, d_op, k_h, k_w):
+        # tied positions accumulate
+        return RowShared(d_op.reshape(k_h, k_w).sum(axis=1))
 
 
 @dataclass
-class Bilinear:
+class ColShared(Payload):
+    """One exponent per sensor-channel column, tied down the column."""
+
+    col_exponents: np.ndarray  # (k_w,)
+    name = "col_shared"
+
+    @staticmethod
+    def shapes(k_h, k_w):
+        return ((k_w,),)
+
+    def operator(self, k_h, k_w):
+        return np.tile(self.col_exponents, k_h)
+
+    def operator_grad(self, d_op, k_h, k_w):
+        return ColShared(d_op.reshape(k_h, k_w).sum(axis=0))
+
+
+@dataclass
+class Bilinear(Payload):
+    """Log-magnitudes mixed as row_mix @ log|X| @ col_mix."""
+
     row_mix: np.ndarray  # (k_h, k_h)
     col_mix: np.ndarray  # (k_w, k_w)
+    name = "bilinear"
 
-    def __post_init__(self):
-        self.row_mix = as_tensor(self.row_mix, "row_mix")
-        self.col_mix = as_tensor(self.col_mix, "col_mix")
-        for name, m in (("row_mix", self.row_mix), ("col_mix", self.col_mix)):
-            if m.ndim != 2 or m.shape[0] != m.shape[1]:
-                raise ValueError(f"{name} must be square, got {m.shape}")
+    @staticmethod
+    def shapes(k_h, k_w):
+        return ((k_h, k_h), (k_w, k_w))
+
+    @classmethod
+    def neutral(cls, k_h, k_w):
+        return cls(np.eye(k_h), np.eye(k_w))
+
+    def operator(self, k_h, k_w):
+        return np.kron(self.row_mix, self.col_mix.T)
+
+    def operator_grad(self, d_op, k_h, k_w):
+        # K[(a, d), (b, c)] = row_mix[a, b] * col_mix[c, d]
+        d_k = d_op.reshape(k_h, k_w, k_h, k_w)
+        return Bilinear(np.einsum("adbc,cd->ab", d_k, self.col_mix),
+                        np.einsum("adbc,ab->cd", d_k, self.row_mix))
 
 
 @dataclass
-class FullMatrix:
+class FullMatrix(Payload):
+    """Log-magnitudes of the column-major vectorized patch mixed by an
+    n x n matrix, the most general form."""
+
     mix: np.ndarray  # (n, n) acting on the column-major vectorized patch
+    name = "full_matrix"
 
-    def __post_init__(self):
-        self.mix = as_tensor(self.mix, "mix")
-        if self.mix.ndim != 2 or self.mix.shape[0] != self.mix.shape[1]:
-            raise ValueError(f"mix must be square, got {self.mix.shape}")
+    @staticmethod
+    def shapes(k_h, k_w):
+        return ((k_h * k_w, k_h * k_w),)
 
+    @classmethod
+    def neutral(cls, k_h, k_w):
+        return cls(np.eye(k_h * k_w))
 
-EwmVariant = Standard | Elementwise | RowShared | ColShared | Bilinear | FullMatrix
+    def operator(self, k_h, k_w):
+        order = _col_major_order(k_h, k_w)
+        return self.mix[np.ix_(order, order)]
 
-VARIANT_NAMES = {
-    Standard: "standard",
-    Elementwise: "elementwise",
-    RowShared: "row_shared",
-    ColShared: "col_shared",
-    Bilinear: "bilinear",
-    FullMatrix: "full_matrix",
-}
-VARIANT_TYPES = {name: cls for cls, name in VARIANT_NAMES.items()}
-
-
-def variant_name(ewm: EwmVariant) -> str:
-    return VARIANT_NAMES[type(ewm)]
+    def operator_grad(self, d_op, k_h, k_w):
+        order = _col_major_order(k_h, k_w)
+        d_mix = np.empty_like(d_op)
+        d_mix[np.ix_(order, order)] = d_op
+        return FullMatrix(d_mix)
 
 
-def exponent_param_count(ewm: EwmVariant) -> int:
+def _col_major_order(k_h: int, k_w: int) -> np.ndarray:
+    """Column-major vec index of each row-major patch position."""
+    return np.arange(k_h * k_w).reshape(k_w, k_h).T.reshape(-1)
+
+
+VARIANT_TYPES = {cls.name: cls for cls in (Standard, Elementwise, RowShared,
+                                           ColShared, Bilinear, FullMatrix)}
+
+
+def payload_arrays(ewm: Payload) -> list[np.ndarray]:
+    """The payload's arrays in field (file) order; the live arrays, not
+    copies."""
+    return [getattr(ewm, f.name) for f in fields(ewm)]
+
+
+def payload_map(ewm: Payload, fn) -> Payload:
+    """A new payload of the same variant with ``fn`` applied to each array."""
+    return type(ewm)(*(fn(a) for a in payload_arrays(ewm)))
+
+
+def exponent_param_count(ewm: Payload) -> int:
     """Number of trainable exponent parameters carried by a payload."""
-    if isinstance(ewm, Standard):
-        return 0
-    if isinstance(ewm, Elementwise):
-        return int(ewm.exponents.size)
-    if isinstance(ewm, RowShared):
-        return int(ewm.row_exponents.size)
-    if isinstance(ewm, ColShared):
-        return int(ewm.col_exponents.size)
-    if isinstance(ewm, Bilinear):
-        return int(ewm.row_mix.size + ewm.col_mix.size)
-    if isinstance(ewm, FullMatrix):
-        return int(ewm.mix.size)
-    raise TypeError(f"unknown variant {type(ewm).__name__}")
-
-
-def check_variant_shape(ewm: EwmVariant, k_h: int, k_w: int) -> None:
-    """Reject payloads whose dimensions do not match the kernel."""
-    n = k_h * k_w
-    if isinstance(ewm, Standard):
-        return
-    if isinstance(ewm, Elementwise):
-        if ewm.exponents.shape != (k_h, k_w):
-            raise ValueError(
-                f"elementwise exponents {ewm.exponents.shape} != kernel ({k_h}, {k_w})")
-    elif isinstance(ewm, RowShared):
-        if ewm.row_exponents.shape != (k_h,):
-            raise ValueError(
-                f"row exponents {ewm.row_exponents.shape} != ({k_h},)")
-    elif isinstance(ewm, ColShared):
-        if ewm.col_exponents.shape != (k_w,):
-            raise ValueError(
-                f"column exponents {ewm.col_exponents.shape} != ({k_w},)")
-    elif isinstance(ewm, Bilinear):
-        if ewm.row_mix.shape != (k_h, k_h) or ewm.col_mix.shape != (k_w, k_w):
-            raise ValueError(
-                f"bilinear mixes {ewm.row_mix.shape}/{ewm.col_mix.shape} "
-                f"!= ({k_h},{k_h})/({k_w},{k_w})")
-    elif isinstance(ewm, FullMatrix):
-        if ewm.mix.shape != (n, n):
-            raise ValueError(f"full mix {ewm.mix.shape} != ({n}, {n})")
-    else:
-        raise TypeError(f"unknown variant {type(ewm).__name__}")
+    return sum(int(a.size) for a in payload_arrays(ewm))
 
 
 def expand_shared(ewm: RowShared | ColShared, k_h: int, k_w: int) -> np.ndarray:
@@ -224,11 +283,16 @@ class LayerParams:
             raise ValueError("out_channels must be >= 1")
         if len(self.ewms) != self.out_channels:
             raise ValueError("one exponent payload per output channel required")
-        first = type(self.ewms[0])
-        if any(type(e) is not first for e in self.ewms):
+        first = self.ewms[0]
+        if any(type(e) is not type(first) for e in self.ewms):
             raise ValueError("all channels must use the same variant")
+        want = first.shapes(self.k_h, self.k_w)
         for e in self.ewms:
-            check_variant_shape(e, self.k_h, self.k_w)
+            got = tuple(a.shape for a in payload_arrays(e))
+            if got != want:
+                raise ValueError(
+                    f"{first.name} payload shapes {got} != {want} for a "
+                    f"({self.k_h}, {self.k_w}) kernel")
         if self.stride_t < 1 or self.stride_c < 1:
             raise ValueError("strides must be >= 1")
         if self.activation not in ACTIVATIONS:
@@ -248,7 +312,7 @@ class LayerParams:
 
     @property
     def variant(self) -> str:
-        return variant_name(self.ewms[0])
+        return self.ewms[0].name
 
 
 # --------------------------------------------------------------------------
@@ -320,7 +384,7 @@ def unit_full(x_vec, weight_vec, bias: float, mix,
 
 
 def unit_forward(x: np.ndarray, weights: np.ndarray, bias: float,
-                 ewm: EwmVariant, eps: float = DEFAULT_EPS) -> float:
+                 ewm: Payload, eps: float = DEFAULT_EPS) -> float:
     """Evaluate one receptive field under any variant (pre-activation)."""
     if isinstance(ewm, Standard):
         return unit_standard(x, weights, bias)
@@ -341,9 +405,8 @@ def unit_forward(x: np.ndarray, weights: np.ndarray, bias: float,
 # --------------------------------------------------------------------------
 # Layer kernel. Patches are flattened row-major to (N, n) with n = k_h * k_w
 # (the im2col layout). Every exponent variant is an operator on the clamped
-# log-magnitudes L of a patch: a diagonal (elementwise, row_shared and
-# col_shared, stacked (M, n)) or a full matrix (bilinear and full_matrix,
-# stacked (M, n, n)). Channel m's powered values are sign * exp(L * E[m])
+# log-magnitudes L of a patch (``Payload.operator``), stacked over channels
+# to (M, n) diagonals or (M, n, n) matrices. Channel m's powered values are sign * exp(L * E[m])
 # or sign * exp(L @ K[m].T), and its pre-activation is one matrix-vector
 # product with its flattened filter.
 
@@ -364,30 +427,11 @@ class LayerCache:
     output: np.ndarray | None = None
 
 
-def _col_major_order(k_h: int, k_w: int) -> np.ndarray:
-    """Column-major vec index of each row-major patch position."""
-    return np.arange(k_h * k_w).reshape(k_w, k_h).T.reshape(-1)
-
-
 def exponent_operator(params: LayerParams) -> np.ndarray | None:
-    """Every channel's exponent stage as one stacked array acting on the
-    row-major flattened log-magnitudes: None for standard, (M, n) diagonal
-    exponents for the elementwise family, (M, n, n) matrices for bilinear
-    (kron(row_mix, col_mix.T)) and full_matrix (mix, reordered from the
-    column-major vec)."""
-    k_h, k_w = params.k_h, params.k_w
-    ewms = params.ewms
-    variant = params.variant
-    if variant == "standard":
-        return None
-    if variant == "elementwise":
-        return np.stack([e.exponents.reshape(-1) for e in ewms])
-    if variant in ("row_shared", "col_shared"):
-        return np.stack([expand_shared(e, k_h, k_w).reshape(-1) for e in ewms])
-    if variant == "bilinear":
-        return np.stack([np.kron(e.row_mix, e.col_mix.T) for e in ewms])
-    order = _col_major_order(k_h, k_w)
-    return np.stack([e.mix[np.ix_(order, order)] for e in ewms])
+    """Every channel's ``Payload.operator`` stacked: (M, n) diagonals,
+    (M, n, n) matrices, or None for standard layers."""
+    ops = [e.operator(params.k_h, params.k_w) for e in params.ewms]
+    return None if ops[0] is None else np.stack(ops)
 
 
 # Patches are processed in blocks of this many rows, so that a block's log,
@@ -452,7 +496,7 @@ def patch_preacts(patches: np.ndarray, params: LayerParams,
 
 
 def channel_preact(patches: np.ndarray, weights: np.ndarray, bias: float,
-                   ewm: EwmVariant, eps: float = DEFAULT_EPS,
+                   ewm: Payload, eps: float = DEFAULT_EPS,
                    cache: LayerCache | None = None) -> np.ndarray:
     """Pre-activations of one channel over a stack of patches (..., k_h, k_w),
     through the layer kernel; ``patches`` is left as it was."""

@@ -6,8 +6,8 @@ the input and the last convolution must emit a single channel so their
 output is again a (time, channel) matrix.
 
 Exponent payloads are stored in the representation their constraint
-policy dictates: bounded values for clip/project (kept inside the bounds
-by projection after every optimizer step), unconstrained values for
+policy dictates: bounded values for clip (kept inside the bounds by
+projection after every optimizer step), unconstrained values for
 reparam (mapped through the policy's monotone function on the forward
 pass). The training gradient for a reparameterized exponent is chained
 through the unclamped map derivative, so a hard-sigmoid exponent parked
@@ -19,7 +19,7 @@ from __future__ import annotations
 import json
 import math
 import struct
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -34,7 +34,7 @@ from .constraints import (
 )
 from .dataset import WindowedDataset
 from .gradients import layer_backward
-from .layers import LayerCache, LayerParams, layer_forward, output_grid
+from .layers import VARIANT_TYPES, LayerCache, LayerParams, layer_forward, output_grid
 from .numerics import make_rng
 
 FORMAT_MAGIC = b"EXPC"
@@ -363,7 +363,7 @@ def enforce_constraints(net: Network) -> None:
     """Project stored exponents back into bounds, then assert that every
     effective exponent respects them (a cheap internal postcondition)."""
     for layer, policy in zip(net.layers, net.policies):
-        if policy.mode in ("clip", "project"):
+        if policy.mode != "reparam":
             for ewm in layer.ewms:
                 clip_params_inplace(ewm, policy)
         for ewm in layer.ewms:
@@ -583,10 +583,12 @@ def _network_from(meta: dict, blob: bytes, pos: int) -> Network:
         weights = tensors[pos]
         biases = tensors[pos + 1]
         pos += 2
+        variant = VARIANT_TYPES[spec["variant"]]
+        width = len(fields(variant))
         ewms = []
         for _ in range(spec["out_channels"]):
-            ewms.append(_payload_from_tensors(spec["variant"], tensors, pos))
-            pos += _payload_tensor_count(spec["variant"])
+            ewms.append(variant(*tensors[pos:pos + width]))
+            pos += width
         layers.append(LayerParams(weights, biases, ewms,
                                   stride_t=spec["stride_t"],
                                   stride_c=spec["stride_c"],
@@ -599,27 +601,3 @@ def _network_from(meta: dict, blob: bytes, pos: int) -> Network:
     return Network(layers, head_w, head_b, policies=policies,
                    input_shape=tuple(meta["input_shape"]),
                    n_classes=meta["n_classes"])
-
-
-def _payload_tensor_count(variant: str) -> int:
-    return {"standard": 0, "elementwise": 1, "row_shared": 1,
-            "col_shared": 1, "bilinear": 2, "full_matrix": 1}[variant]
-
-
-def _payload_from_tensors(variant: str, tensors: list, pos: int):
-    from .layers import (Bilinear, ColShared, Elementwise, FullMatrix,
-                         RowShared, Standard)
-
-    if variant == "standard":
-        return Standard()
-    if variant == "elementwise":
-        return Elementwise(tensors[pos])
-    if variant == "row_shared":
-        return RowShared(tensors[pos])
-    if variant == "col_shared":
-        return ColShared(tensors[pos])
-    if variant == "bilinear":
-        return Bilinear(tensors[pos], tensors[pos + 1])
-    if variant == "full_matrix":
-        return FullMatrix(tensors[pos])
-    raise ValueError(f"unknown variant {variant!r}")

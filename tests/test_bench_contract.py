@@ -1,6 +1,8 @@
 """The benchmark's tracer wraps library functions by module attribute and
 reads their arguments and results; a training step run under it must
-still work and report no recomputed pre-activations."""
+still work and report no recomputed pre-activations. Its output check
+rebuilds layers from per-channel payloads and compares them with the
+single-receptive-field oracle, which must agree for every variant."""
 
 import sys
 from pathlib import Path
@@ -9,6 +11,8 @@ import numpy as np
 import pytest
 
 from expconv import training
+from expconv.constraints import ConstraintPolicy
+from expconv.layers import VARIANT_TYPES, payload_arrays
 from expconv.numerics import make_rng
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -48,3 +52,21 @@ def test_traced_training_step(bench):
     assert grads.layers[1].d_input.shape == (4, 5, 4)
     assert totals["gradients.layer_backward.d_input_computed"] == (
         x.size + 4 * 5 * 4)
+
+
+@pytest.mark.parametrize("mode", ("clip", "reparam"))
+@pytest.mark.parametrize("variant", sorted(VARIANT_TYPES))
+def test_oracle_agrees_with_every_variant(bench, variant, mode):
+    policy = ConstraintPolicy(mode=mode)
+    net = training.build_network(
+        (8, 6), 2,
+        [{"variant": variant, "k_h": 2, "k_w": 2, "activation": "tanh"},
+         {"variant": variant, "k_h": 3, "k_w": 2, "out_channels": 3,
+          "activation": "relu"}], policy=policy, seed=0)
+    rng = make_rng(2)
+    for layer in net.layers:  # channels differ, exponents off neutral
+        for ewm in layer.ewms:
+            for arr in payload_arrays(ewm):
+                arr += rng.uniform(-0.3, 0.3, size=arr.shape)
+    x = rng.normal(size=(4, 8, 6))
+    assert bench.oracle_mismatches(net, x, make_rng(3)) == 0

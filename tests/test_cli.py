@@ -115,6 +115,15 @@ class TestGradcheckCommand:
         assert rc == 1
         assert "total: FAIL" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("checks", ["0", "-3"])
+    def test_non_positive_checks_rejected(self, capsys, checks):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["gradcheck", "--variant", "standard",
+                      "--checks", checks])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "--checks" in err and "must be >= 1" in err
+
     def test_malformed_config_beats_checks(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{nope")

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from expconv.layers import (
+    VARIANT_TYPES,
     Bilinear,
     ColShared,
     Elementwise,
@@ -17,6 +18,7 @@ from expconv.layers import (
     exponent_param_count,
     layer_forward,
     output_grid,
+    payload_arrays,
     unit_bilinear,
     unit_elementwise,
     unit_elementwise_explog,
@@ -192,8 +194,50 @@ class TestParamCounts:
         for ewm, expected in cases:
             assert exponent_param_count(ewm) == expected
 
+    @pytest.mark.parametrize("variant", sorted(VARIANT_TYPES))
+    @pytest.mark.parametrize("k_h, k_w", [(1, 1), (2, 3), (3, 2)])
+    def test_neutral_payload_matches_table(self, variant, k_h, k_w):
+        n = k_h * k_w
+        expected = {"standard": 0, "elementwise": n, "row_shared": k_h,
+                    "col_shared": k_w, "bilinear": k_h ** 2 + k_w ** 2,
+                    "full_matrix": n ** 2}[variant]
+        ewm = VARIANT_TYPES[variant].neutral(k_h, k_w)
+        assert ewm.name == variant
+        assert exponent_param_count(ewm) == expected
+        assert tuple(a.shape for a in payload_arrays(ewm)) == \
+            ewm.shapes(k_h, k_w)
+        op = ewm.operator(k_h, k_w)
+        if variant == "standard":
+            assert op is None
+        else:
+            # the neutral operator is the identity on log|x|
+            np.testing.assert_array_equal(
+                np.diag(op) if op.ndim == 1 else op, np.eye(n))
+
+
+WRONG_SHAPES = {  # payloads that do not fit a 2x3 kernel
+    "elementwise": [Elementwise(np.ones((3, 2))), Elementwise(np.ones(6))],
+    "row_shared": [RowShared(np.ones(3)), RowShared(np.ones((2, 1)))],
+    "col_shared": [ColShared(np.ones(2)), ColShared(np.ones((1, 3)))],
+    "bilinear": [Bilinear(np.eye(3), np.eye(2)),
+                 Bilinear(np.eye(2), np.ones((3, 2)))],
+    "full_matrix": [FullMatrix(np.eye(5)), FullMatrix(np.ones((6, 5)))],
+}
+
 
 class TestVariantShapeValidation:
+    @pytest.mark.parametrize("variant", sorted(VARIANT_TYPES))
+    def test_neutral_payload_accepted(self, variant):
+        ewm = VARIANT_TYPES[variant].neutral(2, 3)
+        LayerParams(np.ones((2, 2, 3)), np.zeros(2), [ewm, ewm])
+
+    @pytest.mark.parametrize("variant", sorted(WRONG_SHAPES))
+    def test_every_variant_rejects_wrong_shapes(self, variant):
+        for ewm in WRONG_SHAPES[variant]:
+            with pytest.raises(ValueError, match=variant):
+                LayerParams(np.ones((1, 2, 3)), np.zeros(1), [ewm])
+
+
     def test_wrong_exponent_shape_rejected(self):
         with pytest.raises(ValueError):
             LayerParams(np.ones((1, 2, 2)), np.zeros(1),

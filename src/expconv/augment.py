@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import DEFAULT_EPS, make_rng, signed_pow
+from .numerics import make_rng, signed_pow
 
 OPS = ("flip_lr", "flip_blockwise", "flip_bidirectional", "exp_augment")
 GRANULARITIES = ("per_point", "per_row", "per_channel")
@@ -98,8 +98,8 @@ def draw_exponents(shape: tuple[int, int], granularity: str,
     raise ValueError(f"granularity must be one of {GRANULARITIES}")
 
 
-def apply_exponents(x, exponents, eps: float = DEFAULT_EPS) -> np.ndarray:
-    return signed_pow(_check_window(x), exponents, eps=eps)
+def apply_exponents(x, exponents) -> np.ndarray:
+    return signed_pow(_check_window(x), exponents)
 
 
 def exp_augment(x, spec: AugmentSpec, rng: np.random.Generator) -> np.ndarray:

@@ -276,13 +276,10 @@ def _train_config_from(cfg: dict, policy: ConstraintPolicy) -> TrainConfig:
 
 
 def _synthetic_task(s: dict):
-    """The task a data.synthetic section describes, defaults filled in."""
-    return gen_synthetic(
-        win_len=s.get("win_len", 8), channels=s.get("channels", 4),
-        exponent=s.get("exponent", 2.0), noise=s.get("noise", 0.05),
-        count=s.get("count", 200), seed=s.get("seed", 0),
-        margin_scale=s.get("margin_scale", 0.25),
-        mag_lo=s.get("mag_lo", 0.2), mag_hi=s.get("mag_hi", 3.0))
+    """The task a data.synthetic section describes; keys it leaves out take
+    ``gen_synthetic``'s defaults."""
+    return gen_synthetic(**{k: v for k, v in s.items()
+                            if k != "train_fraction"})
 
 
 def _class_windows(runs: list, stats, label_of: dict, win_len: int,
@@ -312,13 +309,12 @@ def build_datasets(cfg: dict):
         task = _synthetic_task(s)
         frac = s.get("train_fraction", 2.0 / 3.0)
         n_train = int(round(frac * len(task)))
-        win_len = task.win_len if len(task) else s.get("win_len", 8)
-        channels = task.channels if len(task) else s.get("channels", 4)
+        win_len = task.win_len
         train_ds = WindowedDataset(task.windows[:n_train],
                                    task.labels[:n_train], win_len, win_len)
         test_ds = WindowedDataset(task.windows[n_train:],
                                   task.labels[n_train:], win_len, win_len)
-        return train_ds, (test_ds if len(test_ds) else None), 2, channels
+        return train_ds, (test_ds if len(test_ds) else None), 2, task.channels
 
     root = data["path"]
     fault_ids = sorted(set(data["fault_ids"]) | {0})

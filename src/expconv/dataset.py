@@ -123,16 +123,14 @@ class SyntheticTask:
     def __post_init__(self):
         self.windows = np.asarray(self.windows, dtype=np.float64)
         self.labels = np.asarray(self.labels, dtype=np.int64)
-        self.win_len = int(self.windows.shape[1]) if self.windows.size else 0
-        self.channels = int(self.windows.shape[2]) if self.windows.size else 0
+        _, self.win_len, self.channels = (int(d) for d in self.windows.shape)
 
     def __len__(self) -> int:
         return self.windows.shape[0]
 
     def as_windowed(self) -> WindowedDataset:
-        win_len = self.windows.shape[1] if len(self) else 1
         return WindowedDataset(self.windows, self.labels,
-                               win_len=win_len, stride=win_len)
+                               win_len=self.win_len, stride=self.win_len)
 
 
 # --------------------------------------------------------------------------

@@ -1,8 +1,9 @@
 """Analytic backward passes for every unit variant and whole layers, an
 independent central finite-difference oracle, and a gradient-check harness.
 
-The backward math, per unit with upstream scalar u, magnitude m = max(|x|, eps),
-sign s (sign(0) = +1) and powered value p = s * m**e:
+The backward math, per unit with upstream scalar u, magnitude
+m = max(|x|, DEFAULT_EPS), sign s (sign(0) = +1) and powered value
+p = s * m**e:
 
 * d/d w      = u * p
 * d/d bias   = u
@@ -61,7 +62,7 @@ class GradBundle:
 
     d_weights: np.ndarray   # (out_channels, k_h, k_w)
     d_biases: np.ndarray    # (out_channels,)
-    d_ewms: list            # per-channel payload gradients (None for Standard)
+    d_ewms: list            # one payload gradient per channel, same variant
     d_input: np.ndarray     # same shape as the layer input
 
 
@@ -74,10 +75,11 @@ class GradBundle:
 #   d E  = sum over patches of D * L          (diagonal operators)
 #   d K  = D.T @ L                            (matrix operators)
 #   d L  = D * E  or  D @ K                   (summed over channels)
-#   d x  = d L / x  outside the eps clamp, 0 inside (d log|x| / dx = 1/x)
+#   d x  = d L / x  outside the DEFAULT_EPS clamp, 0 inside
+#          (d log|x| / dx = 1/x)
 
 def patch_backward(params: LayerParams, cache: LayerCache,
-                   upstream: np.ndarray, eps: float = DEFAULT_EPS):
+                   upstream: np.ndarray):
     """Gradients from the pre-activation upstream (N, M) and a filled cache:
     (d_weights, d_biases, d_ewms, d_patches (N, n))."""
     out_ch = params.out_channels
@@ -116,12 +118,13 @@ def patch_backward(params: LayerParams, cache: LayerCache,
             else:
                 d_op[m] += gp.T @ log_x
                 d_x += gp @ scaled_op[m]
-        outside = np.abs(x) > eps
+        outside = np.abs(x) > DEFAULT_EPS
         np.divide(d_x, x, out=d_x, where=outside)
         d_x *= outside
     d_weights = d_weights.reshape(params.weights.shape)
     if op is None:
-        return d_weights, d_biases, [None] * out_ch, d_patches
+        d_ewms = [Standard() for _ in params.ewms]
+        return d_weights, d_biases, d_ewms, d_patches
     d_op *= weights if diag else weights[:, :, None]
     d_ewms = [e.operator_grad(d, params.k_h, params.k_w)
               for e, d in zip(params.ewms, d_op)]
@@ -129,20 +132,19 @@ def patch_backward(params: LayerParams, cache: LayerCache,
 
 
 def unit_backward(x: np.ndarray, weights: np.ndarray, bias: float,
-                  ewm: Payload, upstream: float = 1.0,
-                  eps: float = DEFAULT_EPS):
+                  ewm: Payload, upstream: float = 1.0):
     """Single-receptive-field backward through the layer kernel.
 
     Returns (d_weights, d_bias, d_ewm, d_x); d_ewm carries the payload
-    gradient in the payload's own structure (None for Standard).
+    gradient in the payload's own structure.
     """
     x = np.asarray(x, dtype=np.float64)
     weights = np.asarray(weights, dtype=np.float64)
     cache = LayerCache()
-    channel_preact(x[None], weights, bias, ewm, eps, cache)
+    channel_preact(x[None], weights, bias, ewm, cache)
     params = LayerParams(weights[None], np.array([bias]), [ewm])
     d_w, d_b, d_ewms, d_x = patch_backward(
-        params, cache, np.array([[upstream]], dtype=np.float64), eps)
+        params, cache, np.array([[upstream]], dtype=np.float64))
     return d_w[0], float(d_b[0]), d_ewms[0], d_x.reshape(x.shape)
 
 
@@ -162,7 +164,6 @@ def scatter_patch_grads(d_patches: np.ndarray, input_shape: tuple,
 
 
 def layer_backward(x: np.ndarray, params: LayerParams, upstream: np.ndarray,
-                   eps: float = DEFAULT_EPS,
                    cache: LayerCache | None = None) -> GradBundle:
     """Backward through one layer (activation included).
 
@@ -174,11 +175,11 @@ def layer_backward(x: np.ndarray, params: LayerParams, upstream: np.ndarray,
     x = np.asarray(x, dtype=np.float64)
     if cache is None:
         cache = LayerCache()
-        layer_forward(x, params, eps, cache)
+        layer_forward(x, params, cache)
     g = activation_grad(cache.output, params.activation)
     g *= upstream
     d_weights, d_biases, d_ewms, d_patches = patch_backward(
-        params, cache, g.reshape(-1, params.out_channels), eps)
+        params, cache, g.reshape(-1, params.out_channels))
     grid = cache.output.shape[:-1] + (params.k_h, params.k_w)
     d_input = scatter_patch_grads(d_patches.reshape(grid), x.shape,
                                   params.stride_t, params.stride_c)
@@ -265,8 +266,8 @@ class GradCheckReport:
 
 def grad_check(params: LayerParams, x: np.ndarray,
                loss_weights: np.ndarray | None = None,
-               tol: float = 1e-6, h: float = 1e-5, seed: int = 0,
-               eps: float = DEFAULT_EPS) -> GradCheckReport:
+               tol: float = 1e-6, h: float = 1e-5,
+               seed: int = 0) -> GradCheckReport:
     """Compare analytic layer gradients against central finite differences.
 
     The scalar loss is sum(loss_weights * layer_forward(x)); a plain sum
@@ -275,16 +276,16 @@ def grad_check(params: LayerParams, x: np.ndarray,
     coordinate, not raised.
     """
     x = np.array(x, dtype=np.float64)
-    out = layer_forward(x, params, eps)
+    out = layer_forward(x, params)
     weights_r = (np.ones_like(out) if loss_weights is None
                  else np.asarray(loss_weights, dtype=np.float64))
     if weights_r.shape != out.shape:
         raise ValueError("loss_weights must match the feature-map shape")
 
     def loss() -> float:
-        return float(np.sum(weights_r * layer_forward(x, params, eps)))
+        return float(np.sum(weights_r * layer_forward(x, params)))
 
-    bundle = layer_backward(x, params, weights_r, eps)
+    bundle = layer_backward(x, params, weights_r)
 
     def check_group(name, live_arrays, analytic_arrays):
         worst = GroupCheck(name, 0.0, (), 0.0, 0.0, True)

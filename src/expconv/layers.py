@@ -22,21 +22,21 @@ matrix) and the payload gradient from that operator's gradient
 (``operator_grad``). ``VARIANT_TYPES`` maps variant names to the classes;
 ``payload_arrays`` and ``payload_map`` reach the arrays of any payload.
 
-Negative inputs are handled by computing on magnitudes (clamped at eps)
-and re-applying the original elementwise sign, which reduces exactly to
-``signed_pow`` whenever the mixing is diagonal.
+Negative inputs are handled by computing on magnitudes (clamped at
+``DEFAULT_EPS``) and re-applying the original elementwise sign, which
+reduces exactly to ``signed_pow`` whenever the mixing is diagonal.
 
 A layer evaluates all of its output channels from one patch matrix, the
 im2col layout of Chellapilla et al. (2006), "High Performance
 Convolutional Neural Networks for Document Processing": the sign and the
-clamped log-magnitude L = log(max(|x|, eps)) of every patch entry are
+clamped log-magnitude L = log(max(|x|, DEFAULT_EPS)) of every patch entry are
 computed once per layer. Channel m's powered values are then
 sign * exp(E[m] * L) for a diagonal operator and sign * exp(L @ K[m].T)
 for a matrix (bilinear as K = kron(row_mix, col_mix.T), so
 row_mix @ L @ col_mix is one matrix product over all patches), and its
 pre-activation is one matrix-vector product with its filter.
 
-``layer_forward(x, params, eps, cache)`` fills an optional ``LayerCache``
+``layer_forward(x, params, cache)`` fills an optional ``LayerCache``
 (patches, log-magnitudes, every channel's powered values, the output) that
 ``layer_backward`` reads, so the exponent stage runs once per training
 step. Patches are processed in row blocks small enough to stay in the CPU
@@ -100,14 +100,14 @@ class Payload:
         raise NotImplementedError
 
 
-@dataclass
+@dataclass(eq=False)
 class Standard(Payload):
     """Plain linear filter; no exponent parameters."""
 
     name = "standard"
 
 
-@dataclass
+@dataclass(eq=False)
 class Elementwise(Payload):
     """One exponent per receptive-field entry."""
 
@@ -125,7 +125,7 @@ class Elementwise(Payload):
         return Elementwise(d_op.reshape(k_h, k_w))
 
 
-@dataclass
+@dataclass(eq=False)
 class RowShared(Payload):
     """One exponent per time-step row, tied across the row."""
 
@@ -144,7 +144,7 @@ class RowShared(Payload):
         return RowShared(d_op.reshape(k_h, k_w).sum(axis=1))
 
 
-@dataclass
+@dataclass(eq=False)
 class ColShared(Payload):
     """One exponent per sensor-channel column, tied down the column."""
 
@@ -162,7 +162,7 @@ class ColShared(Payload):
         return ColShared(d_op.reshape(k_h, k_w).sum(axis=0))
 
 
-@dataclass
+@dataclass(eq=False)
 class Bilinear(Payload):
     """Log-magnitudes mixed as row_mix @ log|X| @ col_mix."""
 
@@ -188,7 +188,7 @@ class Bilinear(Payload):
                         np.einsum("adbc,ab->cd", d_k, self.row_mix))
 
 
-@dataclass
+@dataclass(eq=False)
 class FullMatrix(Payload):
     """Log-magnitudes of the column-major vectorized patch mixed by an
     n x n matrix, the most general form."""
@@ -240,27 +240,10 @@ def exponent_param_count(ewm: Payload) -> int:
     return sum(int(a.size) for a in payload_arrays(ewm))
 
 
-def expand_shared(ewm: RowShared | ColShared, k_h: int, k_w: int) -> np.ndarray:
-    """Expand a shared payload to the full k_h x k_w exponent matrix.
-
-    RowShared repeats each time-step exponent across its row; ColShared
-    repeats each channel exponent down its column.
-    """
-    if isinstance(ewm, RowShared):
-        if ewm.row_exponents.shape != (k_h,):
-            raise ValueError("row exponent length does not match kernel height")
-        return np.repeat(ewm.row_exponents[:, None], k_w, axis=1)
-    if isinstance(ewm, ColShared):
-        if ewm.col_exponents.shape != (k_w,):
-            raise ValueError("column exponent length does not match kernel width")
-        return np.repeat(ewm.col_exponents[None, :], k_h, axis=0)
-    raise TypeError(f"expand_shared expects a shared variant, got {type(ewm).__name__}")
-
-
 # --------------------------------------------------------------------------
 # Layer parameters
 
-@dataclass
+@dataclass(eq=False)
 class LayerParams:
     """One convolutional layer: per-channel filters, biases and exponent
     payloads, plus the layer-wide sliding-window geometry."""
@@ -327,29 +310,26 @@ def unit_standard(x: np.ndarray, weights: np.ndarray, bias: float) -> float:
     return float(np.sum(weights * x) + bias)
 
 
-def unit_elementwise(x, weights, bias: float, exponents,
-                     eps: float = DEFAULT_EPS) -> float:
+def unit_elementwise(x, weights, bias: float, exponents) -> float:
     """sum(weights * signed_pow(x, exponents)) + bias."""
     x = np.asarray(x, dtype=np.float64)
     weights = np.asarray(weights, dtype=np.float64)
     exponents = np.asarray(exponents, dtype=np.float64)
     if x.shape != weights.shape or x.shape != exponents.shape:
         raise ValueError("x, weights and exponents must share a shape")
-    return float(np.sum(weights * signed_pow(x, exponents, eps)) + bias)
+    return float(np.sum(weights * signed_pow(x, exponents)) + bias)
 
 
-def unit_elementwise_explog(x, weights, bias: float, exponents,
-                            eps: float = DEFAULT_EPS) -> float:
+def unit_elementwise_explog(x, weights, bias: float, exponents) -> float:
     """Dual route to unit_elementwise via sign * exp(exponent * log|x|)."""
     x = np.asarray(x, dtype=np.float64)
     sign = np.where(x >= 0.0, 1.0, -1.0)
     powered = sign * np.exp(np.asarray(exponents, dtype=np.float64)
-                            * log_magnitude(x, eps))
+                            * log_magnitude(x))
     return float(np.sum(np.asarray(weights, dtype=np.float64) * powered) + bias)
 
 
-def unit_bilinear(x, weights, bias: float, row_mix, col_mix,
-                  eps: float = DEFAULT_EPS) -> float:
+def unit_bilinear(x, weights, bias: float, row_mix, col_mix) -> float:
     """Exponent stage row_mix @ log|X| @ col_mix, signs restored per entry."""
     x = np.asarray(x, dtype=np.float64)
     weights = np.asarray(weights, dtype=np.float64)
@@ -360,15 +340,14 @@ def unit_bilinear(x, weights, bias: float, row_mix, col_mix,
         raise ValueError("weights must match the receptive field shape")
     if row_mix.shape != (k_h, k_h) or col_mix.shape != (k_w, k_w):
         raise ValueError("mix matrices must match the kernel dimensions")
-    log_mag = log_magnitude(x, eps)
+    log_mag = log_magnitude(x)
     mixed = row_mix @ log_mag @ col_mix
     sign = np.where(x >= 0.0, 1.0, -1.0)
     powered = sign * np.exp(mixed)
     return float(np.sum(weights * powered) + bias)
 
 
-def unit_full(x_vec, weight_vec, bias: float, mix,
-              eps: float = DEFAULT_EPS) -> float:
+def unit_full(x_vec, weight_vec, bias: float, mix) -> float:
     """Exponent stage mix @ log|x| on the vectorized patch, signs restored."""
     x_vec = np.asarray(x_vec, dtype=np.float64)
     weight_vec = np.asarray(weight_vec, dtype=np.float64)
@@ -379,26 +358,27 @@ def unit_full(x_vec, weight_vec, bias: float, mix,
     if mix.shape != (n, n):
         raise ValueError(f"mix must be ({n}, {n}), got {mix.shape}")
     sign = np.where(x_vec >= 0.0, 1.0, -1.0)
-    powered = sign * np.exp(mix @ log_magnitude(x_vec, eps))
+    powered = sign * np.exp(mix @ log_magnitude(x_vec))
     return float(np.sum(weight_vec * powered) + bias)
 
 
 def unit_forward(x: np.ndarray, weights: np.ndarray, bias: float,
-                 ewm: Payload, eps: float = DEFAULT_EPS) -> float:
+                 ewm: Payload) -> float:
     """Evaluate one receptive field under any variant (pre-activation)."""
     if isinstance(ewm, Standard):
         return unit_standard(x, weights, bias)
     if isinstance(ewm, Elementwise):
-        return unit_elementwise(x, weights, bias, ewm.exponents, eps)
+        return unit_elementwise(x, weights, bias, ewm.exponents)
     if isinstance(ewm, (RowShared, ColShared)):
-        expanded = expand_shared(ewm, *np.asarray(x).shape)
-        return unit_elementwise(x, weights, bias, expanded, eps)
+        k_h, k_w = np.shape(x)
+        return unit_elementwise(x, weights, bias,
+                                ewm.operator(k_h, k_w).reshape(k_h, k_w))
     if isinstance(ewm, Bilinear):
-        return unit_bilinear(x, weights, bias, ewm.row_mix, ewm.col_mix, eps)
+        return unit_bilinear(x, weights, bias, ewm.row_mix, ewm.col_mix)
     if isinstance(ewm, FullMatrix):
         return unit_full(vec(np.asarray(x, dtype=np.float64)),
                          vec(np.asarray(weights, dtype=np.float64)),
-                         bias, ewm.mix, eps)
+                         bias, ewm.mix)
     raise TypeError(f"unknown variant {type(ewm).__name__}")
 
 
@@ -447,7 +427,6 @@ def row_blocks(n_rows: int):
 
 
 def patch_preacts(patches: np.ndarray, params: LayerParams,
-                  eps: float = DEFAULT_EPS,
                   cache: LayerCache | None = None) -> np.ndarray:
     """Pre-activations (N, M) of every channel over flattened patches (N, n).
 
@@ -479,7 +458,7 @@ def patch_preacts(patches: np.ndarray, params: LayerParams,
             x += 0.0  # copysign then gives sign(0) = +1, as signed_pow
             log_x = log_mag[rows] if cache is not None else log_buf[:len(x)]
             np.abs(x, out=log_x)
-            np.maximum(log_x, eps, out=log_x)
+            np.maximum(log_x, DEFAULT_EPS, out=log_x)
             np.log(log_x, out=log_x)
             for m in range(out_ch):
                 z = powered[m, rows] if cache is not None else z_buf[:len(x)]
@@ -496,14 +475,14 @@ def patch_preacts(patches: np.ndarray, params: LayerParams,
 
 
 def channel_preact(patches: np.ndarray, weights: np.ndarray, bias: float,
-                   ewm: Payload, eps: float = DEFAULT_EPS,
+                   ewm: Payload,
                    cache: LayerCache | None = None) -> np.ndarray:
     """Pre-activations of one channel over a stack of patches (..., k_h, k_w),
     through the layer kernel; ``patches`` is left as it was."""
     params = LayerParams(np.asarray(weights)[None], np.array([bias]), [ewm])
     n = params.k_h * params.k_w
     flat = np.array(patches, dtype=np.float64).reshape(-1, n)
-    return patch_preacts(flat, params, eps, cache)[:, 0].reshape(
+    return patch_preacts(flat, params, cache)[:, 0].reshape(
         np.shape(patches)[:-2])
 
 
@@ -532,7 +511,6 @@ def activation_grad(output: np.ndarray, activation: str) -> np.ndarray:
 
 
 def layer_forward(x: np.ndarray, params: LayerParams,
-                  eps: float = DEFAULT_EPS,
                   cache: LayerCache | None = None) -> np.ndarray:
     """Slide every channel's unit over the input and apply the activation.
 
@@ -546,7 +524,7 @@ def layer_forward(x: np.ndarray, params: LayerParams,
                               params.stride_t, params.stride_c)
     lead = patches.shape[:-2]
     preact = patch_preacts(patches.reshape(-1, params.k_h * params.k_w),
-                           params, eps, cache)
+                           params, cache)
     if not np.isfinite(preact).all():
         raise FloatingPointError("feature map contains non-finite values")
     out = apply_activation(preact.reshape(*lead, params.out_channels),

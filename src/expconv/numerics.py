@@ -27,29 +27,26 @@ def make_rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(seed))
 
 
-def signed_pow(x, w, eps: float = DEFAULT_EPS):
-    """Total signed power: sign(x) * max(|x|, eps) ** w.
+def signed_pow(x, w):
+    """Total signed power: sign(x) * max(|x|, DEFAULT_EPS) ** w.
 
-    sign(0) is treated as +1, so signed_pow(0, w) == eps**w. Reduces to
-    the plain power x**w for x >= eps, and is odd-symmetric in x.
-    Broadcasts over array arguments.
+    sign(0) is treated as +1, so signed_pow(0, w) == DEFAULT_EPS**w.
+    Reduces to the plain power x**w for x >= DEFAULT_EPS, and is
+    odd-symmetric in x. Broadcasts over array arguments.
     """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
     x = np.asarray(x, dtype=np.float64)
     sign = np.where(x >= 0.0, 1.0, -1.0)
-    mag = np.maximum(np.abs(x), eps)
+    mag = np.maximum(np.abs(x), DEFAULT_EPS)
     out = sign * mag**w
     if out.ndim == 0:
         return float(out)
     return out
 
 
-def log_magnitude(x, eps: float = DEFAULT_EPS):
-    """Clamped log: log(max(|x|, eps)). Companion of signed_pow."""
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    return np.log(np.maximum(np.abs(np.asarray(x, dtype=np.float64)), eps))
+def log_magnitude(x):
+    """Clamped log: log(max(|x|, DEFAULT_EPS)). Companion of signed_pow."""
+    return np.log(np.maximum(np.abs(np.asarray(x, dtype=np.float64)),
+                             DEFAULT_EPS))
 
 
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:

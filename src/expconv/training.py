@@ -209,18 +209,14 @@ class NetGrads:
 
 def _chain_payload_grads(layer: LayerParams, policy: ConstraintPolicy,
                          bundles_d_ewms: list) -> list:
-    """Convert effective-exponent gradients to stored-value gradients."""
-    if policy.mode != "reparam":
-        return bundles_d_ewms
-    chained = []
-    for raw, d_eff in zip(layer.ewms, bundles_d_ewms):
-        if d_eff is None:
-            chained.append(None)
-            continue
-        for g_arr, r_arr in zip(payload_arrays(d_eff), payload_arrays(raw)):
-            g_arr *= reparam_grad(r_arr, policy)
-        chained.append(d_eff)
-    return chained
+    """Convert effective-exponent gradients to stored-value gradients (in
+    place)."""
+    if policy.mode == "reparam":
+        for raw, d_eff in zip(layer.ewms, bundles_d_ewms):
+            for g_arr, r_arr in zip(payload_arrays(d_eff),
+                                    payload_arrays(raw)):
+                g_arr *= reparam_grad(r_arr, policy)
+    return bundles_d_ewms
 
 
 def network_loss_grads(net: Network, windows: np.ndarray,
@@ -298,8 +294,6 @@ def _param_grad_pairs(net: Network, grads: NetGrads):
         pairs.append((layer.weights, bundle.d_weights))
         pairs.append((layer.biases, bundle.d_biases))
         for ewm, d_ewm in zip(layer.ewms, bundle.d_ewms):
-            if d_ewm is None:
-                continue
             for p_arr, g_arr in zip(payload_arrays(ewm),
                                     payload_arrays(d_ewm)):
                 pairs.append((p_arr, g_arr))
@@ -579,9 +573,13 @@ def _network_from(meta: dict, blob: bytes, pos: int) -> Network:
     layers = []
     policies = []
     pos = 0
-    for spec in meta["layers"]:
+    for i, spec in enumerate(meta["layers"]):
         weights = tensors[pos]
         biases = tensors[pos + 1]
+        kernel = (spec["out_channels"], spec["k_h"], spec["k_w"])
+        if weights.shape != kernel:
+            raise ValueError(f"layer {i}: weights shape {weights.shape} does "
+                             f"not match the layer spec's {kernel}")
         pos += 2
         variant = VARIANT_TYPES[spec["variant"]]
         width = len(fields(variant))

@@ -266,6 +266,16 @@ class TestSynthCommand:
         ds = load_windows_csv(tmp_path / "a" / "dataset.csv")
         assert ds.windows.shape == (90, 6, 3)
 
+    def test_empty_task_keeps_its_shape(self, tmp_path):
+        path = write_config(tmp_path, data={"synthetic": {
+            "count": 0, "win_len": 12, "channels": 5}})
+        assert cli.main(["synth", "--config", str(path),
+                         "--out", str(tmp_path / "a")]) == 0
+        text = (tmp_path / "a" / "dataset.csv").read_text()
+        assert text.startswith("# win_len=12 channels=5 stride=12\n")
+        ds = load_windows_csv(tmp_path / "a" / "dataset.csv")
+        assert ds.windows.shape == (0, 12, 5) and ds.stride == 12
+
     def test_requires_synthetic_section(self, tmp_path):
         make_plant_fixtures(tmp_path)
         path = write_config(tmp_path,

@@ -25,10 +25,10 @@ from expconv.layers import (
     LayerParams,
     RowShared,
     Standard,
-    expand_shared,
     layer_forward,
+    unit_forward,
 )
-from expconv.numerics import make_rng
+from expconv.numerics import DEFAULT_EPS, make_rng
 
 ALL_VARIANTS = ("standard", "elementwise", "row_shared", "col_shared",
                 "bilinear", "full_matrix")
@@ -153,7 +153,7 @@ class TestTiedWeightIdentity:
                                            upstream=up)
             _, _, d_elem, _ = unit_backward(
                 x, w[0], 0.0,
-                Elementwise(expand_shared(RowShared(rows), 3, 2)),
+                Elementwise(np.repeat(rows[:, None], 2, axis=1)),
                 upstream=up)
             np.testing.assert_array_equal(d_row.row_exponents,
                                           d_elem.exponents.sum(axis=1))
@@ -162,7 +162,7 @@ class TestTiedWeightIdentity:
                                            upstream=up)
             _, _, d_elem2, _ = unit_backward(
                 x, w[0], 0.0,
-                Elementwise(expand_shared(ColShared(cols), 3, 2)),
+                Elementwise(np.repeat(cols[None, :], 3, axis=0)),
                 upstream=up)
             np.testing.assert_array_equal(d_col.col_exponents,
                                           d_elem2.exponents.sum(axis=0))
@@ -255,12 +255,50 @@ class TestLayerCache:
         upstream = rng.normal(size=out.shape)
         cached = layer_backward(x, params, upstream, cache=cache)
         fresh = layer_backward(x, params, upstream)
+        assert all(type(d) is type(e)
+                   for d, e in zip(cached.d_ewms, params.ewms))
         pairs = [(cached.d_weights, fresh.d_weights),
                  (cached.d_biases, fresh.d_biases),
                  (cached.d_input, fresh.d_input)]
         for a, b in zip(cached.d_ewms, fresh.d_ewms):
-            if a is not None:
-                pairs += zip(payload_arrays(a), payload_arrays(b))
+            pairs += zip(payload_arrays(a), payload_arrays(b))
         for a, b in pairs:
             np.testing.assert_allclose(a, b, rtol=0, atol=1e-12)
 
+
+class TestClampBoundary:
+    """Inputs on and around the DEFAULT_EPS clamp, including both zeros."""
+
+    SPECIAL = (0.0, -0.0, DEFAULT_EPS, -DEFAULT_EPS, DEFAULT_EPS / 2,
+               -DEFAULT_EPS / 2, 2 * DEFAULT_EPS, -2 * DEFAULT_EPS)
+
+    def instance(self, variant, seed):
+        rng = make_rng(seed)
+        x = rng.normal(size=(2, 6, 5))
+        near = rng.uniform(size=x.shape) < 0.5
+        x[near] = rng.choice(self.SPECIAL, size=int(near.sum()))
+        params = LayerParams(
+            rng.normal(size=(2, 3, 2)), rng.normal(size=2),
+            [random_payload(variant, 3, 2, rng) for _ in range(2)],
+            stride_c=2)
+        return params, x
+
+    @pytest.mark.parametrize("variant", ALL_VARIANTS)
+    def test_layer_matches_unit_oracle(self, variant):
+        params, x = self.instance(variant, 41)
+        out = layer_forward(x, params)
+        oracle = np.empty_like(out)
+        for i, r, c, m in np.ndindex(out.shape):
+            patch = x[i, r:r + 3, 2 * c:2 * c + 2]
+            oracle[i, r, c, m] = unit_forward(
+                patch, params.weights[m], params.biases[m], params.ewms[m])
+        np.testing.assert_allclose(out, oracle, rtol=1e-9, atol=0)
+
+    @pytest.mark.parametrize("variant", ALL_VARIANTS[1:])
+    def test_input_gradient_is_zero_inside_clamp(self, variant):
+        params, x = self.instance(variant, 42)
+        upstream = make_rng(43).normal(size=layer_forward(x, params).shape)
+        d_input = layer_backward(x, params, upstream).d_input
+        inside = np.abs(x) <= DEFAULT_EPS
+        assert inside.any() and d_input[~inside].any()
+        assert np.all(d_input[inside] == 0.0)

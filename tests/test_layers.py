@@ -1,6 +1,6 @@
-"""Forward evaluation: single units for every exponent variant, shared
-expansion, the whole-layer sliding pass, and the cross-variant
-equivalences that tie the formulations together."""
+"""Forward evaluation: single units for every exponent variant, the
+shared variants' operators, the whole-layer sliding pass, and the
+cross-variant equivalences that tie the formulations together."""
 
 import numpy as np
 import pytest
@@ -14,7 +14,6 @@ from expconv.layers import (
     LayerParams,
     RowShared,
     Standard,
-    expand_shared,
     exponent_param_count,
     layer_forward,
     output_grid,
@@ -80,19 +79,22 @@ class TestUnitElementwise:
 
 
 class TestExpandShared:
+    """A shared payload's operator expands it to one exponent per entry of
+    the row-major flattened patch."""
+
     def test_row_shared(self):
         np.testing.assert_array_equal(
-            expand_shared(RowShared(np.array([2.0, 3.0])), 2, 2),
-            [[2.0, 2.0], [3.0, 3.0]])
+            RowShared(np.array([2.0, 3.0])).operator(2, 3),
+            [2.0, 2.0, 2.0, 3.0, 3.0, 3.0])
 
     def test_col_shared(self):
         np.testing.assert_array_equal(
-            expand_shared(ColShared(np.array([2.0, 3.0])), 2, 2),
-            [[2.0, 3.0], [2.0, 3.0]])
+            ColShared(np.array([2.0, 3.0])).operator(3, 2),
+            [2.0, 3.0, 2.0, 3.0, 2.0, 3.0])
 
     def test_all_ones(self):
         np.testing.assert_array_equal(
-            expand_shared(RowShared(np.ones(3)), 3, 2), np.ones((3, 2)))
+            RowShared(np.ones(3)).operator(3, 2), np.ones(6))
 
     def test_shared_units_match_expanded_elementwise_bitwise(self):
         rng = make_rng(4)
@@ -105,9 +107,9 @@ class TestExpandShared:
             row_out = unit_forward(x, w, b, RowShared(rows))
             col_out = unit_forward(x, w, b, ColShared(cols))
             assert row_out == unit_elementwise(
-                x, w, b, expand_shared(RowShared(rows), 3, 2))
+                x, w, b, np.repeat(rows[:, None], 2, axis=1))
             assert col_out == unit_elementwise(
-                x, w, b, expand_shared(ColShared(cols), 3, 2))
+                x, w, b, np.repeat(cols[None, :], 3, axis=0))
 
 
 class TestUnitBilinear:
@@ -261,6 +263,18 @@ def brute_force_standard_conv(x, weights, bias, k_h, k_w):
         for j in range(out.shape[1]):
             out[i, j] = np.sum(weights * x[i:i + k_h, j:j + k_w]) + bias
     return out
+
+
+class TestPayloadEquality:
+    def test_equality_is_identity(self):
+        # equal-valued arrays must not make == ask numpy for a truth value
+        a, b = Elementwise(np.ones((2, 2))), Elementwise(np.ones((2, 2)))
+        assert a == a and a != b
+        assert a in [a] and b not in [a]
+        layer = LayerParams(np.ones((1, 2, 2)), np.zeros(1), [a])
+        twin = LayerParams(np.ones((1, 2, 2)), np.zeros(1), [a])
+        assert layer == layer and layer != twin
+        assert twin not in [layer]
 
 
 class TestLayerForward:

@@ -478,18 +478,36 @@ class TestModelFormat:
         with pytest.raises(ValueError, match="metadata length"):
             load_model(path)
 
+    @staticmethod
+    def rewrite_metadata(path, edit):
+        blob = path.read_bytes()
+        (meta_len,) = struct.unpack_from("<Q", blob, 8)
+        meta = json.loads(blob[16:16 + meta_len])
+        edit(meta)
+        new_meta = json.dumps(meta).encode()
+        path.write_bytes(blob[:8] + struct.pack("<Q", len(new_meta))
+                         + new_meta + blob[16 + meta_len:])
+
     def test_missing_metadata_key_rejected(self, tmp_path):
         net = tiny_net(seed=67)
         path = tmp_path / "model.bin"
         save_model(net, path)
-        blob = path.read_bytes()
-        (meta_len,) = struct.unpack_from("<Q", blob, 8)
-        meta = json.loads(blob[16:16 + meta_len])
-        del meta["layers"][0]["stride_t"]
-        new_meta = json.dumps(meta).encode()
-        path.write_bytes(blob[:8] + struct.pack("<Q", len(new_meta))
-                         + new_meta + blob[16 + meta_len:])
+        self.rewrite_metadata(path, lambda m: m["layers"][0].pop("stride_t"))
         with pytest.raises(ValueError, match="stride_t"):
+            load_model(path)
+
+    def test_tensor_shapes_must_match_layer_spec(self, tmp_path):
+        # a 2x3 kernel on a 4x4 input and a 3x2 one both give six features,
+        # so transposed tensor shapes would otherwise load as a 3x2 kernel
+        net = tiny_net(seed=68, input_shape=(4, 4), k=(2, 3))
+        path = tmp_path / "model.bin"
+        save_model(net, path)
+
+        def transpose_kernel(meta):
+            meta["tensor_shapes"][0] = [1, 3, 2]
+            meta["tensor_shapes"][2] = [3, 2]
+        self.rewrite_metadata(path, transpose_kernel)
+        with pytest.raises(ValueError, match="layer 0: weights shape"):
             load_model(path)
 
     def test_param_array_order(self):

@@ -172,6 +172,13 @@ CONFIG_SCHEMA = {
     },
 }
 
+
+def _defaults_of(section: str, instance) -> dict:
+    """The schema keys of a config section, valued as in ``instance``."""
+    return {key: getattr(instance, key)
+            for key in CONFIG_SCHEMA["properties"][section]["properties"]}
+
+
 DEFAULTS = {
     "data": {
         "win_len": 40,
@@ -181,12 +188,9 @@ DEFAULTS = {
         "layers": [{"variant": "elementwise", "k_h": 2, "k_w": 2,
                     "out_channels": 1, "activation": "tanh"}],
     },
-    "constraints": {"v_min": -2.0, "v_max": 4.0, "mode": "clip",
-                    "kind": "sigmoid"},
+    "constraints": _defaults_of("constraints", ConstraintPolicy()),
     "augment": [],
-    "train": {"epochs": 10, "batch_size": 32, "learning_rate": 1e-3,
-              "optimizer": "adam", "beta1": 0.9, "beta2": 0.999,
-              "adam_eps": 1e-8, "seed": 0, "eval_every": 1},
+    "train": _defaults_of("train", TrainConfig()),
     "output": {"dir": "out"},
 }
 
@@ -232,10 +236,8 @@ def load_config(path) -> dict:
 
 
 def _policy_from(cfg: dict) -> ConstraintPolicy:
-    c = cfg["constraints"]
     try:
-        return ConstraintPolicy(v_min=c["v_min"], v_max=c["v_max"],
-                                mode=c["mode"], kind=c["kind"])
+        return ConstraintPolicy(**cfg["constraints"])
     except ValueError as exc:
         raise ConfigError(f"constraints: {exc}") from exc
 
@@ -263,14 +265,9 @@ def _layer_specs_from(cfg: dict) -> list:
 
 
 def _train_config_from(cfg: dict, policy: ConstraintPolicy) -> TrainConfig:
-    t = cfg["train"]
     try:
-        return TrainConfig(epochs=t["epochs"], batch_size=t["batch_size"],
-                           learning_rate=t["learning_rate"],
-                           optimizer=t["optimizer"], beta1=t["beta1"],
-                           beta2=t["beta2"], adam_eps=t["adam_eps"],
-                           seed=t["seed"], augments=_augments_from(cfg),
-                           policy=policy, eval_every=t["eval_every"])
+        return TrainConfig(**cfg["train"], augments=_augments_from(cfg),
+                           policy=policy)
     except ValueError as exc:
         raise ConfigError(f"train: {exc}") from exc
 
@@ -278,8 +275,11 @@ def _train_config_from(cfg: dict, policy: ConstraintPolicy) -> TrainConfig:
 def _synthetic_task(s: dict):
     """The task a data.synthetic section describes; keys it leaves out take
     ``gen_synthetic``'s defaults."""
-    return gen_synthetic(**{k: v for k, v in s.items()
-                            if k != "train_fraction"})
+    try:
+        return gen_synthetic(**{k: v for k, v in s.items()
+                                if k != "train_fraction"})
+    except RuntimeError as exc:  # the margin cannot be met
+        raise ConfigError(f"data.synthetic: {exc}") from exc
 
 
 def _class_windows(runs: list, stats, label_of: dict, win_len: int,

@@ -8,6 +8,10 @@ smooth monotone function (mode "reparam"). The hard-sigmoid map keeps a
 small residual slope outside its linear core so a saturated parameter can
 still recover (a plain clamp would zero its gradient for good).
 
+The modes differ only here: training calls ``effective_layer`` before a
+forward pass, ``stored_grad`` on each payload gradient and
+``enforce_bounds`` after each optimizer step, whatever the mode.
+
 Initialization is the neutral one: all-ones exponents and identity mixing
 matrices, which makes the nonlinear layer coincide with a standard
 convolution before training.
@@ -15,11 +19,11 @@ convolution before training.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .layers import VARIANT_TYPES, Payload, payload_arrays, payload_map
+from .layers import VARIANT_TYPES, LayerParams, Payload, payload_arrays, payload_map
 
 DEFAULT_V_MIN = -2.0
 DEFAULT_V_MAX = 4.0
@@ -73,9 +77,12 @@ def clip_params(ewm: Payload, policy: ConstraintPolicy) -> Payload:
     return payload_map(ewm, lambda a: np.clip(a, policy.v_min, policy.v_max))
 
 
-def clip_params_inplace(ewm: Payload, policy: ConstraintPolicy) -> None:
-    for arr in payload_arrays(ewm):
-        np.clip(arr, policy.v_min, policy.v_max, out=arr)
+def enforce_bounds(ewm: Payload, policy: ConstraintPolicy) -> None:
+    """Clamp the stored exponents into [v_min, v_max] in place; a no-op
+    under reparam, whose stored values are unconstrained."""
+    if policy.mode != "reparam":
+        for arr in payload_arrays(ewm):
+            np.clip(arr, policy.v_min, policy.v_max, out=arr)
 
 
 # --------------------------------------------------------------------------
@@ -90,7 +97,9 @@ def reparam_forward(w_hat, policy: ConstraintPolicy):
     """
     w_hat = np.asarray(w_hat, dtype=np.float64)
     if policy.kind == "sigmoid":
-        out = policy.v_min + (policy.v_max - policy.v_min) / (1.0 + np.exp(-w_hat))
+        # below w_hat ~ -709 exp overflows to inf, giving v_min exactly
+        with np.errstate(over="ignore"):
+            out = policy.v_min + (policy.v_max - policy.v_min) / (1.0 + np.exp(-w_hat))
     elif policy.kind == "tanh":
         out = policy.midpoint + policy.halfrange * np.tanh(w_hat)
     elif policy.kind == "hard_sigmoid":
@@ -108,7 +117,8 @@ def reparam_grad(w_hat, policy: ConstraintPolicy):
     """Exact derivative of reparam_forward; strictly positive everywhere."""
     w_hat = np.asarray(w_hat, dtype=np.float64)
     if policy.kind == "sigmoid":
-        sig = 1.0 / (1.0 + np.exp(-w_hat))
+        with np.errstate(over="ignore"):  # saturated: exactly 0
+            sig = 1.0 / (1.0 + np.exp(-w_hat))
         out = (policy.v_max - policy.v_min) * sig * (1.0 - sig)
     elif policy.kind == "tanh":
         t = np.tanh(w_hat)
@@ -174,15 +184,33 @@ def effective_value(w_hat, policy: ConstraintPolicy):
 
 
 def effective_payload(ewm: Payload, policy: ConstraintPolicy) -> Payload:
-    """Materialize the effective exponent payload for a layer forward pass.
-
-    Under reparam the stored payload is unconstrained and gets mapped;
-    under clip/project the stored payload is used as-is (training keeps it
-    inside the bounds by projection).
-    """
+    """The exponents a forward pass uses: the stored payload under clip,
+    its mapped values under reparam."""
     if policy.mode != "reparam":
         return ewm
     return payload_map(ewm, lambda a: effective_value(a, policy))
+
+
+def effective_layer(layer: LayerParams,
+                    policy: ConstraintPolicy) -> LayerParams:
+    """The layer a forward pass evaluates. Under clip it is ``layer``
+    itself: a rebuilt copy would re-validate the weights, turning a
+    non-finite one into a ValueError instead of a FloatingPointError."""
+    if policy.mode != "reparam":
+        return layer
+    return replace(layer, ewms=[effective_payload(e, policy)
+                                for e in layer.ewms])
+
+
+def stored_grad(d_eff: Payload, ewm: Payload,
+                policy: ConstraintPolicy) -> None:
+    """Turn ``d_eff`` (d loss / d effective payload of ``ewm``) into
+    d loss / d ``ewm`` in place: unchanged under clip, times the unclamped
+    map derivative under reparam (so a hard-sigmoid exponent beyond the
+    linear core still gets a pull)."""
+    if policy.mode == "reparam":
+        for g, raw in zip(payload_arrays(d_eff), payload_arrays(ewm)):
+            g *= reparam_grad(raw, policy)
 
 
 # --------------------------------------------------------------------------
@@ -193,7 +221,7 @@ def init_exponents(variant: str, k_h: int, k_w: int,
     """Neutral initialization: all-ones exponents, identity mixing matrices.
 
     With a reparam-mode policy, the returned payload stores the
-    unconstrained preimages of those targets, so the materialized layer
+    unconstrained preimages of those targets, so the effective layer
     still starts as a standard convolution; ``reparam_invert`` rejects a
     target outside (v_min, v_max), such as an identity's zeros when
     v_min >= 0.

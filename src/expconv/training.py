@@ -6,12 +6,10 @@ the input and the last convolution must emit a single channel so their
 output is again a (time, channel) matrix.
 
 Exponent payloads are stored in the representation their constraint
-policy dictates: bounded values for clip (kept inside the bounds by
-projection after every optimizer step), unconstrained values for
-reparam (mapped through the policy's monotone function on the forward
-pass). The training gradient for a reparameterized exponent is chained
-through the unclamped map derivative, so a hard-sigmoid exponent parked
-beyond the linear core still receives a small pull back.
+policy dictates (see ``constraints``). Training never tests the policy's
+mode itself: each step evaluates ``effective_layer``, maps payload
+gradients back with ``stored_grad`` and, after the optimizer step,
+applies ``enforce_bounds``.
 """
 
 from __future__ import annotations
@@ -19,18 +17,18 @@ from __future__ import annotations
 import json
 import math
 import struct
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .augment import AugmentSpec, apply_pipeline, private_streams
 from .constraints import (
     ConstraintPolicy,
-    clip_params_inplace,
-    effective_payload,
+    effective_layer,
+    enforce_bounds,
     init_exponents,
     payload_arrays,
-    reparam_grad,
+    stored_grad,
 )
 from .dataset import WindowedDataset
 from .gradients import layer_backward
@@ -41,8 +39,6 @@ FORMAT_MAGIC = b"EXPC"
 FORMAT_VERSION = 1
 
 OPTIMIZERS = ("sgd", "adam")
-
-BOUND_SLACK = 1e-9  # tolerance for the post-step bound assertion
 
 
 @dataclass
@@ -129,24 +125,14 @@ def build_network(input_shape: tuple, n_classes: int, layer_specs,
 # --------------------------------------------------------------------------
 # Forward pass
 
-def materialized_layer(layer: LayerParams,
-                       policy: ConstraintPolicy) -> LayerParams:
-    """The layer actually evaluated: stored payloads mapped to effective
-    exponents when the policy trains a reparameterized value."""
-    if policy.mode != "reparam":
-        return layer
-    eff = [effective_payload(e, policy) for e in layer.ewms]
-    return replace(layer, ewms=eff)
-
-
 def softmax(logits: np.ndarray) -> np.ndarray:
     shifted = logits - logits.max(axis=-1, keepdims=True)
     expz = np.exp(shifted)
     return expz / expz.sum(axis=-1, keepdims=True)
 
 
-def _materialized_layers(net: Network) -> list:
-    return [materialized_layer(layer, policy)
+def _effective_layers(net: Network) -> list:
+    return [effective_layer(layer, policy)
             for layer, policy in zip(net.layers, net.policies)]
 
 
@@ -154,12 +140,12 @@ def _forward_trace(net: Network, x: np.ndarray, layers: list | None = None,
                    caches: list | None = None):
     """Run the conv stack, keeping per-layer inputs and raw outputs.
 
-    ``layers`` are the materialized layers (built here when omitted); with
+    ``layers`` are the effective layers (built here when omitted); with
     ``caches``, one LayerCache per layer, each layer's forward state is
     kept for the backward pass.
     """
     if layers is None:
-        layers = _materialized_layers(net)
+        layers = _effective_layers(net)
     inputs = []
     outputs = []
     cur = np.asarray(x, dtype=np.float64)
@@ -207,25 +193,13 @@ class NetGrads:
     d_head_b: np.ndarray
 
 
-def _chain_payload_grads(layer: LayerParams, policy: ConstraintPolicy,
-                         bundles_d_ewms: list) -> list:
-    """Convert effective-exponent gradients to stored-value gradients (in
-    place)."""
-    if policy.mode == "reparam":
-        for raw, d_eff in zip(layer.ewms, bundles_d_ewms):
-            for g_arr, r_arr in zip(payload_arrays(d_eff),
-                                    payload_arrays(raw)):
-                g_arr *= reparam_grad(r_arr, policy)
-    return bundles_d_ewms
-
-
 def network_loss_grads(net: Network, windows: np.ndarray,
                        labels: np.ndarray):
     """Mean cross-entropy over the batch and gradients for every tensor."""
     windows = np.asarray(windows, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
     n = windows.shape[0]
-    evaluated = _materialized_layers(net)
+    evaluated = _effective_layers(net)
     caches = [LayerCache() for _ in evaluated]
     inputs, outputs, feats, logits = _forward_trace(net, windows, evaluated,
                                                     caches)
@@ -243,11 +217,11 @@ def network_loss_grads(net: Network, windows: np.ndarray,
 
     layer_grads = [None] * len(net.layers)
     for i in range(len(net.layers) - 1, -1, -1):
-        layer, policy = net.layers[i], net.policies[i]
         bundle = layer_backward(inputs[i], evaluated[i], upstream,
                                 cache=caches[i])
         caches[i] = None  # release the powered values before the next layer
-        bundle.d_ewms = _chain_payload_grads(layer, policy, bundle.d_ewms)
+        for d_ewm, ewm in zip(bundle.d_ewms, net.layers[i].ewms):
+            stored_grad(d_ewm, ewm, net.policies[i])
         layer_grads[i] = bundle
         if i > 0:
             upstream = bundle.d_input[..., None]
@@ -287,31 +261,29 @@ class TrainConfig:
                 raise TypeError("augments must be AugmentSpec instances")
 
 
-def _param_grad_pairs(net: Network, grads: NetGrads):
-    """Stored tensors paired with their gradients, in a fixed order."""
-    pairs = []
-    for layer, bundle in zip(net.layers, grads.layers):
-        pairs.append((layer.weights, bundle.d_weights))
-        pairs.append((layer.biases, bundle.d_biases))
-        for ewm, d_ewm in zip(layer.ewms, bundle.d_ewms):
-            for p_arr, g_arr in zip(payload_arrays(ewm),
-                                    payload_arrays(d_ewm)):
-                pairs.append((p_arr, g_arr))
-    pairs.append((net.head_w, grads.d_head_w))
-    pairs.append((net.head_b, grads.d_head_b))
-    return pairs
+def _file_order(layers, head_w, head_b) -> list:
+    """Each layer's weights, biases and payload arrays, then the classifier
+    head: the order of the model file and of the optimizer state."""
+    arrays = []
+    for weights, biases, ewms in layers:
+        arrays += [weights, biases]
+        for ewm in ewms:
+            arrays += payload_arrays(ewm)
+    return arrays + [head_w, head_b]
 
 
 def network_param_arrays(net: Network) -> list:
-    arrays = []
-    for layer in net.layers:
-        arrays.append(layer.weights)
-        arrays.append(layer.biases)
-        for ewm in layer.ewms:
-            arrays.extend(payload_arrays(ewm))
-    arrays.append(net.head_w)
-    arrays.append(net.head_b)
-    return arrays
+    return _file_order(
+        [(layer.weights, layer.biases, layer.ewms) for layer in net.layers],
+        net.head_w, net.head_b)
+
+
+def _param_grad_pairs(net: Network, grads: NetGrads):
+    """Stored tensors paired with their gradients, in file order."""
+    d_arrays = _file_order(
+        [(b.d_weights, b.d_biases, b.d_ewms) for b in grads.layers],
+        grads.d_head_w, grads.d_head_b)
+    return list(zip(network_param_arrays(net), d_arrays, strict=True))
 
 
 class _Sgd:
@@ -354,19 +326,11 @@ def make_optimizer(config: TrainConfig):
 
 
 def enforce_constraints(net: Network) -> None:
-    """Project stored exponents back into bounds, then assert that every
-    effective exponent respects them (a cheap internal postcondition)."""
+    """Bring every layer's stored exponents back into bounds after an
+    optimizer step (``enforce_bounds``)."""
     for layer, policy in zip(net.layers, net.policies):
-        if policy.mode != "reparam":
-            for ewm in layer.ewms:
-                clip_params_inplace(ewm, policy)
         for ewm in layer.ewms:
-            for arr in payload_arrays(effective_payload(ewm, policy)):
-                lo, hi = arr.min(), arr.max()
-                if lo < policy.v_min - BOUND_SLACK or hi > policy.v_max + BOUND_SLACK:
-                    raise RuntimeError(
-                        f"effective exponent escaped [{policy.v_min}, "
-                        f"{policy.v_max}]: range [{lo}, {hi}]")
+            enforce_bounds(ewm, policy)
 
 
 # --------------------------------------------------------------------------
@@ -569,6 +533,15 @@ def _network_from(meta: dict, blob: bytes, pos: int) -> Network:
         pos += count * 8
     if pos != len(blob):
         raise ValueError("trailing data")
+    sizes = [(f"input_shape[{j}]", d)
+             for j, d in enumerate(meta["input_shape"])]
+    sizes.append(("n_classes", meta["n_classes"]))
+    for i, spec in enumerate(meta["layers"]):
+        sizes += [(f"layers[{i}].{key}", spec[key]) for key in
+                  ("out_channels", "k_h", "k_w", "stride_t", "stride_c")]
+    for name, value in sizes:
+        if type(value) is not int:
+            raise ValueError(f"{name} must be an integer, got {value!r}")
 
     layers = []
     policies = []

@@ -3,6 +3,7 @@ schema, exit codes, artifact files, seed overrides, and reproducibility
 from the echoed configuration."""
 
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -245,6 +246,22 @@ class TestEvalCommand:
         assert len(err.splitlines()) == 1
         assert "layer 0" in err and "non-finite" in err
 
+    def test_non_integer_size_exits_2(self, tmp_path, capsys):
+        path = write_config(tmp_path, train={"epochs": 0, "seed": 0})
+        assert cli.main(["train", "--config", str(path)]) == 0
+        model = tmp_path / "out" / "model.bin"
+        blob = model.read_bytes()
+        (meta_len,) = struct.unpack_from("<Q", blob, 8)
+        meta = blob[16:16 + meta_len].replace(b'"stride_t":1',
+                                              b'"stride_t":1.0')
+        model.write_bytes(blob[:8] + struct.pack("<Q", len(meta)) + meta
+                          + blob[16 + meta_len:])
+        capsys.readouterr()
+        rc = cli.main(["eval", "--config", str(path), "--model", str(model)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and "stride_t" in err
+
     def test_missing_model_file(self, tmp_path):
         path = write_config(tmp_path)
         assert cli.main(["eval", "--config", str(path),
@@ -275,6 +292,14 @@ class TestSynthCommand:
         assert text.startswith("# win_len=12 channels=5 stride=12\n")
         ds = load_windows_csv(tmp_path / "a" / "dataset.csv")
         assert ds.windows.shape == (0, 12, 5) and ds.stride == 12
+
+    @pytest.mark.parametrize("command", ["synth", "train"])
+    def test_unsatisfiable_margin_exits_2(self, tmp_path, capsys, command):
+        path = write_config(tmp_path, data={"synthetic": {
+            "win_len": 6, "channels": 3, "count": 4, "margin_scale": 50}})
+        assert cli.main([command, "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and "margin_scale" in err
 
     def test_requires_synthetic_section(self, tmp_path):
         make_plant_fixtures(tmp_path)

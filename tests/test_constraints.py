@@ -8,8 +8,9 @@ import pytest
 from expconv.constraints import (
     ConstraintPolicy,
     clip_params,
-    clip_params_inplace,
+    effective_layer,
     effective_payload,
+    enforce_bounds,
     effective_value,
     forward_gap,
     init_exponents,
@@ -17,8 +18,9 @@ from expconv.constraints import (
     reparam_forward,
     reparam_grad,
     reparam_invert,
+    stored_grad,
 )
-from expconv.layers import Bilinear, Elementwise, FullMatrix
+from expconv.layers import Bilinear, Elementwise, FullMatrix, LayerParams
 from expconv.numerics import make_rng
 
 ALL_KINDS = ("sigmoid", "tanh", "hard_sigmoid")
@@ -65,8 +67,13 @@ class TestClip:
 
     def test_inplace_variant(self):
         e = Elementwise(np.array([[9.0, -9.0]]))
-        clip_params_inplace(e, ConstraintPolicy())
+        enforce_bounds(e, ConstraintPolicy())
         np.testing.assert_array_equal(e.exponents, [[4.0, -2.0]])
+
+    def test_inplace_variant_is_noop_under_reparam(self):
+        e = Elementwise(np.array([[9.0, -9.0]]))
+        enforce_bounds(e, ConstraintPolicy(mode="reparam"))
+        np.testing.assert_array_equal(e.exponents, [[9.0, -9.0]])
 
     def test_rejected_in_reparam_mode(self):
         with pytest.raises(ValueError):
@@ -78,6 +85,14 @@ class TestReparamMaps:
     def test_sigmoid_midpoint_is_neutral(self):
         pol = ConstraintPolicy(mode="reparam", kind="sigmoid")
         assert reparam_forward(0.0, pol) == pytest.approx(1.0, abs=1e-14)
+
+    @pytest.mark.filterwarnings("error")
+    def test_sigmoid_saturates_without_warning(self):
+        pol = ConstraintPolicy(mode="reparam", kind="sigmoid")
+        w_hat = np.array([-800.0, 800.0])
+        np.testing.assert_array_equal(reparam_forward(w_hat, pol),
+                                      [pol.v_min, pol.v_max])
+        np.testing.assert_array_equal(reparam_grad(w_hat, pol), [0.0, 0.0])
 
     def test_sigmoid_approaches_upper_bound(self):
         pol = ConstraintPolicy(mode="reparam", kind="sigmoid")
@@ -237,6 +252,25 @@ class TestEffectivePayload:
         eff = effective_payload(raw, pol)
         np.testing.assert_allclose(eff.exponents, np.ones((2, 2)),
                                    atol=1e-14)
+
+    def test_effective_layer(self):
+        layer = LayerParams(np.ones((1, 2, 2)), np.zeros(1),
+                            [Elementwise(np.zeros((2, 2)))])
+        assert effective_layer(layer, ConstraintPolicy()) is layer
+        eff = effective_layer(layer, ConstraintPolicy(mode="reparam"))
+        np.testing.assert_allclose(eff.ewms[0].exponents, np.ones((2, 2)),
+                                   atol=1e-14)
+        assert eff.weights is layer.weights
+
+    def test_stored_grad_chains_reparam_only(self):
+        raw = Elementwise(np.array([[0.0, 2.0]]))
+        d_eff = Elementwise(np.array([[1.0, 1.0]]))
+        stored_grad(d_eff, raw, ConstraintPolicy())
+        np.testing.assert_array_equal(d_eff.exponents, [[1.0, 1.0]])
+        pol = ConstraintPolicy(mode="reparam")
+        stored_grad(d_eff, raw, pol)
+        np.testing.assert_array_equal(d_eff.exponents,
+                                      [reparam_grad(raw.exponents[0], pol)])
 
     def test_payload_arrays_by_variant(self):
         assert len(payload_arrays(Bilinear(np.eye(2), np.eye(2)))) == 2

@@ -510,6 +510,20 @@ class TestModelFormat:
         with pytest.raises(ValueError, match="layer 0: weights shape"):
             load_model(path)
 
+    @pytest.mark.parametrize("field, value", [
+        ("stride_t", 1.0), ("k_h", 2.0), ("out_channels", True),
+        ("n_classes", 2.0), ("input_shape", [4.0, 3])])
+    def test_sizes_must_be_integers(self, tmp_path, field, value):
+        # a float size loads and crashes later, in extract_patches or evaluate
+        path = tmp_path / "model.bin"
+        save_model(tiny_net(seed=69), path)
+
+        def set_size(meta):
+            (meta if field in meta else meta["layers"][0])[field] = value
+        self.rewrite_metadata(path, set_size)
+        with pytest.raises(ValueError, match=f"{field}.* must be an integer"):
+            load_model(path)
+
     def test_param_array_order(self):
         net = tiny_net("bilinear", seed=65, out_channels=2)
         arrays = network_param_arrays(net)

@@ -209,6 +209,14 @@ def _merge_defaults(defaults, user):
     return merged
 
 
+# jsonschema counts an integral float such as 8.0 as an "integer"; the
+# config's integer fields take ints only
+_ConfigValidator = jsonschema.validators.extend(
+    jsonschema.Draft202012Validator,
+    type_checker=jsonschema.Draft202012Validator.TYPE_CHECKER.redefine(
+        "integer", lambda checker, value: type(value) is int))
+
+
 def load_config(path) -> dict:
     """Parse, schema-validate, default-fill and cross-check a config file."""
     try:
@@ -221,7 +229,7 @@ def load_config(path) -> dict:
             f"{path} is not valid JSON (line {exc.lineno}, col {exc.colno}): "
             f"{exc.msg}") from exc
     try:
-        jsonschema.validate(raw, CONFIG_SCHEMA)
+        jsonschema.validate(raw, CONFIG_SCHEMA, cls=_ConfigValidator)
     except jsonschema.ValidationError as exc:
         where = ".".join(str(p) for p in exc.absolute_path) or "(top level)"
         raise ConfigError(f"{path}: {where}: {exc.message}") from exc

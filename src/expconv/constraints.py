@@ -9,8 +9,11 @@ small residual slope outside its linear core so a saturated parameter can
 still recover (a plain clamp would zero its gradient for good).
 
 The modes differ only here: training calls ``effective_layer`` before a
-forward pass, ``stored_grad`` on each payload gradient and
-``enforce_bounds`` after each optimizer step, whatever the mode.
+forward pass, ``stored_grad`` on each layer's payload gradient and
+``enforce_bounds`` after each optimizer step, whatever the mode; loading
+a model calls ``in_bounds``. Every function taking a payload acts on all
+of its arrays at once, so a layer's payload stacked over its channels is
+one call.
 
 Initialization is the neutral one: all-ones exponents and identity mixing
 matrices, which makes the nonlinear layer coincide with a standard
@@ -70,19 +73,20 @@ class ConstraintPolicy:
         return 0.5 * (self.v_max - self.v_min)
 
 
-def clip_params(ewm: Payload, policy: ConstraintPolicy) -> Payload:
-    """Clamp every exponent entry into [v_min, v_max]; idempotent."""
-    if policy.mode == "reparam":
-        raise ValueError("clip_params applies to clip/project modes only")
-    return payload_map(ewm, lambda a: np.clip(a, policy.v_min, policy.v_max))
-
-
 def enforce_bounds(ewm: Payload, policy: ConstraintPolicy) -> None:
     """Clamp the stored exponents into [v_min, v_max] in place; a no-op
     under reparam, whose stored values are unconstrained."""
     if policy.mode != "reparam":
         for arr in payload_arrays(ewm):
             np.clip(arr, policy.v_min, policy.v_max, out=arr)
+
+
+def in_bounds(ewm: Payload, policy: ConstraintPolicy) -> bool:
+    """Whether the stored exponents are ones ``enforce_bounds`` leaves as
+    they are: always under reparam, inside [v_min, v_max] otherwise."""
+    return policy.mode == "reparam" or all(
+        np.all((arr >= policy.v_min) & (arr <= policy.v_max))
+        for arr in payload_arrays(ewm))
 
 
 # --------------------------------------------------------------------------
@@ -102,14 +106,12 @@ def reparam_forward(w_hat, policy: ConstraintPolicy):
             out = policy.v_min + (policy.v_max - policy.v_min) / (1.0 + np.exp(-w_hat))
     elif policy.kind == "tanh":
         out = policy.midpoint + policy.halfrange * np.tanh(w_hat)
-    elif policy.kind == "hard_sigmoid":
+    else:  # hard_sigmoid
         slope = (policy.v_max - policy.v_min) / (2.0 * _HARD_CORE)
         core = policy.midpoint + slope * np.clip(w_hat, -_HARD_CORE, _HARD_CORE)
         over = _RESIDUAL_SLOPE * (np.clip(w_hat, _HARD_CORE, None) - _HARD_CORE)
         under = _RESIDUAL_SLOPE * (np.clip(w_hat, None, -_HARD_CORE) + _HARD_CORE)
         out = core + over + under
-    else:
-        raise ValueError(f"unknown reparameterization kind {policy.kind!r}")
     return float(out) if out.ndim == 0 else out
 
 
@@ -123,37 +125,33 @@ def reparam_grad(w_hat, policy: ConstraintPolicy):
     elif policy.kind == "tanh":
         t = np.tanh(w_hat)
         out = policy.halfrange * (1.0 - t * t)
-    elif policy.kind == "hard_sigmoid":
+    else:  # hard_sigmoid
         slope = (policy.v_max - policy.v_min) / (2.0 * _HARD_CORE)
         out = np.where(np.abs(w_hat) <= _HARD_CORE, slope, _RESIDUAL_SLOPE)
-        out = out.astype(np.float64)
-    else:
-        raise ValueError(f"unknown reparameterization kind {policy.kind!r}")
     return float(out) if out.ndim == 0 else out
 
 
 def forward_gap(a, b, policy: ConstraintPolicy):
-    """reparam_forward(b) - reparam_forward(a), computed in a form that
-    stays nonzero where direct subtraction of saturated outputs would
-    round to 0 (e.g. sigmoid beyond |w_hat| ~ 37). Used to verify strict
-    monotonicity at sample points deep in the tails.
+    """reparam_forward(b) - reparam_forward(a) for a <= b, computed in a
+    form that stays nonzero where direct subtraction of saturated outputs
+    would round to 0 (e.g. sigmoid beyond |w_hat| ~ 37) and never
+    overflows. Used to verify strict monotonicity at sample points deep in
+    the tails.
     """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
-    if policy.kind == "sigmoid":
-        # sigma(b) - sigma(a) = e^a (e^(b-a) - 1) / ((1 + e^a)(1 + e^b))
-        out = (policy.v_max - policy.v_min) * np.exp(a) * np.expm1(b - a) \
-            / ((1.0 + np.exp(a)) * (1.0 + np.exp(b)))
-    elif policy.kind == "tanh":
-        # tanh(b) - tanh(a) = sinh(b - a) / (cosh(a) cosh(b))
-        out = policy.halfrange * np.sinh(b - a) / (np.cosh(a) * np.cosh(b))
-    elif policy.kind == "hard_sigmoid":
+    if policy.kind == "hard_sigmoid":
         # piecewise linear with slope >= the residual everywhere: direct
         # subtraction has no cancellation problem
         out = np.asarray(reparam_forward(b, policy)) \
             - np.asarray(reparam_forward(a, policy))
     else:
-        raise ValueError(f"unknown reparameterization kind {policy.kind!r}")
+        if policy.kind == "tanh":  # tanh(w) = 2 sigma(2 w) - 1
+            a, b = 2.0 * a, 2.0 * b
+        # sigma(b) - sigma(a) = sigma(b) sigma(-a) (1 - e^(a - b)), the
+        # product taken in log space: no step overflows or cancels
+        out = (policy.v_max - policy.v_min) * np.exp(
+            -np.logaddexp(0.0, -b) - np.logaddexp(0.0, a)) * -np.expm1(a - b)
     return float(out) if out.ndim == 0 else out
 
 
@@ -169,11 +167,9 @@ def reparam_invert(target, policy: ConstraintPolicy):
         out = np.log(frac / (1.0 - frac))
     elif policy.kind == "tanh":
         out = np.arctanh((target_arr - policy.midpoint) / policy.halfrange)
-    elif policy.kind == "hard_sigmoid":
+    else:  # hard_sigmoid
         slope = (policy.v_max - policy.v_min) / (2.0 * _HARD_CORE)
         out = (target_arr - policy.midpoint) / slope
-    else:
-        raise ValueError(f"unknown reparameterization kind {policy.kind!r}")
     return float(out) if out.ndim == 0 else out
 
 
@@ -198,8 +194,7 @@ def effective_layer(layer: LayerParams,
     non-finite one into a ValueError instead of a FloatingPointError."""
     if policy.mode != "reparam":
         return layer
-    return replace(layer, ewms=[effective_payload(e, policy)
-                                for e in layer.ewms])
+    return replace(layer, ewms=effective_payload(layer.payload, policy))
 
 
 def stored_grad(d_eff: Payload, ewm: Payload,
@@ -224,7 +219,8 @@ def init_exponents(variant: str, k_h: int, k_w: int,
     unconstrained preimages of those targets, so the effective layer
     still starts as a standard convolution; ``reparam_invert`` rejects a
     target outside (v_min, v_max), such as an identity's zeros when
-    v_min >= 0.
+    v_min >= 0. Under clip, such a target is clamped into the bounds, as
+    the first optimizer step would clamp it.
     """
     if variant not in VARIANT_TYPES:
         raise ValueError(f"unknown variant {variant!r}")
@@ -233,4 +229,6 @@ def init_exponents(variant: str, k_h: int, k_w: int,
     target = VARIANT_TYPES[variant].neutral(k_h, k_w)
     if policy is not None and policy.mode == "reparam":
         return payload_map(target, lambda a: reparam_invert(a, policy))
+    if policy is not None:
+        enforce_bounds(target, policy)
     return target

@@ -39,11 +39,9 @@ from .layers import (
     Payload,
     Standard,
     activation_grad,
-    channel_preact,
-    exponent_operator,
-    extract_patches,  # noqa: F401  (part of this module's namespace)
+    channel_preact,  # noqa: F401  (part of this module's namespace)
+    extract_patches,  # noqa: F401
     layer_forward,
-    payload_arrays,
     payload_map,
     row_blocks,
 )
@@ -55,11 +53,13 @@ REL_ERR_FLOOR = 1e-8
 @dataclass
 class GradBundle:
     """Gradients of a scalar loss with respect to one layer's parameters
-    and its input. Every array matches the shape of what it differentiates."""
+    and its input. Every array matches the shape of what it differentiates:
+    the exponent payload gradient is one payload stacked over channels,
+    like ``LayerParams.payload``."""
 
     d_weights: np.ndarray   # (out_channels, k_h, k_w)
     d_biases: np.ndarray    # (out_channels,)
-    d_ewms: list            # one payload gradient per channel, same variant
+    d_payload: Payload      # stacked over channels, like LayerParams.payload
     d_input: np.ndarray     # same shape as the layer input
 
 
@@ -78,13 +78,13 @@ class GradBundle:
 def patch_backward(params: LayerParams, cache: LayerCache,
                    upstream: np.ndarray):
     """Gradients from the pre-activation upstream (N, M) and a filled cache:
-    (d_weights, d_biases, d_ewms, d_patches (N, n))."""
+    (d_weights, d_biases, d_payload, d_patches (N, n))."""
     out_ch = params.out_channels
     weights = params.weights.reshape(out_ch, -1)
     patches = cache.patches
     g = np.ascontiguousarray(upstream.T)  # (M, N)
     d_biases = g.sum(axis=1)
-    op = exponent_operator(params)
+    op = params.payload.operator(params.k_h, params.k_w)
     d_weights = np.zeros_like(weights)
     d_patches = np.empty_like(patches)
     if op is not None:
@@ -120,12 +120,10 @@ def patch_backward(params: LayerParams, cache: LayerCache,
         d_x *= outside
     d_weights = d_weights.reshape(params.weights.shape)
     if op is None:
-        d_ewms = [Standard() for _ in params.ewms]
-        return d_weights, d_biases, d_ewms, d_patches
+        return d_weights, d_biases, Standard(), d_patches
     d_op *= weights if diag else weights[:, :, None]
-    d_ewms = [e.operator_grad(d, params.k_h, params.k_w)
-              for e, d in zip(params.ewms, d_op)]
-    return d_weights, d_biases, d_ewms, d_patches
+    d_payload = params.payload.operator_grad(d_op, params.k_h, params.k_w)
+    return d_weights, d_biases, d_payload, d_patches
 
 
 def unit_backward(x: np.ndarray, weights: np.ndarray, bias: float,
@@ -135,14 +133,10 @@ def unit_backward(x: np.ndarray, weights: np.ndarray, bias: float,
     Returns (d_weights, d_bias, d_ewm, d_x); d_ewm carries the payload
     gradient in the payload's own structure.
     """
-    x = np.asarray(x, dtype=np.float64)
-    weights = np.asarray(weights, dtype=np.float64)
-    cache = LayerCache()
-    channel_preact(x[None], weights, bias, ewm, cache)
-    params = LayerParams(weights[None], np.array([bias]), [ewm])
-    d_w, d_b, d_ewms, d_x = patch_backward(
-        params, cache, np.array([[upstream]], dtype=np.float64))
-    return d_w[0], float(d_b[0]), d_ewms[0], d_x.reshape(x.shape)
+    params = LayerParams(np.asarray(weights)[None], np.array([bias]), [ewm])
+    bundle = layer_backward(x, params, np.full((1, 1, 1), float(upstream)))
+    return (bundle.d_weights[0], float(bundle.d_biases[0]),
+            payload_map(bundle.d_payload, lambda a: a[0]), bundle.d_input)
 
 
 def scatter_patch_grads(d_patches: np.ndarray, input_shape: tuple,
@@ -175,12 +169,12 @@ def layer_backward(x: np.ndarray, params: LayerParams, upstream: np.ndarray,
         layer_forward(x, params, cache)
     g = activation_grad(cache.output, params.activation)
     g *= upstream
-    d_weights, d_biases, d_ewms, d_patches = patch_backward(
+    d_weights, d_biases, d_payload, d_patches = patch_backward(
         params, cache, g.reshape(-1, params.out_channels))
     grid = cache.output.shape[:-1] + (params.k_h, params.k_w)
     d_input = scatter_patch_grads(d_patches.reshape(grid), x.shape,
                                   params.stride_t, params.stride_c)
-    return GradBundle(d_weights, d_biases, d_ewms, d_input)
+    return GradBundle(d_weights, d_biases, d_payload, d_input)
 
 
 # --------------------------------------------------------------------------
@@ -284,35 +278,31 @@ def grad_check(params: LayerParams, x: np.ndarray,
 
     bundle = layer_backward(x, params, weights_r)
 
-    def check_group(name, live_arrays, analytic_arrays):
-        worst = GroupCheck(name, 0.0, (), 0.0, 0.0, True)
-        for idx, (live, analytic) in enumerate(zip(live_arrays, analytic_arrays)):
-            def f(vals, _live=live):
-                _live[...] = vals
-                return loss()
-            saved = live.copy()
-            numeric = finite_diff(f, saved, h)
-            live[...] = saved
-            err = relative_error(analytic, numeric)
-            k = np.unravel_index(np.argmax(err), err.shape) if err.size else ()
-            if err.size and err[k] >= worst.max_rel_err:
-                coord = ((idx,) + k) if len(live_arrays) > 1 else k
-                worst = GroupCheck(name, float(err[k]), coord,
-                                   float(np.asarray(analytic)[k]),
-                                   float(numeric[k]),
-                                   bool(err[k] <= tol))
-        worst.passed = worst.max_rel_err <= tol
-        return worst
+    def check_group(name, live, analytic, skip=0):
+        """The worst coordinate of one live array, reported without its
+        first ``skip`` indices."""
+        def f(vals):
+            live[...] = vals
+            return loss()
+        saved = live.copy()
+        numeric = finite_diff(f, saved, h)
+        live[...] = saved
+        err = relative_error(analytic, numeric)
+        k = np.unravel_index(np.argmax(err), err.shape)
+        return GroupCheck(name, float(err[k]), k[skip:], float(analytic[k]),
+                          float(numeric[k]), bool(err[k] <= tol))
 
     groups = [
-        check_group("weights", [params.weights], [bundle.d_weights]),
-        check_group("biases", [params.biases], [bundle.d_biases]),
+        check_group("weights", params.weights, bundle.d_weights),
+        check_group("biases", params.biases, bundle.d_biases),
     ]
-    for pi, field in enumerate(fields(params.ewms[0])):
-        live = [payload_arrays(e)[pi] for e in params.ewms]
-        analytic = [payload_arrays(d)[pi] for d in bundle.d_ewms]
-        groups.append(check_group(field.name, live, analytic))
-    groups.append(check_group("input", [x], [bundle.d_input]))
+    # a single-channel layer reports exponent coordinates without a channel
+    skip = int(params.out_channels == 1)
+    for field in fields(params.payload):
+        groups.append(check_group(field.name,
+                                  getattr(params.payload, field.name),
+                                  getattr(bundle.d_payload, field.name), skip))
+    groups.append(check_group("input", x, bundle.d_input))
     return GradCheckReport(params.variant, (params.k_h, params.k_w),
                            seed, tol, groups)
 

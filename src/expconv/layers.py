@@ -19,8 +19,12 @@ kernel (``shapes``), the payload that reduces the unit to a standard
 filter (``neutral``: ones or identities), its operator on the row-major
 flattened log-magnitudes (``operator``: an (n,) diagonal or an (n, n)
 matrix) and the payload gradient from that operator's gradient
-(``operator_grad``). ``VARIANT_TYPES`` maps variant names to the classes;
-``payload_arrays`` and ``payload_map`` reach the arrays of any payload.
+(``operator_grad``). Fields may carry leading axes: a layer stacks the
+payloads of its output channels into one payload whose fields are
+(out_channels, ...) arrays, and ``operator`` and ``operator_grad`` act on
+every channel at once. ``VARIANT_TYPES`` maps variant names to the
+classes; ``payload_arrays`` and ``payload_map`` reach the arrays of any
+payload.
 
 Negative inputs are handled by computing on magnitudes (clamped at
 ``DEFAULT_EPS``) and re-applying the original elementwise sign, which
@@ -49,7 +53,7 @@ implementations and serve as the oracle for the layer kernel.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -67,8 +71,9 @@ ACTIVATIONS = ("relu", "tanh", "identity")
 
 
 # --------------------------------------------------------------------------
-# Exponent payloads (one per output channel; the payload is shared across
-# every spatial position of that channel), one class per variant.
+# Exponent payloads, one class per variant. A channel's payload is shared
+# across every spatial position of that channel; a layer stacks its
+# channels' payloads on a leading axis.
 
 class Payload:
     """Base of the exponent payloads; subclasses are dataclasses whose
@@ -92,11 +97,13 @@ class Payload:
 
     def operator(self, k_h: int, k_w: int) -> np.ndarray | None:
         """The exponent stage on row-major flattened log|x| (n = k_h * k_w
-        entries): an (n,) diagonal, an (n, n) matrix, or None for none."""
+        entries): an (..., n) diagonal, an (..., n, n) matrix, or None for
+        none, with the fields' leading axes in front."""
         return None
 
     def operator_grad(self, d_op: np.ndarray, k_h: int, k_w: int) -> Payload:
-        """The payload gradient from the gradient of ``operator``."""
+        """The payload gradient from the gradient of ``operator``, leading
+        axes included."""
         raise NotImplementedError
 
 
@@ -119,10 +126,10 @@ class Elementwise(Payload):
         return ((k_h, k_w),)
 
     def operator(self, k_h, k_w):
-        return self.exponents.reshape(-1)
+        return self.exponents.reshape(*self.exponents.shape[:-2], -1)
 
     def operator_grad(self, d_op, k_h, k_w):
-        return Elementwise(d_op.reshape(k_h, k_w))
+        return Elementwise(d_op.reshape(*d_op.shape[:-1], k_h, k_w))
 
 
 @dataclass(eq=False)
@@ -137,11 +144,11 @@ class RowShared(Payload):
         return ((k_h,),)
 
     def operator(self, k_h, k_w):
-        return np.repeat(self.row_exponents, k_w)
+        return np.repeat(self.row_exponents, k_w, axis=-1)
 
     def operator_grad(self, d_op, k_h, k_w):
         # tied positions accumulate
-        return RowShared(d_op.reshape(k_h, k_w).sum(axis=1))
+        return RowShared(d_op.reshape(*d_op.shape[:-1], k_h, k_w).sum(axis=-1))
 
 
 @dataclass(eq=False)
@@ -159,7 +166,7 @@ class ColShared(Payload):
         return np.tile(self.col_exponents, k_h)
 
     def operator_grad(self, d_op, k_h, k_w):
-        return ColShared(d_op.reshape(k_h, k_w).sum(axis=0))
+        return ColShared(d_op.reshape(*d_op.shape[:-1], k_h, k_w).sum(axis=-2))
 
 
 @dataclass(eq=False)
@@ -179,13 +186,16 @@ class Bilinear(Payload):
         return cls(np.eye(k_h), np.eye(k_w))
 
     def operator(self, k_h, k_w):
-        return np.kron(self.row_mix, self.col_mix.T)
+        # kron(row_mix, col_mix.T):
+        # K[(a, d), (b, c)] = row_mix[a, b] * col_mix[c, d]
+        lead = self.row_mix.shape[:-2]
+        return np.einsum("...ab,...cd->...adbc", self.row_mix,
+                         self.col_mix).reshape(*lead, k_h * k_w, k_h * k_w)
 
     def operator_grad(self, d_op, k_h, k_w):
-        # K[(a, d), (b, c)] = row_mix[a, b] * col_mix[c, d]
-        d_k = d_op.reshape(k_h, k_w, k_h, k_w)
-        return Bilinear(np.einsum("adbc,cd->ab", d_k, self.col_mix),
-                        np.einsum("adbc,ab->cd", d_k, self.row_mix))
+        d_k = d_op.reshape(*d_op.shape[:-2], k_h, k_w, k_h, k_w)
+        return Bilinear(np.einsum("...adbc,...cd->...ab", d_k, self.col_mix),
+                        np.einsum("...adbc,...ab->...cd", d_k, self.row_mix))
 
 
 @dataclass(eq=False)
@@ -206,12 +216,12 @@ class FullMatrix(Payload):
 
     def operator(self, k_h, k_w):
         order = _col_major_order(k_h, k_w)
-        return self.mix[np.ix_(order, order)]
+        return self.mix[..., order[:, None], order]
 
     def operator_grad(self, d_op, k_h, k_w):
         order = _col_major_order(k_h, k_w)
         d_mix = np.empty_like(d_op)
-        d_mix[np.ix_(order, order)] = d_op
+        d_mix[..., order[:, None], order] = d_op
         return FullMatrix(d_mix)
 
 
@@ -235,18 +245,21 @@ def payload_map(ewm: Payload, fn) -> Payload:
     return type(ewm)(*(fn(a) for a in payload_arrays(ewm)))
 
 
-def exponent_param_count(ewm: Payload) -> int:
-    """Number of trainable exponent parameters carried by a payload."""
-    return sum(int(a.size) for a in payload_arrays(ewm))
-
-
 # --------------------------------------------------------------------------
 # Layer parameters
 
 @dataclass(eq=False)
 class LayerParams:
     """One convolutional layer: per-channel filters, biases and exponent
-    payloads, plus the layer-wide sliding-window geometry."""
+    payloads, plus the layer-wide sliding-window geometry.
+
+    ``ewms`` is given as one payload per output channel, all of one
+    variant, or as one payload already stacked over channels. The layer
+    keeps the stacked payload as ``payload`` (fields shaped
+    (out_channels, ...)) and rebinds ``ewms`` to per-channel payloads whose
+    arrays are views into it, so an in-place write through either is seen
+    by both.
+    """
 
     weights: np.ndarray          # (out_channels, k_h, k_w)
     biases: np.ndarray           # (out_channels,)
@@ -254,6 +267,7 @@ class LayerParams:
     stride_t: int = 1
     stride_c: int = 1
     activation: str = "identity"
+    payload: Payload = field(init=False, repr=False)
 
     def __post_init__(self):
         self.weights = as_tensor(self.weights, "weights")
@@ -264,18 +278,24 @@ class LayerParams:
             raise ValueError("one bias per output channel required")
         if self.out_channels < 1:
             raise ValueError("out_channels must be >= 1")
-        if len(self.ewms) != self.out_channels:
-            raise ValueError("one exponent payload per output channel required")
-        first = self.ewms[0]
-        if any(type(e) is not type(first) for e in self.ewms):
-            raise ValueError("all channels must use the same variant")
-        want = first.shapes(self.k_h, self.k_w)
-        for e in self.ewms:
-            got = tuple(a.shape for a in payload_arrays(e))
-            if got != want:
-                raise ValueError(
-                    f"{first.name} payload shapes {got} != {want} for a "
-                    f"({self.k_h}, {self.k_w}) kernel")
+        stack = self.ewms
+        if not isinstance(stack, Payload):
+            # a wrong channel count shows as a wrong stacked shape below
+            if len(set(map(type, stack))) != 1:
+                raise ValueError("all channels must use the same variant")
+            per_field = zip(*map(payload_arrays, stack))
+            stack = type(stack[0])(*map(np.stack, per_field))
+        want = tuple((self.out_channels, *s)
+                     for s in stack.shapes(self.k_h, self.k_w))
+        got = tuple(a.shape for a in payload_arrays(stack))
+        if got != want:
+            raise ValueError(
+                f"{stack.name} payload shapes {got} != {want} for "
+                f"{self.out_channels} channels of a ({self.k_h}, {self.k_w}) "
+                "kernel")
+        self.payload = stack
+        self.ewms = [payload_map(stack, lambda a, m=m: a[m])
+                     for m in range(self.out_channels)]
         if self.stride_t < 1 or self.stride_c < 1:
             raise ValueError("strides must be >= 1")
         if self.activation not in ACTIVATIONS:
@@ -295,7 +315,7 @@ class LayerParams:
 
     @property
     def variant(self) -> str:
-        return self.ewms[0].name
+        return self.payload.name
 
 
 # --------------------------------------------------------------------------
@@ -318,15 +338,6 @@ def unit_elementwise(x, weights, bias: float, exponents) -> float:
     if x.shape != weights.shape or x.shape != exponents.shape:
         raise ValueError("x, weights and exponents must share a shape")
     return float(np.sum(weights * signed_pow(x, exponents)) + bias)
-
-
-def unit_elementwise_explog(x, weights, bias: float, exponents) -> float:
-    """Dual route to unit_elementwise via sign * exp(exponent * log|x|)."""
-    x = np.asarray(x, dtype=np.float64)
-    sign = np.where(x >= 0.0, 1.0, -1.0)
-    powered = sign * np.exp(np.asarray(exponents, dtype=np.float64)
-                            * log_magnitude(x))
-    return float(np.sum(np.asarray(weights, dtype=np.float64) * powered) + bias)
 
 
 def unit_bilinear(x, weights, bias: float, row_mix, col_mix) -> float:
@@ -367,9 +378,7 @@ def unit_forward(x: np.ndarray, weights: np.ndarray, bias: float,
     """Evaluate one receptive field under any variant (pre-activation)."""
     if isinstance(ewm, Standard):
         return unit_standard(x, weights, bias)
-    if isinstance(ewm, Elementwise):
-        return unit_elementwise(x, weights, bias, ewm.exponents)
-    if isinstance(ewm, (RowShared, ColShared)):
+    if isinstance(ewm, (Elementwise, RowShared, ColShared)):
         k_h, k_w = np.shape(x)
         return unit_elementwise(x, weights, bias,
                                 ewm.operator(k_h, k_w).reshape(k_h, k_w))
@@ -385,10 +394,10 @@ def unit_forward(x: np.ndarray, weights: np.ndarray, bias: float,
 # --------------------------------------------------------------------------
 # Layer kernel. Patches are flattened row-major to (N, n) with n = k_h * k_w
 # (the im2col layout). Every exponent variant is an operator on the clamped
-# log-magnitudes L of a patch (``Payload.operator``), stacked over channels
-# to (M, n) diagonals or (M, n, n) matrices. Channel m's powered values are sign * exp(L * E[m])
-# or sign * exp(L @ K[m].T), and its pre-activation is one matrix-vector
-# product with its flattened filter.
+# log-magnitudes L of a patch (``Payload.operator`` of the layer's stacked
+# payload): (M, n) diagonals or (M, n, n) matrices. Channel m's powered
+# values are sign * exp(L * E[m]) or sign * exp(L @ K[m].T), and its
+# pre-activation is one matrix-vector product with its flattened filter.
 
 @dataclass
 class LayerCache:
@@ -405,13 +414,6 @@ class LayerCache:
     log_mag: np.ndarray | None = None
     powered: np.ndarray | None = None
     output: np.ndarray | None = None
-
-
-def exponent_operator(params: LayerParams) -> np.ndarray | None:
-    """Every channel's ``Payload.operator`` stacked: (M, n) diagonals,
-    (M, n, n) matrices, or None for standard layers."""
-    ops = [e.operator(params.k_h, params.k_w) for e in params.ewms]
-    return None if ops[0] is None else np.stack(ops)
 
 
 # Patches are processed in blocks of this many rows, so that a block's log,
@@ -437,7 +439,7 @@ def patch_preacts(patches: np.ndarray, params: LayerParams,
     """
     out_ch = params.out_channels
     weights = params.weights.reshape(out_ch, -1)
-    op = exponent_operator(params)
+    op = params.payload.operator(params.k_h, params.k_w)
     n_patch, n = patches.shape
     if cache is not None:
         cache.patches = patches

@@ -66,16 +66,6 @@ def vec(x: np.ndarray) -> np.ndarray:
     return x.reshape(-1, order="F")
 
 
-def unvec(v: np.ndarray, rows: int, cols: int) -> np.ndarray:
-    """Exact inverse of vec for the given matrix shape."""
-    v = np.asarray(v, dtype=np.float64)
-    if v.ndim != 1:
-        raise ValueError(f"unvec expects a 1-D input, got {v.ndim}-D")
-    if v.size != rows * cols:
-        raise ValueError(f"cannot unvec {v.size} values into {rows}x{cols}")
-    return v.reshape((rows, cols), order="F")
-
-
 def patch_grid(rows: int, cols: int, k_h: int, k_w: int,
                stride_t: int = 1, stride_c: int = 1) -> tuple[int, int]:
     """Output grid of a valid (no padding) sliding window."""

@@ -6,10 +6,13 @@ the input and the last convolution must emit a single channel so their
 output is again a (time, channel) matrix.
 
 Exponent payloads are stored in the representation their constraint
-policy dictates (see ``constraints``). Training never tests the policy's
-mode itself: each step evaluates ``effective_layer``, maps payload
-gradients back with ``stored_grad`` and, after the optimizer step,
-applies ``enforce_bounds``.
+policy dictates (see ``constraints``), one payload per layer stacked over
+its output channels (``LayerParams.payload``). Training never tests the
+policy's mode itself: each step evaluates ``effective_layer``, maps each
+layer's payload gradient back with ``stored_grad`` and, after the
+optimizer step, applies ``enforce_bounds`` to each layer's payload. Only
+the model file and the optimizer state walk the payloads channel by
+channel (``_file_order``).
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ from .constraints import (
     ConstraintPolicy,
     effective_layer,
     enforce_bounds,
+    in_bounds,
     init_exponents,
     payload_arrays,
     stored_grad,
@@ -105,8 +109,7 @@ def build_network(input_shape: tuple, n_classes: int, layer_specs,
         fan = k_h * k_w
         weights = glorot_uniform(rng, (out_ch, k_h, k_w), fan, out_ch)
         biases = np.zeros(out_ch)
-        ewms = [init_exponents(spec["variant"], k_h, k_w, policy)
-                for _ in range(out_ch)]
+        ewms = [init_exponents(spec["variant"], k_h, k_w, policy)] * out_ch
         layer = LayerParams(weights, biases, ewms,
                             stride_t=int(spec.get("stride_t", 1)),
                             stride_c=int(spec.get("stride_c", 1)),
@@ -220,8 +223,7 @@ def network_loss_grads(net: Network, windows: np.ndarray,
         bundle = layer_backward(inputs[i], evaluated[i], upstream,
                                 cache=caches[i])
         caches[i] = None  # release the powered values before the next layer
-        for d_ewm, ewm in zip(bundle.d_ewms, net.layers[i].ewms):
-            stored_grad(d_ewm, ewm, net.policies[i])
+        stored_grad(bundle.d_payload, net.layers[i].payload, net.policies[i])
         layer_grads[i] = bundle
         if i > 0:
             upstream = bundle.d_input[..., None]
@@ -262,26 +264,28 @@ class TrainConfig:
 
 
 def _file_order(layers, head_w, head_b) -> list:
-    """Each layer's weights, biases and payload arrays, then the classifier
-    head: the order of the model file and of the optimizer state."""
+    """Each layer's weights, biases and, channel by channel, views of its
+    stacked payload's arrays; then the classifier head: the order of the
+    model file and of the optimizer state."""
     arrays = []
-    for weights, biases, ewms in layers:
+    for weights, biases, payload in layers:
         arrays += [weights, biases]
-        for ewm in ewms:
-            arrays += payload_arrays(ewm)
+        stacked = payload_arrays(payload)
+        for m in range(len(weights)):
+            arrays += [a[m] for a in stacked]
     return arrays + [head_w, head_b]
 
 
 def network_param_arrays(net: Network) -> list:
     return _file_order(
-        [(layer.weights, layer.biases, layer.ewms) for layer in net.layers],
+        [(layer.weights, layer.biases, layer.payload) for layer in net.layers],
         net.head_w, net.head_b)
 
 
 def _param_grad_pairs(net: Network, grads: NetGrads):
     """Stored tensors paired with their gradients, in file order."""
     d_arrays = _file_order(
-        [(b.d_weights, b.d_biases, b.d_ewms) for b in grads.layers],
+        [(b.d_weights, b.d_biases, b.d_payload) for b in grads.layers],
         grads.d_head_w, grads.d_head_b)
     return list(zip(network_param_arrays(net), d_arrays, strict=True))
 
@@ -329,8 +333,7 @@ def enforce_constraints(net: Network) -> None:
     """Bring every layer's stored exponents back into bounds after an
     optimizer step (``enforce_bounds``)."""
     for layer, policy in zip(net.layers, net.policies):
-        for ewm in layer.ewms:
-            enforce_bounds(ewm, policy)
+        enforce_bounds(layer.payload, policy)
 
 
 # --------------------------------------------------------------------------
@@ -568,6 +571,11 @@ def _network_from(meta: dict, blob: bytes, pos: int) -> Network:
         policies.append(ConstraintPolicy(v_min=pol["v_min"],
                                          v_max=pol["v_max"],
                                          mode=pol["mode"], kind=pol["kind"]))
+        if not in_bounds(layers[i].payload, policies[i]):
+            raise ValueError(
+                f"layer {i}: stored exponents lie outside "
+                f"[{policies[i].v_min}, {policies[i].v_max}] under "
+                f"{policies[i].mode}")
     head_w, head_b = tensors[pos], tensors[pos + 1]
     return Network(layers, head_w, head_b, policies=policies,
                    input_shape=tuple(meta["input_shape"]),

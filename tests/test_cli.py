@@ -4,11 +4,13 @@ from the echoed configuration."""
 
 import json
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from expconv import cli
+from expconv.constraints import ConstraintPolicy
 from expconv.dataset import (
     N_VARIABLES,
     RawRun,
@@ -18,6 +20,8 @@ from expconv.dataset import (
 )
 from expconv.numerics import make_rng
 from expconv.training import build_network, load_model, save_model
+
+FIXTURE_DIR = Path(__file__).parent / "data"
 
 
 def write_config(tmp_path, name="config.json", **overrides):
@@ -100,6 +104,63 @@ class TestConfigValidation:
             model={"layers": [{"variant": "cubic", "k_h": 1, "k_w": 1}]})
         assert cli.main(["train", "--config", str(path)]) == 2
         assert "variant" in capsys.readouterr().err
+
+
+def integer_fields(schema, path=()):
+    """Every path the config schema types "integer"; array items at 0."""
+    if schema.get("type") == "integer":
+        return [path]
+    if "properties" in schema:
+        return [found for key, sub in schema["properties"].items()
+                for found in integer_fields(sub, path + (key,))]
+    if "items" in schema:
+        return integer_fields(schema["items"], path + (0,))
+    return []
+
+
+def set_field(cfg, path, value):
+    """Write ``value`` at ``path``, creating missing sections and one-item
+    lists on the way (an augment entry gets its required op)."""
+    node = cfg
+    for key, nxt in zip(path, path[1:]):
+        if isinstance(key, int):
+            node = node[key]
+        elif isinstance(nxt, int):
+            node = node.setdefault(key, [{"op": "flip_lr"} if key == "augment"
+                                         else {}])
+        else:
+            node = node.setdefault(key, {})
+    node[path[-1]] = value
+
+
+INTEGER_FIELDS = integer_fields(cli.CONFIG_SCHEMA)
+
+
+class TestIntegerFields:
+    def test_every_section_is_covered(self):
+        assert {p[0] for p in INTEGER_FIELDS} == {"data", "model", "augment",
+                                                  "train"}
+        assert len(INTEGER_FIELDS) >= 19
+
+    @pytest.mark.parametrize("command", ["train", "synth"])
+    @pytest.mark.parametrize("value", [8.0, 1e308])
+    @pytest.mark.parametrize(
+        "path", INTEGER_FIELDS,
+        ids=[".".join(map(str, p)) for p in INTEGER_FIELDS])
+    def test_float_in_integer_field_exits_2(self, tmp_path, capsys, path,
+                                            value, command):
+        cfg_path = write_config(tmp_path)
+        cfg = json.loads(cfg_path.read_text())
+        set_field(cfg, path, value)
+        cfg_path.write_text(json.dumps(cfg))
+        assert cli.main([command, "--config", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert ".".join(map(str, path)) in err and "integer" in err
+
+    def test_integers_still_accepted(self, tmp_path):
+        path = write_config(tmp_path, train={"epochs": 1, "batch_size": 16})
+        assert cli.main(["train", "--config", str(path)]) == 0
 
 
 class TestGradcheckCommand:
@@ -231,8 +292,10 @@ class TestEvalCommand:
 
     @pytest.mark.filterwarnings("error")  # an overflow warning would fail
     def test_overflowing_feature_map_exits_1(self, tmp_path, capsys):
+        # bounds wide enough that the overflowing exponent is a valid one
         net = build_network((6, 3), 2, [{"variant": "elementwise", "k_h": 1,
-                                         "k_w": 1, "activation": "tanh"}])
+                                         "k_w": 1, "activation": "tanh"}],
+                            policy=ConstraintPolicy(v_max=500.0))
         net.layers[0].ewms[0].exponents[:] = 400.0
         model = tmp_path / "model.bin"
         save_model(net, model)
@@ -261,6 +324,20 @@ class TestEvalCommand:
         assert rc == 2
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1 and "stride_t" in err
+
+    def test_exponent_outside_bounds_exits_2(self, tmp_path, capsys):
+        model = tmp_path / "model.bin"
+        blob = (FIXTURE_DIR / "model_elementwise_clip.bin").read_bytes()
+        (meta_len,) = struct.unpack_from("<Q", blob, 8)
+        meta = blob[16:16 + meta_len].replace(b'"v_max":4.0', b'"v_max":1.05')
+        model.write_bytes(blob[:8] + struct.pack("<Q", len(meta)) + meta
+                          + blob[16 + meta_len:])
+        path = write_config(tmp_path)
+        rc = cli.main(["eval", "--config", str(path), "--model", str(model)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert "layer 0: stored exponents" in err
 
     def test_missing_model_file(self, tmp_path):
         path = write_config(tmp_path)

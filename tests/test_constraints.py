@@ -7,12 +7,12 @@ import pytest
 
 from expconv.constraints import (
     ConstraintPolicy,
-    clip_params,
     effective_layer,
     effective_payload,
     enforce_bounds,
     effective_value,
     forward_gap,
+    in_bounds,
     init_exponents,
     payload_arrays,
     reparam_forward,
@@ -20,7 +20,13 @@ from expconv.constraints import (
     reparam_invert,
     stored_grad,
 )
-from expconv.layers import Bilinear, Elementwise, FullMatrix, LayerParams
+from expconv.layers import (
+    Bilinear,
+    Elementwise,
+    FullMatrix,
+    LayerParams,
+    Standard,
+)
 from expconv.numerics import make_rng
 
 ALL_KINDS = ("sigmoid", "tanh", "hard_sigmoid")
@@ -46,24 +52,28 @@ class TestPolicyValidation:
 
 class TestClip:
     def test_overshoot_clamped(self):
-        out = clip_params(Elementwise(np.array([[5.3]])), ConstraintPolicy())
-        assert out.exponents[0, 0] == 4.0
+        e = Elementwise(np.array([[5.3]]))
+        enforce_bounds(e, ConstraintPolicy())
+        assert e.exponents[0, 0] == 4.0
 
     def test_inside_unchanged(self):
-        e = Elementwise(np.array([[0.5, -1.9], [3.9, 1.0]]))
-        out = clip_params(e, ConstraintPolicy())
-        np.testing.assert_array_equal(out.exponents, e.exponents)
+        values = np.array([[0.5, -1.9], [3.9, 1.0]])
+        e = Elementwise(values.copy())
+        enforce_bounds(e, ConstraintPolicy())
+        np.testing.assert_array_equal(e.exponents, values)
 
     def test_boundary_kept(self):
-        out = clip_params(Elementwise(np.array([[-2.0]])), ConstraintPolicy())
-        assert out.exponents[0, 0] == -2.0
+        e = Elementwise(np.array([[-2.0]]))
+        enforce_bounds(e, ConstraintPolicy())
+        assert e.exponents[0, 0] == -2.0
 
     def test_idempotent(self):
         rng = make_rng(0)
         e = Elementwise(rng.uniform(-10, 10, size=(3, 3)))
-        once = clip_params(e, ConstraintPolicy())
-        twice = clip_params(once, ConstraintPolicy())
-        np.testing.assert_array_equal(once.exponents, twice.exponents)
+        enforce_bounds(e, ConstraintPolicy())
+        once = e.exponents.copy()
+        enforce_bounds(e, ConstraintPolicy())
+        np.testing.assert_array_equal(e.exponents, once)
 
     def test_inplace_variant(self):
         e = Elementwise(np.array([[9.0, -9.0]]))
@@ -75,10 +85,27 @@ class TestClip:
         enforce_bounds(e, ConstraintPolicy(mode="reparam"))
         np.testing.assert_array_equal(e.exponents, [[9.0, -9.0]])
 
-    def test_rejected_in_reparam_mode(self):
-        with pytest.raises(ValueError):
-            clip_params(Elementwise(np.ones((1, 1))),
-                        ConstraintPolicy(mode="reparam"))
+    def test_stacked_payload_clamped_in_one_call(self):
+        stack = Bilinear(np.full((3, 2, 2), 6.0), np.full((3, 2, 2), -6.0))
+        enforce_bounds(stack, ConstraintPolicy())
+        assert np.all(stack.row_mix == 4.0) and np.all(stack.col_mix == -2.0)
+
+
+class TestInBounds:
+    def test_clip_and_project_check_the_interval(self):
+        for mode in ("clip", "project"):
+            pol = ConstraintPolicy(mode=mode)
+            assert in_bounds(Elementwise(np.array([[-2.0, 4.0]])), pol)
+            assert not in_bounds(Elementwise(np.array([[1.0, 4.5]])), pol)
+            assert not in_bounds(
+                Bilinear(np.zeros((2, 2, 2)), np.full((2, 3, 3), -2.5)), pol)
+
+    def test_reparam_values_are_unconstrained(self):
+        pol = ConstraintPolicy(mode="reparam")
+        assert in_bounds(Elementwise(np.array([[-50.0, 50.0]])), pol)
+
+    def test_standard_has_nothing_to_check(self):
+        assert in_bounds(Standard(), ConstraintPolicy())
 
 
 class TestReparamMaps:
@@ -154,6 +181,40 @@ class TestReparamMaps:
         gaps = forward_gap(grid[:-1], grid[1:], pol)
         assert np.all(gaps > 0.0)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("kind", ("sigmoid", "tanh"))
+    def test_gap_is_stable_on_a_wide_grid(self, kind):
+        # every pair a < b of a grid over [-1000, 1000]: finite, >= 0,
+        # warning-free, and positive wherever the exact gap exceeds 1e-300
+        pol = ConstraintPolicy(mode="reparam", kind=kind)
+        grid = np.linspace(-1000.0, 1000.0, 401)
+        a, b = np.meshgrid(grid, grid, indexing="ij")
+        upper = a < b
+        a, b = a[upper], b[upper]
+        gaps = forward_gap(a, b, pol)
+        assert np.all(np.isfinite(gaps)) and np.all(gaps >= 0.0)
+        if kind == "sigmoid":
+            # log sigma(b) + log sigma(-a) + log(1 - e^(a - b))
+            log_exact = (np.log(pol.v_max - pol.v_min)
+                         - np.logaddexp(0.0, -b) - np.logaddexp(0.0, a)
+                         + np.log(-np.expm1(a - b)))
+        else:  # log(halfrange * sinh(b - a) / (cosh(a) cosh(b)))
+            def log_cosh(x):
+                x = np.abs(x)
+                return x + np.log1p(np.exp(-2.0 * x)) - np.log(2.0)
+
+            d = b - a
+            log_sinh = d + np.log(-np.expm1(-2.0 * d)) - np.log(2.0)
+            log_exact = (np.log(pol.halfrange) + log_sinh
+                         - log_cosh(a) - log_cosh(b))
+        resolvable = log_exact > np.log(1e-300)
+        assert resolvable.sum() > 0.1 * resolvable.size
+        assert np.all(gaps[resolvable] > 0.0)
+        # where the gap is a normal float, it matches the exact value
+        normal = log_exact > np.log(1e-290)
+        np.testing.assert_allclose(np.log(gaps[normal]), log_exact[normal],
+                                   rtol=0, atol=1e-9)
+
     @pytest.mark.parametrize("kind", ALL_KINDS)
     def test_gap_agrees_with_direct_subtraction_in_core(self, kind):
         pol = ConstraintPolicy(mode="reparam", kind=kind)
@@ -226,6 +287,15 @@ class TestInitExponents:
         targets = payload_arrays(init_exponents(variant, 2, 3))
         for got, want in zip(payload_arrays(eff), targets):
             np.testing.assert_allclose(got, want, atol=1e-10)
+
+    def test_clip_init_clamps_identity_zeros_into_bounds(self):
+        pol = ConstraintPolicy(v_min=0.5, v_max=4.0)
+        bil = init_exponents("bilinear", 2, 2, pol)
+        np.testing.assert_array_equal(bil.row_mix, [[1.0, 0.5], [0.5, 1.0]])
+        assert in_bounds(bil, pol)
+        np.testing.assert_array_equal(
+            init_exponents("elementwise", 2, 2, pol).exponents,
+            np.ones((2, 2)))
 
     def test_reparam_matrix_variant_needs_negative_lower_bound(self):
         pol = ConstraintPolicy(v_min=0.5, v_max=4.0, mode="reparam")

@@ -83,8 +83,8 @@ class TestUnitBackward:
         assert np.all(bundle.d_weights == 0)
         assert np.all(bundle.d_biases == 0)
         assert np.all(bundle.d_input == 0)
-        assert np.all(bundle.d_ewms[0].row_mix == 0)
-        assert np.all(bundle.d_ewms[0].col_mix == 0)
+        assert np.all(bundle.d_payload.row_mix == 0)
+        assert np.all(bundle.d_payload.col_mix == 0)
 
     def test_clamp_region_input_gradient_is_zero(self):
         _, _, _, d_x = unit_backward(np.array([[1e-9]]), np.ones((1, 1)),
@@ -210,8 +210,8 @@ class TestLayerBackwardGeometry:
         assert bundle.d_weights.shape == params.weights.shape
         assert bundle.d_biases.shape == params.biases.shape
         assert bundle.d_input.shape == x.shape
-        assert bundle.d_ewms[0].row_mix.shape == (3, 3)
-        assert bundle.d_ewms[0].col_mix.shape == (2, 2)
+        assert bundle.d_payload.row_mix.shape == (1, 3, 3)
+        assert bundle.d_payload.col_mix.shape == (1, 2, 2)
 
     def test_check_kernels_cover_required_shapes(self):
         assert (1, 1) in CHECK_KERNELS
@@ -255,13 +255,15 @@ class TestLayerCache:
         upstream = rng.normal(size=out.shape)
         cached = layer_backward(x, params, upstream, cache=cache)
         fresh = layer_backward(x, params, upstream)
-        assert all(type(d) is type(e)
-                   for d, e in zip(cached.d_ewms, params.ewms))
+        assert type(cached.d_payload) is type(params.payload)
         pairs = [(cached.d_weights, fresh.d_weights),
                  (cached.d_biases, fresh.d_biases),
                  (cached.d_input, fresh.d_input)]
-        for a, b in zip(cached.d_ewms, fresh.d_ewms):
-            pairs += zip(payload_arrays(a), payload_arrays(b))
+        pairs += zip(payload_arrays(cached.d_payload),
+                     payload_arrays(fresh.d_payload))
+        for d, p in zip(payload_arrays(cached.d_payload),
+                        payload_arrays(params.payload)):
+            assert d.shape == p.shape
         for a, b in pairs:
             np.testing.assert_allclose(a, b, rtol=0, atol=1e-12)
 

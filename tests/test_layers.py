@@ -14,13 +14,11 @@ from expconv.layers import (
     LayerParams,
     RowShared,
     Standard,
-    exponent_param_count,
     layer_forward,
     output_grid,
     payload_arrays,
     unit_bilinear,
     unit_elementwise,
-    unit_elementwise_explog,
     unit_forward,
     unit_full,
     unit_standard,
@@ -64,18 +62,6 @@ class TestUnitElementwise:
             b = rng.normal()
             nl = unit_elementwise(x, w, b, np.ones((2, 3)))
             assert nl == pytest.approx(unit_standard(x, w, b), abs=1e-12)
-
-    def test_power_sum_equals_explog_path(self):
-        # the two stated forms of the same unit must agree on positive input
-        rng = make_rng(3)
-        for _ in range(50):
-            x = rng.uniform(0.1, 10, size=(2, 2))
-            w = rng.normal(size=(2, 2))
-            e = rng.uniform(-2, 4, size=(2, 2))
-            b = rng.normal()
-            a = unit_elementwise(x, w, b, e)
-            c = unit_elementwise_explog(x, w, b, e)
-            assert a == pytest.approx(c, abs=1e-12 * max(1, abs(a)))
 
 
 class TestExpandShared:
@@ -181,6 +167,10 @@ class TestBilinearFullEquivalence:
             assert bil == pytest.approx(full, abs=1e-10 * max(1, abs(bil)))
 
 
+def param_count(ewm) -> int:
+    return sum(a.size for a in payload_arrays(ewm))
+
+
 class TestParamCounts:
     def test_per_variant_counts(self):
         k_h, k_w = 3, 2
@@ -194,7 +184,7 @@ class TestParamCounts:
             (FullMatrix(np.eye(n)), n ** 2),
         ]
         for ewm, expected in cases:
-            assert exponent_param_count(ewm) == expected
+            assert param_count(ewm) == expected
 
     @pytest.mark.parametrize("variant", sorted(VARIANT_TYPES))
     @pytest.mark.parametrize("k_h, k_w", [(1, 1), (2, 3), (3, 2)])
@@ -205,7 +195,7 @@ class TestParamCounts:
                     "full_matrix": n ** 2}[variant]
         ewm = VARIANT_TYPES[variant].neutral(k_h, k_w)
         assert ewm.name == variant
-        assert exponent_param_count(ewm) == expected
+        assert param_count(ewm) == expected
         assert tuple(a.shape for a in payload_arrays(ewm)) == \
             ewm.shapes(k_h, k_w)
         op = ewm.operator(k_h, k_w)
@@ -254,6 +244,67 @@ class TestVariantShapeValidation:
         with pytest.raises(ValueError):
             LayerParams(np.ones((2, 2, 2)), np.zeros(2),
                         [Standard(), Elementwise(np.ones((2, 2)))])
+
+    def test_channels_of_different_shapes_rejected(self):
+        with pytest.raises(ValueError):
+            LayerParams(np.ones((2, 2, 2)), np.zeros(2),
+                        [Elementwise(np.ones((2, 2))),
+                         Elementwise(np.ones(4))])
+
+    def test_stacked_payload_needs_the_channel_axis(self):
+        with pytest.raises(ValueError, match="elementwise"):
+            LayerParams(np.ones((2, 2, 2)), np.zeros(2),
+                        Elementwise(np.ones((2, 2))))
+
+
+class TestStackedPayload:
+    """A layer stacks its channels' payloads and exposes per-channel views."""
+
+    def test_list_is_stacked_and_copied(self):
+        rows = [RowShared(np.array([1.0, 2.0])),
+                RowShared(np.array([3.0, 4.0]))]
+        params = LayerParams(np.ones((2, 2, 3)), np.zeros(2), rows)
+        np.testing.assert_array_equal(params.payload.row_exponents,
+                                      [[1.0, 2.0], [3.0, 4.0]])
+        rows[0].row_exponents[0] = 9.0  # the layer holds its own copy
+        assert params.payload.row_exponents[0, 0] == 1.0
+
+    def test_channel_views_write_through(self):
+        params = LayerParams(np.ones((3, 2, 2)), np.zeros(3),
+                             [Bilinear.neutral(2, 2)] * 3)
+        assert len(params.ewms) == 3
+        params.ewms[1].col_mix[0, 1] = 5.0
+        params.payload.row_mix[2, 1, 0] = 7.0
+        assert params.payload.col_mix[1, 0, 1] == 5.0
+        assert params.ewms[2].row_mix[1, 0] == 7.0
+        assert params.payload.col_mix[0, 0, 1] == 0.0
+
+    def test_stacked_payload_is_used_as_given(self):
+        stack = Elementwise(np.ones((2, 2, 2)))
+        params = LayerParams(np.ones((2, 2, 2)), np.zeros(2), stack)
+        assert params.payload is stack
+        assert params.ewms[1].exponents.base is stack.exponents
+
+    @pytest.mark.parametrize("variant", sorted(VARIANT_TYPES))
+    def test_operator_of_stack_is_per_channel_operator(self, variant):
+        rng = make_rng(14)
+        neutral = VARIANT_TYPES[variant].neutral(2, 3)
+        ewms = [type(neutral)(*(a + rng.uniform(-0.3, 0.3, a.shape)
+                                for a in payload_arrays(neutral)))
+                for _ in range(3)]
+        params = LayerParams(np.ones((3, 2, 3)), np.zeros(3), ewms)
+        op = params.payload.operator(2, 3)
+        if variant == "standard":
+            assert op is None
+            return
+        for m, ewm in enumerate(ewms):
+            np.testing.assert_array_equal(op[m], ewm.operator(2, 3))
+        d_op = rng.normal(size=op.shape)
+        grad = params.payload.operator_grad(d_op, 2, 3)
+        for m, ewm in enumerate(ewms):
+            want = ewm.operator_grad(d_op[m], 2, 3)
+            for got, exp in zip(payload_arrays(grad), payload_arrays(want)):
+                np.testing.assert_allclose(got[m], exp, rtol=1e-15, atol=0)
 
 
 def brute_force_standard_conv(x, weights, bias, k_h, k_w):

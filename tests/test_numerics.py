@@ -14,7 +14,6 @@ from expconv.numerics import (
     make_rng,
     patch_grid,
     signed_pow,
-    unvec,
     vec,
 )
 
@@ -95,10 +94,6 @@ class TestVec:
     def test_row_vector_is_itself(self):
         row = np.array([[5.0, 6.0, 7.0]])
         np.testing.assert_array_equal(vec(row), [5.0, 6.0, 7.0])
-
-    def test_unvec_inverts(self):
-        x = make_rng(2).normal(size=(4, 3))
-        np.testing.assert_array_equal(unvec(vec(x), 4, 3), x)
 
     def test_rejects_non_2d(self):
         with pytest.raises(ValueError):

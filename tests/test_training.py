@@ -3,7 +3,9 @@ optimizers, the training loop with constraint enforcement, evaluation
 metrics, and the binary model format."""
 
 import json
+import shutil
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -32,6 +34,7 @@ from expconv.training import (
     write_history_csv,
 )
 
+FIXTURE_DIR = Path(__file__).parent / "data"
 NONLINEAR_VARIANTS = ("elementwise", "row_shared", "col_shared",
                       "bilinear", "full_matrix")
 
@@ -523,6 +526,42 @@ class TestModelFormat:
         self.rewrite_metadata(path, set_size)
         with pytest.raises(ValueError, match=f"{field}.* must be an integer"):
             load_model(path)
+
+    @pytest.mark.parametrize("mode", ["clip", "project"])
+    def test_exponents_outside_tightened_bounds_rejected(self, tmp_path,
+                                                         mode):
+        path = tmp_path / "model.bin"
+        shutil.copy(FIXTURE_DIR / "model_elementwise_clip.bin", path)
+        load_model(path)  # as written, every exponent is in bounds
+
+        def tighten(meta):
+            meta["layers"][1]["policy"].update(mode=mode, v_max=1.05)
+        self.rewrite_metadata(path, tighten)
+        with pytest.raises(ValueError,
+                           match=r"layer 1: stored exponents .*1\.05"):
+            load_model(path)
+
+    def test_reparam_values_rejected_after_a_mode_edit(self, tmp_path):
+        net = tiny_net(seed=70, policy=ConstraintPolicy(mode="reparam"))
+        net.layers[0].ewms[0].exponents[0, 1] = 9.0  # unconstrained value
+        path = tmp_path / "model.bin"
+        save_model(net, path)
+        load_model(path)
+        self.rewrite_metadata(
+            path, lambda m: m["layers"][0]["policy"].update(mode="clip"))
+        with pytest.raises(ValueError, match="layer 0: stored exponents"):
+            load_model(path)
+
+    def test_clip_network_with_clamped_init_loads(self, tmp_path):
+        # v_min > 0 clamps an identity's zeros at init, so an untrained
+        # mixing network saves and loads under its bounds
+        pol = ConstraintPolicy(v_min=0.5, v_max=4.0)
+        net = tiny_net("bilinear", seed=71, policy=pol, out_channels=2)
+        path = tmp_path / "model.bin"
+        save_model(net, path)
+        back = load_model(path)
+        np.testing.assert_array_equal(back.layers[0].payload.row_mix,
+                                      net.layers[0].payload.row_mix)
 
     def test_param_array_order(self):
         net = tiny_net("bilinear", seed=65, out_channels=2)

@@ -22,7 +22,9 @@ from the ``LayerCache`` that ``layer_forward`` filled; it never evaluates
 the exponent stage again. Called without a cache (gradient checks, single
 calls), it first runs the same forward kernel to fill one, so training and
 checking share one code path. Every contraction over patches is a matrix
-product.
+product. A cache holds every channel's powered values for the windows of
+one call, so training calls it on a few windows at a time and sums their
+parameter gradients (``training.network_loss_grads``).
 """
 
 from __future__ import annotations
@@ -32,7 +34,6 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .layers import (
-    BLOCK_ROWS,
     VARIANT_TYPES,
     LayerCache,
     LayerParams,
@@ -43,7 +44,6 @@ from .layers import (
     extract_patches,  # noqa: F401
     layer_forward,
     payload_map,
-    row_blocks,
 )
 from .numerics import DEFAULT_EPS, make_rng
 
@@ -85,42 +85,30 @@ def patch_backward(params: LayerParams, cache: LayerCache,
     g = np.ascontiguousarray(upstream.T)  # (M, N)
     d_biases = g.sum(axis=1)
     op = params.payload.operator(params.k_h, params.k_w)
-    d_weights = np.zeros_like(weights)
-    d_patches = np.empty_like(patches)
-    if op is not None:
-        log_mag, powered = cache.log_mag, cache.powered
-        # d_mixed = (g * P) * w, so the filter folds into the operator for
-        # d L and into d_op after the sums over patches
-        diag = op.ndim == 2
-        scaled_op = weights * op if diag else weights[:, :, None] * op
-        d_op = np.zeros_like(op)
-        gp_buf = np.empty((min(BLOCK_ROWS, len(patches)), patches.shape[1]))
-    for rows in row_blocks(len(patches)):
-        x, d_x = patches[rows], d_patches[rows]
-        if op is None:
-            d_weights += g[:, rows] @ x
-            np.matmul(g[:, rows].T, weights, out=d_x)
-            continue
-        log_x = log_mag[rows]
-        d_x[...] = 0.0  # d L of the block, turned into d x below
-        gp = gp_buf[:len(x)]  # g * P of one channel
-        for m in range(out_ch):
-            g_m, p_m = g[m, rows], powered[m, rows]
-            d_weights[m] += g_m @ p_m
-            np.multiply(p_m, g_m[:, None], out=gp)
-            if diag:
-                d_op[m] += np.einsum("pi,pi->i", gp, log_x)
-                gp *= scaled_op[m]
-                d_x += gp
-            else:
-                d_op[m] += gp.T @ log_x
-                d_x += gp @ scaled_op[m]
-        outside = np.abs(x) > DEFAULT_EPS
-        np.divide(d_x, x, out=d_x, where=outside)
-        d_x *= outside
-    d_weights = d_weights.reshape(params.weights.shape)
     if op is None:
-        return d_weights, d_biases, Standard(), d_patches
+        return ((g @ patches).reshape(params.weights.shape), d_biases,
+                Standard(), g.T @ weights)
+    log_mag, powered = cache.log_mag, cache.powered
+    # d_mixed = (g * P) * w, so the filter folds into the operator for
+    # d L and into d_op after the sums over patches
+    diag = op.ndim == 2
+    scaled_op = weights * op if diag else weights[:, :, None] * op
+    d_weights = (g[:, None] @ powered).reshape(params.weights.shape)
+    d_op = np.empty_like(op)
+    d_patches = np.zeros_like(patches)  # d L, turned into d x below
+    gp = np.empty_like(patches)  # g * P of one channel
+    for m in range(out_ch):
+        np.multiply(powered[m], g[m][:, None], out=gp)
+        if diag:
+            d_op[m] = np.einsum("pi,pi->i", gp, log_mag)
+            gp *= scaled_op[m]
+            d_patches += gp
+        else:
+            d_op[m] = gp.T @ log_mag
+            d_patches += gp @ scaled_op[m]
+    outside = np.abs(patches) > DEFAULT_EPS
+    np.divide(d_patches, patches, out=d_patches, where=outside)
+    d_patches *= outside
     d_op *= weights if diag else weights[:, :, None]
     d_payload = params.payload.operator_grad(d_op, params.k_h, params.k_w)
     return d_weights, d_biases, d_payload, d_patches

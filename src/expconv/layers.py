@@ -40,15 +40,15 @@ for a matrix (bilinear as K = kron(row_mix, col_mix.T), so
 row_mix @ L @ col_mix is one matrix product over all patches), and its
 pre-activation is one matrix-vector product with its filter.
 
-``layer_forward(x, params, cache)`` fills an optional ``LayerCache``
-(patches, log-magnitudes, every channel's powered values, the output) that
-``layer_backward`` reads, so the exponent stage runs once per training
-step. Patches are processed in row blocks small enough to stay in the CPU
-cache while every channel reads them; without a cache, two block-sized
-buffers are reused, so evaluating a large batch holds neither a full log
-array nor every channel's powered values. The
-single-receptive-field ``unit_*`` functions are separate direct
-implementations and serve as the oracle for the layer kernel.
+``layer_forward(x, params, cache)`` keeps the patches, log-magnitudes,
+every channel's powered values and the output in a ``LayerCache`` (a
+fresh one when none is passed) that ``layer_backward`` reads, so the
+exponent stage runs once per training step. The powered values alone are
+M * N * n floats for N patches, so the kernel's memory grows with the
+number of windows it is given; training and evaluation pass a few windows
+at a time (``training.EVAL_CHUNK``). The single-receptive-field
+``unit_*`` functions are separate direct implementations and serve as the
+oracle for the layer kernel.
 """
 
 from __future__ import annotations
@@ -401,7 +401,7 @@ def unit_forward(x: np.ndarray, weights: np.ndarray, bias: float,
 
 @dataclass
 class LayerCache:
-    """What ``layer_forward`` keeps for ``layer_backward`` when given one.
+    """What ``layer_forward`` keeps of its input for ``layer_backward``.
 
     patches  (N, n) flattened receptive fields, -0.0 stored as +0.0
     log_mag  (N, n) clamped log-magnitudes; None for standard layers
@@ -416,75 +416,51 @@ class LayerCache:
     output: np.ndarray | None = None
 
 
-# Patches are processed in blocks of this many rows, so that a block's log,
-# powered and sign arrays stay in cache while every channel reads them, and
-# every matrix product is small enough to run on the calling thread.
-BLOCK_ROWS = 2048
-
-
-def row_blocks(n_rows: int):
-    """Consecutive row slices of at most BLOCK_ROWS rows covering n_rows."""
-    return [slice(start, min(start + BLOCK_ROWS, n_rows))
-            for start in range(0, n_rows, BLOCK_ROWS)]
-
-
 def patch_preacts(patches: np.ndarray, params: LayerParams,
-                  cache: LayerCache | None = None) -> np.ndarray:
+                  cache: LayerCache) -> np.ndarray:
     """Pre-activations (N, M) of every channel over flattened patches (N, n).
 
-    ``patches`` may be modified in place (-0.0 becomes +0.0). With a cache,
-    the log-magnitudes and every channel's powered values are kept in it;
-    without one, two block-sized buffers are reused, so evaluating a large
-    batch holds neither an (N, n) log array nor an (M, N, n) one.
+    ``patches`` may be modified in place (-0.0 becomes +0.0). The patches,
+    their log-magnitudes and every channel's powered values are kept in
+    ``cache``, so the memory held grows with N.
     """
     out_ch = params.out_channels
     weights = params.weights.reshape(out_ch, -1)
     op = params.payload.operator(params.k_h, params.k_w)
-    n_patch, n = patches.shape
-    if cache is not None:
-        cache.patches = patches
-    if op is not None and cache is not None:
-        log_mag = np.empty_like(patches)
-        powered = np.empty((out_ch, n_patch, n))
-        cache.log_mag, cache.powered = log_mag, powered
-    elif op is not None:
-        log_buf = np.empty((min(BLOCK_ROWS, n_patch), n))
-        z_buf = np.empty_like(log_buf)
-    channel_major = np.empty((out_ch, n_patch))
+    cache.patches = patches
+    if op is None:
+        preact = (weights @ patches.T).T
+        preact += params.biases
+        return preact
+    patches += 0.0  # copysign then gives sign(0) = +1, as signed_pow
+    log_mag = np.abs(patches)
+    np.maximum(log_mag, DEFAULT_EPS, out=log_mag)
+    np.log(log_mag, out=log_mag)
+    powered = np.empty((out_ch, *patches.shape))
+    cache.log_mag, cache.powered = log_mag, powered
+    channel_major = np.empty((out_ch, len(patches)))
     with np.errstate(over="ignore"):  # overflow is reported by layer_forward
-        for rows in row_blocks(n_patch):
-            x = patches[rows]
-            if op is None:
-                np.matmul(weights, x.T, out=channel_major[:, rows])
-                continue
-            x += 0.0  # copysign then gives sign(0) = +1, as signed_pow
-            log_x = log_mag[rows] if cache is not None else log_buf[:len(x)]
-            np.abs(x, out=log_x)
-            np.maximum(log_x, DEFAULT_EPS, out=log_x)
-            np.log(log_x, out=log_x)
-            for m in range(out_ch):
-                z = powered[m, rows] if cache is not None else z_buf[:len(x)]
-                if op.ndim == 2:
-                    np.multiply(log_x, op[m], out=z)
-                else:
-                    np.matmul(log_x, op[m].T, out=z)
-                np.exp(z, out=z)
-                np.copysign(z, x, out=z)
-                np.matmul(z, weights[m], out=channel_major[m, rows])
+        for m, z in enumerate(powered):
+            if op.ndim == 2:
+                np.multiply(log_mag, op[m], out=z)
+            else:
+                np.matmul(log_mag, op[m].T, out=z)
+            np.exp(z, out=z)
+            np.copysign(z, patches, out=z)
+            np.matmul(z, weights[m], out=channel_major[m])
     preact = channel_major.T
     preact += params.biases
     return preact
 
 
 def channel_preact(patches: np.ndarray, weights: np.ndarray, bias: float,
-                   ewm: Payload,
-                   cache: LayerCache | None = None) -> np.ndarray:
+                   ewm: Payload) -> np.ndarray:
     """Pre-activations of one channel over a stack of patches (..., k_h, k_w),
     through the layer kernel; ``patches`` is left as it was."""
     params = LayerParams(np.asarray(weights)[None], np.array([bias]), [ewm])
     n = params.k_h * params.k_w
     flat = np.array(patches, dtype=np.float64).reshape(-1, n)
-    return patch_preacts(flat, params, cache)[:, 0].reshape(
+    return patch_preacts(flat, params, LayerCache())[:, 0].reshape(
         np.shape(patches)[:-2])
 
 
@@ -521,6 +497,8 @@ def layer_forward(x: np.ndarray, params: LayerParams,
     A cache, when given, is filled for ``layer_backward``. A non-finite
     pre-activation (an overflowing power) raises FloatingPointError.
     """
+    if cache is None:
+        cache = LayerCache()
     patches = extract_patches(np.asarray(x, dtype=np.float64),
                               params.k_h, params.k_w,
                               params.stride_t, params.stride_c)
@@ -531,8 +509,7 @@ def layer_forward(x: np.ndarray, params: LayerParams,
         raise FloatingPointError("feature map contains non-finite values")
     out = apply_activation(preact.reshape(*lead, params.out_channels),
                            params.activation, inplace=True)
-    if cache is not None:
-        cache.output = out
+    cache.output = out
     return out
 
 

@@ -134,6 +134,22 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     return expz / expz.sum(axis=-1, keepdims=True)
 
 
+# Every pass runs the network on chunks of this many windows: the layer
+# kernels keep every channel's powered values for the windows they are
+# given, so the chunk, not the batch, bounds a pass's memory.
+EVAL_CHUNK = 8
+
+
+def _checked_windows(net: Network, windows: np.ndarray) -> np.ndarray:
+    """A batch (n, T, C) of the network's input windows, as float64."""
+    windows = np.asarray(windows, dtype=np.float64)
+    if windows.ndim != 3 or windows.shape[1:] != tuple(net.input_shape):
+        raise ValueError(
+            f"window shape {windows.shape[1:]} does not match declared "
+            f"input {tuple(net.input_shape)} (batch shape {windows.shape})")
+    return windows
+
+
 def _effective_layers(net: Network) -> list:
     return [effective_layer(layer, policy)
             for layer, policy in zip(net.layers, net.policies)]
@@ -167,17 +183,17 @@ def _forward_trace(net: Network, x: np.ndarray, layers: list | None = None,
 
 
 def forward_network(net: Network, windows: np.ndarray) -> np.ndarray:
-    """Class probabilities for a batch of windows (n, T, C) or one (T, C)."""
+    """Class probabilities for a batch of windows (n, T, C) or one (T, C),
+    computed EVAL_CHUNK windows at a time."""
     windows = np.asarray(windows, dtype=np.float64)
     single = windows.ndim == 2
-    if single:
-        windows = windows[None]
-    if windows.shape[1:] != tuple(net.input_shape):
-        raise ValueError(
-            f"window shape {windows.shape[1:]} does not match "
-            f"declared input {tuple(net.input_shape)}")
-    _, _, _, logits = _forward_trace(net, windows)
-    probs = softmax(logits)
+    windows = _checked_windows(net, windows[None] if single else windows)
+    layers = _effective_layers(net)
+    probs = np.empty((len(windows), net.n_classes))
+    for start in range(0, len(windows), EVAL_CHUNK):
+        rows = slice(start, start + EVAL_CHUNK)
+        _, _, _, logits = _forward_trace(net, windows[rows], layers)
+        probs[rows] = softmax(logits)
     return probs[0] if single else probs
 
 
@@ -198,36 +214,56 @@ class NetGrads:
 
 def network_loss_grads(net: Network, windows: np.ndarray,
                        labels: np.ndarray):
-    """Mean cross-entropy over the batch and gradients for every tensor."""
-    windows = np.asarray(windows, dtype=np.float64)
-    labels = np.asarray(labels, dtype=np.int64)
-    n = windows.shape[0]
+    """Mean cross-entropy over the batch and gradients for every tensor.
+
+    Each window's loss and upstream gradients depend on that window alone,
+    so the network runs forward, through the head and backward on one
+    chunk of EVAL_CHUNK windows at a time and holds one chunk's layer
+    caches, whatever the batch size. The chunks' parameter gradients are
+    summed and their input gradients joined into full-batch arrays.
+    """
+    windows = _checked_windows(net, windows)
+    n = len(windows)
+    labels = np.asarray(labels)
+    if n == 0 or labels.shape != (n,) or labels.dtype.kind not in "iu":
+        raise ValueError(f"need one integer label per window of a non-empty "
+                         f"batch of {n}, got {labels.dtype} labels of shape "
+                         f"{labels.shape}")
+    if labels.min() < 0 or labels.max() >= net.n_classes:
+        raise ValueError(f"labels must lie in [0, {net.n_classes}), got "
+                         f"{labels.min()} to {labels.max()}")
     evaluated = _effective_layers(net)
-    caches = [LayerCache() for _ in evaluated]
-    inputs, outputs, feats, logits = _forward_trace(net, windows, evaluated,
-                                                    caches)
-    loss = cross_entropy(logits, labels)
-    if not np.isfinite(loss):
-        raise FloatingPointError("non-finite loss")
-
-    probs = softmax(logits)
-    d_logits = probs.copy()
-    d_logits[np.arange(n), labels] -= 1.0
-    d_logits /= n
-    d_head_w = feats.T @ d_logits
-    d_head_b = d_logits.sum(axis=0)
-    upstream = (d_logits @ net.head_w.T).reshape(outputs[-1].shape)
-
-    layer_grads = [None] * len(net.layers)
-    for i in range(len(net.layers) - 1, -1, -1):
-        bundle = layer_backward(inputs[i], evaluated[i], upstream,
-                                cache=caches[i])
-        caches[i] = None  # release the powered values before the next layer
-        stored_grad(bundle.d_payload, net.layers[i].payload, net.policies[i])
-        layer_grads[i] = bundle
-        if i > 0:
-            upstream = bundle.d_input[..., None]
-    return loss, NetGrads(layer_grads, d_head_w, d_head_b)
+    loss, grads, d_inputs = 0.0, None, []
+    for start in range(0, n, EVAL_CHUNK):
+        rows = slice(start, start + EVAL_CHUNK)
+        y = labels[rows]
+        caches = [LayerCache() for _ in evaluated]
+        inputs, outputs, feats, logits = _forward_trace(
+            net, windows[rows], evaluated, caches)
+        loss += cross_entropy(logits, y) * len(y)
+        if not np.isfinite(loss):
+            raise FloatingPointError("non-finite loss")
+        d_logits = softmax(logits)
+        d_logits[np.arange(len(y)), y] -= 1.0
+        d_logits /= n
+        upstream = (d_logits @ net.head_w.T).reshape(outputs[-1].shape)
+        bundles = [None] * len(evaluated)
+        for i in reversed(range(len(evaluated))):
+            bundles[i] = layer_backward(inputs[i], evaluated[i], upstream,
+                                        cache=caches[i])
+            upstream = bundles[i].d_input[..., None]
+        d_inputs.append([b.d_input for b in bundles])
+        chunk = NetGrads(bundles, feats.T @ d_logits, d_logits.sum(axis=0))
+        if grads is None:
+            grads = chunk
+        else:
+            for total, part in zip(_grad_arrays(grads), _grad_arrays(chunk)):
+                total += part
+    for bundle, layer, policy, parts in zip(grads.layers, net.layers,
+                                            net.policies, zip(*d_inputs)):
+        bundle.d_input = np.concatenate(parts)
+        stored_grad(bundle.d_payload, layer.payload, policy)
+    return loss / n, grads
 
 
 # --------------------------------------------------------------------------
@@ -282,12 +318,17 @@ def network_param_arrays(net: Network) -> list:
         net.head_w, net.head_b)
 
 
-def _param_grad_pairs(net: Network, grads: NetGrads):
-    """Stored tensors paired with their gradients, in file order."""
-    d_arrays = _file_order(
+def _grad_arrays(grads: NetGrads) -> list:
+    """Every parameter gradient in file order, payload gradients as views."""
+    return _file_order(
         [(b.d_weights, b.d_biases, b.d_payload) for b in grads.layers],
         grads.d_head_w, grads.d_head_b)
-    return list(zip(network_param_arrays(net), d_arrays, strict=True))
+
+
+def _param_grad_pairs(net: Network, grads: NetGrads):
+    """Stored tensors paired with their gradients, in file order."""
+    return list(zip(network_param_arrays(net), _grad_arrays(grads),
+                    strict=True))
 
 
 class _Sgd:
@@ -351,15 +392,8 @@ class Metrics:
         return self.confusion.shape[0]
 
 
-EVAL_CHUNK = 256
-
-
 def predict(net: Network, windows: np.ndarray) -> np.ndarray:
-    out = []
-    for start in range(0, len(windows), EVAL_CHUNK):
-        probs = forward_network(net, windows[start:start + EVAL_CHUNK])
-        out.append(np.argmax(probs, axis=-1))
-    return np.concatenate(out) if out else np.zeros(0, dtype=np.int64)
+    return np.argmax(forward_network(net, windows), axis=-1)
 
 
 def evaluate(net: Network, dataset: WindowedDataset) -> Metrics:

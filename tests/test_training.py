@@ -5,15 +5,17 @@ metrics, and the binary model format."""
 import json
 import shutil
 import struct
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from expconv import training
 from expconv.augment import AugmentSpec
 from expconv.constraints import ConstraintPolicy, effective_payload, payload_arrays
 from expconv.dataset import WindowedDataset, gen_synthetic
-from expconv.layers import LayerParams, Standard
+from expconv.layers import VARIANT_TYPES, LayerParams, Standard
 from expconv.numerics import make_rng
 from expconv.training import (
     Network,
@@ -131,6 +133,12 @@ class TestForward:
         with pytest.raises(ValueError, match="does not match"):
             forward_network(tiny_net(), np.zeros((5, 5)))
 
+    def test_empty_batch(self):
+        net = tiny_net(n_classes=3)
+        probs = forward_network(net, np.zeros((0, 4, 3)))
+        assert probs.shape == (0, 3)
+        assert predict(net, np.zeros((0, 4, 3))).shape == (0,)
+
     @pytest.mark.parametrize("variant", NONLINEAR_VARIANTS)
     def test_reduction_at_init_logits(self, variant):
         base = tiny_net("standard", seed=7, activation="tanh")
@@ -209,6 +217,104 @@ class TestNetworkGradients:
             _Sgd(1e-4).step(_param_grad_pairs(net, grads))
             loss1, _ = network_loss_grads(net, ds.windows, ds.labels)
             assert loss1 < loss0
+
+
+class TestStepInputValidation:
+    """Bad batches are a ValueError saying what is wrong, before any work."""
+
+    @pytest.mark.parametrize("labels, match", (
+        ([0, 1, -1], r"lie in \[0, 2\)"),
+        ([0, 1, 2], r"lie in \[0, 2\)"),
+        ([0, 1], r"batch of 3, got int64 labels of shape \(2,\)"),
+        ([[0, 1, 1]], r"shape \(1, 3\)"),
+        ([0.0, 1.0, 1.0], "float64 labels"),
+    ))
+    def test_bad_labels(self, labels, match):
+        ds = labeled_windows(8, n=3)
+        with pytest.raises(ValueError, match=match):
+            network_loss_grads(tiny_net(), ds.windows, np.array(labels))
+
+    @pytest.mark.parametrize("shape", ((3, 4, 4), (3, 3, 4), (4, 3)))
+    def test_window_shape_mismatch(self, shape):
+        with pytest.raises(ValueError, match="does not match declared input"):
+            network_loss_grads(tiny_net(), np.ones(shape),
+                               np.zeros(shape[0], dtype=np.int64))
+
+    def test_empty_batch(self):
+        with pytest.raises(ValueError, match="non-empty batch of 0"):
+            network_loss_grads(tiny_net(), np.zeros((0, 4, 3)),
+                               np.zeros(0, dtype=np.int64))
+
+
+class TestChunkedPasses:
+    """Every pass runs ``EVAL_CHUNK`` windows at a time; the result must not
+    depend on it beyond summation order."""
+
+    @staticmethod
+    def two_layer_net(variant, mode):
+        net = build_network(
+            (8, 6), 3,
+            [{"variant": variant, "k_h": 2, "k_w": 2, "activation": "tanh"},
+             {"variant": variant, "k_h": 3, "k_w": 2, "out_channels": 3,
+              "activation": "tanh"}],
+            policy=ConstraintPolicy(mode=mode), seed=9)
+        rng = make_rng(10)
+        for layer in net.layers:  # channels differ, exponents off neutral
+            for arr in payload_arrays(layer.payload):
+                arr += rng.uniform(-0.2, 0.2, size=arr.shape)
+        return net
+
+    @staticmethod
+    def step(net, windows, labels):
+        loss, grads = network_loss_grads(net, windows, labels)
+        arrays = [g for _, g in _param_grad_pairs(net, grads)]
+        arrays += [b.d_input for b in grads.layers]
+        return loss, arrays, forward_network(net, windows)
+
+    @pytest.mark.parametrize("mode", ("clip", "project", "reparam"))
+    @pytest.mark.parametrize("variant", sorted(VARIANT_TYPES))
+    def test_chunking_keeps_the_result(self, monkeypatch, variant, mode):
+        net = self.two_layer_net(variant, mode)
+        rng = make_rng(11)
+        windows = rng.normal(size=(19, 8, 6))  # not a multiple of the chunk
+        labels = rng.integers(0, 3, size=19)
+        loss, arrays, probs = self.step(net, windows, labels)
+        monkeypatch.setattr(training, "EVAL_CHUNK", 10**6)
+        whole_loss, whole_arrays, whole_probs = self.step(net, windows, labels)
+        assert loss == pytest.approx(whole_loss, rel=1e-12, abs=0)
+        for a, b in zip(arrays, whole_arrays, strict=True):
+            assert a.shape == b.shape
+            np.testing.assert_allclose(a, b, rtol=1e-12,
+                                       atol=1e-12 * np.abs(b).max())
+        np.testing.assert_allclose(probs, whole_probs, rtol=1e-12, atol=0)
+
+    @staticmethod
+    def traced_peak(fn) -> int:
+        tracemalloc.start()
+        try:
+            fn()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    @pytest.mark.parametrize("pass_name", ("step", "forward"))
+    def test_memory_does_not_grow_with_the_batch(self, pass_name):
+        # the plant workload's layer: elementwise 3x3x8 on 40x52 windows
+        net = build_network((40, 52), 3,
+                            [{"variant": "elementwise", "k_h": 3, "k_w": 3,
+                              "out_channels": 8}], seed=12)
+        rng = make_rng(13)
+        windows = rng.normal(size=(64, 40, 52))
+        labels = rng.integers(0, 3, size=64)
+
+        def run(n):
+            if pass_name == "step":
+                return network_loss_grads(net, windows[:n], labels[:n])
+            return forward_network(net, windows[:n])
+        run(8)  # warm up lazy set-up outside the measurement
+        small = self.traced_peak(lambda: run(8))
+        large = self.traced_peak(lambda: run(64))
+        assert large < 1.25 * small, (small, large)
 
 
 class TestTrainLoop:

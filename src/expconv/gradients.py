@@ -64,48 +64,48 @@ class GradBundle:
 
 
 # --------------------------------------------------------------------------
-# Backward of the layer kernel over flattened patches. With g the upstream
-# gradient of channel m's pre-activation, P its powered values, w its
-# filter and L the clamped log-magnitudes, the exponent stage's gradient is
-# D = g * w * P (d loss / d mixed log), and:
-#   d w  = g @ P
+# Backward of the layer kernel over position-major patches (n, N). With g
+# the upstream gradient (N,) of channel m's pre-activations, P its powered
+# values (n, N), w its filter (n,) and L the clamped log-magnitudes (n, N),
+# the exponent stage's gradient is D = w[:, None] * P * g (d loss / d mixed
+# log), and:
+#   d w  = P @ g
 #   d E  = sum over patches of D * L          (diagonal operators)
-#   d K  = D.T @ L                            (matrix operators)
-#   d L  = D * E  or  D @ K                   (summed over channels)
+#   d K  = D @ L.T                            (matrix operators)
+#   d L  = E[:, None] * D  or  K.T @ D        (summed over channels)
 #   d x  = d L / x  outside the DEFAULT_EPS clamp, 0 inside
 #          (d log|x| / dx = 1/x)
 
-def patch_backward(params: LayerParams, cache: LayerCache,
-                   upstream: np.ndarray):
-    """Gradients from the pre-activation upstream (N, M) and a filled cache:
-    (d_weights, d_biases, d_payload, d_patches (N, n))."""
+def patch_backward(params: LayerParams, cache: LayerCache, g: np.ndarray):
+    """Gradients from the pre-activation upstream g (M, N) and a filled
+    cache: (d_weights, d_biases, d_payload, d_patches (n, N))."""
     out_ch = params.out_channels
     weights = params.weights.reshape(out_ch, -1)
     patches = cache.patches
-    g = np.ascontiguousarray(upstream.T)  # (M, N)
     d_biases = g.sum(axis=1)
     op = params.payload.operator(params.k_h, params.k_w)
     if op is None:
-        return ((g @ patches).reshape(params.weights.shape), d_biases,
-                Standard(), g.T @ weights)
+        return ((g @ patches.T).reshape(params.weights.shape), d_biases,
+                Standard(), weights.T @ g)
     log_mag, powered = cache.log_mag, cache.powered
-    # d_mixed = (g * P) * w, so the filter folds into the operator for
+    # d_mixed = w * (P * g), so the filter folds into the operator for
     # d L and into d_op after the sums over patches
     diag = op.ndim == 2
     scaled_op = weights * op if diag else weights[:, :, None] * op
-    d_weights = (g[:, None] @ powered).reshape(params.weights.shape)
+    d_weights = np.matmul(powered, g[:, :, None]).reshape(
+        params.weights.shape)
     d_op = np.empty_like(op)
     d_patches = np.zeros_like(patches)  # d L, turned into d x below
-    gp = np.empty_like(patches)  # g * P of one channel
+    gp = np.empty_like(patches)  # P * g of one channel
     for m in range(out_ch):
-        np.multiply(powered[m], g[m][:, None], out=gp)
+        np.multiply(powered[m], g[m], out=gp)
         if diag:
-            d_op[m] = np.einsum("pi,pi->i", gp, log_mag)
-            gp *= scaled_op[m]
+            d_op[m] = np.einsum("in,in->i", gp, log_mag)
+            gp *= scaled_op[m][:, None]
             d_patches += gp
         else:
-            d_op[m] = gp.T @ log_mag
-            d_patches += gp @ scaled_op[m]
+            d_op[m] = gp @ log_mag.T
+            d_patches += scaled_op[m].T @ gp
     outside = np.abs(patches) > DEFAULT_EPS
     np.divide(d_patches, patches, out=d_patches, where=outside)
     d_patches *= outside
@@ -157,11 +157,13 @@ def layer_backward(x: np.ndarray, params: LayerParams, upstream: np.ndarray,
         layer_forward(x, params, cache)
     g = activation_grad(cache.output, params.activation)
     g *= upstream
+    # channel-major (M, N), a view when g keeps the output's memory order
     d_weights, d_biases, d_payload, d_patches = patch_backward(
-        params, cache, g.reshape(-1, params.out_channels))
-    grid = cache.output.shape[:-1] + (params.k_h, params.k_w)
-    d_input = scatter_patch_grads(d_patches.reshape(grid), x.shape,
-                                  params.stride_t, params.stride_c)
+        params, cache, np.moveaxis(g, -1, 0).reshape(params.out_channels, -1))
+    grid = (params.k_h, params.k_w) + cache.output.shape[:-1]
+    d_input = scatter_patch_grads(
+        np.moveaxis(d_patches.reshape(grid), (0, 1), (-2, -1)), x.shape,
+        params.stride_t, params.stride_c)
     return GradBundle(d_weights, d_biases, d_payload, d_input)
 
 

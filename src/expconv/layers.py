@@ -32,19 +32,21 @@ reduces exactly to ``signed_pow`` whenever the mixing is diagonal.
 
 A layer evaluates all of its output channels from one patch matrix, the
 im2col layout of Chellapilla et al. (2006), "High Performance
-Convolutional Neural Networks for Document Processing": the sign and the
-clamped log-magnitude L = log(max(|x|, DEFAULT_EPS)) of every patch entry are
-computed once per layer. Channel m's powered values are then
-sign * exp(E[m] * L) for a diagonal operator and sign * exp(L @ K[m].T)
-for a matrix (bilinear as K = kron(row_mix, col_mix.T), so
-row_mix @ L @ col_mix is one matrix product over all patches), and its
-pre-activation is one matrix-vector product with its filter.
+Convolutional Neural Networks for Document Processing", stored
+position-major: an (n, N) matrix with one row per kernel position and one
+column per patch, so every elementwise operation runs along the N patches.
+The sign and the clamped log-magnitude L = log(max(|x|, DEFAULT_EPS)) of
+every patch entry are computed once per layer. Channel m's powered values
+are then sign * exp(E[m][:, None] * L) for a diagonal operator and
+sign * exp(K[m] @ L) for a matrix (bilinear as K = kron(row_mix, col_mix.T),
+so row_mix @ L @ col_mix is one matrix product over all patches), and its
+pre-activation is one vector-matrix product with its filter.
 
 ``layer_forward(x, params, cache)`` keeps the patches, log-magnitudes,
 every channel's powered values and the output in a ``LayerCache`` (a
 fresh one when none is passed) that ``layer_backward`` reads, so the
 exponent stage runs once per training step. The powered values alone are
-M * N * n floats for N patches, so the kernel's memory grows with the
+M * n * N floats for N patches, so the kernel's memory grows with the
 number of windows it is given; training and evaluation pass a few windows
 at a time (``training.EVAL_CHUNK``). The single-receptive-field
 ``unit_*`` functions are separate direct implementations and serve as the
@@ -392,20 +394,22 @@ def unit_forward(x: np.ndarray, weights: np.ndarray, bias: float,
 
 
 # --------------------------------------------------------------------------
-# Layer kernel. Patches are flattened row-major to (N, n) with n = k_h * k_w
-# (the im2col layout). Every exponent variant is an operator on the clamped
-# log-magnitudes L of a patch (``Payload.operator`` of the layer's stacked
-# payload): (M, n) diagonals or (M, n, n) matrices. Channel m's powered
-# values are sign * exp(L * E[m]) or sign * exp(L @ K[m].T), and its
-# pre-activation is one matrix-vector product with its flattened filter.
+# Layer kernel. Patches are laid out position-major as an (n, N) matrix
+# with n = k_h * k_w row-major kernel positions and N patches (the im2col
+# layout, transposed). Every exponent variant is an operator on the clamped
+# log-magnitudes L of the patches (``Payload.operator`` of the layer's
+# stacked payload): (M, n) diagonals or (M, n, n) matrices. Channel m's
+# powered values are sign * exp(E[m][:, None] * L) or sign * exp(K[m] @ L),
+# and its pre-activations are one vector-matrix product with its flattened
+# filter.
 
 @dataclass
 class LayerCache:
     """What ``layer_forward`` keeps of its input for ``layer_backward``.
 
-    patches  (N, n) flattened receptive fields, -0.0 stored as +0.0
-    log_mag  (N, n) clamped log-magnitudes; None for standard layers
-    powered  (M, N, n) signed powered values of every channel; None for
+    patches  (n, N) position-major receptive fields, -0.0 stored as +0.0
+    log_mag  (n, N) clamped log-magnitudes; None for standard layers
+    powered  (M, n, N) signed powered values of every channel; None for
              standard layers
     output   the feature map, (..., grid_t, grid_c, M)
     """
@@ -418,7 +422,8 @@ class LayerCache:
 
 def patch_preacts(patches: np.ndarray, params: LayerParams,
                   cache: LayerCache) -> np.ndarray:
-    """Pre-activations (N, M) of every channel over flattened patches (N, n).
+    """Pre-activations (M, N) of every channel over position-major patches
+    (n, N).
 
     ``patches`` may be modified in place (-0.0 becomes +0.0). The patches,
     their log-magnitudes and every channel's powered values are kept in
@@ -426,11 +431,12 @@ def patch_preacts(patches: np.ndarray, params: LayerParams,
     """
     out_ch = params.out_channels
     weights = params.weights.reshape(out_ch, -1)
+    biases = params.biases[:, None]
     op = params.payload.operator(params.k_h, params.k_w)
     cache.patches = patches
     if op is None:
-        preact = (weights @ patches.T).T
-        preact += params.biases
+        preact = weights @ patches
+        preact += biases
         return preact
     patches += 0.0  # copysign then gives sign(0) = +1, as signed_pow
     log_mag = np.abs(patches)
@@ -438,18 +444,17 @@ def patch_preacts(patches: np.ndarray, params: LayerParams,
     np.log(log_mag, out=log_mag)
     powered = np.empty((out_ch, *patches.shape))
     cache.log_mag, cache.powered = log_mag, powered
-    channel_major = np.empty((out_ch, len(patches)))
+    preact = np.empty((out_ch, patches.shape[1]))
     with np.errstate(over="ignore"):  # overflow is reported by layer_forward
         for m, z in enumerate(powered):
             if op.ndim == 2:
-                np.multiply(log_mag, op[m], out=z)
+                np.multiply(log_mag, op[m][:, None], out=z)
             else:
-                np.matmul(log_mag, op[m].T, out=z)
+                np.matmul(op[m], log_mag, out=z)
             np.exp(z, out=z)
             np.copysign(z, patches, out=z)
-            np.matmul(z, weights[m], out=channel_major[m])
-    preact = channel_major.T
-    preact += params.biases
+            np.matmul(weights[m], z, out=preact[m])
+    preact += biases
     return preact
 
 
@@ -459,8 +464,9 @@ def channel_preact(patches: np.ndarray, weights: np.ndarray, bias: float,
     through the layer kernel; ``patches`` is left as it was."""
     params = LayerParams(np.asarray(weights)[None], np.array([bias]), [ewm])
     n = params.k_h * params.k_w
-    flat = np.array(patches, dtype=np.float64).reshape(-1, n)
-    return patch_preacts(flat, params, LayerCache())[:, 0].reshape(
+    flat = np.array(np.reshape(patches, (-1, n)).T, dtype=np.float64,
+                    order="C")
+    return patch_preacts(flat, params, LayerCache())[0].reshape(
         np.shape(patches)[:-2])
 
 
@@ -503,12 +509,15 @@ def layer_forward(x: np.ndarray, params: LayerParams,
                               params.k_h, params.k_w,
                               params.stride_t, params.stride_c)
     lead = patches.shape[:-2]
-    preact = patch_preacts(patches.reshape(-1, params.k_h * params.k_w),
-                           params, cache)
+    # a view: extract_patches stores its copy kernel-offset-major
+    flat = np.moveaxis(patches, (-2, -1), (0, 1)).reshape(
+        params.k_h * params.k_w, -1)
+    preact = patch_preacts(flat, params, cache)
     if not np.isfinite(preact).all():
         raise FloatingPointError("feature map contains non-finite values")
-    out = apply_activation(preact.reshape(*lead, params.out_channels),
-                           params.activation, inplace=True)
+    apply_activation(preact, params.activation, inplace=True)
+    # channel-last view of the channel-major (M, N) pre-activations
+    out = preact.T.reshape(*lead, params.out_channels)
     cache.output = out
     return out
 

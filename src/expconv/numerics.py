@@ -82,12 +82,19 @@ def extract_patches(x: np.ndarray, k_h: int, k_w: int,
     """All valid receptive fields of a T x C input (or a batch of them).
 
     Returns an array of shape (..., grid_t, grid_c, k_h, k_w) in row-major
-    grid order; patch values are copies of the input sub-blocks.
+    grid order; patch values are writable copies of the input sub-blocks.
+    The copy is stored kernel-offset-major: in memory it is a C-contiguous
+    (k_h, k_w, ..., grid_t, grid_c) array, so moving the last two axes to
+    the front and flattening gives the (n, N) patch matrix of the layer
+    kernels (n = k_h * k_w positions, N patches) without another copy.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim < 2:
         raise ValueError("input must be at least 2-D (time x channels)")
     patch_grid(x.shape[-2], x.shape[-1], k_h, k_w, stride_t, stride_c)
     windows = np.lib.stride_tricks.sliding_window_view(
-        x, (k_h, k_w), axis=(-2, -1))
-    return windows[..., ::stride_t, ::stride_c, :, :].copy()
+        x, (k_h, k_w), axis=(-2, -1))[..., ::stride_t, ::stride_c, :, :]
+    # .copy() always copies; ascontiguousarray would hand back the
+    # read-only view itself when the input is one kernel-sized window
+    offset_major = np.moveaxis(windows, (-2, -1), (0, 1)).copy()
+    return np.moveaxis(offset_major, (0, 1), (-2, -1))

@@ -2,8 +2,12 @@
 their inverses and derivatives, and neutral initialization under every
 mode."""
 
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from expconv.constraints import (
     ConstraintPolicy,
@@ -214,6 +218,23 @@ class TestReparamMaps:
         normal = log_exact > np.log(1e-290)
         np.testing.assert_allclose(np.log(gaps[normal]), log_exact[normal],
                                    rtol=0, atol=1e-9)
+
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    @given(st.floats(-1000.0, 1000.0), st.floats(-1000.0, 1000.0))
+    @settings(max_examples=300, deadline=None)
+    def test_gap_property(self, kind, x, y):
+        # finite, never negative and warning-free for any a <= b in
+        # [-1000, 1000]; strictly positive where the exact gap is at least
+        # about 1e-267 (tanh, both ends at 300, b - a = 1e-6). Far in the
+        # tails the exact gap underflows float64, so 0 there is correct.
+        a, b = min(x, y), max(x, y)
+        pol = ConstraintPolicy(mode="reparam", kind=kind)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            gap = forward_gap(a, b, pol)
+        assert np.isfinite(gap) and gap >= 0.0
+        if b - a >= 1e-6 and max(abs(a), abs(b)) <= 300.0:
+            assert gap > 0.0
 
     @pytest.mark.parametrize("kind", ALL_KINDS)
     def test_gap_agrees_with_direct_subtraction_in_core(self, kind):

@@ -140,10 +140,25 @@ class TestExtractPatches:
                             assert (gt, gc) == (brute_t, brute_c)
 
     def test_patches_are_copies(self):
-        x = np.zeros((3, 3))
-        patches = extract_patches(x, 2, 2, 1, 1)
-        patches[0, 0, 0, 0] = 99.0
-        assert x[0, 0] == 0.0
+        rng = make_rng(5)
+        for shape, kernel, strides in (((3, 3), (2, 2), (1, 1)),
+                                       ((3, 2), (3, 2), (1, 1)),  # one window
+                                       ((2, 9, 7), (3, 2), (2, 3))):  # batch
+            x = rng.normal(size=shape)
+            before = x.copy()
+            patches = extract_patches(x, *kernel, *strides)
+            assert patches.flags.writeable
+            patches[...] = 99.0
+            np.testing.assert_array_equal(x, before)
+
+    def test_patch_matrix_is_a_view(self):
+        # stored kernel-offset-major: the (n, N) patch matrix of the layer
+        # kernels is a C-contiguous view of the copy
+        x = make_rng(6).normal(size=(2, 9, 7))
+        patches = extract_patches(x, 3, 2, 2, 1)
+        flat = np.moveaxis(patches, (-2, -1), (0, 1)).reshape(6, -1)
+        assert flat.flags.c_contiguous and np.shares_memory(flat, patches)
+        np.testing.assert_array_equal(flat.T, patches.reshape(-1, 6))
 
     def test_kernel_too_large(self):
         with pytest.raises(ValueError):

@@ -20,7 +20,7 @@ the clamp boundary.
 channels at once and reads the signs, log-magnitudes and powered values
 from the ``LayerCache`` that ``layer_forward`` filled; it never evaluates
 the exponent stage again. Called without a cache (gradient checks, single
-calls), it first runs the same forward kernel to fill one, so training and
+calls), it first runs ``layer_forward`` to fill one, so training and
 checking share one code path. Every contraction over patches is a matrix
 product. A cache holds every channel's powered values for the windows of
 one call, so training calls it on a few windows at a time and sums their
@@ -63,57 +63,6 @@ class GradBundle:
     d_input: np.ndarray     # same shape as the layer input
 
 
-# --------------------------------------------------------------------------
-# Backward of the layer kernel over position-major patches (n, N). With g
-# the upstream gradient (N,) of channel m's pre-activations, P its powered
-# values (n, N), w its filter (n,) and L the clamped log-magnitudes (n, N),
-# the exponent stage's gradient is D = w[:, None] * P * g (d loss / d mixed
-# log), and:
-#   d w  = P @ g
-#   d E  = sum over patches of D * L          (diagonal operators)
-#   d K  = D @ L.T                            (matrix operators)
-#   d L  = E[:, None] * D  or  K.T @ D        (summed over channels)
-#   d x  = d L / x  outside the DEFAULT_EPS clamp, 0 inside
-#          (d log|x| / dx = 1/x)
-
-def patch_backward(params: LayerParams, cache: LayerCache, g: np.ndarray):
-    """Gradients from the pre-activation upstream g (M, N) and a filled
-    cache: (d_weights, d_biases, d_payload, d_patches (n, N))."""
-    out_ch = params.out_channels
-    weights = params.weights.reshape(out_ch, -1)
-    patches = cache.patches
-    d_biases = g.sum(axis=1)
-    op = params.payload.operator(params.k_h, params.k_w)
-    if op is None:
-        return ((g @ patches.T).reshape(params.weights.shape), d_biases,
-                Standard(), weights.T @ g)
-    log_mag, powered = cache.log_mag, cache.powered
-    # d_mixed = w * (P * g), so the filter folds into the operator for
-    # d L and into d_op after the sums over patches
-    diag = op.ndim == 2
-    scaled_op = weights * op if diag else weights[:, :, None] * op
-    d_weights = np.matmul(powered, g[:, :, None]).reshape(
-        params.weights.shape)
-    d_op = np.empty_like(op)
-    d_patches = np.zeros_like(patches)  # d L, turned into d x below
-    gp = np.empty_like(patches)  # P * g of one channel
-    for m in range(out_ch):
-        np.multiply(powered[m], g[m], out=gp)
-        if diag:
-            d_op[m] = np.einsum("in,in->i", gp, log_mag)
-            gp *= scaled_op[m][:, None]
-            d_patches += gp
-        else:
-            d_op[m] = gp @ log_mag.T
-            d_patches += scaled_op[m].T @ gp
-    outside = np.abs(patches) > DEFAULT_EPS
-    np.divide(d_patches, patches, out=d_patches, where=outside)
-    d_patches *= outside
-    d_op *= weights if diag else weights[:, :, None]
-    d_payload = params.payload.operator_grad(d_op, params.k_h, params.k_w)
-    return d_weights, d_biases, d_payload, d_patches
-
-
 def unit_backward(x: np.ndarray, weights: np.ndarray, bias: float,
                   ewm: Payload, upstream: float = 1.0):
     """Single-receptive-field backward through the layer kernel.
@@ -130,17 +79,35 @@ def unit_backward(x: np.ndarray, weights: np.ndarray, bias: float,
 def scatter_patch_grads(d_patches: np.ndarray, input_shape: tuple,
                         stride_t: int, stride_c: int) -> np.ndarray:
     """Accumulate per-patch input gradients back onto the input grid
-    (inverse of extract_patches for gradients; overlaps add)."""
-    *lead, grid_t, grid_c, k_h, k_w = d_patches.shape
+    (inverse of extract_patches for gradients; overlaps add).
+
+    ``d_patches`` is position-major, (k_h, k_w, ..., grid_t, grid_c): entry
+    [ky, kx] holds the gradient of every patch's (ky, kx) position, as
+    ``layer_backward``'s (n, N) patch gradients reshaped.
+    """
+    k_h, k_w, *lead, grid_t, grid_c = d_patches.shape
     d_input = np.zeros(input_shape, dtype=np.float64)
     for ky in range(k_h):
         t_stop = ky + stride_t * grid_t
         for kx in range(k_w):
             c_stop = kx + stride_c * grid_c
             d_input[..., ky:t_stop:stride_t, kx:c_stop:stride_c] += \
-                d_patches[..., :, :, ky, kx]
+                d_patches[ky, kx]
     return d_input
 
+
+# --------------------------------------------------------------------------
+# Backward of the layer kernel, ``layer_backward``, over position-major
+# patches (n, N). With g the upstream gradient (N,) of channel m's
+# pre-activations, P its powered values (n, N), w its filter (n,) and L the
+# clamped log-magnitudes (n, N), the exponent stage's gradient is
+# D = w[:, None] * P * g (d loss / d mixed log), and:
+#   d w  = P @ g
+#   d E  = sum over patches of D * L          (diagonal operators)
+#   d K  = D @ L.T                            (matrix operators)
+#   d L  = E[:, None] * D  or  K.T @ D        (summed over channels)
+#   d x  = d L / x  outside the DEFAULT_EPS clamp, 0 inside
+#          (d log|x| / dx = 1/x)
 
 def layer_backward(x: np.ndarray, params: LayerParams, upstream: np.ndarray,
                    cache: LayerCache | None = None) -> GradBundle:
@@ -157,13 +124,46 @@ def layer_backward(x: np.ndarray, params: LayerParams, upstream: np.ndarray,
         layer_forward(x, params, cache)
     g = activation_grad(cache.output, params.activation)
     g *= upstream
+    out_ch = params.out_channels
     # channel-major (M, N), a view when g keeps the output's memory order
-    d_weights, d_biases, d_payload, d_patches = patch_backward(
-        params, cache, np.moveaxis(g, -1, 0).reshape(params.out_channels, -1))
-    grid = (params.k_h, params.k_w) + cache.output.shape[:-1]
+    g = np.moveaxis(g, -1, 0).reshape(out_ch, -1)
+    weights = params.weights.reshape(out_ch, -1)
+    patches = cache.patches
+    d_biases = g.sum(axis=1)
+    op = params.payload.operator(params.k_h, params.k_w)
+    if op is None:
+        d_weights = (g @ patches.T).reshape(params.weights.shape)
+        d_payload = Standard()
+        d_patches = weights.T @ g
+    else:
+        log_mag, powered = cache.log_mag, cache.powered
+        # d_mixed = w * (P * g), so the filter folds into the operator for
+        # d L and into d_op after the sums over patches
+        diag = op.ndim == 2
+        scaled_op = weights * op if diag else weights[:, :, None] * op
+        d_weights = np.matmul(powered, g[:, :, None]).reshape(
+            params.weights.shape)
+        d_op = np.empty_like(op)
+        d_patches = np.zeros_like(patches)  # d L, turned into d x below
+        gp = np.empty_like(patches)  # P * g of one channel
+        for m in range(out_ch):
+            np.multiply(powered[m], g[m], out=gp)
+            if diag:
+                d_op[m] = np.einsum("in,in->i", gp, log_mag)
+                gp *= scaled_op[m][:, None]
+                d_patches += gp
+            else:
+                d_op[m] = gp @ log_mag.T
+                d_patches += scaled_op[m].T @ gp
+        outside = np.abs(patches) > DEFAULT_EPS
+        np.divide(d_patches, patches, out=d_patches, where=outside)
+        d_patches *= outside
+        d_op *= weights if diag else weights[:, :, None]
+        d_payload = params.payload.operator_grad(d_op, params.k_h, params.k_w)
+        del gp, outside  # freed before the scatter allocates d_input
     d_input = scatter_patch_grads(
-        np.moveaxis(d_patches.reshape(grid), (0, 1), (-2, -1)), x.shape,
-        params.stride_t, params.stride_c)
+        d_patches.reshape((params.k_h, params.k_w) + cache.output.shape[:-1]),
+        x.shape, params.stride_t, params.stride_c)
     return GradBundle(d_weights, d_biases, d_payload, d_input)
 
 

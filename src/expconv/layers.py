@@ -394,20 +394,22 @@ def unit_forward(x: np.ndarray, weights: np.ndarray, bias: float,
 
 
 # --------------------------------------------------------------------------
-# Layer kernel. Patches are laid out position-major as an (n, N) matrix
-# with n = k_h * k_w row-major kernel positions and N patches (the im2col
-# layout, transposed). Every exponent variant is an operator on the clamped
-# log-magnitudes L of the patches (``Payload.operator`` of the layer's
-# stacked payload): (M, n) diagonals or (M, n, n) matrices. Channel m's
-# powered values are sign * exp(E[m][:, None] * L) or sign * exp(K[m] @ L),
-# and its pre-activations are one vector-matrix product with its flattened
-# filter.
+# Layer kernel, ``layer_forward`` (its backward is
+# ``gradients.layer_backward``). Patches are laid out position-major as an
+# (n, N) matrix with n = k_h * k_w row-major kernel positions and N patches
+# (the im2col layout, transposed). Every exponent variant is an operator
+# on the clamped log-magnitudes L of the patches (``Payload.operator`` of
+# the layer's stacked payload): (M, n) diagonals or (M, n, n) matrices.
+# Channel m's powered values are sign * exp(E[m][:, None] * L) or
+# sign * exp(K[m] @ L), and its pre-activations are one vector-matrix
+# product with its flattened filter.
 
 @dataclass
 class LayerCache:
     """What ``layer_forward`` keeps of its input for ``layer_backward``.
 
-    patches  (n, N) position-major receptive fields, -0.0 stored as +0.0
+    patches  (n, N) position-major receptive fields; -0.0 stored as +0.0
+             except in standard layers
     log_mag  (n, N) clamped log-magnitudes; None for standard layers
     powered  (M, n, N) signed powered values of every channel; None for
              standard layers
@@ -420,54 +422,14 @@ class LayerCache:
     output: np.ndarray | None = None
 
 
-def patch_preacts(patches: np.ndarray, params: LayerParams,
-                  cache: LayerCache) -> np.ndarray:
-    """Pre-activations (M, N) of every channel over position-major patches
-    (n, N).
-
-    ``patches`` may be modified in place (-0.0 becomes +0.0). The patches,
-    their log-magnitudes and every channel's powered values are kept in
-    ``cache``, so the memory held grows with N.
-    """
-    out_ch = params.out_channels
-    weights = params.weights.reshape(out_ch, -1)
-    biases = params.biases[:, None]
-    op = params.payload.operator(params.k_h, params.k_w)
-    cache.patches = patches
-    if op is None:
-        preact = weights @ patches
-        preact += biases
-        return preact
-    patches += 0.0  # copysign then gives sign(0) = +1, as signed_pow
-    log_mag = np.abs(patches)
-    np.maximum(log_mag, DEFAULT_EPS, out=log_mag)
-    np.log(log_mag, out=log_mag)
-    powered = np.empty((out_ch, *patches.shape))
-    cache.log_mag, cache.powered = log_mag, powered
-    preact = np.empty((out_ch, patches.shape[1]))
-    with np.errstate(over="ignore"):  # overflow is reported by layer_forward
-        for m, z in enumerate(powered):
-            if op.ndim == 2:
-                np.multiply(log_mag, op[m][:, None], out=z)
-            else:
-                np.matmul(op[m], log_mag, out=z)
-            np.exp(z, out=z)
-            np.copysign(z, patches, out=z)
-            np.matmul(weights[m], z, out=preact[m])
-    preact += biases
-    return preact
-
-
 def channel_preact(patches: np.ndarray, weights: np.ndarray, bias: float,
                    ewm: Payload) -> np.ndarray:
-    """Pre-activations of one channel over a stack of patches (..., k_h, k_w),
-    through the layer kernel; ``patches`` is left as it was."""
+    """Pre-activations of one channel over a stack of patches (..., k_h, k_w):
+    ``layer_forward`` of a one-channel layer on each patch as a kernel-sized
+    window. ``patches`` is left as it was."""
     params = LayerParams(np.asarray(weights)[None], np.array([bias]), [ewm])
-    n = params.k_h * params.k_w
-    flat = np.array(np.reshape(patches, (-1, n)).T, dtype=np.float64,
-                    order="C")
-    return patch_preacts(flat, params, LayerCache())[0].reshape(
-        np.shape(patches)[:-2])
+    windows = np.reshape(patches, (-1, params.k_h, params.k_w))
+    return layer_forward(windows, params).reshape(np.shape(patches)[:-2])
 
 
 def apply_activation(preact: np.ndarray, activation: str,
@@ -500,8 +462,10 @@ def layer_forward(x: np.ndarray, params: LayerParams,
 
     Accepts a (T, C) input or a batch (..., T, C); the feature map has
     shape (..., grid_t, grid_c, out_channels). Parameters are not mutated.
-    A cache, when given, is filled for ``layer_backward``. A non-finite
-    pre-activation (an overflowing power) raises FloatingPointError.
+    A cache, when given, is filled for ``layer_backward``; it holds every
+    channel's powered values, so its memory grows with the number of
+    patches. A non-finite pre-activation (an overflowing power) raises
+    FloatingPointError.
     """
     if cache is None:
         cache = LayerCache()
@@ -509,10 +473,33 @@ def layer_forward(x: np.ndarray, params: LayerParams,
                               params.k_h, params.k_w,
                               params.stride_t, params.stride_c)
     lead = patches.shape[:-2]
-    # a view: extract_patches stores its copy kernel-offset-major
-    flat = np.moveaxis(patches, (-2, -1), (0, 1)).reshape(
+    out_ch = params.out_channels
+    weights = params.weights.reshape(out_ch, -1)
+    op = params.payload.operator(params.k_h, params.k_w)
+    # (n, N), a view: extract_patches stores its copy kernel-offset-major
+    patches = np.moveaxis(patches, (-2, -1), (0, 1)).reshape(
         params.k_h * params.k_w, -1)
-    preact = patch_preacts(flat, params, cache)
+    cache.patches = patches
+    if op is None:
+        preact = weights @ patches
+    else:
+        patches += 0.0  # copysign then gives sign(0) = +1, as signed_pow
+        log_mag = np.abs(patches)
+        np.maximum(log_mag, DEFAULT_EPS, out=log_mag)
+        np.log(log_mag, out=log_mag)
+        powered = np.empty((out_ch, *patches.shape))
+        cache.log_mag, cache.powered = log_mag, powered
+        preact = np.empty((out_ch, patches.shape[1]))
+        with np.errstate(over="ignore"):  # overflow is reported below
+            for m, z in enumerate(powered):
+                if op.ndim == 2:
+                    np.multiply(log_mag, op[m][:, None], out=z)
+                else:
+                    np.matmul(op[m], log_mag, out=z)
+                np.exp(z, out=z)
+                np.copysign(z, patches, out=z)
+                np.matmul(weights[m], z, out=preact[m])
+    preact += params.biases[:, None]
     if not np.isfinite(preact).all():
         raise FloatingPointError("feature map contains non-finite values")
     apply_activation(preact, params.activation, inplace=True)

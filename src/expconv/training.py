@@ -37,7 +37,7 @@ from .constraints import (
 from .dataset import WindowedDataset
 from .gradients import layer_backward
 from .layers import VARIANT_TYPES, LayerCache, LayerParams, layer_forward, output_grid
-from .numerics import make_rng
+from .numerics import as_tensor, make_rng
 
 FORMAT_MAGIC = b"EXPC"
 FORMAT_VERSION = 1
@@ -55,8 +55,8 @@ class Network:
     n_classes: int
 
     def __post_init__(self):
-        self.head_w = np.asarray(self.head_w, dtype=np.float64)
-        self.head_b = np.asarray(self.head_b, dtype=np.float64)
+        self.head_w = as_tensor(self.head_w, "head_w")
+        self.head_b = as_tensor(self.head_b, "head_b")
         if not self.layers:
             raise ValueError("need at least one convolution layer")
         if len(self.policies) != len(self.layers):

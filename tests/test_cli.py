@@ -105,6 +105,19 @@ class TestConfigValidation:
         assert cli.main(["train", "--config", str(path)]) == 2
         assert "variant" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("section, value", [
+        ("constraints", {"v_min": 2.0}),  # the bounds must straddle 1
+        ("train", {"beta1": 1.0}),
+        ("augment", [{"op": "exp_augment", "lo": 3.0, "hi": 1.0}]),
+    ])
+    def test_checks_past_the_schema_exit_2(self, tmp_path, capsys, section,
+                                           value):
+        path = write_config(tmp_path, **{section: value})
+        assert cli.main(["train", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert err.startswith(f"config error: {section}: ")
+
 
 def integer_fields(schema, path=()):
     """Every path the config schema types "integer"; array items at 0."""
@@ -244,6 +257,19 @@ class TestTrainCommand:
         echoed = json.loads((tmp_path / "a" / "config.json").read_text())
         assert echoed["train"]["seed"] == 1
 
+    @pytest.mark.parametrize("layer, strides", [
+        ({"stride": 2}, (2, 2)),
+        ({"stride": 2, "stride_t": 1}, (1, 2)),
+    ])
+    def test_stride_shorthand(self, tmp_path, layer, strides):
+        path = write_config(
+            tmp_path, train={"epochs": 1, "seed": 0},
+            model={"layers": [{"variant": "elementwise", "k_h": 2, "k_w": 2,
+                               **layer}]})
+        assert cli.main(["train", "--config", str(path)]) == 0
+        trained = load_model(tmp_path / "out" / "model.bin").layers[0]
+        assert (trained.stride_t, trained.stride_c) == strides
+
     def test_plant_file_mode(self, tmp_path):
         make_plant_fixtures(tmp_path)
         path = write_config(
@@ -338,6 +364,21 @@ class TestEvalCommand:
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1
         assert "layer 0: stored exponents" in err
+
+    @pytest.mark.parametrize("name, value", [("head_w", np.nan),
+                                             ("head_b", np.inf)])
+    def test_non_finite_head_exits_2(self, tmp_path, capsys, name, value):
+        net = build_network((6, 3), 2, [{"variant": "elementwise", "k_h": 2,
+                                         "k_w": 2, "activation": "tanh"}])
+        getattr(net, name)[0] = value
+        model = tmp_path / "model.bin"
+        save_model(net, model)
+        path = write_config(tmp_path)
+        rc = cli.main(["eval", "--config", str(path), "--model", str(model)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert str(model) in err and f"{name} contains non-finite" in err
 
     def test_missing_model_file(self, tmp_path):
         path = write_config(tmp_path)
@@ -439,7 +480,8 @@ class TestAugmentCommand:
 
 class TestBundledConfig:
     def test_tiny_synth_config_trains(self, tmp_path):
-        cfg = json.loads(open("configs/tiny_synth.json").read())
+        cfg = json.loads((Path(__file__).parent.parent / "configs"
+                          / "tiny_synth.json").read_text())
         cfg["output"]["dir"] = str(tmp_path / "out")
         path = tmp_path / "tiny.json"
         path.write_text(json.dumps(cfg))

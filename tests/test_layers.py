@@ -14,9 +14,11 @@ from expconv.layers import (
     LayerParams,
     RowShared,
     Standard,
+    channel_preact,
     layer_forward,
     output_grid,
     payload_arrays,
+    payload_map,
     unit_bilinear,
     unit_elementwise,
     unit_forward,
@@ -382,6 +384,29 @@ class TestLayerForward:
                              [Elementwise(np.array([[400.0]]))])
         with pytest.raises(FloatingPointError):
             layer_forward(np.full((1, 1), 10.0), params)
+
+
+class TestChannelPreact:
+    @pytest.mark.parametrize("variant", sorted(VARIANT_TYPES))
+    @pytest.mark.parametrize("lead", [(), (5,), (2, 3, 4)])
+    def test_matches_unit_forward(self, variant, lead):
+        rng = make_rng(14)
+        k_h, k_w = 3, 2
+        ewm = payload_map(VARIANT_TYPES[variant].neutral(k_h, k_w),
+                          lambda a: a + rng.uniform(-0.3, 0.3, a.shape))
+        weights = rng.normal(size=(k_h, k_w))
+        patches = rng.uniform(0.1, 3.0, size=lead + (k_h, k_w)) \
+            * rng.choice([-1.0, 1.0], size=lead + (k_h, k_w))
+        patches.reshape(-1)[0] = -0.0
+        before = patches.copy()
+        out = channel_preact(patches, weights, 0.4, ewm)
+        assert out.shape == lead
+        want = [unit_forward(p, weights, 0.4, ewm)
+                for p in patches.reshape(-1, k_h, k_w)]
+        np.testing.assert_allclose(out.reshape(-1), want, rtol=1e-9)
+        # left as it was, the sign of -0.0 included
+        np.testing.assert_array_equal(patches, before)
+        assert np.signbit(patches.reshape(-1)[0])
 
 
 class TestReductionAtInit:

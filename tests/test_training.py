@@ -3,6 +3,7 @@ optimizers, the training loop with constraint enforcement, evaluation
 metrics, and the binary model format."""
 
 import json
+import re
 import shutil
 import struct
 import tracemalloc
@@ -645,6 +646,18 @@ class TestModelFormat:
         self.rewrite_metadata(path, tighten)
         with pytest.raises(ValueError,
                            match=r"layer 1: stored exponents .*1\.05"):
+            load_model(path)
+
+    @pytest.mark.parametrize("name, value", [("head_w", np.nan),
+                                             ("head_b", np.inf)])
+    def test_non_finite_head_rejected(self, tmp_path, name, value):
+        net = tiny_net(seed=71)
+        getattr(net, name)[0] = value
+        path = tmp_path / "model.bin"
+        save_model(net, path)
+        with pytest.raises(ValueError,
+                           match=f"{re.escape(str(path))}: {name} contains "
+                                 "non-finite"):
             load_model(path)
 
     def test_reparam_values_rejected_after_a_mode_edit(self, tmp_path):

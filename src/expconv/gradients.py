@@ -17,14 +17,17 @@ locally constant, so the function/gradient pair stays consistent away from
 the clamp boundary.
 
 ``layer_backward`` works on the layer kernel's patch matrix for all
-channels at once and reads the signs, log-magnitudes and powered values
-from the ``LayerCache`` that ``layer_forward`` filled; it never evaluates
-the exponent stage again. Called without a cache (gradient checks, single
-calls), it first runs ``layer_forward`` to fill one, so training and
-checking share one code path. Every contraction over patches is a matrix
-product. A cache holds every channel's powered values for the windows of
-one call, so training calls it on a few windows at a time and sums their
-parameter gradients (``training.network_loss_grads``).
+channels at once and reads the log-magnitudes and powered values from the
+``LayerCache`` that ``layer_forward`` filled; it never evaluates the
+exponent stage again. Its gradient with respect to log|x| is summed onto
+the input grid first and divided by x there, once per input entry, since
+every patch entry of one input shares its x. Called without a cache
+(gradient checks, single calls), it first runs ``layer_forward`` to fill
+one, so training and checking share one code path. Every contraction
+over patches is a matrix product. A cache holds every channel's powered
+values for the windows of one call, so training calls it on a few windows
+at a time and sums their parameter gradients
+(``training.network_loss_grads``).
 """
 
 from __future__ import annotations
@@ -106,8 +109,8 @@ def scatter_patch_grads(d_patches: np.ndarray, input_shape: tuple,
 #   d E  = sum over patches of D * L          (diagonal operators)
 #   d K  = D @ L.T                            (matrix operators)
 #   d L  = E[:, None] * D  or  K.T @ D        (summed over channels)
-#   d x  = d L / x  outside the DEFAULT_EPS clamp, 0 inside
-#          (d log|x| / dx = 1/x)
+#   d x  = (d L summed onto the input grid) / x  outside the DEFAULT_EPS
+#          clamp, 0 inside (d log|x| / dx = 1/x)
 
 def layer_backward(x: np.ndarray, params: LayerParams, upstream: np.ndarray,
                    cache: LayerCache | None = None) -> GradBundle:
@@ -128,11 +131,10 @@ def layer_backward(x: np.ndarray, params: LayerParams, upstream: np.ndarray,
     # channel-major (M, N), a view when g keeps the output's memory order
     g = np.moveaxis(g, -1, 0).reshape(out_ch, -1)
     weights = params.weights.reshape(out_ch, -1)
-    patches = cache.patches
     d_biases = g.sum(axis=1)
     op = params.payload.operator(params.k_h, params.k_w)
     if op is None:
-        d_weights = (g @ patches.T).reshape(params.weights.shape)
+        d_weights = (g @ cache.patches.T).reshape(params.weights.shape)
         d_payload = Standard()
         d_patches = weights.T @ g
     else:
@@ -144,8 +146,8 @@ def layer_backward(x: np.ndarray, params: LayerParams, upstream: np.ndarray,
         d_weights = np.matmul(powered, g[:, :, None]).reshape(
             params.weights.shape)
         d_op = np.empty_like(op)
-        d_patches = np.zeros_like(patches)  # d L, turned into d x below
-        gp = np.empty_like(patches)  # P * g of one channel
+        d_patches = np.zeros_like(log_mag)  # d L, turned into d x below
+        gp = np.empty_like(log_mag)  # P * g of one channel
         for m in range(out_ch):
             np.multiply(powered[m], g[m], out=gp)
             if diag:
@@ -155,15 +157,17 @@ def layer_backward(x: np.ndarray, params: LayerParams, upstream: np.ndarray,
             else:
                 d_op[m] = gp @ log_mag.T
                 d_patches += scaled_op[m].T @ gp
-        outside = np.abs(patches) > DEFAULT_EPS
-        np.divide(d_patches, patches, out=d_patches, where=outside)
-        d_patches *= outside
         d_op *= weights if diag else weights[:, :, None]
         d_payload = params.payload.operator_grad(d_op, params.k_h, params.k_w)
-        del gp, outside  # freed before the scatter allocates d_input
+        del gp  # freed before the scatter allocates d_input
     d_input = scatter_patch_grads(
         d_patches.reshape((params.k_h, params.k_w) + cache.output.shape[:-1]),
         x.shape, params.stride_t, params.stride_c)
+    if op is not None:
+        # d L summed per input entry; d log|x| / dx = 1/x
+        outside = np.abs(x) > DEFAULT_EPS
+        np.divide(d_input, x, out=d_input, where=outside)
+        d_input *= outside
     return GradBundle(d_weights, d_biases, d_payload, d_input)
 
 

@@ -35,20 +35,23 @@ im2col layout of Chellapilla et al. (2006), "High Performance
 Convolutional Neural Networks for Document Processing", stored
 position-major: an (n, N) matrix with one row per kernel position and one
 column per patch, so every elementwise operation runs along the N patches.
-The sign and the clamped log-magnitude L = log(max(|x|, DEFAULT_EPS)) of
-every patch entry are computed once per layer. Channel m's powered values
-are then sign * exp(E[m][:, None] * L) for a diagonal operator and
+The sign (sign(0) = +1) and the clamped log-magnitude
+L = log(max(|x|, DEFAULT_EPS)) are computed once per input entry and then
+laid out as (n, N) patch matrices. Channel m's powered values are
+sign * exp(E[m][:, None] * L) for a diagonal operator and
 sign * exp(K[m] @ L) for a matrix (bilinear as K = kron(row_mix, col_mix.T),
-so row_mix @ L @ col_mix is one matrix product over all patches), and its
-pre-activation is one vector-matrix product with its filter.
+so row_mix @ L @ col_mix is one matrix product over all patches), with the
+sign applied by a multiply, and its pre-activation is one vector-matrix
+product with its filter.
 
-``layer_forward(x, params, cache)`` keeps the patches, log-magnitudes,
-every channel's powered values and the output in a ``LayerCache`` (a
-fresh one when none is passed) that ``layer_backward`` reads, so the
-exponent stage runs once per training step. The powered values alone are
-M * n * N floats for N patches, so the kernel's memory grows with the
-number of windows it is given; training and evaluation pass a few windows
-at a time (``training.EVAL_CHUNK``). The single-receptive-field
+``layer_forward(x, params, cache)`` keeps the log-magnitudes, every
+channel's powered values and the output in a ``LayerCache`` when one is
+passed, and ``layer_backward`` reads it, so the exponent stage runs once
+per training step. The powered values alone are M * n * N floats for N
+patches, so a cache grows with the number of windows it is given;
+training passes a few windows at a time (``training.EVAL_CHUNK``).
+Without a cache, the channels share one (n, N) scratch matrix for their
+powered values. The single-receptive-field
 ``unit_*`` functions are separate direct implementations and serve as the
 oracle for the layer kernel.
 """
@@ -60,7 +63,6 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .numerics import (
-    DEFAULT_EPS,
     as_tensor,
     extract_patches,
     log_magnitude,
@@ -402,14 +404,16 @@ def unit_forward(x: np.ndarray, weights: np.ndarray, bias: float,
 # the layer's stacked payload): (M, n) diagonals or (M, n, n) matrices.
 # Channel m's powered values are sign * exp(E[m][:, None] * L) or
 # sign * exp(K[m] @ L), and its pre-activations are one vector-matrix
-# product with its flattened filter.
+# product with its flattened filter. The sign and L are taken on the layer
+# input, once per input entry, before they are laid out as patches.
 
 @dataclass
 class LayerCache:
     """What ``layer_forward`` keeps of its input for ``layer_backward``.
 
-    patches  (n, N) position-major receptive fields; -0.0 stored as +0.0
-             except in standard layers
+    patches  (n, N) position-major receptive fields of a standard layer;
+             None for exponent layers, whose backward divides by the
+             layer input itself
     log_mag  (n, N) clamped log-magnitudes; None for standard layers
     powered  (M, n, N) signed powered values of every channel; None for
              standard layers
@@ -464,48 +468,54 @@ def layer_forward(x: np.ndarray, params: LayerParams,
     shape (..., grid_t, grid_c, out_channels). Parameters are not mutated.
     A cache, when given, is filled for ``layer_backward``; it holds every
     channel's powered values, so its memory grows with the number of
-    patches. A non-finite pre-activation (an overflowing power) raises
-    FloatingPointError.
+    patches. Without one, the channels share one scratch matrix for their
+    powered values. A non-finite pre-activation (an overflowing power or
+    filter product) raises FloatingPointError.
     """
-    if cache is None:
-        cache = LayerCache()
-    patches = extract_patches(np.asarray(x, dtype=np.float64),
-                              params.k_h, params.k_w,
-                              params.stride_t, params.stride_c)
-    lead = patches.shape[:-2]
+    x = np.asarray(x, dtype=np.float64)
+    n = params.k_h * params.k_w
     out_ch = params.out_channels
     weights = params.weights.reshape(out_ch, -1)
     op = params.payload.operator(params.k_h, params.k_w)
-    # (n, N), a view: extract_patches stores its copy kernel-offset-major
-    patches = np.moveaxis(patches, (-2, -1), (0, 1)).reshape(
-        params.k_h * params.k_w, -1)
-    cache.patches = patches
-    if op is None:
-        preact = weights @ patches
-    else:
-        patches += 0.0  # copysign then gives sign(0) = +1, as signed_pow
-        log_mag = np.abs(patches)
-        np.maximum(log_mag, DEFAULT_EPS, out=log_mag)
-        np.log(log_mag, out=log_mag)
-        powered = np.empty((out_ch, *patches.shape))
-        cache.log_mag, cache.powered = log_mag, powered
-        preact = np.empty((out_ch, patches.shape[1]))
-        with np.errstate(over="ignore"):  # overflow is reported below
+
+    def patch_matrix(a):
+        # (n, N), a view: extract_patches stores its copy kernel-offset-major
+        p = extract_patches(a, params.k_h, params.k_w,
+                            params.stride_t, params.stride_c)
+        return np.moveaxis(p, (-2, -1), (0, 1)).reshape(n, -1), p.shape[:-2]
+
+    with np.errstate(over="ignore", invalid="ignore"):  # reported below
+        if op is None:
+            patches, lead = patch_matrix(x)
+            preact = weights @ patches
+            if cache is not None:
+                cache.patches = patches
+        else:
+            # + 0.0 gives sign(0) = +1, as signed_pow
+            sign, lead = patch_matrix(np.copysign(1.0, x + 0.0))
+            log_mag, _ = patch_matrix(log_magnitude(x))
+            if cache is None:
+                powered = [np.empty_like(log_mag)] * out_ch
+            else:
+                powered = np.empty((out_ch, *log_mag.shape))
+                cache.log_mag, cache.powered = log_mag, powered
+            preact = np.empty((out_ch, log_mag.shape[1]))
             for m, z in enumerate(powered):
                 if op.ndim == 2:
                     np.multiply(log_mag, op[m][:, None], out=z)
                 else:
                     np.matmul(op[m], log_mag, out=z)
                 np.exp(z, out=z)
-                np.copysign(z, patches, out=z)
+                z *= sign  # z >= 0 or +inf, so this is copysign
                 np.matmul(weights[m], z, out=preact[m])
-    preact += params.biases[:, None]
+        preact += params.biases[:, None]
     if not np.isfinite(preact).all():
         raise FloatingPointError("feature map contains non-finite values")
     apply_activation(preact, params.activation, inplace=True)
     # channel-last view of the channel-major (M, N) pre-activations
-    out = preact.T.reshape(*lead, params.out_channels)
-    cache.output = out
+    out = preact.T.reshape(*lead, out_ch)
+    if cache is not None:
+        cache.output = out
     return out
 
 

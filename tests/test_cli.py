@@ -316,13 +316,17 @@ class TestEvalCommand:
         assert rc == 2
         assert "classes" in capsys.readouterr().err
 
-    @pytest.mark.filterwarnings("error")  # an overflow warning would fail
-    def test_overflowing_feature_map_exits_1(self, tmp_path, capsys):
+    def check_non_finite_eval_exits_1(self, tmp_path, capsys, variant, k):
         # bounds wide enough that the overflowing exponent is a valid one
-        net = build_network((6, 3), 2, [{"variant": "elementwise", "k_h": 1,
-                                         "k_w": 1, "activation": "tanh"}],
+        net = build_network((6, 3), 2, [{"variant": variant, "k_h": k,
+                                         "k_w": k, "activation": "tanh"}],
                             policy=ConstraintPolicy(v_max=500.0))
-        net.layers[0].ewms[0].exponents[:] = 400.0
+        layer = net.layers[0]
+        if variant == "standard":
+            layer.weights[:] = 1e308
+        else:
+            layer.weights[:] = 1.0
+            layer.ewms[0].exponents[:] = 400.0
         model = tmp_path / "model.bin"
         save_model(net, model)
         path = write_config(
@@ -334,6 +338,19 @@ class TestEvalCommand:
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1
         assert "layer 0" in err and "non-finite" in err
+
+    @pytest.mark.filterwarnings("error")  # an overflow warning would fail
+    def test_overflowing_feature_map_exits_1(self, tmp_path, capsys):
+        self.check_non_finite_eval_exits_1(tmp_path, capsys, "elementwise", 1)
+
+    @pytest.mark.filterwarnings("error")  # a RuntimeWarning would fail
+    @pytest.mark.parametrize("variant, k", [
+        ("elementwise", 2),  # +inf and -inf powers in one mixed-sign patch
+        ("standard", 1),     # an overflowing filter product
+    ])
+    def test_non_finite_filter_product_exits_1(self, tmp_path, capsys,
+                                               variant, k):
+        self.check_non_finite_eval_exits_1(tmp_path, capsys, variant, k)
 
     def test_non_integer_size_exits_2(self, tmp_path, capsys):
         path = write_config(tmp_path, train={"epochs": 0, "seed": 0})

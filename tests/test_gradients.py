@@ -248,10 +248,14 @@ class TestLayerCache:
             [random_payload(variant, k_h, k_w, rng) for _ in range(3)],
             stride_t=stride[0], stride_c=stride[1], activation=activation)
         x = rng.normal(size=(2, 9, 6))  # signed, some entries near zero
-        x[0, 0, 0] = -0.0
+        # both zeros and entries inside the clamp
+        x[0, 0, :4] = (0.0, -0.0, DEFAULT_EPS / 3, -DEFAULT_EPS / 3)
+        x[1, 4, 2:5] = (-0.0, DEFAULT_EPS / 2, 0.0)
         cache = LayerCache()
         out = layer_forward(x, params, cache=cache)
-        np.testing.assert_array_equal(out, layer_forward(x, params))
+        # the uncached forward, with its one scratch matrix, bit for bit
+        np.testing.assert_array_equal(
+            out.view(np.uint64), layer_forward(x, params).view(np.uint64))
         upstream = rng.normal(size=out.shape)
         cached = layer_backward(x, params, upstream, cache=cache)
         fresh = layer_backward(x, params, upstream)
@@ -304,3 +308,49 @@ class TestClampBoundary:
         inside = np.abs(x) <= DEFAULT_EPS
         assert inside.any() and d_input[~inside].any()
         assert np.all(d_input[inside] == 0.0)
+
+
+class TestLayerInputGradient:
+    """A layer's input gradient, divided by x once per input entry after
+    the patch gradients are summed onto the input grid: 2x2 kernels on
+    8x8 inputs, overlapping under stride 1 and leaving rows and columns
+    2 and 5 uncovered under stride 3."""
+
+    SPECIAL = (0.0, -0.0, DEFAULT_EPS, -DEFAULT_EPS, DEFAULT_EPS / 2,
+               -DEFAULT_EPS / 2)
+
+    def instance(self, variant, stride, seed):
+        rng = make_rng(seed)
+        x = rng.uniform(0.2, 2.0, size=(2, 8, 8)) \
+            * rng.choice([-1.0, 1.0], size=(2, 8, 8))
+        near = rng.uniform(size=x.shape) < 0.2
+        x[near] = rng.choice(self.SPECIAL, size=int(near.sum()))
+        params = LayerParams(
+            rng.normal(size=(2, 2, 2)), rng.normal(size=2),
+            [random_payload(variant, 2, 2, rng) for _ in range(2)],
+            stride_t=stride, stride_c=stride, activation="tanh")
+        upstream = rng.normal(size=layer_forward(x, params).shape)
+        return params, x, upstream
+
+    @pytest.mark.parametrize("variant", ALL_VARIANTS[1:])
+    def test_zero_inside_clamp_and_where_no_patch_reaches(self, variant):
+        params, x, upstream = self.instance(variant, 3, 44)
+        d_input = layer_backward(x, params, upstream).d_input
+        inside = np.abs(x) <= DEFAULT_EPS
+        covered_line = np.arange(8) % 3 < 2
+        covered = covered_line[:, None] & covered_line
+        assert inside.any() and (inside & covered).any()
+        assert np.all(d_input[inside | ~covered] == 0.0)
+        assert np.all(d_input[~inside & covered] != 0.0)
+
+    @pytest.mark.parametrize("variant", ALL_VARIANTS)
+    @pytest.mark.parametrize("stride", (1, 3))
+    def test_matches_central_differences(self, variant, stride):
+        params, x, upstream = self.instance(variant, stride, 45)
+        d_input = layer_backward(x, params, upstream).d_input
+        numeric = finite_diff(
+            lambda v: float(np.sum(upstream * layer_forward(v, params))), x)
+        # finite differences step across the clamp inside it
+        outside = np.abs(x) > DEFAULT_EPS
+        np.testing.assert_allclose(d_input[outside], numeric[outside],
+                                   rtol=1e-6, atol=1e-9)

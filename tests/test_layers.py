@@ -385,6 +385,22 @@ class TestLayerForward:
         with pytest.raises(FloatingPointError):
             layer_forward(np.full((1, 1), 10.0), params)
 
+    # an overflow or invalid-value warning would fail these
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_filter_product_raises(self):
+        params = LayerParams(np.full((1, 1, 2), 1e308), np.zeros(1),
+                             [Standard()])
+        with pytest.raises(FloatingPointError):
+            layer_forward(np.full((1, 2), 10.0), params)
+
+    @pytest.mark.filterwarnings("error")
+    def test_opposite_infinite_powers_raise(self):
+        # +inf and -inf powers in one patch sum to NaN in the filter product
+        params = LayerParams(np.ones((1, 1, 2)), np.zeros(1),
+                             [Elementwise(np.full((1, 2), 400.0))])
+        with pytest.raises(FloatingPointError):
+            layer_forward(np.array([[10.0, -10.0]]), params)
+
 
 class TestChannelPreact:
     @pytest.mark.parametrize("variant", sorted(VARIANT_TYPES))

@@ -17,9 +17,13 @@ channel (``_file_order``).
 
 from __future__ import annotations
 
+import contextvars
+import functools
 import json
 import math
+import os
 import struct
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -137,7 +141,22 @@ def softmax(logits: np.ndarray) -> np.ndarray:
 # Every pass runs the network on chunks of this many windows: the layer
 # kernels keep every channel's powered values for the windows they are
 # given, so the chunk, not the batch, bounds a pass's memory.
-EVAL_CHUNK = 8
+EVAL_CHUNK = 4
+
+# Threads that share ``forward_network``'s chunks: the caller and, where the
+# process may run on a second CPU, one helper. Training steps stay on the
+# calling thread: a second chunk's layer caches in flight would raise their
+# peak memory by about a quarter.
+_CPUS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+         else os.cpu_count() or 1)
+EVAL_WORKERS = 2 if _CPUS >= 2 else 1
+
+
+@functools.cache
+def _eval_helper() -> ThreadPoolExecutor:
+    """The helper thread of ``forward_network``, started on first use."""
+    return ThreadPoolExecutor(max_workers=1,
+                              thread_name_prefix="expconv-eval")
 
 
 def _checked_windows(net: Network, windows: np.ndarray) -> np.ndarray:
@@ -183,18 +202,71 @@ def _forward_trace(net: Network, x: np.ndarray, layers: list | None = None,
 
 
 def forward_network(net: Network, windows: np.ndarray) -> np.ndarray:
-    """Class probabilities for a batch of windows (n, T, C) or one (T, C),
-    computed EVAL_CHUNK windows at a time."""
+    """Class probabilities for a batch of windows (n, T, C) or one (T, C).
+
+    The network runs on chunks of EVAL_CHUNK windows, each of which writes
+    its own rows of the result. With EVAL_WORKERS = 2 the calling thread
+    runs chunks 0, 2, 4, ... and one helper thread runs chunks 1, 3, 5, ...
+    in a copy of the caller's context, so the caller's ``np.errstate``
+    holds in both. A chunk computes the same numbers on either thread, so
+    the probabilities do not depend on the worker count. A failing chunk
+    raises as in a serial loop: the call waits for the helper's chunk in
+    flight, then raises the error of the earliest failing chunk.
+    """
     windows = np.asarray(windows, dtype=np.float64)
     single = windows.ndim == 2
     windows = _checked_windows(net, windows[None] if single else windows)
     layers = _effective_layers(net)
     probs = np.empty((len(windows), net.n_classes))
-    for start in range(0, len(windows), EVAL_CHUNK):
-        rows = slice(start, start + EVAL_CHUNK)
+
+    def run_chunk(k):
+        rows = slice(k * EVAL_CHUNK, (k + 1) * EVAL_CHUNK)
         _, _, _, logits = _forward_trace(net, windows[rows], layers)
         probs[rows] = softmax(logits)
+
+    n_chunks = -(-len(windows) // EVAL_CHUNK)
+    if EVAL_WORKERS < 2 or n_chunks < 2:
+        for k in range(n_chunks):
+            run_chunk(k)
+    else:
+        _share_with_helper(run_chunk, n_chunks)
     return probs[0] if single else probs
+
+
+def _share_with_helper(run_chunk, n_chunks: int) -> None:
+    """Call ``run_chunk(k)`` for every k < n_chunks, even k on this thread
+    and odd k on the helper, and raise what a serial loop would raise.
+
+    Each thread stops at its first failing chunk and skips the chunks past
+    the other thread's, so every chunk before the earliest failure runs,
+    whatever the timing, and that failure is the one raised.
+    """
+    first_failure = [n_chunks, n_chunks]  # per thread, written by that one
+    errors = {}
+
+    def run_share(parity):
+        for k in range(parity, n_chunks, 2):
+            if k > min(first_failure):
+                return
+            try:
+                run_chunk(k)
+            except Exception as exc:  # re-raised on the calling thread
+                errors[k] = exc
+                first_failure[parity] = k
+                return
+
+    helper = _eval_helper().submit(contextvars.copy_context().run,
+                                   run_share, 1)
+    try:
+        run_share(0)
+    except BaseException:  # interrupted: the helper stops after its chunk
+        first_failure[0] = -1
+        raise
+    finally:
+        wait([helper])
+    helper.result()
+    if errors:
+        raise errors[min(errors)]
 
 
 def cross_entropy(logits: np.ndarray, labels: np.ndarray) -> float:

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from expconv import cli
+from expconv import cli, training
 from expconv.constraints import ConstraintPolicy
 from expconv.dataset import (
     N_VARIABLES,
@@ -246,6 +246,17 @@ class TestTrainCommand:
         assert (tmp_path / "a" / "model.bin").read_bytes() \
             == (tmp_path / "b" / "model.bin").read_bytes()
 
+    def test_eval_worker_count_keeps_the_artifacts(self, tmp_path,
+                                                   monkeypatch):
+        path = write_config(tmp_path)  # 30 test windows: several chunks
+        for workers in (1, 2):
+            monkeypatch.setattr(training, "EVAL_WORKERS", workers)
+            assert cli.main(["train", "--config", str(path),
+                             "--out", str(tmp_path / str(workers))]) == 0
+        for name in ("model.bin", "metrics.csv"):
+            assert (tmp_path / "1" / name).read_bytes() \
+                == (tmp_path / "2" / name).read_bytes()
+
     def test_seed_override_changes_model(self, tmp_path):
         path = write_config(tmp_path)
         cli.main(["train", "--config", str(path), "--seed", "1",
@@ -316,7 +327,8 @@ class TestEvalCommand:
         assert rc == 2
         assert "classes" in capsys.readouterr().err
 
-    def check_non_finite_eval_exits_1(self, tmp_path, capsys, variant, k):
+    def check_non_finite_eval_exits_1(self, tmp_path, capsys, monkeypatch,
+                                      variant, k):
         # bounds wide enough that the overflowing exponent is a valid one
         net = build_network((6, 3), 2, [{"variant": variant, "k_h": k,
                                          "k_w": k, "activation": "tanh"}],
@@ -333,15 +345,22 @@ class TestEvalCommand:
             tmp_path,
             data={"synthetic": {"win_len": 6, "channels": 3, "count": 30,
                                 "mag_lo": 10.0, "mag_hi": 20.0}})
-        rc = cli.main(["eval", "--config", str(path), "--model", str(model)])
-        assert rc == 1
-        err = capsys.readouterr().err
-        assert len(err.splitlines()) == 1
-        assert "layer 0" in err and "non-finite" in err
+        test_ds = cli.build_datasets(cli.load_config(path))[1]
+        assert len(test_ds) > training.EVAL_CHUNK  # both workers get chunks
+        for workers in (1, 2):
+            monkeypatch.setattr(training, "EVAL_WORKERS", workers)
+            rc = cli.main(["eval", "--config", str(path),
+                           "--model", str(model)])
+            assert rc == 1, workers
+            err = capsys.readouterr().err
+            assert len(err.splitlines()) == 1, (workers, err)
+            assert "layer 0" in err and "non-finite" in err, (workers, err)
 
     @pytest.mark.filterwarnings("error")  # an overflow warning would fail
-    def test_overflowing_feature_map_exits_1(self, tmp_path, capsys):
-        self.check_non_finite_eval_exits_1(tmp_path, capsys, "elementwise", 1)
+    def test_overflowing_feature_map_exits_1(self, tmp_path, capsys,
+                                             monkeypatch):
+        self.check_non_finite_eval_exits_1(tmp_path, capsys, monkeypatch,
+                                           "elementwise", 1)
 
     @pytest.mark.filterwarnings("error")  # a RuntimeWarning would fail
     @pytest.mark.parametrize("variant, k", [
@@ -349,8 +368,9 @@ class TestEvalCommand:
         ("standard", 1),     # an overflowing filter product
     ])
     def test_non_finite_filter_product_exits_1(self, tmp_path, capsys,
-                                               variant, k):
-        self.check_non_finite_eval_exits_1(tmp_path, capsys, variant, k)
+                                               monkeypatch, variant, k):
+        self.check_non_finite_eval_exits_1(tmp_path, capsys, monkeypatch,
+                                           variant, k)
 
     def test_non_integer_size_exits_2(self, tmp_path, capsys):
         path = write_config(tmp_path, train={"epochs": 0, "seed": 0})

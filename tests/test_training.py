@@ -6,8 +6,12 @@ import json
 import re
 import shutil
 import struct
+import sys
+import threading
+import time
 import tracemalloc
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -299,7 +303,8 @@ class TestChunkedPasses:
             tracemalloc.stop()
 
     @pytest.mark.parametrize("pass_name", ("step", "forward"))
-    def test_memory_does_not_grow_with_the_batch(self, pass_name):
+    def test_memory_does_not_grow_with_the_batch(self, monkeypatch,
+                                                 pass_name):
         # the plant workload's layer: elementwise 3x3x8 on 40x52 windows
         net = build_network((40, 52), 3,
                             [{"variant": "elementwise", "k_h": 3, "k_w": 3,
@@ -307,15 +312,110 @@ class TestChunkedPasses:
         rng = make_rng(13)
         windows = rng.normal(size=(64, 40, 52))
         labels = rng.integers(0, 3, size=64)
+        monkeypatch.setattr(training, "EVAL_WORKERS", 2)
 
         def run(n):
             if pass_name == "step":
                 return network_loss_grads(net, windows[:n], labels[:n])
             return forward_network(net, windows[:n])
         run(8)  # warm up lazy set-up outside the measurement
-        small = self.traced_peak(lambda: run(8))
+        if pass_name == "step":  # serial: its chunks run one after another
+            small = self.traced_peak(lambda: run(8))
+        else:  # one chunk per worker at once, at worst both at their peaks
+            small = 2 * self.traced_peak(lambda: run(training.EVAL_CHUNK))
         large = self.traced_peak(lambda: run(64))
         assert large < 1.25 * small, (small, large)
+
+    @pytest.mark.parametrize("n", (0, 1, training.EVAL_CHUNK + 1,
+                                   5 * training.EVAL_CHUNK + 3))
+    @pytest.mark.parametrize("variant", sorted(VARIANT_TYPES))
+    def test_worker_count_keeps_the_probabilities(self, monkeypatch, variant,
+                                                  n):
+        net = self.two_layer_net(variant, "clip")
+        windows = make_rng(14).normal(size=(n, 8, 6))
+        probs = []
+        for workers in (1, 2):
+            monkeypatch.setattr(training, "EVAL_WORKERS", workers)
+            probs.append(forward_network(net, windows))
+        assert probs[0].shape == (n, 3)
+        np.testing.assert_array_equal(*probs)
+
+
+class TestEvalHelper:
+    """``forward_network`` on two workers: the caller runs the even chunks,
+    the helper thread the odd ones."""
+
+    @pytest.fixture
+    def chunks(self, monkeypatch):
+        """Replace each chunk's forward with ``chunks.body(k)`` followed by
+        the real one, on windows that carry their chunk number k; record
+        the chunks that started and finished."""
+        monkeypatch.setattr(training, "EVAL_WORKERS", 2)
+        original = training._forward_trace
+        record = SimpleNamespace(started=[], finished=[], body=lambda k: None)
+
+        def forward_trace(net, x, layers):
+            k = int(x[0, 0, 0])
+            record.started.append(k)
+            try:
+                record.body(k)
+                return original(net, x, layers)
+            finally:
+                record.finished.append(k)
+        monkeypatch.setattr(training, "_forward_trace", forward_trace)
+        return record
+
+    @staticmethod
+    def chunked_windows(n_chunks):
+        k = np.arange(n_chunks * training.EVAL_CHUNK) // training.EVAL_CHUNK
+        return np.broadcast_to(k[:, None, None], (len(k), 4, 3)).astype(float)
+
+    @pytest.mark.parametrize("lagging", ("caller", "helper"))
+    @pytest.mark.parametrize("failing, raised", [
+        ({1, 2}, 1), ({2, 3}, 2), ({0, 5}, 0), ({4}, 4), ({5}, 5)])
+    def test_earliest_failing_chunk_raises(self, chunks, lagging, failing,
+                                           raised):
+        def body(k):
+            if k % 2 == (lagging == "helper"):
+                time.sleep(0.005)
+            if k in failing:
+                raise FloatingPointError(f"chunk {k}")
+        chunks.body = body
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with pytest.raises(FloatingPointError, match=f"^chunk {raised}$"):
+                forward_network(tiny_net(), self.chunked_windows(6))
+        finally:
+            sys.setswitchinterval(interval)
+        assert sorted(chunks.started) == sorted(chunks.finished)
+        assert set(range(raised + 1)) <= set(chunks.started)
+
+    @pytest.mark.parametrize("error", (FloatingPointError, KeyboardInterrupt))
+    def test_failure_waits_for_the_helper(self, chunks, error):
+        helper_busy = threading.Event()
+
+        def body(k):
+            if k == 0:  # fail while the helper is inside chunk 1
+                assert helper_busy.wait(timeout=10)
+                raise error("chunk 0")
+            helper_busy.set()
+            time.sleep(0.05)
+        chunks.body = body
+        with pytest.raises(error, match="chunk 0"):
+            forward_network(tiny_net(), self.chunked_windows(6))
+        # chunk 1 finished before the call returned; chunks 2-5 never ran
+        assert sorted(chunks.started) == sorted(chunks.finished) == [0, 1]
+
+    def test_caller_errstate_holds_in_the_helper(self, monkeypatch):
+        monkeypatch.setattr(training, "EVAL_WORKERS", 2)
+        net = tiny_net(seed=34)
+        net.head_w[:] = np.array([[1e308, -1e308]] * net.n_features)
+        windows = labeled_windows(11, n=2 * training.EVAL_CHUNK).windows
+        with pytest.raises(RuntimeWarning):  # tier-1 makes warnings errors
+            forward_network(net, windows[training.EVAL_CHUNK:])
+        with np.errstate(over="ignore", invalid="ignore"):
+            forward_network(net, windows)  # the helper runs the second half
 
 
 class TestTrainLoop:

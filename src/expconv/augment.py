@@ -102,15 +102,21 @@ def apply_exponents(x, exponents) -> np.ndarray:
     return signed_pow(_check_window(x), exponents)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # overflow raises below
 def exp_augment(x, spec: AugmentSpec, rng: np.random.Generator) -> np.ndarray:
     """Raise window values to random powers from [spec.lo, spec.hi].
 
     Signs are preserved (the power acts on magnitudes), so this is safe on
-    normalized data that crosses zero.
+    normalized data that crosses zero. A power that overflows raises
+    FloatingPointError instead of a NumPy warning.
     """
     x = _check_window(x)
     draws = draw_exponents(x.shape, spec.granularity, spec.lo, spec.hi, rng)
-    return apply_exponents(x, draws)
+    out = apply_exponents(x, draws)
+    if not np.isfinite(out).all():
+        raise FloatingPointError(f"exp_augment overflows ({spec.granularity} "
+                                 f"exponents in [{spec.lo}, {spec.hi}])")
+    return out
 
 
 def apply_op(x, spec: AugmentSpec, rng: np.random.Generator) -> np.ndarray:

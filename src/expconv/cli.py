@@ -7,7 +7,8 @@ and seed overrides applied, is echoed into the output directory so a
 run can be reproduced from its own artifacts.
 
 Exit codes: 0 success, 1 numeric or check failure (failed gradient
-check, non-finite loss or feature map), 2 configuration or I/O problems.
+check, non-finite loss or feature map, overflowing synthetic data or
+exponent augmentation), 2 configuration or I/O problems.
 """
 
 from __future__ import annotations
@@ -34,6 +35,8 @@ from .augment import (
 )
 from .constraints import KINDS, MODES, ConstraintPolicy
 from .dataset import (
+    DEFAULT_STRIDE,
+    DEFAULT_WIN_LEN,
     N_VARIABLES,
     WindowedDataset,
     apply_normalize,
@@ -49,6 +52,7 @@ from .gradients import run_variant_checks
 from .layers import ACTIVATIONS, VARIANT_TYPES
 from .numerics import make_rng
 from .training import (
+    OPTIMIZERS,
     TrainConfig,
     build_network,
     evaluate,
@@ -156,7 +160,7 @@ CONFIG_SCHEMA = {
                 "epochs": {"type": "integer", "minimum": 0},
                 "batch_size": {"type": "integer", "minimum": 1},
                 "learning_rate": {"type": "number", "exclusiveMinimum": 0},
-                "optimizer": {"enum": ["adam", "sgd"]},
+                "optimizer": {"enum": sorted(OPTIMIZERS)},
                 "beta1": {"type": "number"},
                 "beta2": {"type": "number"},
                 "adam_eps": {"type": "number", "exclusiveMinimum": 0},
@@ -180,10 +184,7 @@ def _defaults_of(section: str, instance) -> dict:
 
 
 DEFAULTS = {
-    "data": {
-        "win_len": 40,
-        "stride": 10,
-    },
+    "data": {"win_len": DEFAULT_WIN_LEN, "stride": DEFAULT_STRIDE},
     "model": {
         "layers": [{"variant": "elementwise", "k_h": 2, "k_w": 2,
                     "out_channels": 1, "activation": "tanh"}],
@@ -342,19 +343,18 @@ def build_datasets(cfg: dict):
     return train_ds, test_ds, len(fault_ids), N_VARIABLES
 
 
-def _echo_config(cfg: dict, out_dir: str) -> None:
+def _echo_config(args, cfg: dict) -> str:
+    """Write the config to ``config.json`` in the output directory and
+    return that directory. A --out override is folded back into the config
+    first, so the echoed file reproduces the same artifact paths."""
+    if args.out:
+        cfg["output"]["dir"] = args.out
+    out_dir = cfg["output"]["dir"]
     os.makedirs(out_dir, exist_ok=True)
     with open(os.path.join(out_dir, "config.json"), "w") as fh:
         json.dump(cfg, fh, indent=2, sort_keys=True)
         fh.write("\n")
-
-
-def _out_dir(args, cfg: dict) -> str:
-    """Resolve the output directory, folding a --out override back into
-    the config so the echoed file reproduces the same artifact paths."""
-    if args.out:
-        cfg["output"]["dir"] = args.out
-    return cfg["output"]["dir"]
+    return out_dir
 
 
 # --------------------------------------------------------------------------
@@ -389,8 +389,7 @@ def cmd_train(args) -> int:
     cfg = load_config(args.config)
     if args.seed is not None:
         cfg["train"]["seed"] = args.seed
-    out_dir = _out_dir(args, cfg)
-    _echo_config(cfg, out_dir)
+    out_dir = _echo_config(args, cfg)
     train_ds, test_ds, n_classes, channels = build_datasets(cfg)
     policy = _policy_from(cfg)
     win_len = train_ds.win_len
@@ -414,8 +413,7 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     cfg = load_config(args.config)
-    out_dir = _out_dir(args, cfg)
-    _echo_config(cfg, out_dir)
+    out_dir = _echo_config(args, cfg)
     train_ds, test_ds, n_classes, _ = build_datasets(cfg)
     target = test_ds if test_ds is not None else train_ds
     net = load_model(args.model)
@@ -448,8 +446,7 @@ def cmd_synth(args) -> int:
         raise ConfigError("synth requires a data.synthetic section")
     if args.seed is not None:
         cfg["data"]["synthetic"]["seed"] = args.seed
-    out_dir = _out_dir(args, cfg)
-    _echo_config(cfg, out_dir)
+    out_dir = _echo_config(args, cfg)
     task = _synthetic_task(cfg["data"]["synthetic"])
     save_windows_csv(task.as_windowed(), os.path.join(out_dir, "dataset.csv"))
     print(f"generated {len(task)} windows "
@@ -461,8 +458,7 @@ def cmd_synth(args) -> int:
 
 def cmd_augment(args) -> int:
     cfg = load_config(args.config)
-    out_dir = _out_dir(args, cfg)
-    _echo_config(cfg, out_dir)
+    out_dir = _echo_config(args, cfg)
     train_ds, _, _, _ = build_datasets(cfg)
     specs = _augments_from(cfg)
     seed = args.seed if args.seed is not None else cfg["train"]["seed"]

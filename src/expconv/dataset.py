@@ -279,6 +279,7 @@ def _draw_window(rng: np.random.Generator, win_len: int, channels: int,
     return signs * mags
 
 
+@np.errstate(over="ignore", invalid="ignore")  # overflow raises below
 def gen_synthetic(win_len: int = 8, channels: int = 4, exponent: float = 2.0,
                   noise: float = 0.05, count: int = 200, seed: int = 0,
                   margin_scale: float = 0.25, mag_lo: float = 0.2,
@@ -289,7 +290,9 @@ def gen_synthetic(win_len: int = 8, channels: int = 4, exponent: float = 2.0,
     sets the class threshold (median feature) and margin; each emitted
     window is rejection-sampled until its feature clears the margin on
     the side its class requires. Noise is added after labeling, so with
-    noise=0 the labeling rule holds exactly on the emitted windows.
+    noise=0 the labeling rule holds exactly on the emitted windows. A
+    pilot feature or noisy window that overflows raises FloatingPointError
+    instead of a NumPy warning.
     """
     if not count >= 0:
         raise ValueError("count must be >= 0")
@@ -302,6 +305,10 @@ def gen_synthetic(win_len: int = 8, channels: int = 4, exponent: float = 2.0,
         energy_feature(_draw_window(rng, win_len, channels, mag_lo, mag_hi),
                        exponent)
         for _ in range(256)])
+    if not np.isfinite(pilot).all():
+        raise FloatingPointError(
+            f"energy feature overflows for exponent={exponent}, "
+            f"mag_lo={mag_lo}, mag_hi={mag_hi}")
     threshold = float(np.median(pilot))
     margin = float(margin_scale * pilot.std())
     if margin <= 0:
@@ -326,6 +333,8 @@ def gen_synthetic(win_len: int = 8, channels: int = 4, exponent: float = 2.0,
         labels[i] = target
     if noise > 0 and count > 0:
         windows = windows + noise * rng.standard_normal(windows.shape)
+        if not np.isfinite(windows).all():
+            raise FloatingPointError(f"windows overflow for noise={noise}")
     return SyntheticTask(windows, labels, exponent=float(exponent),
                          noise=float(noise), seed=int(seed),
                          threshold=threshold, margin=margin)

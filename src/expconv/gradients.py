@@ -16,17 +16,18 @@ clamped log; derivatives with respect to x treat the clamped magnitude as
 locally constant, so the function/gradient pair stays consistent away from
 the clamp boundary.
 
-``layer_backward`` works on the layer kernel's patch matrix for all
-channels at once and reads the log-magnitudes and powered values from the
-``LayerCache`` that ``layer_forward`` filled; it never evaluates the
-exponent stage again. Its gradient with respect to log|x| is summed onto
-the input grid first and divided by x there, once per input entry, since
-every patch entry of one input shares its x. Called without a cache
-(gradient checks, single calls), it first runs ``layer_forward`` to fill
-one, so training and checking share one code path. Every contraction
-over patches is a matrix product. A cache holds every channel's powered
-values for the windows of one call, so training calls it on a few windows
-at a time and sums their parameter gradients
+``layer_backward`` works on the layer kernel's patch matrix (the layout
+of ``numerics.extract_patches``) for all channels at once and reads the
+log-magnitudes and powered values from the ``LayerCache`` that
+``layer_forward`` filled; it never evaluates the exponent stage again. Its
+gradient with respect to log|x| is summed onto the input grid first
+(``numerics.scatter_patch_grads``) and divided by x there, once per input
+entry, since every patch entry of one input shares its x. Called without
+a cache (gradient checks, single calls), it first runs ``layer_forward``
+to fill one, so training and checking share one code path. Every
+contraction over patches is a matrix product. A cache holds every
+channel's powered values for the windows of one call, so training calls
+it on a few windows at a time and sums their parameter gradients
 (``training.network_loss_grads``).
 """
 
@@ -48,7 +49,7 @@ from .layers import (
     layer_forward,
     payload_map,
 )
-from .numerics import DEFAULT_EPS, make_rng
+from .numerics import DEFAULT_EPS, make_rng, scatter_patch_grads
 
 REL_ERR_FLOOR = 1e-8
 
@@ -79,31 +80,11 @@ def unit_backward(x: np.ndarray, weights: np.ndarray, bias: float,
             payload_map(bundle.d_payload, lambda a: a[0]), bundle.d_input)
 
 
-def scatter_patch_grads(d_patches: np.ndarray, input_shape: tuple,
-                        stride_t: int, stride_c: int) -> np.ndarray:
-    """Accumulate per-patch input gradients back onto the input grid
-    (inverse of extract_patches for gradients; overlaps add).
-
-    ``d_patches`` is position-major, (k_h, k_w, ..., grid_t, grid_c): entry
-    [ky, kx] holds the gradient of every patch's (ky, kx) position, as
-    ``layer_backward``'s (n, N) patch gradients reshaped.
-    """
-    k_h, k_w, *lead, grid_t, grid_c = d_patches.shape
-    d_input = np.zeros(input_shape, dtype=np.float64)
-    for ky in range(k_h):
-        t_stop = ky + stride_t * grid_t
-        for kx in range(k_w):
-            c_stop = kx + stride_c * grid_c
-            d_input[..., ky:t_stop:stride_t, kx:c_stop:stride_c] += \
-                d_patches[ky, kx]
-    return d_input
-
-
 # --------------------------------------------------------------------------
-# Backward of the layer kernel, ``layer_backward``, over position-major
-# patches (n, N). With g the upstream gradient (N,) of channel m's
-# pre-activations, P its powered values (n, N), w its filter (n,) and L the
-# clamped log-magnitudes (n, N), the exponent stage's gradient is
+# Backward of the layer kernel, ``layer_backward``, over the (n, N) patch
+# matrix. With g the upstream gradient (N,) of channel m's pre-activations,
+# P its powered values (n, N), w its filter (n,) and L the clamped
+# log-magnitudes (n, N), the exponent stage's gradient is
 # D = w[:, None] * P * g (d loss / d mixed log), and:
 #   d w  = P @ g
 #   d E  = sum over patches of D * L          (diagonal operators)

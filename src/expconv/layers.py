@@ -30,11 +30,9 @@ Negative inputs are handled by computing on magnitudes (clamped at
 ``DEFAULT_EPS``) and re-applying the original elementwise sign, which
 reduces exactly to ``signed_pow`` whenever the mixing is diagonal.
 
-A layer evaluates all of its output channels from one patch matrix, the
-im2col layout of Chellapilla et al. (2006), "High Performance
-Convolutional Neural Networks for Document Processing", stored
-position-major: an (n, N) matrix with one row per kernel position and one
-column per patch, so every elementwise operation runs along the N patches.
+A layer evaluates all of its output channels from one (n, N) patch
+matrix for N patches, the layout of ``numerics.extract_patches`` reshaped,
+so every elementwise operation runs along the N patches.
 The sign (sign(0) = +1) and the clamped log-magnitude
 L = log(max(|x|, DEFAULT_EPS)) are computed once per input entry and then
 laid out as (n, N) patch matrices. Channel m's powered values are
@@ -397,11 +395,11 @@ def unit_forward(x: np.ndarray, weights: np.ndarray, bias: float,
 
 # --------------------------------------------------------------------------
 # Layer kernel, ``layer_forward`` (its backward is
-# ``gradients.layer_backward``). Patches are laid out position-major as an
-# (n, N) matrix with n = k_h * k_w row-major kernel positions and N patches
-# (the im2col layout, transposed). Every exponent variant is an operator
-# on the clamped log-magnitudes L of the patches (``Payload.operator`` of
-# the layer's stacked payload): (M, n) diagonals or (M, n, n) matrices.
+# ``gradients.layer_backward``). Patches form the (n, N) patch matrix of
+# ``numerics.extract_patches``, n = k_h * k_w kernel positions by N
+# patches. Every exponent variant is an operator on the clamped
+# log-magnitudes L of the patches (``Payload.operator`` of the layer's
+# stacked payload): (M, n) diagonals or (M, n, n) matrices.
 # Channel m's powered values are sign * exp(E[m][:, None] * L) or
 # sign * exp(K[m] @ L), and its pre-activations are one vector-matrix
 # product with its flattened filter. The sign and L are taken on the layer
@@ -411,7 +409,7 @@ def unit_forward(x: np.ndarray, weights: np.ndarray, bias: float,
 class LayerCache:
     """What ``layer_forward`` keeps of its input for ``layer_backward``.
 
-    patches  (n, N) position-major receptive fields of a standard layer;
+    patches  (n, N) patch matrix of a standard layer's input;
              None for exponent layers, whose backward divides by the
              layer input itself
     log_mag  (n, N) clamped log-magnitudes; None for standard layers
@@ -479,10 +477,9 @@ def layer_forward(x: np.ndarray, params: LayerParams,
     op = params.payload.operator(params.k_h, params.k_w)
 
     def patch_matrix(a):
-        # (n, N), a view: extract_patches stores its copy kernel-offset-major
         p = extract_patches(a, params.k_h, params.k_w,
                             params.stride_t, params.stride_c)
-        return np.moveaxis(p, (-2, -1), (0, 1)).reshape(n, -1), p.shape[:-2]
+        return p.reshape(n, -1), p.shape[2:]  # (n, N), a view
 
     with np.errstate(over="ignore", invalid="ignore"):  # reported below
         if op is None:

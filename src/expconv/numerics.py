@@ -79,14 +79,17 @@ def patch_grid(rows: int, cols: int, k_h: int, k_w: int,
 
 def extract_patches(x: np.ndarray, k_h: int, k_w: int,
                     stride_t: int = 1, stride_c: int = 1) -> np.ndarray:
-    """All valid receptive fields of a T x C input (or a batch of them).
+    """All valid receptive fields of a T x C input (or a batch of them),
+    laid out position-major.
 
-    Returns an array of shape (..., grid_t, grid_c, k_h, k_w) in row-major
-    grid order; patch values are writable copies of the input sub-blocks.
-    The copy is stored kernel-offset-major: in memory it is a C-contiguous
-    (k_h, k_w, ..., grid_t, grid_c) array, so moving the last two axes to
-    the front and flattening gives the (n, N) patch matrix of the layer
-    kernels (n = k_h * k_w positions, N patches) without another copy.
+    Returns a writable, C-contiguous copy of shape
+    (k_h, k_w, ..., grid_t, grid_c): entry [ky, kx] holds kernel position
+    (ky, kx) of every patch, patches in row-major grid order. Reshaped to
+    (n, N), with n = k_h * k_w row-major kernel positions and N patches,
+    it is the patch matrix of the layer kernels without another copy: the
+    im2col layout of Chellapilla et al. (2006), "High Performance
+    Convolutional Neural Networks for Document Processing", transposed.
+    ``scatter_patch_grads`` is its adjoint on the same layout.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim < 2:
@@ -96,5 +99,20 @@ def extract_patches(x: np.ndarray, k_h: int, k_w: int,
         x, (k_h, k_w), axis=(-2, -1))[..., ::stride_t, ::stride_c, :, :]
     # .copy() always copies; ascontiguousarray would hand back the
     # read-only view itself when the input is one kernel-sized window
-    offset_major = np.moveaxis(windows, (-2, -1), (0, 1)).copy()
-    return np.moveaxis(offset_major, (0, 1), (-2, -1))
+    return np.moveaxis(windows, (-2, -1), (0, 1)).copy()
+
+
+def scatter_patch_grads(d_patches: np.ndarray, input_shape: tuple,
+                        stride_t: int, stride_c: int) -> np.ndarray:
+    """Adjoint of ``extract_patches``: sum gradients laid out as its
+    patches, (k_h, k_w, ..., grid_t, grid_c), back onto an input of
+    ``input_shape``; overlapping patches add."""
+    k_h, k_w, *lead, grid_t, grid_c = d_patches.shape
+    d_input = np.zeros(input_shape, dtype=np.float64)
+    for ky in range(k_h):
+        t_stop = ky + stride_t * grid_t
+        for kx in range(k_w):
+            c_stop = kx + stride_c * grid_c
+            d_input[..., ky:t_stop:stride_t, kx:c_stop:stride_c] += \
+                d_patches[ky, kx]
+    return d_input

@@ -206,12 +206,12 @@ def forward_network(net: Network, windows: np.ndarray) -> np.ndarray:
 
     The network runs on chunks of EVAL_CHUNK windows, each of which writes
     its own rows of the result. With EVAL_WORKERS = 2 the calling thread
-    runs chunks 0, 2, 4, ... and one helper thread runs chunks 1, 3, 5, ...
-    in a copy of the caller's context, so the caller's ``np.errstate``
-    holds in both. A chunk computes the same numbers on either thread, so
-    the probabilities do not depend on the worker count. A failing chunk
-    raises as in a serial loop: the call waits for the helper's chunk in
-    flight, then raises the error of the earliest failing chunk.
+    runs the first half of the chunks and one helper thread the second
+    half, in a copy of the caller's context, so the caller's
+    ``np.errstate`` holds in both. A chunk computes the same numbers on
+    either thread, so the probabilities do not depend on the worker count.
+    A failing chunk raises as in a serial loop: the call waits for the
+    helper, then raises the error of the earliest failing chunk.
     """
     windows = np.asarray(windows, dtype=np.float64)
     single = windows.ndim == 2
@@ -234,39 +234,34 @@ def forward_network(net: Network, windows: np.ndarray) -> np.ndarray:
 
 
 def _share_with_helper(run_chunk, n_chunks: int) -> None:
-    """Call ``run_chunk(k)`` for every k < n_chunks, even k on this thread
-    and odd k on the helper, and raise what a serial loop would raise.
+    """Call ``run_chunk(k)`` for every k < n_chunks, chunks [0, half) on
+    this thread and [half, n_chunks) on the helper, and raise what a serial
+    loop would raise.
 
-    Each thread stops at its first failing chunk and skips the chunks past
-    the other thread's, so every chunk before the earliest failure runs,
-    whatever the timing, and that failure is the one raised.
+    Every chunk of this thread comes before every chunk of the helper, so
+    a failure here is the earliest: it sets ``stop``, which the helper
+    reads before each chunk, and is raised once the helper has stopped.
+    Otherwise ``helper.result()`` waits for the helper and raises its first
+    failure, if any.
     """
-    first_failure = [n_chunks, n_chunks]  # per thread, written by that one
-    errors = {}
+    half = (n_chunks + 1) // 2
+    stop = False  # written by this thread only, read by the helper
 
-    def run_share(parity):
-        for k in range(parity, n_chunks, 2):
-            if k > min(first_failure):
-                return
-            try:
+    def run_second_half():
+        for k in range(half, n_chunks):
+            if not stop:
                 run_chunk(k)
-            except Exception as exc:  # re-raised on the calling thread
-                errors[k] = exc
-                first_failure[parity] = k
-                return
 
     helper = _eval_helper().submit(contextvars.copy_context().run,
-                                   run_share, 1)
+                                   run_second_half)
     try:
-        run_share(0)
-    except BaseException:  # interrupted: the helper stops after its chunk
-        first_failure[0] = -1
-        raise
-    finally:
+        for k in range(half):
+            run_chunk(k)
+    except BaseException:  # interrupts too: the helper ends its chunk
+        stop = True
         wait([helper])
+        raise
     helper.result()
-    if errors:
-        raise errors[min(errors)]
 
 
 def cross_entropy(logits: np.ndarray, labels: np.ndarray) -> float:
@@ -519,10 +514,10 @@ def train(net: Network, dataset: WindowedDataset, config: TrainConfig,
             idx = order[start:start + config.batch_size]
             xb = dataset.windows[idx]
             yb = dataset.labels[idx]
-            if config.augments:
-                xb = np.stack([apply_pipeline(w, config.augments, aug_rng,
-                                              streams) for w in xb])
             try:
+                if config.augments:
+                    xb = np.stack([apply_pipeline(w, config.augments, aug_rng,
+                                                  streams) for w in xb])
                 loss, grads = network_loss_grads(net, xb, yb)
             except FloatingPointError as exc:
                 raise FloatingPointError(

@@ -106,6 +106,14 @@ class TestExponentDraws:
         out = exp_augment(x, spec, make_rng(13))
         np.testing.assert_array_equal(np.sign(out), np.sign(x))
 
+    def test_overflow_raises_naming_the_spec(self):
+        x = np.array([[3.0, -0.5], [-2.9, 1.0]])
+        spec = AugmentSpec("exp_augment", granularity="per_point",
+                           lo=700, hi=800)
+        with pytest.raises(FloatingPointError,
+                           match=r"per_point exponents in \[700, 800\]"):
+            exp_augment(x, spec, make_rng(14))
+
     def test_apply_exponents_hand_value(self):
         out = apply_exponents(np.array([[-2.0]]), np.array([[2.0]]))
         assert out[0, 0] == -4.0

@@ -3,6 +3,7 @@ schema, exit codes, artifact files, seed overrides, and reproducibility
 from the echoed configuration."""
 
 import json
+import re
 import struct
 from pathlib import Path
 
@@ -456,6 +457,18 @@ class TestSynthCommand:
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1 and "margin_scale" in err
 
+    @pytest.mark.parametrize("command", ["synth", "train"])
+    @pytest.mark.parametrize("field, value", [
+        ("noise", 1e308), ("exponent", 1e308), ("mag_hi", 1e200)])
+    def test_overflowing_task_exits_1(self, tmp_path, capsys, command, field,
+                                      value):
+        path = write_config(tmp_path, data={"synthetic": {
+            "win_len": 6, "channels": 3, "count": 30, field: value}})
+        assert cli.main([command, "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and f"{field}=" in err
+        assert not list((tmp_path / "out").glob("*.csv"))
+
     def test_requires_synthetic_section(self, tmp_path):
         make_plant_fixtures(tmp_path)
         path = write_config(tmp_path,
@@ -513,6 +526,22 @@ class TestAugmentCommand:
         far = np.argmax(np.abs(log_in), axis=1, keepdims=True)
         per_window = np.take_along_axis(powers, far, axis=1)[:, 0]
         assert not np.allclose(per_window[0], per_window[1], atol=1e-3)
+
+
+    @pytest.mark.parametrize("command", ["augment", "train"])
+    def test_overflowing_exp_augment_exits_1(self, tmp_path, capsys,
+                                             command):
+        path = write_config(
+            tmp_path,
+            augment=[{"op": "exp_augment", "probability": 1.0,
+                      "granularity": "per_point", "lo": 700, "hi": 800}])
+        assert cli.main([command, "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert "per_point exponents in [700, 800]" in err
+        if command == "train":  # reported as a failing step is
+            assert re.search(r"at epoch \d+, batch \d+$", err.strip())
+        assert not list((tmp_path / "out").glob("*.csv"))
 
 
 class TestBundledConfig:

@@ -1,6 +1,8 @@
 """Run ingestion, normalization, onset-aware windowing, the synthetic
 two-class generator, and the CSV window cache."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -255,6 +257,16 @@ class TestSyntheticTask:
                              mag_lo=0.2, mag_hi=3.0)
         mags = np.abs(task.windows)
         assert mags.min() >= 0.2 and mags.max() <= 3.0
+
+    @pytest.mark.parametrize("field, value", [
+        ("noise", 1e308), ("exponent", 1e308), ("mag_hi", 1e200)])
+    def test_overflow_raises_naming_the_parameter(self, field, value):
+        # the pilot features (exponent, mag_hi) or the noisy windows (noise)
+        # leave the float64 range
+        with pytest.raises(FloatingPointError,
+                           match=re.escape(f"{field}={value:g}")):
+            gen_synthetic(win_len=6, channels=3, count=30, seed=28,
+                          **{field: value})
 
     def test_impossible_margin_exhausts_budget(self):
         with pytest.raises(RuntimeError, match="budget"):

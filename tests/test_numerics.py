@@ -13,6 +13,7 @@ from expconv.numerics import (
     log_magnitude,
     make_rng,
     patch_grid,
+    scatter_patch_grads,
     signed_pow,
     vec,
 )
@@ -110,23 +111,27 @@ class TestVec:
 
 
 class TestExtractPatches:
+    """Patches are position-major, (k_h, k_w, ..., grid_t, grid_c): the
+    patch at grid cell (i, j) is ``patches[..., i, j]``."""
+
     def test_three_by_three_unit_stride(self):
         x = np.arange(9.0).reshape(3, 3)
         patches = extract_patches(x, 2, 2, 1, 1)
         assert patches.shape == (2, 2, 2, 2)
-        np.testing.assert_array_equal(patches[0, 0], x[0:2, 0:2])
-        np.testing.assert_array_equal(patches[1, 1], x[1:3, 1:3])
+        np.testing.assert_array_equal(patches[..., 0, 0], x[0:2, 0:2])
+        np.testing.assert_array_equal(patches[..., 1, 1], x[1:3, 1:3])
 
     def test_whole_input_single_patch(self):
         x = make_rng(4).normal(size=(5, 7))
         patches = extract_patches(x, 5, 7, 1, 1)
-        assert patches.shape == (1, 1, 5, 7)
-        np.testing.assert_array_equal(patches[0, 0], x)
+        assert patches.shape == (5, 7, 1, 1)
+        np.testing.assert_array_equal(patches[..., 0, 0], x)
 
     def test_run_sized_patch_count(self):
         x = np.zeros((480, 52))
         patches = extract_patches(x, 8, 52, 4, 1)
-        assert patches.shape[0] * patches.shape[1] == 119
+        assert patches.shape[:2] == (8, 52)
+        assert patches.shape[-2] * patches.shape[-1] == 119
 
     def test_grid_formula_matches_enumeration(self):
         for t in range(1, 11):
@@ -152,13 +157,17 @@ class TestExtractPatches:
             np.testing.assert_array_equal(x, before)
 
     def test_patch_matrix_is_a_view(self):
-        # stored kernel-offset-major: the (n, N) patch matrix of the layer
-        # kernels is a C-contiguous view of the copy
+        # the (n, N) patch matrix of the layer kernels is a C-contiguous
+        # view of the copy; column b * 24 + i * 6 + j is window b's patch
+        # at grid cell (i, j), flattened row-major
         x = make_rng(6).normal(size=(2, 9, 7))
         patches = extract_patches(x, 3, 2, 2, 1)
-        flat = np.moveaxis(patches, (-2, -1), (0, 1)).reshape(6, -1)
+        assert patches.shape == (3, 2, 2, 4, 6)
+        flat = patches.reshape(6, -1)
         assert flat.flags.c_contiguous and np.shares_memory(flat, patches)
-        np.testing.assert_array_equal(flat.T, patches.reshape(-1, 6))
+        want = [x[b, 2 * i:2 * i + 3, j:j + 2].reshape(-1)
+                for b in range(2) for i in range(4) for j in range(6)]
+        np.testing.assert_array_equal(flat.T, want)
 
     def test_kernel_too_large(self):
         with pytest.raises(ValueError):
@@ -167,8 +176,24 @@ class TestExtractPatches:
     def test_strided_positions(self):
         x = np.arange(30.0).reshape(6, 5)
         patches = extract_patches(x, 2, 2, 2, 3)
-        assert patches.shape == (3, 2, 2, 2)
-        np.testing.assert_array_equal(patches[1, 1], x[2:4, 3:5])
+        assert patches.shape == (2, 2, 3, 2)
+        np.testing.assert_array_equal(patches[..., 1, 1], x[2:4, 3:5])
+
+
+class TestScatterPatchGrads:
+    @pytest.mark.parametrize("lead", ((), (2,), (2, 3)))
+    @pytest.mark.parametrize("strides", ((1, 1), (2, 3)))
+    @pytest.mark.parametrize("kernel", ((1, 1), (2, 3), (3, 3)))
+    def test_adjoint_of_extract_patches(self, kernel, strides, lead):
+        # <extract(x), d> == <x, scatter(d)> for every x and d
+        rng = make_rng(7)
+        x = rng.normal(size=(*lead, 8, 9))
+        patches = extract_patches(x, *kernel, *strides)
+        d = rng.normal(size=patches.shape)
+        scattered = scatter_patch_grads(d, x.shape, *strides)
+        assert scattered.shape == x.shape
+        assert np.vdot(patches, d) == pytest.approx(np.vdot(x, scattered),
+                                                    rel=1e-12, abs=0)
 
 
 class TestMakeRng:

@@ -342,8 +342,8 @@ class TestChunkedPasses:
 
 
 class TestEvalHelper:
-    """``forward_network`` on two workers: the caller runs the even chunks,
-    the helper thread the odd ones."""
+    """``forward_network`` on two workers: of six chunks, the caller runs
+    chunks 0-2 and the helper thread chunks 3-5."""
 
     @pytest.fixture
     def chunks(self, monkeypatch):
@@ -375,8 +375,10 @@ class TestEvalHelper:
         ({1, 2}, 1), ({2, 3}, 2), ({0, 5}, 0), ({4}, 4), ({5}, 5)])
     def test_earliest_failing_chunk_raises(self, chunks, lagging, failing,
                                            raised):
+        # {2, 3} with the caller lagging: the helper fails first in time,
+        # but chunk 2 comes first in a serial loop
         def body(k):
-            if k % 2 == (lagging == "helper"):
+            if (k < 3) == (lagging == "caller"):
                 time.sleep(0.005)
             if k in failing:
                 raise FloatingPointError(f"chunk {k}")
@@ -390,13 +392,15 @@ class TestEvalHelper:
             sys.setswitchinterval(interval)
         assert sorted(chunks.started) == sorted(chunks.finished)
         assert set(range(raised + 1)) <= set(chunks.started)
+        # the caller's half stops at its first failure
+        assert not set(range(raised + 1, 3)) & set(chunks.started)
 
     @pytest.mark.parametrize("error", (FloatingPointError, KeyboardInterrupt))
     def test_failure_waits_for_the_helper(self, chunks, error):
         helper_busy = threading.Event()
 
         def body(k):
-            if k == 0:  # fail while the helper is inside chunk 1
+            if k == 0:  # fail while the helper is inside chunk 3
                 assert helper_busy.wait(timeout=10)
                 raise error("chunk 0")
             helper_busy.set()
@@ -404,8 +408,8 @@ class TestEvalHelper:
         chunks.body = body
         with pytest.raises(error, match="chunk 0"):
             forward_network(tiny_net(), self.chunked_windows(6))
-        # chunk 1 finished before the call returned; chunks 2-5 never ran
-        assert sorted(chunks.started) == sorted(chunks.finished) == [0, 1]
+        # chunk 3 finished before the call returned; no other chunk ran
+        assert sorted(chunks.started) == sorted(chunks.finished) == [0, 3]
 
     def test_caller_errstate_holds_in_the_helper(self, monkeypatch):
         monkeypatch.setattr(training, "EVAL_WORKERS", 2)

@@ -7,7 +7,8 @@ and seed overrides applied, is echoed into the output directory so a
 run can be reproduced from its own artifacts.
 
 Exit codes: 0 success, 1 numeric or check failure (failed gradient
-check, non-finite loss or feature map, overflowing synthetic data or
+check, non-finite loss, feature map or exponent gradient, an optimizer
+step that leaves a parameter non-finite, overflowing synthetic data or
 exponent augmentation), 2 configuration or I/O problems.
 """
 
@@ -219,7 +220,11 @@ _ConfigValidator = jsonschema.validators.extend(
 
 
 def load_config(path) -> dict:
-    """Parse, schema-validate, default-fill and cross-check a config file."""
+    """Parse, schema-validate, default-fill and cross-check a config file.
+
+    The constraints, augment and train sections are also built once, so a
+    value their constructors reject fails every command before it writes
+    anything."""
     try:
         with open(path) as fh:
             raw = json.load(fh)
@@ -241,6 +246,7 @@ def load_config(path) -> dict:
             f"{path}: data must have exactly one of 'path' or 'synthetic'")
     if "path" in data and "fault_ids" not in data:
         raise ConfigError(f"{path}: data.path requires data.fault_ids")
+    _train_config_from(cfg, _policy_from(cfg))
     return cfg
 
 

@@ -2,11 +2,13 @@
 
 Exponents are kept inside a per-layer interval [v_min, v_max] in one of
 two ways: clipping the stored values back into it after every optimizer
-step (mode "clip", with "project" accepted as another name for it), or
-training an unconstrained value that is mapped into the interval by a
-smooth monotone function (mode "reparam"). The hard-sigmoid map keeps a
-small residual slope outside its linear core so a saturated parameter can
-still recover (a plain clamp would zero its gradient for good).
+step (mode "clip"), or training an unconstrained value that is mapped
+into the interval by a smooth monotone function (mode "reparam"). The
+sigmoid and tanh maps are one logistic map v_min + (v_max - v_min)
+sigma(s w) with slope s = 1 and s = 2 (tanh(w) = 2 sigma(2 w) - 1), so
+they share each formula. The hard-sigmoid map keeps a small residual
+slope outside its linear core so a saturated parameter can still recover
+(a plain clamp would zero its gradient for good).
 
 The modes differ only here: training calls ``effective_layer`` before a
 forward pass, ``stored_grad`` on each layer's payload gradient and
@@ -31,7 +33,7 @@ from .layers import VARIANT_TYPES, LayerParams, Payload, payload_arrays, payload
 DEFAULT_V_MIN = -2.0
 DEFAULT_V_MAX = 4.0
 
-MODES = ("clip", "project", "reparam")
+MODES = ("clip", "reparam")
 KINDS = ("sigmoid", "tanh", "hard_sigmoid")
 
 # hard-sigmoid geometry: linear core over [-3, 3], residual slope outside
@@ -44,9 +46,8 @@ class ConstraintPolicy:
     """Per-layer exponent bounds and how to enforce them.
 
     mode "clip" clamps the stored exponents into the bounds after every
-    optimizer step ("project" is accepted as another name for it, so
-    older configs and models still load); "reparam" trains unconstrained
-    values through the map selected by ``kind``.
+    optimizer step; "reparam" trains unconstrained values through the map
+    selected by ``kind``.
     """
 
     v_min: float = DEFAULT_V_MIN
@@ -68,10 +69,6 @@ class ConstraintPolicy:
     def midpoint(self) -> float:
         return 0.5 * (self.v_min + self.v_max)
 
-    @property
-    def halfrange(self) -> float:
-        return 0.5 * (self.v_max - self.v_min)
-
 
 def enforce_bounds(ewm: Payload, policy: ConstraintPolicy) -> None:
     """Clamp the stored exponents into [v_min, v_max] in place; a no-op
@@ -92,6 +89,16 @@ def in_bounds(ewm: Payload, policy: ConstraintPolicy) -> bool:
 # --------------------------------------------------------------------------
 # Reparameterization maps (scalar, vectorized over arrays)
 
+def _slope(policy: ConstraintPolicy) -> float:
+    """s of the logistic map v_min + (v_max - v_min) sigma(s w)."""
+    return 2.0 if policy.kind == "tanh" else 1.0
+
+
+def _log_sigmoid(z):
+    """log sigma(z) = -log(1 + e^(-z)), finite for every finite z."""
+    return -np.logaddexp(0.0, -z)
+
+
 def reparam_forward(w_hat, policy: ConstraintPolicy):
     """Map an unconstrained value to a bounded exponent.
 
@@ -100,34 +107,33 @@ def reparam_forward(w_hat, policy: ConstraintPolicy):
     effective value is clamped (see effective_value).
     """
     w_hat = np.asarray(w_hat, dtype=np.float64)
-    if policy.kind == "sigmoid":
-        # below w_hat ~ -709 exp overflows to inf, giving v_min exactly
-        with np.errstate(over="ignore"):
-            out = policy.v_min + (policy.v_max - policy.v_min) / (1.0 + np.exp(-w_hat))
-    elif policy.kind == "tanh":
-        out = policy.midpoint + policy.halfrange * np.tanh(w_hat)
-    else:  # hard_sigmoid
+    if policy.kind == "hard_sigmoid":
         slope = (policy.v_max - policy.v_min) / (2.0 * _HARD_CORE)
         core = policy.midpoint + slope * np.clip(w_hat, -_HARD_CORE, _HARD_CORE)
         over = _RESIDUAL_SLOPE * (np.clip(w_hat, _HARD_CORE, None) - _HARD_CORE)
         under = _RESIDUAL_SLOPE * (np.clip(w_hat, None, -_HARD_CORE) + _HARD_CORE)
         out = core + over + under
+    else:
+        # below s w_hat ~ -709 exp overflows to inf, giving v_min exactly
+        with np.errstate(over="ignore"):
+            out = policy.v_min + (policy.v_max - policy.v_min) / (
+                1.0 + np.exp(-_slope(policy) * w_hat))
     return float(out) if out.ndim == 0 else out
 
 
 def reparam_grad(w_hat, policy: ConstraintPolicy):
-    """Exact derivative of reparam_forward; strictly positive everywhere."""
+    """Exact derivative of reparam_forward, strictly positive until it
+    underflows (for sigmoid/tanh, past |s w_hat| ~ 745). The logistic
+    slope sigma(z) sigma(-z) is taken in log space, so it does not cancel
+    in the tails as sigma (1 - sigma) would."""
     w_hat = np.asarray(w_hat, dtype=np.float64)
-    if policy.kind == "sigmoid":
-        with np.errstate(over="ignore"):  # saturated: exactly 0
-            sig = 1.0 / (1.0 + np.exp(-w_hat))
-        out = (policy.v_max - policy.v_min) * sig * (1.0 - sig)
-    elif policy.kind == "tanh":
-        t = np.tanh(w_hat)
-        out = policy.halfrange * (1.0 - t * t)
-    else:  # hard_sigmoid
+    if policy.kind == "hard_sigmoid":
         slope = (policy.v_max - policy.v_min) / (2.0 * _HARD_CORE)
         out = np.where(np.abs(w_hat) <= _HARD_CORE, slope, _RESIDUAL_SLOPE)
+    else:
+        z = _slope(policy) * w_hat
+        out = (policy.v_max - policy.v_min) * _slope(policy) * np.exp(
+            _log_sigmoid(z) + _log_sigmoid(-z))
     return float(out) if out.ndim == 0 else out
 
 
@@ -146,12 +152,11 @@ def forward_gap(a, b, policy: ConstraintPolicy):
         out = np.asarray(reparam_forward(b, policy)) \
             - np.asarray(reparam_forward(a, policy))
     else:
-        if policy.kind == "tanh":  # tanh(w) = 2 sigma(2 w) - 1
-            a, b = 2.0 * a, 2.0 * b
+        a, b = _slope(policy) * a, _slope(policy) * b
         # sigma(b) - sigma(a) = sigma(b) sigma(-a) (1 - e^(a - b)), the
         # product taken in log space: no step overflows or cancels
         out = (policy.v_max - policy.v_min) * np.exp(
-            -np.logaddexp(0.0, -b) - np.logaddexp(0.0, a)) * -np.expm1(a - b)
+            _log_sigmoid(b) + _log_sigmoid(-a)) * -np.expm1(a - b)
     return float(out) if out.ndim == 0 else out
 
 
@@ -162,14 +167,12 @@ def reparam_invert(target, policy: ConstraintPolicy):
     if np.any(target_arr <= policy.v_min) or np.any(target_arr >= policy.v_max):
         raise ValueError(
             f"target must lie strictly inside ({policy.v_min}, {policy.v_max})")
-    if policy.kind == "sigmoid":
-        frac = (target_arr - policy.v_min) / (policy.v_max - policy.v_min)
-        out = np.log(frac / (1.0 - frac))
-    elif policy.kind == "tanh":
-        out = np.arctanh((target_arr - policy.midpoint) / policy.halfrange)
-    else:  # hard_sigmoid
+    if policy.kind == "hard_sigmoid":
         slope = (policy.v_max - policy.v_min) / (2.0 * _HARD_CORE)
         out = (target_arr - policy.midpoint) / slope
+    else:
+        frac = (target_arr - policy.v_min) / (policy.v_max - policy.v_min)
+        out = np.log(frac / (1.0 - frac)) / _slope(policy)
     return float(out) if out.ndim == 0 else out
 
 

@@ -100,7 +100,8 @@ def layer_backward(x: np.ndarray, params: LayerParams, upstream: np.ndarray,
     ``upstream`` is d(loss)/d(feature map), shaped like the layer output
     (..., grid_t, grid_c, out_channels). ``cache`` is the one
     ``layer_forward`` filled for this input and these parameters; without
-    one, the forward kernel runs here to fill a fresh cache.
+    one, the forward kernel runs here to fill a fresh cache. A non-finite
+    exponent gradient raises FloatingPointError.
     """
     x = np.asarray(x, dtype=np.float64)
     if cache is None:
@@ -139,6 +140,9 @@ def layer_backward(x: np.ndarray, params: LayerParams, upstream: np.ndarray,
                 d_op[m] = gp @ log_mag.T
                 d_patches += scaled_op[m].T @ gp
         d_op *= weights if diag else weights[:, :, None]
+        if not np.isfinite(d_op).all():
+            raise FloatingPointError(
+                "exponent gradient contains non-finite values")
         d_payload = params.payload.operator_grad(d_op, params.k_h, params.k_w)
         del gp  # freed before the scatter allocates d_input
     d_input = scatter_patch_grads(

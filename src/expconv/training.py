@@ -316,8 +316,11 @@ def network_loss_grads(net: Network, windows: np.ndarray,
         upstream = (d_logits @ net.head_w.T).reshape(outputs[-1].shape)
         bundles = [None] * len(evaluated)
         for i in reversed(range(len(evaluated))):
-            bundles[i] = layer_backward(inputs[i], evaluated[i], upstream,
-                                        cache=caches[i])
+            try:
+                bundles[i] = layer_backward(inputs[i], evaluated[i],
+                                            upstream, cache=caches[i])
+            except FloatingPointError as exc:
+                raise FloatingPointError(f"layer {i}: {exc}") from exc
             upstream = bundles[i].d_input[..., None]
         d_inputs.append([b.d_input for b in bundles])
         chunk = NetGrads(bundles, feats.T @ d_logits, d_logits.sum(axis=0))
@@ -490,7 +493,9 @@ def train(net: Network, dataset: WindowedDataset, config: TrainConfig,
     Returns the trained network and a per-epoch history list of dicts
     (epoch, loss, and evaluation fields on eval_every epochs). Shuffling
     and augmentation draw from streams spawned off config.seed, so a
-    fixed config reproduces the run exactly.
+    fixed config reproduces the run exactly. A numeric failure in a
+    batch, including an optimizer step that leaves a parameter
+    non-finite, raises FloatingPointError naming the epoch and batch.
     """
     if len(dataset) == 0:
         raise ValueError("cannot train on an empty dataset")
@@ -519,12 +524,17 @@ def train(net: Network, dataset: WindowedDataset, config: TrainConfig,
                     xb = np.stack([apply_pipeline(w, config.augments, aug_rng,
                                                   streams) for w in xb])
                 loss, grads = network_loss_grads(net, xb, yb)
+                with np.errstate(over="ignore", invalid="ignore"):
+                    optimizer.step(_param_grad_pairs(net, grads))
+                    enforce_constraints(net)
+                if not all(np.isfinite(arr).all()
+                           for arr in network_param_arrays(net)):
+                    raise FloatingPointError(
+                        "optimizer step left non-finite parameters")
             except FloatingPointError as exc:
                 raise FloatingPointError(
                     f"{exc} at epoch {epoch}, "
                     f"batch {start // config.batch_size}") from exc
-            optimizer.step(_param_grad_pairs(net, grads))
-            enforce_constraints(net)
             batch_losses.append(loss)
         record = {"epoch": epoch, "loss": float(np.mean(batch_losses))}
         last = epoch == config.epochs - 1

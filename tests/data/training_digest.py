@@ -1,17 +1,20 @@
-"""Print two SHA-256 digests that pin the numerics of training and of the
+"""Print SHA-256 digests that pin the numerics of training and of the
 gradient checks.
 
-* ``training``: the saved ``model.bin`` bytes and the per-epoch history of
-  36 networks, every variant under clip, project and reparam, each
-  trained with Adam and with SGD. Every network has two layers (the
-  second with three output channels) and trains for two epochs on a small
-  synthetic task.
+* one line per trained network: variant, mode, optimizer, the first 16
+  hex digits of the digest of its ``model.bin`` bytes and per-epoch
+  history, and its final loss, so a change that moves the numerics
+  shows which networks moved and how far;
+* ``training``: the same bytes of all 24 networks, every variant under
+  clip and reparam, each trained with Adam and with SGD. Every network
+  has two layers (the second with three output channels) and trains for
+  two epochs on a small synthetic task.
 * ``gradcheck``: the ``to_text`` report of ``grad_check`` on every
   ``make_check_instance`` output (every variant x ``CHECK_KERNELS`` x
   seeds 0-49, 900 instances).
 
-A change that is meant to leave the numerics alone must leave both
-digests as they were; run the script before and after it and compare.
+A change that is meant to leave the numerics alone must leave every
+digest as it was; run the script before and after it and compare.
 
 Usage: PYTHONPATH=src python tests/data/training_digest.py
 """
@@ -28,7 +31,7 @@ from expconv.layers import VARIANT_TYPES
 from expconv.training import TrainConfig, build_network, save_model, train
 
 INPUT_SHAPE = (8, 5)
-MODES = ("clip", "project", "reparam")
+MODES = ("clip", "reparam")
 OPTIMIZERS = ("adam", "sgd")
 
 
@@ -55,9 +58,12 @@ def training_digest() -> str:
                     net, history = train(net, task.as_windowed(), config)
                     save_model(net, path)
                     with open(path, "rb") as fh:
-                        digest.update(fh.read())
-                    digest.update(json.dumps(history, sort_keys=True)
-                                  .encode("utf-8"))
+                        trained = fh.read() + json.dumps(
+                            history, sort_keys=True).encode("utf-8")
+                    digest.update(trained)
+                    print(f"{variant:<12} {mode:<8} {optimizer:<5} "
+                          f"{hashlib.sha256(trained).hexdigest()[:16]} "
+                          f"final loss {history[-1]['loss']!r}")
     return digest.hexdigest()
 
 

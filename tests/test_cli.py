@@ -2,15 +2,22 @@
 schema, exit codes, artifact files, seed overrides, and reproducibility
 from the echoed configuration."""
 
+import contextlib
+import copy
+import io
 import json
 import re
 import struct
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from expconv import cli, training
+from expconv.augment import AugmentSpec
 from expconv.constraints import ConstraintPolicy
 from expconv.dataset import (
     N_VARIABLES,
@@ -20,7 +27,12 @@ from expconv.dataset import (
     save_run_text,
 )
 from expconv.numerics import make_rng
-from expconv.training import build_network, load_model, save_model
+from expconv.training import (
+    TrainConfig,
+    build_network,
+    load_model,
+    save_model,
+)
 
 FIXTURE_DIR = Path(__file__).parent / "data"
 
@@ -58,6 +70,30 @@ def make_plant_fixtures(root, fault_id=1, normal_rows=300, seed=0):
     save_run_text(runs[0], root / run_filename(0, "train"))
     save_run_text(runs[1], root / run_filename(fault_id, "train"))
     save_run_text(runs[2], root / run_filename(fault_id, "test"))
+
+
+TINY_SYNTH = json.loads(
+    (Path(__file__).parent.parent / "configs" / "tiny_synth.json").read_text())
+SECTION_FIELDS = {
+    "constraints": sorted(cli.DEFAULTS["constraints"]),
+    "train": sorted(cli.DEFAULTS["train"]),
+    "augment": sorted(cli._AUGMENT_SCHEMA["properties"]),
+}
+ENUM_NAMES = ["clip", "reparam", "project", "sigmoid", "tanh", "adam", "sgd",
+              "flip_lr", "exp_augment", "per_row", "per_point"]
+
+
+def section_rejected(section, entry) -> bool:
+    """Whether the constructor of a config section rejects it, defaults
+    filled in as the CLI fills them."""
+    make = {"constraints": ConstraintPolicy, "train": TrainConfig,
+            "augment": AugmentSpec}[section]
+    try:
+        make(**(entry if section == "augment"
+                else {**cli.DEFAULTS[section], **entry}))
+    except (TypeError, ValueError):
+        return True
+    return False
 
 
 class TestConfigValidation:
@@ -118,6 +154,49 @@ class TestConfigValidation:
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1
         assert err.startswith(f"config error: {section}: ")
+
+    @pytest.mark.parametrize("command", ["train", "eval", "synth", "augment"])
+    def test_project_mode_rejected(self, tmp_path, capsys, command):
+        path = write_config(tmp_path, constraints={"mode": "project"})
+        argv = [command, "--config", str(path)]
+        if command == "eval":
+            argv += ["--model", str(tmp_path / "absent.bin")]
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert "constraints.mode: 'project' is not one of" in err
+        assert not (tmp_path / "out").exists()
+
+    @given(field=st.sampled_from([(section, key) for section, keys
+                                  in SECTION_FIELDS.items() for key in keys]),
+           value=st.one_of(st.none(), st.booleans(), st.integers(),
+                           st.floats(), st.text(max_size=4),
+                           st.sampled_from(ENUM_NAMES)))
+    @settings(max_examples=25, deadline=None)
+    def test_rejected_sections_fail_every_command_first(self, field, value):
+        # a value the section's constructor rejects ends every command
+        # with exit 2 and one stderr line, before config.json is written
+        section, key = field
+        cfg = copy.deepcopy(TINY_SYNTH)
+        entry = cfg[section][0] if section == "augment" else cfg[section]
+        entry[key] = value
+        assume(section_rejected(section, entry))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "config.json"
+            path.write_text(json.dumps(cfg))
+            for command in ("train", "eval", "synth", "augment"):
+                out = Path(tmp) / command
+                argv = [command, "--config", str(path), "--out", str(out)]
+                if command == "eval":
+                    argv += ["--model", str(Path(tmp) / "absent.bin")]
+                err = io.StringIO()
+                with contextlib.redirect_stderr(err), \
+                        contextlib.redirect_stdout(io.StringIO()):
+                    code = cli.main(argv)
+                assert code == 2, (command, err.getvalue())
+                assert len(err.getvalue().splitlines()) == 1
+                assert err.getvalue().startswith("config error: ")
+                assert not out.exists()
 
 
 def integer_fields(schema, path=()):
@@ -294,6 +373,26 @@ class TestTrainCommand:
         net = load_model(tmp_path / "out" / "model.bin")
         assert net.n_classes == 2
         assert net.input_shape == (40, 52)
+
+
+    @pytest.mark.parametrize("mode", ["clip", "reparam"])
+    def test_overflowing_step_exits_1_at_its_batch(self, tmp_path, capsys,
+                                                   mode):
+        # lr * grad overflows in the first step; under clip the clamp
+        # makes the exponents finite again but not the weights
+        path = write_config(
+            tmp_path,
+            data={"synthetic": {"win_len": 8, "channels": 4, "count": 64,
+                                "seed": 1, "mag_hi": 1000.0}},
+            model={"layers": [{"variant": "elementwise", "k_h": 2, "k_w": 2,
+                               "activation": "identity"}]},
+            constraints={"mode": mode},
+            train={"epochs": 2, "batch_size": 16, "seed": 0,
+                   "optimizer": "sgd", "learning_rate": 1e308})
+        assert cli.main(["train", "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err == ("numeric failure: optimizer step left non-finite "
+                       "parameters at epoch 0, batch 0\n")
 
 
 class TestEvalCommand:

@@ -53,6 +53,11 @@ class TestPolicyValidation:
         with pytest.raises(ValueError):
             ConstraintPolicy(kind="softplus")
 
+    def test_project_is_not_a_mode(self):
+        # clip is the one name of the clamping mode
+        with pytest.raises(ValueError, match="mode must be one of"):
+            ConstraintPolicy(mode="project")
+
 
 class TestClip:
     def test_overshoot_clamped(self):
@@ -96,13 +101,12 @@ class TestClip:
 
 
 class TestInBounds:
-    def test_clip_and_project_check_the_interval(self):
-        for mode in ("clip", "project"):
-            pol = ConstraintPolicy(mode=mode)
-            assert in_bounds(Elementwise(np.array([[-2.0, 4.0]])), pol)
-            assert not in_bounds(Elementwise(np.array([[1.0, 4.5]])), pol)
-            assert not in_bounds(
-                Bilinear(np.zeros((2, 2, 2)), np.full((2, 3, 3), -2.5)), pol)
+    def test_clip_checks_the_interval(self):
+        pol = ConstraintPolicy(mode="clip")
+        assert in_bounds(Elementwise(np.array([[-2.0, 4.0]])), pol)
+        assert not in_bounds(Elementwise(np.array([[1.0, 4.5]])), pol)
+        assert not in_bounds(
+            Bilinear(np.zeros((2, 2, 2)), np.full((2, 3, 3), -2.5)), pol)
 
     def test_reparam_values_are_unconstrained(self):
         pol = ConstraintPolicy(mode="reparam")
@@ -169,12 +173,25 @@ class TestReparamMaps:
 
     @pytest.mark.parametrize("kind", ALL_KINDS)
     def test_grad_positive_where_float_resolves(self, kind):
-        # mathematically positive everywhere; evaluated over the widest
-        # range where float64 can still represent the tail slope
-        span = {"sigmoid": 30.0, "tanh": 18.0, "hard_sigmoid": 100.0}[kind]
+        # mathematically positive everywhere; evaluated out to |s w| = 700
+        # (s = 2 for tanh), short of where e^(-|s w|) underflows
+        span = {"sigmoid": 700.0, "tanh": 350.0, "hard_sigmoid": 100.0}[kind]
         pol = ConstraintPolicy(mode="reparam", kind=kind)
         grid = np.linspace(-span, span, 4001)
         assert np.all(reparam_grad(grid, pol) > 0.0)
+
+    @pytest.mark.parametrize("kind, s", [("sigmoid", 1.0), ("tanh", 2.0)])
+    def test_grad_matches_the_cancellation_free_form(self, kind, s):
+        # (v_max - v_min) s sigma(z) sigma(-z) with z = s w, written as
+        # e^(-|z|) / (1 + e^(-|z|))^2, which nothing cancels in
+        pol = ConstraintPolicy(mode="reparam", kind=kind)
+        z = np.concatenate([np.linspace(-700.0, 700.0, 20_001),
+                            make_rng(3).uniform(-40.0, 40.0, 2000)])
+        e = np.exp(-np.abs(z))
+        exact = (pol.v_max - pol.v_min) * s * e / (1.0 + e) ** 2
+        grad = reparam_grad(z / s, pol)
+        assert np.all(grad > 0.0)
+        np.testing.assert_allclose(grad, exact, rtol=1e-13, atol=0)
 
     @pytest.mark.parametrize("kind", ALL_KINDS)
     def test_strictly_monotone_via_stable_gaps(self, kind):
@@ -203,13 +220,15 @@ class TestReparamMaps:
                          - np.logaddexp(0.0, -b) - np.logaddexp(0.0, a)
                          + np.log(-np.expm1(a - b)))
         else:  # log(halfrange * sinh(b - a) / (cosh(a) cosh(b)))
+            halfrange = 0.5 * (pol.v_max - pol.v_min)
+
             def log_cosh(x):
                 x = np.abs(x)
                 return x + np.log1p(np.exp(-2.0 * x)) - np.log(2.0)
 
             d = b - a
             log_sinh = d + np.log(-np.expm1(-2.0 * d)) - np.log(2.0)
-            log_exact = (np.log(pol.halfrange) + log_sinh
+            log_exact = (np.log(halfrange) + log_sinh
                          - log_cosh(a) - log_cosh(b))
         resolvable = log_exact > np.log(1e-300)
         assert resolvable.sum() > 0.1 * resolvable.size

@@ -224,6 +224,23 @@ class TestNetworkGradients:
             assert loss1 < loss0
 
 
+class TestBackwardOverflow:
+    def test_exponent_gradient_overflow_names_the_layer(self):
+        # x^4 of 5.6e76 is finite, but d loss / d exponents overflows
+        net = build_network((4, 3), 2, [{"variant": "elementwise", "k_h": 2,
+                                         "k_w": 2, "activation": "identity"}],
+                            seed=0)
+        net.layers[0].payload.exponents[...] = 4.0
+        net.layers[0].weights[...] = 1e-200
+        net.head_w[:, 0] = 1.0
+        net.head_w[:, 1] = -1.0
+        with pytest.raises(FloatingPointError,
+                           match="^layer 0: exponent gradient contains "
+                                 "non-finite values$"):
+            network_loss_grads(net, np.full((2, 4, 3), 5.6e76),
+                               np.array([0, 1]))
+
+
 class TestStepInputValidation:
     """Bad batches are a ValueError saying what is wrong, before any work."""
 
@@ -276,7 +293,7 @@ class TestChunkedPasses:
         arrays += [b.d_input for b in grads.layers]
         return loss, arrays, forward_network(net, windows)
 
-    @pytest.mark.parametrize("mode", ("clip", "project", "reparam"))
+    @pytest.mark.parametrize("mode", ("clip", "reparam"))
     @pytest.mark.parametrize("variant", sorted(VARIANT_TYPES))
     def test_chunking_keeps_the_result(self, monkeypatch, variant, mode):
         net = self.two_layer_net(variant, mode)
@@ -738,7 +755,7 @@ class TestModelFormat:
         with pytest.raises(ValueError, match=f"{field}.* must be an integer"):
             load_model(path)
 
-    @pytest.mark.parametrize("mode", ["clip", "project"])
+    @pytest.mark.parametrize("mode", ["clip"])
     def test_exponents_outside_tightened_bounds_rejected(self, tmp_path,
                                                          mode):
         path = tmp_path / "model.bin"
@@ -750,6 +767,15 @@ class TestModelFormat:
         self.rewrite_metadata(path, tighten)
         with pytest.raises(ValueError,
                            match=r"layer 1: stored exponents .*1\.05"):
+            load_model(path)
+
+    def test_project_mode_rejected(self, tmp_path):
+        path = tmp_path / "model.bin"
+        shutil.copy(FIXTURE_DIR / "model_elementwise_clip.bin", path)
+        self.rewrite_metadata(
+            path, lambda m: m["layers"][0]["policy"].update(mode="project"))
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: "
+                                             "mode must be one of"):
             load_model(path)
 
     @pytest.mark.parametrize("name, value", [("head_w", np.nan),

@@ -172,7 +172,7 @@ class TestConfigValidation:
            value=st.one_of(st.none(), st.booleans(), st.integers(),
                            st.floats(), st.text(max_size=4),
                            st.sampled_from(ENUM_NAMES)))
-    @settings(max_examples=25, deadline=None)
+    @settings(max_examples=20, deadline=None)
     def test_rejected_sections_fail_every_command_first(self, field, value):
         # a value the section's constructor rejects ends every command
         # with exit 2 and one stderr line, before config.json is written

@@ -47,8 +47,8 @@ class AugmentSpec:
             raise ValueError("block_len must be >= 1")
         if self.granularity not in GRANULARITIES:
             raise ValueError(f"granularity must be one of {GRANULARITIES}")
-        if self.lo > self.hi:
-            raise ValueError("lo must be <= hi")
+        if not -np.inf < self.lo <= self.hi < np.inf:
+            raise ValueError("lo and hi must be finite with lo <= hi")
 
 
 def _check_window(x) -> np.ndarray:

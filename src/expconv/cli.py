@@ -2,9 +2,10 @@
 
 Subcommands: gradcheck, train, eval, synth, augment. Every run is
 configured by a JSON file validated against a strict schema (unknown
-keys are errors), and the effective configuration, defaults filled in
-and seed overrides applied, is echoed into the output directory so a
-run can be reproduced from its own artifacts.
+keys and non-finite numbers are errors), and the effective
+configuration, defaults filled in and the --seed and --out overrides
+applied, is echoed into the output directory so a run can be reproduced
+from its own artifacts.
 
 Exit codes: 0 success, 1 numeric or check failure (failed gradient
 check, non-finite loss, feature map or exponent gradient, an optimizer
@@ -17,15 +18,12 @@ from __future__ import annotations
 import argparse
 import copy
 import json
+import math
 import os
 import sys
 
+import jsonschema
 import numpy as np
-
-try:
-    import jsonschema
-except ImportError as exc:  # pragma: no cover
-    raise ImportError("the CLI requires the jsonschema package") from exc
 
 from .augment import (
     GRANULARITIES,
@@ -76,7 +74,6 @@ _LAYER_SCHEMA = {
         "variant": {"enum": sorted(VARIANT_TYPES)},
         "k_h": {"type": "integer", "minimum": 1},
         "k_w": {"type": "integer", "minimum": 1},
-        "stride": {"type": "integer", "minimum": 1},
         "stride_t": {"type": "integer", "minimum": 1},
         "stride_c": {"type": "integer", "minimum": 1},
         "out_channels": {"type": "integer", "minimum": 1},
@@ -217,6 +214,7 @@ _ConfigValidator = jsonschema.validators.extend(
     jsonschema.Draft202012Validator,
     type_checker=jsonschema.Draft202012Validator.TYPE_CHECKER.redefine(
         "integer", lambda checker, value: type(value) is int))
+_VALIDATOR = _ConfigValidator(CONFIG_SCHEMA)
 
 
 def load_config(path) -> dict:
@@ -224,21 +222,26 @@ def load_config(path) -> dict:
 
     The constraints, augment and train sections are also built once, so a
     value their constructors reject fails every command before it writes
-    anything."""
+    anything. ``NaN``, ``Infinity`` and numbers too large for a float are
+    rejected while parsing."""
+    def finite(token: str) -> float:
+        if not math.isfinite(value := float(token)):
+            raise ConfigError(f"{path}: non-finite number {token}")
+        return value
+
     try:
         with open(path) as fh:
-            raw = json.load(fh)
+            raw = json.load(fh, parse_float=finite, parse_constant=finite)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(
             f"{path} is not valid JSON (line {exc.lineno}, col {exc.colno}): "
             f"{exc.msg}") from exc
-    try:
-        jsonschema.validate(raw, CONFIG_SCHEMA, cls=_ConfigValidator)
-    except jsonschema.ValidationError as exc:
-        where = ".".join(str(p) for p in exc.absolute_path) or "(top level)"
-        raise ConfigError(f"{path}: {where}: {exc.message}") from exc
+    error = jsonschema.exceptions.best_match(_VALIDATOR.iter_errors(raw))
+    if error is not None:
+        where = ".".join(str(p) for p in error.absolute_path) or "(top level)"
+        raise ConfigError(f"{path}: {where}: {error.message}")
     cfg = _merge_defaults(DEFAULTS, raw)
     data = cfg["data"]
     if ("path" in data) == ("synthetic" in data):
@@ -246,45 +249,28 @@ def load_config(path) -> dict:
             f"{path}: data must have exactly one of 'path' or 'synthetic'")
     if "path" in data and "fault_ids" not in data:
         raise ConfigError(f"{path}: data.path requires data.fault_ids")
-    _train_config_from(cfg, _policy_from(cfg))
+    _train_config_from(cfg)
     return cfg
 
 
-def _policy_from(cfg: dict) -> ConstraintPolicy:
+def _checked(section: str, build):
+    """``build()``, with a TypeError or ValueError it raises reported as a
+    ConfigError naming the config section."""
     try:
-        return ConstraintPolicy(**cfg["constraints"])
-    except ValueError as exc:
-        raise ConfigError(f"constraints: {exc}") from exc
+        return build()
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{section}: {exc}") from exc
 
 
-def _augments_from(cfg: dict) -> tuple:
-    specs = []
-    for entry in cfg["augment"]:
-        try:
-            specs.append(AugmentSpec(**entry))
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"augment: {exc}") from exc
-    return tuple(specs)
-
-
-def _layer_specs_from(cfg: dict) -> list:
-    specs = []
-    for entry in cfg["model"]["layers"]:
-        spec = dict(entry)
-        both = spec.pop("stride", None)
-        if both is not None:
-            spec.setdefault("stride_t", both)
-            spec.setdefault("stride_c", both)
-        specs.append(spec)
-    return specs
-
-
-def _train_config_from(cfg: dict, policy: ConstraintPolicy) -> TrainConfig:
-    try:
-        return TrainConfig(**cfg["train"], augments=_augments_from(cfg),
-                           policy=policy)
-    except ValueError as exc:
-        raise ConfigError(f"train: {exc}") from exc
+def _train_config_from(cfg: dict) -> TrainConfig:
+    """The constraints, augment and train sections built into one
+    TrainConfig, which carries the policy and the augment specs."""
+    policy = _checked("constraints",
+                      lambda: ConstraintPolicy(**cfg["constraints"]))
+    augments = _checked("augment", lambda: tuple(
+        AugmentSpec(**entry) for entry in cfg["augment"]))
+    return _checked("train", lambda: TrainConfig(
+        **cfg["train"], augments=augments, policy=policy))
 
 
 def _synthetic_task(s: dict):
@@ -349,10 +335,13 @@ def build_datasets(cfg: dict):
     return train_ds, test_ds, len(fault_ids), N_VARIABLES
 
 
-def _echo_config(args, cfg: dict) -> str:
+def _echo_config(args, cfg: dict, seeded: dict | None = None) -> str:
     """Write the config to ``config.json`` in the output directory and
-    return that directory. A --out override is folded back into the config
-    first, so the echoed file reproduces the same artifact paths."""
+    return that directory. The overrides are folded into the config first,
+    --seed into ``seeded`` (the section whose seed the command uses) and
+    --out into ``output.dir``, so the echoed file reproduces the run."""
+    if seeded is not None and args.seed is not None:
+        seeded["seed"] = args.seed
     if args.out:
         cfg["output"]["dir"] = args.out
     out_dir = cfg["output"]["dir"]
@@ -393,16 +382,12 @@ def cmd_gradcheck(args) -> int:
 
 def cmd_train(args) -> int:
     cfg = load_config(args.config)
-    if args.seed is not None:
-        cfg["train"]["seed"] = args.seed
-    out_dir = _echo_config(args, cfg)
+    out_dir = _echo_config(args, cfg, cfg["train"])
+    tc = _train_config_from(cfg)
     train_ds, test_ds, n_classes, channels = build_datasets(cfg)
-    policy = _policy_from(cfg)
-    win_len = train_ds.win_len
-    net = build_network((win_len, channels), n_classes,
-                        _layer_specs_from(cfg), policy=policy,
-                        seed=cfg["train"]["seed"])
-    tc = _train_config_from(cfg, policy)
+    net = build_network((train_ds.win_len, channels), n_classes,
+                        cfg["model"]["layers"], policy=tc.policy,
+                        seed=tc.seed)
     net, history = train(net, train_ds, tc, eval_dataset=test_ds)
     write_history_csv(history, os.path.join(out_dir, "metrics.csv"),
                       n_classes)
@@ -450,9 +435,7 @@ def cmd_synth(args) -> int:
     cfg = load_config(args.config)
     if "synthetic" not in cfg["data"]:
         raise ConfigError("synth requires a data.synthetic section")
-    if args.seed is not None:
-        cfg["data"]["synthetic"]["seed"] = args.seed
-    out_dir = _echo_config(args, cfg)
+    out_dir = _echo_config(args, cfg, cfg["data"]["synthetic"])
     task = _synthetic_task(cfg["data"]["synthetic"])
     save_windows_csv(task.as_windowed(), os.path.join(out_dir, "dataset.csv"))
     print(f"generated {len(task)} windows "
@@ -464,20 +447,19 @@ def cmd_synth(args) -> int:
 
 def cmd_augment(args) -> int:
     cfg = load_config(args.config)
-    out_dir = _echo_config(args, cfg)
+    out_dir = _echo_config(args, cfg, cfg["train"])
+    tc = _train_config_from(cfg)
     train_ds, _, _, _ = build_datasets(cfg)
-    specs = _augments_from(cfg)
-    seed = args.seed if args.seed is not None else cfg["train"]["seed"]
-    rng = make_rng(seed)
-    streams = private_streams(specs)
-    augmented = np.stack([apply_pipeline(w, specs, rng, streams)
+    rng = make_rng(tc.seed)
+    streams = private_streams(tc.augments)
+    augmented = np.stack([apply_pipeline(w, tc.augments, rng, streams)
                           for w in train_ds.windows]) \
         if len(train_ds) else train_ds.windows
     out_ds = WindowedDataset(augmented, train_ds.labels,
                              train_ds.win_len, train_ds.stride)
     save_windows_csv(out_ds, os.path.join(out_dir, "augmented.csv"))
-    print(f"augmented {len(out_ds)} windows with {len(specs)} specs "
-          f"(seed {seed})")
+    print(f"augmented {len(out_ds)} windows with {len(tc.augments)} specs "
+          f"(seed {tc.seed})")
     print(f"wrote {out_dir}/augmented.csv")
     return 0
 
@@ -485,11 +467,14 @@ def cmd_augment(args) -> int:
 # --------------------------------------------------------------------------
 # Entry point
 
-def positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
+def _int_at_least(low: int):
+    """An argparse type: an integer no smaller than ``low``."""
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+    return integer
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -499,8 +484,8 @@ def build_parser() -> argparse.ArgumentParser:
                     "checks, training, evaluation, data generation.")
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="JSON run configuration")
-    common.add_argument("--seed", type=int, default=None,
-                        help="override the configured seed")
+    common.add_argument("--seed", type=_int_at_least(0), default=None,
+                        help="override the configured seed (>= 0)")
     common.add_argument("--out", default=None,
                         help="override the configured output directory")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -512,7 +497,7 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=["all"] + sorted(VARIANT_TYPES))
     p.add_argument("--tol", type=float, default=1e-6,
                    help="relative-error tolerance (default 1e-6)")
-    p.add_argument("--checks", type=positive_int, default=10,
+    p.add_argument("--checks", type=_int_at_least(1), default=10,
                    help="seeds per variant and kernel shape (default 10)")
     p.set_defaults(func=cmd_gradcheck)
 

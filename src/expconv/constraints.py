@@ -56,9 +56,9 @@ class ConstraintPolicy:
     kind: str = "sigmoid"
 
     def __post_init__(self):
-        if not self.v_min < 1.0 < self.v_max:
+        if not -np.inf < self.v_min < 1.0 < self.v_max < np.inf:
             raise ValueError(
-                "bounds must straddle the neutral exponent 1 "
+                "bounds must be finite and straddle the neutral exponent 1 "
                 f"(got [{self.v_min}, {self.v_max}])")
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}")

@@ -92,22 +92,31 @@ def glorot_uniform(rng: np.random.Generator, shape: tuple,
     return rng.uniform(-limit, limit, size=shape)
 
 
+# The keys of a layer spec: variant, k_h and k_w are required
+LAYER_KEYS = ("variant", "k_h", "k_w", "out_channels", "stride_t",
+              "stride_c", "activation")
+
+
 def build_network(input_shape: tuple, n_classes: int, layer_specs,
                   policy: ConstraintPolicy | None = None,
                   seed: int = 0) -> Network:
     """Assemble a network with fresh weights and neutral exponents.
 
-    Each layer spec is a dict with keys variant, out_channels, k_h, k_w
-    and optional stride_t, stride_c, activation. Exponent payloads are
-    initialized without consuming random draws, so networks differing
-    only in variant share their filter and classifier initialization.
+    Each layer spec is a dict with keys variant, k_h, k_w and optional
+    out_channels, stride_t, stride_c, activation (``LAYER_KEYS``); any
+    other key is a ValueError. Exponent payloads are initialized without
+    consuming random draws, so networks differing only in variant share
+    their filter and classifier initialization.
     """
     if policy is None:
         policy = ConstraintPolicy()
     rng = make_rng(seed)
     layers = []
     rows, cols = input_shape
-    for spec in layer_specs:
+    for i, spec in enumerate(layer_specs):
+        unknown = sorted(set(spec) - set(LAYER_KEYS))
+        if unknown:
+            raise ValueError(f"layer {i}: unknown keys {unknown}")
         k_h, k_w = int(spec["k_h"]), int(spec["k_w"])
         out_ch = int(spec.get("out_channels", 1))
         fan = k_h * k_w
@@ -356,13 +365,13 @@ class TrainConfig:
     def __post_init__(self):
         if self.epochs < 0 or self.batch_size < 1 or self.eval_every < 1:
             raise ValueError("epochs >= 0, batch_size >= 1, eval_every >= 1")
-        if self.learning_rate <= 0:
+        if not self.learning_rate > 0:
             raise ValueError("learning_rate must be positive")
         if self.optimizer not in OPTIMIZERS:
             raise ValueError(f"optimizer must be one of {OPTIMIZERS}")
         if not (0 < self.beta1 < 1 and 0 < self.beta2 < 1):
             raise ValueError("betas must lie in (0, 1)")
-        if self.adam_eps <= 0:
+        if not self.adam_eps > 0:
             raise ValueError("adam_eps must be positive")
         for spec in self.augments:
             if not isinstance(spec, AugmentSpec):

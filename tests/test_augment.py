@@ -136,6 +136,12 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             AugmentSpec("exp_augment", lo=2.0, hi=-2.0)
 
+    @pytest.mark.parametrize("lo, hi", [(np.nan, 1.0), (0.5, np.nan),
+                                        (-np.inf, 1.0), (0.5, np.inf)])
+    def test_bounds_finite(self, lo, hi):
+        with pytest.raises(ValueError, match="finite"):
+            AugmentSpec("exp_augment", lo=lo, hi=hi)
+
     def test_granularity_checked(self):
         with pytest.raises(ValueError):
             AugmentSpec("exp_augment", granularity="per_window")

@@ -135,6 +135,24 @@ class TestConfigValidation:
         path = write_config(tmp_path, data={"path": "/tmp/x"})
         assert cli.main(["train", "--config", str(path)]) == 2
 
+    def test_schema_is_a_valid_schema(self):
+        # load_config builds its validator once and does not re-check it
+        cli._ConfigValidator.check_schema(cli.CONFIG_SCHEMA)
+
+    @pytest.mark.parametrize("command", ["train", "eval", "synth", "augment",
+                                         "gradcheck"])
+    def test_negative_seed_exits_2_first(self, tmp_path, capsys, command):
+        path = write_config(tmp_path)
+        argv = [command, "--config", str(path), "--seed", "-1"]
+        if command == "eval":
+            argv += ["--model", str(tmp_path / "absent.bin")]
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "--seed" in err and "must be >= 0, got -1" in err
+        assert not (tmp_path / "out").exists()
+
     def test_bad_enum_value(self, tmp_path, capsys):
         path = write_config(
             tmp_path,
@@ -189,25 +207,23 @@ class TestConfigValidation:
                 argv = [command, "--config", str(path), "--out", str(out)]
                 if command == "eval":
                     argv += ["--model", str(Path(tmp) / "absent.bin")]
-                err = io.StringIO()
-                with contextlib.redirect_stderr(err), \
-                        contextlib.redirect_stdout(io.StringIO()):
-                    code = cli.main(argv)
-                assert code == 2, (command, err.getvalue())
-                assert len(err.getvalue().splitlines()) == 1
-                assert err.getvalue().startswith("config error: ")
+                code, err = run_quietly(argv)
+                assert code == 2, (command, err)
+                assert len(err.splitlines()) == 1
+                assert err.startswith("config error: ")
                 assert not out.exists()
 
 
-def integer_fields(schema, path=()):
-    """Every path the config schema types "integer"; array items at 0."""
-    if schema.get("type") == "integer":
+def typed_fields(schema, types, path=()):
+    """Every path the config schema gives one of ``types``; array items
+    at 0."""
+    if schema.get("type") in types:
         return [path]
     if "properties" in schema:
         return [found for key, sub in schema["properties"].items()
-                for found in integer_fields(sub, path + (key,))]
+                for found in typed_fields(sub, types, path + (key,))]
     if "items" in schema:
-        return integer_fields(schema["items"], path + (0,))
+        return typed_fields(schema["items"], types, path + (0,))
     return []
 
 
@@ -226,14 +242,24 @@ def set_field(cfg, path, value):
     node[path[-1]] = value
 
 
-INTEGER_FIELDS = integer_fields(cli.CONFIG_SCHEMA)
+INTEGER_FIELDS = typed_fields(cli.CONFIG_SCHEMA, ("integer",))
+NUMBER_FIELDS = typed_fields(cli.CONFIG_SCHEMA, ("integer", "number"))
+
+
+def run_quietly(argv):
+    """``cli.main(argv)``'s exit code and stderr."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), \
+            contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(argv)
+    return code, err.getvalue()
 
 
 class TestIntegerFields:
     def test_every_section_is_covered(self):
         assert {p[0] for p in INTEGER_FIELDS} == {"data", "model", "augment",
                                                   "train"}
-        assert len(INTEGER_FIELDS) >= 19
+        assert len(INTEGER_FIELDS) >= 18
 
     @pytest.mark.parametrize("command", ["train", "synth"])
     @pytest.mark.parametrize("value", [8.0, 1e308])
@@ -254,6 +280,45 @@ class TestIntegerFields:
     def test_integers_still_accepted(self, tmp_path):
         path = write_config(tmp_path, train={"epochs": 1, "batch_size": 16})
         assert cli.main(["train", "--config", str(path)]) == 0
+
+
+class TestNonFiniteNumbers:
+    def test_number_fields_of_every_section_are_covered(self):
+        assert {p[0] for p in NUMBER_FIELDS} == {"data", "model", "augment",
+                                                 "constraints", "train"}
+
+    @pytest.mark.parametrize(
+        "path", NUMBER_FIELDS,
+        ids=[".".join(map(str, p)) for p in NUMBER_FIELDS])
+    def test_fails_every_command_first(self, tmp_path, path):
+        # a NaN or an infinity in any number field ends every command with
+        # exit 2 and one stderr line, before config.json is written
+        cfg = json.loads(write_config(tmp_path).read_text())
+        cfg_path = tmp_path / "nonfinite.json"
+        for value in (float("nan"), float("inf"), float("-inf")):
+            set_field(cfg, path, value)
+            cfg_path.write_text(json.dumps(cfg))
+            for command in ("train", "eval", "synth", "augment"):
+                out = tmp_path / command
+                argv = [command, "--config", str(cfg_path), "--out", str(out)]
+                if command == "eval":
+                    argv += ["--model", str(tmp_path / "absent.bin")]
+                code, err = run_quietly(argv)
+                assert code == 2, (command, value, err)
+                assert len(err.splitlines()) == 1
+                assert err.startswith(f"config error: {cfg_path}: "
+                                      "non-finite number ")
+                assert not out.exists()
+
+    @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity",
+                                       "1e400"])
+    def test_message_names_the_token(self, tmp_path, capsys, token):
+        path = write_config(tmp_path)
+        path.write_text(path.read_text().replace('"noise": 0.05',
+                                                 f'"noise": {token}'))
+        assert cli.main(["synth", "--config", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            f"config error: {path}: non-finite number {token}\n")
 
 
 class TestGradcheckCommand:
@@ -349,10 +414,10 @@ class TestTrainCommand:
         assert echoed["train"]["seed"] == 1
 
     @pytest.mark.parametrize("layer, strides", [
-        ({"stride": 2}, (2, 2)),
-        ({"stride": 2, "stride_t": 1}, (1, 2)),
+        ({"stride_t": 2, "stride_c": 2}, (2, 2)),
+        ({"stride_c": 2}, (1, 2)),
     ])
-    def test_stride_shorthand(self, tmp_path, layer, strides):
+    def test_layer_strides(self, tmp_path, layer, strides):
         path = write_config(
             tmp_path, train={"epochs": 1, "seed": 0},
             model={"layers": [{"variant": "elementwise", "k_h": 2, "k_w": 2,
@@ -360,6 +425,21 @@ class TestTrainCommand:
         assert cli.main(["train", "--config", str(path)]) == 0
         trained = load_model(tmp_path / "out" / "model.bin").layers[0]
         assert (trained.stride_t, trained.stride_c) == strides
+
+    def test_stride_is_not_a_layer_key(self, tmp_path, capsys):
+        # a layer's strides are spelled stride_t and stride_c only
+        path = write_config(
+            tmp_path, model={"layers": [{"variant": "elementwise", "k_h": 2,
+                                         "k_w": 2, "stride": 2}]})
+        assert cli.main(["train", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert "model.layers.0" in err and "'stride'" in err
+        assert not (tmp_path / "out").exists()
+
+    def test_schema_layer_keys_are_build_networks(self):
+        assert set(cli._LAYER_SCHEMA["properties"]) == set(
+            training.LAYER_KEYS)
 
     def test_plant_file_mode(self, tmp_path):
         make_plant_fixtures(tmp_path)
@@ -502,6 +582,21 @@ class TestEvalCommand:
         assert len(err.splitlines()) == 1
         assert "layer 0: stored exponents" in err
 
+    def test_non_finite_bound_in_model_exits_2(self, tmp_path, capsys):
+        model = tmp_path / "model.bin"
+        blob = (FIXTURE_DIR / "model_elementwise_clip.bin").read_bytes()
+        (meta_len,) = struct.unpack_from("<Q", blob, 8)
+        meta = blob[16:16 + meta_len].replace(b'"v_min":-2.0',
+                                              b'"v_min":-Infinity')
+        model.write_bytes(blob[:8] + struct.pack("<Q", len(meta)) + meta
+                          + blob[16 + meta_len:])
+        path = write_config(tmp_path)
+        rc = cli.main(["eval", "--config", str(path), "--model", str(model)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert str(model) in err and "bounds must be finite" in err
+
     @pytest.mark.parametrize("name, value", [("head_w", np.nan),
                                              ("head_b", np.inf)])
     def test_non_finite_head_exits_2(self, tmp_path, capsys, name, value):
@@ -587,6 +682,22 @@ class TestAugmentCommand:
             cli.load_config(str(path)))
         np.testing.assert_array_equal(out.windows, train_ds.windows)
         np.testing.assert_array_equal(out.labels, train_ds.labels)
+
+    def test_echoed_config_reproduces_seeded_run(self, tmp_path):
+        path = write_config(
+            tmp_path,
+            augment=[{"op": "exp_augment", "probability": 1.0,
+                      "lo": 0.5, "hi": 1.5}])
+        assert cli.main(["augment", "--config", str(path), "--seed", "5",
+                         "--out", str(tmp_path / "a")]) == 0
+        echoed = json.loads((tmp_path / "a" / "config.json").read_text())
+        assert echoed["train"]["seed"] == 5
+        echoed["output"]["dir"] = str(tmp_path / "b")
+        (tmp_path / "replay.json").write_text(json.dumps(echoed))
+        assert cli.main(["augment", "--config",
+                         str(tmp_path / "replay.json")]) == 0
+        assert (tmp_path / "a" / "augmented.csv").read_bytes() \
+            == (tmp_path / "b" / "augmented.csv").read_bytes()
 
     def test_deterministic_under_seed(self, tmp_path):
         path = write_config(

@@ -47,6 +47,12 @@ class TestPolicyValidation:
         with pytest.raises(ValueError):
             ConstraintPolicy(v_min=-2.0, v_max=0.5)
 
+    @pytest.mark.parametrize("v_min, v_max", [(-np.inf, 4.0), (-2.0, np.inf),
+                                              (np.nan, 4.0), (-2.0, np.nan)])
+    def test_bounds_must_be_finite(self, v_min, v_max):
+        with pytest.raises(ValueError, match="finite"):
+            ConstraintPolicy(v_min=v_min, v_max=v_max)
+
     def test_unknown_mode_and_kind(self):
         with pytest.raises(ValueError):
             ConstraintPolicy(mode="freeze")

@@ -74,6 +74,15 @@ class TestNetworkConstruction:
         with pytest.raises(ValueError, match="one channel"):
             build_network((4, 3), 2, specs)
 
+    def test_unknown_layer_key_rejected(self):
+        # neither a stride shorthand nor a misspelled key is dropped
+        spec = {"variant": "elementwise", "k_h": 2, "k_w": 2, "stride": 2,
+                "activaton": "relu"}
+        with pytest.raises(ValueError,
+                           match=r"layer 0: unknown keys \['activaton', "
+                                 r"'stride'\]"):
+            build_network((8, 4), 2, [spec])
+
     def test_multi_channel_last_layer_allowed(self):
         net = tiny_net(out_channels=3)
         assert net.layers[-1].out_channels == 3
@@ -544,6 +553,11 @@ class TestTrainConfigValidation:
     def test_beta_range(self):
         with pytest.raises(ValueError):
             TrainConfig(beta1=1.0)
+
+    @pytest.mark.parametrize("field", ["learning_rate", "adam_eps"])
+    def test_nan_rate_rejected(self, field):
+        with pytest.raises(ValueError, match=field):
+            TrainConfig(**{field: float("nan")})
 
     def test_augment_type_checked(self):
         with pytest.raises(TypeError):

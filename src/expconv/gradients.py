@@ -28,7 +28,11 @@ to fill one, so training and checking share one code path. Every
 contraction over patches is a matrix product. A cache holds every
 channel's powered values for the windows of one call, so training calls
 it on a few windows at a time and sums their parameter gradients
-(``training.network_loss_grads``).
+(``training.network_loss_grads``). The input gradient is the larger part
+of that work and only a later layer reads it, so a caller passes
+``input_grad=False`` where none does (a training step's layer 0); the
+bundle then carries an empty ``d_input`` and the parameter gradients are
+unchanged bit for bit.
 """
 
 from __future__ import annotations
@@ -64,7 +68,8 @@ class GradBundle:
     d_weights: np.ndarray   # (out_channels, k_h, k_w)
     d_biases: np.ndarray    # (out_channels,)
     d_payload: Payload      # stacked over channels, like LayerParams.payload
-    d_input: np.ndarray     # same shape as the layer input
+    d_input: np.ndarray     # same shape as the layer input; empty (size
+                            # 0) when not asked for (input_grad=False)
 
 
 def unit_backward(x: np.ndarray, weights: np.ndarray, bias: float,
@@ -94,13 +99,17 @@ def unit_backward(x: np.ndarray, weights: np.ndarray, bias: float,
 #          clamp, 0 inside (d log|x| / dx = 1/x)
 
 def layer_backward(x: np.ndarray, params: LayerParams, upstream: np.ndarray,
-                   cache: LayerCache | None = None) -> GradBundle:
+                   cache: LayerCache | None = None,
+                   input_grad: bool = True) -> GradBundle:
     """Backward through one layer (activation included).
 
     ``upstream`` is d(loss)/d(feature map), shaped like the layer output
     (..., grid_t, grid_c, out_channels). ``cache`` is the one
     ``layer_forward`` filled for this input and these parameters; without
-    one, the forward kernel runs here to fill a fresh cache. A non-finite
+    one, the forward kernel runs here to fill a fresh cache. With
+    ``input_grad=False`` the d L accumulation, the scatter and the divide
+    by x are skipped and ``d_input`` is an empty array; the parameter
+    gradients come from the same operations either way. A non-finite
     exponent gradient raises FloatingPointError.
     """
     x = np.asarray(x, dtype=np.float64)
@@ -118,33 +127,39 @@ def layer_backward(x: np.ndarray, params: LayerParams, upstream: np.ndarray,
     if op is None:
         d_weights = (g @ cache.patches.T).reshape(params.weights.shape)
         d_payload = Standard()
-        d_patches = weights.T @ g
+        if input_grad:
+            d_patches = weights.T @ g
     else:
         log_mag, powered = cache.log_mag, cache.powered
         # d_mixed = w * (P * g), so the filter folds into the operator for
         # d L and into d_op after the sums over patches
         diag = op.ndim == 2
-        scaled_op = weights * op if diag else weights[:, :, None] * op
         d_weights = np.matmul(powered, g[:, :, None]).reshape(
             params.weights.shape)
         d_op = np.empty_like(op)
-        d_patches = np.zeros_like(log_mag)  # d L, turned into d x below
+        if input_grad:
+            scaled_op = weights * op if diag else weights[:, :, None] * op
+            d_patches = np.zeros_like(log_mag)  # d L, turned into d x below
         gp = np.empty_like(log_mag)  # P * g of one channel
         for m in range(out_ch):
             np.multiply(powered[m], g[m], out=gp)
             if diag:
                 d_op[m] = np.einsum("in,in->i", gp, log_mag)
-                gp *= scaled_op[m][:, None]
-                d_patches += gp
+                if input_grad:
+                    gp *= scaled_op[m][:, None]
+                    d_patches += gp
             else:
                 d_op[m] = gp @ log_mag.T
-                d_patches += scaled_op[m].T @ gp
+                if input_grad:
+                    d_patches += scaled_op[m].T @ gp
         d_op *= weights if diag else weights[:, :, None]
         if not np.isfinite(d_op).all():
             raise FloatingPointError(
                 "exponent gradient contains non-finite values")
         d_payload = params.payload.operator_grad(d_op, params.k_h, params.k_w)
-        del gp  # freed before the scatter allocates d_input
+        del gp  # freed before the scatter allocates d_input, if it runs
+    if not input_grad:
+        return GradBundle(d_weights, d_biases, d_payload, np.empty(0))
     d_input = scatter_patch_grads(
         d_patches.reshape((params.k_h, params.k_w) + cache.output.shape[:-1]),
         x.shape, params.stride_t, params.stride_c)

@@ -97,6 +97,12 @@ LAYER_KEYS = ("variant", "k_h", "k_w", "out_channels", "stride_t",
               "stride_c", "activation")
 
 
+def _reject_unknown_keys(entry: dict, known, where: str) -> None:
+    unknown = sorted(set(entry) - set(known))
+    if unknown:
+        raise ValueError(f"{where}: unknown keys {unknown}")
+
+
 def build_network(input_shape: tuple, n_classes: int, layer_specs,
                   policy: ConstraintPolicy | None = None,
                   seed: int = 0) -> Network:
@@ -114,9 +120,7 @@ def build_network(input_shape: tuple, n_classes: int, layer_specs,
     layers = []
     rows, cols = input_shape
     for i, spec in enumerate(layer_specs):
-        unknown = sorted(set(spec) - set(LAYER_KEYS))
-        if unknown:
-            raise ValueError(f"layer {i}: unknown keys {unknown}")
+        _reject_unknown_keys(spec, LAYER_KEYS, f"layer {i}")
         k_h, k_w = int(spec["k_h"]), int(spec["k_w"])
         out_ch = int(spec.get("out_channels", 1))
         fan = k_h * k_w
@@ -296,7 +300,9 @@ def network_loss_grads(net: Network, windows: np.ndarray,
     so the network runs forward, through the head and backward on one
     chunk of EVAL_CHUNK windows at a time and holds one chunk's layer
     caches, whatever the batch size. The chunks' parameter gradients are
-    summed and their input gradients joined into full-batch arrays.
+    summed and their input gradients joined into full-batch arrays. Only a
+    later layer reads an input gradient, so layer 0, whose input is the
+    windows, skips it: its bundle carries an empty ``d_input``.
     """
     windows = _checked_windows(net, windows)
     n = len(windows)
@@ -327,7 +333,8 @@ def network_loss_grads(net: Network, windows: np.ndarray,
         for i in reversed(range(len(evaluated))):
             try:
                 bundles[i] = layer_backward(inputs[i], evaluated[i],
-                                            upstream, cache=caches[i])
+                                            upstream, cache=caches[i],
+                                            input_grad=i > 0)
             except FloatingPointError as exc:
                 raise FloatingPointError(f"layer {i}: {exc}") from exc
             upstream = bundles[i].d_input[..., None]
@@ -580,6 +587,11 @@ def write_history_csv(history, path, n_classes: int) -> None:
 # Model serialization: magic, version, JSON metadata, then the tensors of
 # network_param_arrays in order as row-major float64 little-endian.
 
+# The metadata keys ``_net_metadata`` writes; ``load_model`` rejects others
+_META_KEYS = ("input_shape", "n_classes", "layers", "tensor_shapes")
+_POLICY_KEYS = ("v_min", "v_max", "mode", "kind")
+
+
 def _net_metadata(net: Network) -> dict:
     layers = []
     for layer, policy in zip(net.layers, net.policies):
@@ -642,7 +654,12 @@ def load_model(path) -> Network:
 
 def _network_from(meta: dict, blob: bytes, pos: int) -> Network:
     """The network described by parsed metadata, with its tensors read from
-    ``blob`` starting at ``pos``."""
+    ``blob`` starting at ``pos``. A key ``_net_metadata`` does not write, or
+    a tensor the layers and the head do not read, is a ValueError."""
+    _reject_unknown_keys(meta, _META_KEYS, "metadata")
+    for i, spec in enumerate(meta["layers"]):
+        _reject_unknown_keys(spec, LAYER_KEYS + ("policy",), f"layer {i}")
+        _reject_unknown_keys(spec["policy"], _POLICY_KEYS, f"layer {i} policy")
     tensors = []
     for shape in meta["tensor_shapes"]:
         if any(not isinstance(d, int) or d < 0 for d in shape):
@@ -697,6 +714,9 @@ def _network_from(meta: dict, blob: bytes, pos: int) -> Network:
                 f"[{policies[i].v_min}, {policies[i].v_max}] under "
                 f"{policies[i].mode}")
     head_w, head_b = tensors[pos], tensors[pos + 1]
+    if len(tensors) != pos + 2:
+        raise ValueError(f"tensor_shapes declares {len(tensors)} tensors, "
+                         f"the layers and the head read {pos + 2}")
     return Network(layers, head_w, head_b, policies=policies,
                    input_shape=tuple(meta["input_shape"]),
                    n_classes=meta["n_classes"])

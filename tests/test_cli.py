@@ -35,6 +35,7 @@ from expconv.training import (
 )
 
 FIXTURE_DIR = Path(__file__).parent / "data"
+MODEL_FIXTURES = sorted(p.name for p in FIXTURE_DIR.glob("model_*.bin"))
 
 
 def write_config(tmp_path, name="config.json", **overrides):
@@ -611,6 +612,36 @@ class TestEvalCommand:
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1
         assert str(model) in err and f"{name} contains non-finite" in err
+
+    @given(name=st.sampled_from(MODEL_FIXTURES), data=st.data())
+    @settings(max_examples=20, deadline=None)
+    def test_metadata_key_edit_exits_2(self, name, data):
+        # every key a dict of the metadata holds is read, and no other
+        blob = (FIXTURE_DIR / name).read_bytes()
+        (meta_len,) = struct.unpack_from("<Q", blob, 8)
+        meta = json.loads(blob[16:16 + meta_len])
+        dicts = [meta] + [d for layer in meta["layers"]
+                          for d in (layer, layer["policy"])]
+        entry = dicts[data.draw(st.integers(0, len(dicts) - 1))]
+        if data.draw(st.booleans()):
+            del entry[data.draw(st.sampled_from(sorted(entry)))]
+        else:
+            key = data.draw(st.text(min_size=1, max_size=8)
+                            .filter(lambda k: k not in entry))
+            entry[key] = data.draw(st.one_of(st.none(), st.integers(),
+                                             st.text(max_size=4)))
+        meta = json.dumps(meta).encode()
+        with tempfile.TemporaryDirectory() as tmp:
+            model = Path(tmp) / "model.bin"
+            model.write_bytes(blob[:8] + struct.pack("<Q", len(meta)) + meta
+                              + blob[16 + meta_len:])
+            with pytest.raises(ValueError):
+                load_model(model)
+            path = write_config(Path(tmp))
+            code, err = run_quietly(["eval", "--config", str(path),
+                                     "--model", str(model)])
+        assert code == 2
+        assert len(err.splitlines()) == 1 and str(model) in err
 
     def test_missing_model_file(self, tmp_path):
         path = write_config(tmp_path)

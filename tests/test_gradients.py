@@ -235,12 +235,14 @@ def random_payload(variant, k_h, k_w, rng):
     return FullMatrix(np.eye(n) + rng.uniform(-0.2, 0.2, (n, n)))
 
 
+@pytest.mark.parametrize("variant", ALL_VARIANTS)
+@pytest.mark.parametrize("activation", ("relu", "tanh", "identity"))
+@pytest.mark.parametrize("stride", ((1, 1), (2, 1)))
 class TestLayerCache:
-    @pytest.mark.parametrize("variant", ALL_VARIANTS)
-    @pytest.mark.parametrize("activation", ("relu", "tanh", "identity"))
-    @pytest.mark.parametrize("stride", ((1, 1), (2, 1)))
-    def test_cached_backward_matches_uncached(self, variant, activation,
-                                              stride):
+    @staticmethod
+    def instance(variant, activation, stride):
+        """A 3-channel 3x2 layer, its input and the generator that drew
+        them."""
         rng = make_rng(ALL_VARIANTS.index(variant))
         k_h, k_w = 3, 2
         params = LayerParams(
@@ -251,6 +253,11 @@ class TestLayerCache:
         # both zeros and entries inside the clamp
         x[0, 0, :4] = (0.0, -0.0, DEFAULT_EPS / 3, -DEFAULT_EPS / 3)
         x[1, 4, 2:5] = (-0.0, DEFAULT_EPS / 2, 0.0)
+        return params, x, rng
+
+    def test_cached_backward_matches_uncached(self, variant, activation,
+                                              stride):
+        params, x, rng = self.instance(variant, activation, stride)
         cache = LayerCache()
         out = layer_forward(x, params, cache=cache)
         # the uncached forward, with its one scratch matrix, bit for bit
@@ -270,6 +277,25 @@ class TestLayerCache:
             assert d.shape == p.shape
         for a, b in pairs:
             np.testing.assert_allclose(a, b, rtol=0, atol=1e-12)
+
+    def test_skipping_the_input_gradient_keeps_the_rest(self, variant,
+                                                        activation, stride):
+        params, x, rng = self.instance(variant, activation, stride)
+        cache = LayerCache()
+        upstream = rng.normal(size=layer_forward(x, params, cache=cache).shape)
+        full = layer_backward(x, params, upstream, cache=cache)
+        skipped = layer_backward(x, params, upstream, cache=cache,
+                                 input_grad=False)
+        assert skipped.d_input.size == 0
+        assert full.d_input.shape == x.shape
+        pairs = [(skipped.d_weights, full.d_weights),
+                 (skipped.d_biases, full.d_biases)]
+        pairs += zip(payload_arrays(skipped.d_payload),
+                     payload_arrays(full.d_payload), strict=True)
+        assert type(skipped.d_payload) is type(full.d_payload)
+        for a, b in pairs:  # bit for bit
+            np.testing.assert_array_equal(a.view(np.uint64),
+                                          b.view(np.uint64))
 
 
 class TestClampBoundary:

@@ -18,9 +18,15 @@ import pytest
 
 from expconv import training
 from expconv.augment import AugmentSpec
-from expconv.constraints import ConstraintPolicy, effective_payload, payload_arrays
+from expconv.constraints import (
+    ConstraintPolicy,
+    effective_layer,
+    effective_payload,
+    payload_arrays,
+)
 from expconv.dataset import WindowedDataset, gen_synthetic
-from expconv.layers import VARIANT_TYPES, LayerParams, Standard
+from expconv.gradients import finite_diff
+from expconv.layers import VARIANT_TYPES, LayerParams, Standard, layer_forward
 from expconv.numerics import make_rng
 from expconv.training import (
     Network,
@@ -223,6 +229,38 @@ class TestNetworkGradients:
         ds = labeled_windows(5, n=3, shape=(6, 5))
         self._fd_check(net, ds.windows, ds.labels, tol=1e-6)
 
+    @pytest.mark.parametrize("mode", ("clip", "reparam"))
+    def test_only_layers_after_the_first_carry_input_gradients(self, mode):
+        # nothing reads layer 0's input gradient, so the step skips it;
+        # layer 1's is the derivative of the loss through layer 1 and head
+        net = build_network(
+            (6, 5), 3,
+            [{"variant": "elementwise", "k_h": 2, "k_w": 2,
+              "activation": "tanh"},
+             {"variant": "full_matrix", "k_h": 2, "k_w": 2,
+              "out_channels": 2, "activation": "tanh"}],
+            policy=ConstraintPolicy(mode=mode), seed=17)
+        rng = make_rng(18)
+        for layer in net.layers:
+            for arr in payload_arrays(layer.payload):
+                arr += rng.uniform(-0.1, 0.1, size=arr.shape)
+        ds = labeled_windows(19, n=5, shape=(6, 5), n_classes=3)
+        loss, grads = network_loss_grads(net, ds.windows, ds.labels)
+        assert grads.layers[0].d_input.size == 0
+        hidden = _forward_trace(net, ds.windows)[0][1]  # layer 1's input
+        layer_1 = effective_layer(net.layers[1], net.policies[1])
+
+        def loss_from(a):
+            feats = layer_forward(a, layer_1).reshape(len(a), -1)
+            return cross_entropy(feats @ net.head_w + net.head_b, ds.labels)
+        assert loss_from(hidden) == pytest.approx(loss, rel=1e-12)
+        numeric = finite_diff(loss_from, hidden)
+        analytic = grads.layers[1].d_input
+        assert analytic.shape == hidden.shape
+        denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)),
+                           1e-6)
+        assert (np.abs(analytic - numeric) / denom).max() <= 1e-6
+
     def test_single_sgd_step_decreases_loss(self):
         for seed in range(20):
             net = tiny_net("elementwise", seed=seed, activation="tanh")
@@ -299,7 +337,7 @@ class TestChunkedPasses:
     def step(net, windows, labels):
         loss, grads = network_loss_grads(net, windows, labels)
         arrays = [g for _, g in _param_grad_pairs(net, grads)]
-        arrays += [b.d_input for b in grads.layers]
+        arrays += [b.d_input for b in grads.layers[1:]]  # layer 0 has none
         return loss, arrays, forward_network(net, windows)
 
     @pytest.mark.parametrize("mode", ("clip", "reparam"))
@@ -813,6 +851,30 @@ class TestModelFormat:
         self.rewrite_metadata(
             path, lambda m: m["layers"][0]["policy"].update(mode="clip"))
         with pytest.raises(ValueError, match="layer 0: stored exponents"):
+            load_model(path)
+
+    @pytest.mark.parametrize("where, edit", [
+        ("layer 0", lambda m: m["layers"][0].update(stride=2,
+                                                    activaton="relu")),
+        ("layer 1 policy", lambda m: m["layers"][1]["policy"].update(eps=0)),
+        ("metadata", lambda m: m.update(activaton="relu", stride=2)),
+    ], ids=("layer", "policy", "top"))
+    def test_unknown_metadata_key_rejected(self, tmp_path, where, edit):
+        # a key load_model does not read would load as if it were absent
+        path = tmp_path / "model.bin"
+        shutil.copy(FIXTURE_DIR / "model_elementwise_clip.bin", path)
+        self.rewrite_metadata(path, edit)
+        with pytest.raises(ValueError, match=f"{where}: unknown keys "
+                                             r"\['(activaton|eps)'"):
+            load_model(path)
+
+    def test_unread_tensor_rejected(self, tmp_path):
+        # one more declared tensor with its bytes keeps the lengths right
+        path = tmp_path / "model.bin"
+        shutil.copy(FIXTURE_DIR / "model_elementwise_clip.bin", path)
+        self.rewrite_metadata(path, lambda m: m["tensor_shapes"].append([3]))
+        path.write_bytes(path.read_bytes() + np.ones(3).tobytes())
+        with pytest.raises(ValueError, match="tensor_shapes declares"):
             load_model(path)
 
     def test_clip_network_with_clamped_init_loads(self, tmp_path):

@@ -5,6 +5,14 @@ softmax classifier over the flattened last feature map. Layers between
 the input and the last convolution must emit a single channel so their
 output is again a (time, channel) matrix.
 
+Passes run the network on chunks of a few windows (``EVAL_CHUNK``).
+Evaluation also reads where each window starts in its run
+(``WindowedDataset.starts``): consecutive windows that share rows are run
+once over the union of their rows, and each window's features are its
+slice of that chunk's last feature map, as in the dense sliding-window
+evaluation of OverFeat (Sermanet et al. 2014, arXiv:1312.6229). Training
+steps see shuffled, augmented batches, whose windows share no rows.
+
 Exponent payloads are stored in the representation their constraint
 policy dictates (see ``constraints``), one payload per layer stacked over
 its output channels (``LayerParams.payload``). Training never tests the
@@ -38,7 +46,7 @@ from .constraints import (
     payload_arrays,
     stored_grad,
 )
-from .dataset import WindowedDataset
+from .dataset import WindowedDataset, check_starts
 from .gradients import layer_backward
 from .layers import VARIANT_TYPES, LayerCache, LayerParams, layer_forward, output_grid
 from .numerics import as_tensor, make_rng
@@ -153,7 +161,9 @@ def softmax(logits: np.ndarray) -> np.ndarray:
 
 # Every pass runs the network on chunks of this many windows: the layer
 # kernels keep every channel's powered values for the windows they are
-# given, so the chunk, not the batch, bounds a pass's memory.
+# given, so the chunk, not the batch, bounds a pass's memory. An
+# evaluation chunk of windows that share rows holds at most this many
+# windows' worth of input rows (``forward_network``).
 EVAL_CHUNK = 4
 
 # Threads that share ``forward_network``'s chunks: the caller and, where the
@@ -188,12 +198,16 @@ def _effective_layers(net: Network) -> list:
 
 
 def _forward_trace(net: Network, x: np.ndarray, layers: list | None = None,
-                   caches: list | None = None):
-    """Run the conv stack, keeping per-layer inputs and raw outputs.
+                   caches: list | None = None, step: int = 0):
+    """Run the conv stack, keeping per-layer inputs and raw outputs, then
+    the classifier head on each window's features.
 
     ``layers`` are the effective layers (built here when omitted); with
     ``caches``, one LayerCache per layer, each layer's forward state is
-    kept for the backward pass.
+    kept for the backward pass. ``x`` is a batch of windows, or, with
+    ``step`` > 0, one (1, rows, C) union of windows whose starts step by
+    ``step`` rows, a multiple of the product of the layers' ``stride_t``:
+    each window's features are then its rows of the last feature map.
     """
     if layers is None:
         layers = _effective_layers(net)
@@ -209,40 +223,106 @@ def _forward_trace(net: Network, x: np.ndarray, layers: list | None = None,
             raise FloatingPointError(f"layer {i}: {exc}") from exc
         outputs.append(out)
         cur = out[..., 0]  # single channel between layers
-    feats = outputs[-1].reshape(x.shape[0], -1)
-    logits = feats @ net.head_w + net.head_b
+    if step:
+        # window w's features: the feature map's rows from w * shift on,
+        # one overlapping view per window over the flattened map
+        n = (x.shape[1] - net.input_shape[0]) // step + 1
+        shift = step // math.prod(layer.stride_t for layer in layers)
+        flat = np.ascontiguousarray(outputs[-1][0]).reshape(-1)
+        row = flat.size // outputs[-1].shape[1]
+        feats = np.lib.stride_tricks.sliding_window_view(
+            flat, flat.size - (n - 1) * shift * row)[::shift * row]
+        # a product per window: one product over ``feats`` would first copy
+        # every row of the map once per window that reads it
+        logits = np.stack([f @ net.head_w for f in feats]) + net.head_b
+    else:
+        feats = outputs[-1].reshape(x.shape[0], -1)
+        logits = feats @ net.head_w + net.head_b
     return inputs, outputs, feats, logits
 
 
-def forward_network(net: Network, windows: np.ndarray) -> np.ndarray:
+def _eval_chunks(starts: np.ndarray, win_len: int, unit: int) -> list:
+    """``forward_network``'s chunks, as (first, stop, step) window ranges.
+
+    A run of consecutive windows whose starts step by the same 0 < step <
+    win_len, a multiple of ``unit``, and that span at most EVAL_CHUNK *
+    win_len rows is one chunk with that step. The other windows form
+    chunks of up to EVAL_CHUNK consecutive windows with step 0.
+    """
+    steps = np.diff(starts).tolist()
+    starts = starts.tolist()
+    n = len(starts)
+    # whether window i and the next one can share a union
+    shared = [0 < d < win_len and d % unit == 0 for d in steps] + [False]
+    chunks = []
+    first = 0
+    while first < n:
+        stop = first + 1
+        if shared[first]:
+            step = steps[first]
+            while (stop < n and steps[stop - 1] == step and starts[stop]
+                   + win_len - starts[first] <= EVAL_CHUNK * win_len):
+                stop += 1
+        else:
+            step = 0
+            while stop < n and stop - first < EVAL_CHUNK and not shared[stop]:
+                stop += 1
+        chunks.append((first, stop, step))
+        first = stop
+    return chunks
+
+
+def forward_network(net: Network, windows: np.ndarray,
+                    starts=None) -> np.ndarray:
     """Class probabilities for a batch of windows (n, T, C) or one (T, C).
 
-    The network runs on chunks of EVAL_CHUNK windows, each of which writes
-    its own rows of the result. With EVAL_WORKERS = 2 the calling thread
-    runs the first half of the chunks and one helper thread the second
-    half, in a copy of the caller's context, so the caller's
-    ``np.errstate`` holds in both. A chunk computes the same numbers on
-    either thread, so the probabilities do not depend on the worker count.
-    A failing chunk raises as in a serial loop: the call waits for the
-    helper, then raises the error of the earliest failing chunk.
+    ``starts`` gives each window's first row as in
+    ``dataset.WindowedDataset`` and is checked the same way; None claims no
+    shared rows. Consecutive windows whose starts step by the same d, with
+    0 < d < T and d a multiple of the product of the layers' ``stride_t``,
+    are evaluated together, up to EVAL_CHUNK * T input rows at a time: the
+    network runs once over the union of their rows (the first window, then
+    the last d rows of each next one), and each window's features are its
+    slice of the last feature map. Other windows run in chunks of up to
+    EVAL_CHUNK windows. Either way each window's probabilities are those of
+    the network run on it alone, up to summation order.
+
+    Each chunk writes its own rows of the result. With EVAL_WORKERS = 2
+    the calling thread runs the first half of the chunks and one helper
+    thread the second half, in a copy of the caller's context, so the
+    caller's ``np.errstate`` holds in both. A chunk computes the same
+    numbers on either thread, so the probabilities do not depend on the
+    worker count. A failing chunk raises as in a serial loop: the call
+    waits for the helper, then raises the error of the earliest failing
+    chunk.
     """
     windows = np.asarray(windows, dtype=np.float64)
     single = windows.ndim == 2
     windows = _checked_windows(net, windows[None] if single else windows)
+    win_len = net.input_shape[0]
     layers = _effective_layers(net)
+    if starts is None:
+        starts = np.arange(len(windows)) * win_len
+    else:
+        starts = check_starts(windows, starts)
+    chunks = _eval_chunks(starts, win_len,
+                          math.prod(layer.stride_t for layer in layers))
     probs = np.empty((len(windows), net.n_classes))
 
     def run_chunk(k):
-        rows = slice(k * EVAL_CHUNK, (k + 1) * EVAL_CHUNK)
-        _, _, _, logits = _forward_trace(net, windows[rows], layers)
-        probs[rows] = softmax(logits)
+        first, stop, step = chunks[k]
+        x = windows[first:stop]
+        if step:
+            x = np.concatenate([x[0], x[1:, win_len - step:].reshape(
+                -1, x.shape[2])])[None]
+        _, _, _, logits = _forward_trace(net, x, layers, step=step)
+        probs[first:stop] = softmax(logits)
 
-    n_chunks = -(-len(windows) // EVAL_CHUNK)
-    if EVAL_WORKERS < 2 or n_chunks < 2:
-        for k in range(n_chunks):
+    if EVAL_WORKERS < 2 or len(chunks) < 2:
+        for k in range(len(chunks)):
             run_chunk(k)
     else:
-        _share_with_helper(run_chunk, n_chunks)
+        _share_with_helper(run_chunk, len(chunks))
     return probs[0] if single else probs
 
 
@@ -483,9 +563,13 @@ def predict(net: Network, windows: np.ndarray) -> np.ndarray:
 
 
 def evaluate(net: Network, dataset: WindowedDataset) -> Metrics:
+    """The metrics of the network's predictions on the dataset. Its
+    windows' starts are passed to ``forward_network``, so windows that
+    share rows are run once over their union."""
     if len(dataset) == 0:
         raise ValueError("cannot evaluate on an empty dataset")
-    preds = predict(net, dataset.windows)
+    preds = np.argmax(forward_network(net, dataset.windows, dataset.starts),
+                      axis=-1)
     true = dataset.labels
     k = net.n_classes
     confusion = np.zeros((k, k), dtype=np.int64)

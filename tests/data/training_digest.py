@@ -12,6 +12,10 @@ gradient checks.
 * ``gradcheck``: the ``to_text`` report of ``grad_check`` on every
   ``make_check_instance`` output (every variant x ``CHECK_KERNELS`` x
   seeds 0-49, 900 instances).
+* ``evaluate``: the ``forward_network`` probabilities of the 24 trained
+  networks on windows of 8 rows every 2 rows of one seeded 120 x 5
+  series, given with their starts, so consecutive windows are evaluated
+  over the rows they share.
 
 A change that is meant to leave the numerics alone must leave every
 digest as it was; run the script before and after it and compare.
@@ -24,21 +28,32 @@ import json
 import os
 import tempfile
 
+import numpy as np
+
 from expconv.constraints import ConstraintPolicy
-from expconv.dataset import gen_synthetic
+from expconv.dataset import WindowedDataset, gen_synthetic
 from expconv.gradients import CHECK_KERNELS, run_variant_checks
 from expconv.layers import VARIANT_TYPES
-from expconv.training import TrainConfig, build_network, save_model, train
+from expconv.numerics import make_rng
+from expconv.training import (
+    TrainConfig,
+    build_network,
+    forward_network,
+    save_model,
+    train,
+)
 
 INPUT_SHAPE = (8, 5)
 MODES = ("clip", "reparam")
 OPTIMIZERS = ("adam", "sgd")
 
 
-def training_digest() -> str:
+def training_digest():
+    """The digest of the 24 trainings, and the trained networks."""
     task = gen_synthetic(win_len=INPUT_SHAPE[0], channels=INPUT_SHAPE[1],
                          count=48, seed=5)
     digest = hashlib.sha256()
+    nets = []
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "model.bin")
         for variant in sorted(VARIANT_TYPES):
@@ -61,10 +76,11 @@ def training_digest() -> str:
                         trained = fh.read() + json.dumps(
                             history, sort_keys=True).encode("utf-8")
                     digest.update(trained)
+                    nets.append(net)
                     print(f"{variant:<12} {mode:<8} {optimizer:<5} "
                           f"{hashlib.sha256(trained).hexdigest()[:16]} "
                           f"final loss {history[-1]['loss']!r}")
-    return digest.hexdigest()
+    return digest.hexdigest(), nets
 
 
 def gradcheck_digest() -> str:
@@ -76,6 +92,20 @@ def gradcheck_digest() -> str:
     return digest.hexdigest()
 
 
+def evaluate_digest(nets) -> str:
+    series = make_rng(13).normal(size=(120, INPUT_SHAPE[1]))
+    starts = np.arange(0, len(series) - INPUT_SHAPE[0] + 1, 2)
+    cut = WindowedDataset(series[starts[:, None] + np.arange(INPUT_SHAPE[0])],
+                          np.zeros(len(starts)), INPUT_SHAPE[0], 2,
+                          starts=starts)
+    digest = hashlib.sha256()
+    for net in nets:
+        digest.update(forward_network(net, cut.windows, cut.starts).tobytes())
+    return digest.hexdigest()
+
+
 if __name__ == "__main__":
-    print(f"training  {training_digest()}")
+    trained, nets = training_digest()
+    print(f"training  {trained}")
     print(f"gradcheck {gradcheck_digest()}")
+    print(f"evaluate  {evaluate_digest(nets)}")

@@ -491,6 +491,33 @@ class TestEvalCommand:
         eval_csv = (tmp_path / "eval_out" / "eval.csv").read_text()
         assert eval_csv.splitlines()[0] == "accuracy,false_alarm,det_0,det_1"
 
+    def test_plant_eval_prints_the_pinned_metrics(self, tmp_path, capsys):
+        # windows of 40 rows every 10 rows, evaluated over their union; the
+        # lines are those printed when every window ran on its own
+        make_plant_fixtures(tmp_path)
+        path = write_config(
+            tmp_path,
+            data={"path": str(tmp_path), "fault_ids": [1], "win_len": 40,
+                  "stride": 10},
+            model={"layers": [{"variant": "elementwise", "k_h": 3,
+                               "k_w": 3, "out_channels": 2,
+                               "activation": "tanh"}]},
+            train={"epochs": 2, "batch_size": 16, "learning_rate": 0.01,
+                   "seed": 0})
+        assert cli.main(["train", "--config", str(path)]) == 0
+        capsys.readouterr()
+        assert cli.main(["eval", "--config", str(path), "--model",
+                         str(tmp_path / "out" / "model.bin")]) == 0
+        assert capsys.readouterr().out.splitlines()[:-1] == [
+            "accuracy    0.8444",
+            "false_alarm 1.0000",
+            "detection[0] 0.0000",
+            "detection[1] 0.9870",
+            "confusion (rows = true):",
+            "       0     13",
+            "       1     76",
+        ]
+
     def test_class_count_mismatch(self, tmp_path, capsys):
         path = write_config(tmp_path)
         assert cli.main(["train", "--config", str(path)]) == 0
@@ -713,6 +740,23 @@ class TestAugmentCommand:
             cli.load_config(str(path)))
         np.testing.assert_array_equal(out.windows, train_ds.windows)
         np.testing.assert_array_equal(out.labels, train_ds.labels)
+
+    def test_output_claims_no_shared_rows(self, tmp_path, monkeypatch):
+        # the input windows share rows; augmented ones need not
+        make_plant_fixtures(tmp_path)
+        path = write_config(
+            tmp_path,
+            data={"path": str(tmp_path), "fault_ids": [1], "win_len": 40,
+                  "stride": 10},
+            augment=[{"op": "flip_lr", "probability": 0.5}])
+        train_ds = cli.build_datasets(cli.load_config(str(path)))[0]
+        assert (np.diff(train_ds.starts) == 10).any()
+        saved = []
+        monkeypatch.setattr(cli, "save_windows_csv",
+                            lambda ds, _: saved.append(ds))
+        assert cli.main(["augment", "--config", str(path)]) == 0
+        np.testing.assert_array_equal(saved[0].starts,
+                                      np.arange(len(train_ds)) * 40)
 
     def test_echoed_config_reproduces_seeded_run(self, tmp_path):
         path = write_config(

@@ -24,7 +24,15 @@ from expconv.constraints import (
     effective_payload,
     payload_arrays,
 )
-from expconv.dataset import WindowedDataset, gen_synthetic
+from expconv.dataset import (
+    N_VARIABLES,
+    TEST_ROWS,
+    RawRun,
+    WindowedDataset,
+    gen_synthetic,
+    make_windows,
+    merge_windows,
+)
 from expconv.gradients import finite_diff
 from expconv.layers import VARIANT_TYPES, LayerParams, Standard, layer_forward
 from expconv.numerics import make_rng
@@ -66,6 +74,24 @@ def labeled_windows(seed, n=12, shape=(4, 3), n_classes=2):
         * np.where(rng.uniform(size=(n,) + shape) < 0.5, -1.0, 1.0)
     labels = rng.integers(0, n_classes, size=n)
     return WindowedDataset(windows, labels, win_len=shape[0], stride=shape[0])
+
+
+def series_windows(seed, n, step, shape=(8, 6)):
+    """n windows of shape[0] rows every ``step`` rows of one seeded series,
+    and their starts."""
+    starts = step * np.arange(n)
+    series = make_rng(seed).normal(
+        size=(step * max(n - 1, 0) + shape[0], shape[1]))
+    return series[starts[:, None] + np.arange(shape[0])], starts
+
+
+def plant_test_set(n_runs=4):
+    """Windows of 40 rows every 10 rows of ``n_runs`` 960-row test runs,
+    cut as perfbench's plant workloads cut them: 13 normal and 77 faulty
+    windows a run."""
+    runs = [RawRun(make_rng(60 + k).normal(size=(TEST_ROWS, N_VARIABLES)), k,
+                   "test") for k in range(n_runs)]
+    return merge_windows([make_windows(run, 40, 10) for run in runs])
 
 
 def params_bytes(net):
@@ -316,22 +342,26 @@ class TestStepInputValidation:
 
 
 class TestChunkedPasses:
-    """Every pass runs ``EVAL_CHUNK`` windows at a time; the result must not
-    depend on it beyond summation order."""
+    """Every pass runs ``EVAL_CHUNK`` windows at a time, or evaluates
+    windows that share rows over their union; the result must not depend
+    on it beyond summation order."""
 
     @staticmethod
-    def two_layer_net(variant, mode):
-        net = build_network(
-            (8, 6), 3,
-            [{"variant": variant, "k_h": 2, "k_w": 2, "activation": "tanh"},
-             {"variant": variant, "k_h": 3, "k_w": 2, "out_channels": 3,
-              "activation": "tanh"}],
-            policy=ConstraintPolicy(mode=mode), seed=9)
+    def perturbed(net):
         rng = make_rng(10)
         for layer in net.layers:  # channels differ, exponents off neutral
             for arr in payload_arrays(layer.payload):
                 arr += rng.uniform(-0.2, 0.2, size=arr.shape)
         return net
+
+    @classmethod
+    def two_layer_net(cls, variant, mode, input_shape=(8, 6)):
+        return cls.perturbed(build_network(
+            input_shape, 3,
+            [{"variant": variant, "k_h": 2, "k_w": 2, "activation": "tanh"},
+             {"variant": variant, "k_h": 3, "k_w": 2, "out_channels": 3,
+              "activation": "tanh"}],
+            policy=ConstraintPolicy(mode=mode), seed=9))
 
     @staticmethod
     def step(net, windows, labels):
@@ -358,6 +388,108 @@ class TestChunkedPasses:
         np.testing.assert_allclose(probs, whole_probs, rtol=1e-12, atol=0)
 
     @staticmethod
+    def cut_runs(win_len, stride):
+        """Windows of a 200-row test run, with the gap its fault onset
+        leaves, merged with those of a 120-row training run."""
+        rng = make_rng(15)
+        runs = [RawRun(rng.normal(size=(200, N_VARIABLES)), 1, "test"),
+                RawRun(rng.normal(size=(120, N_VARIABLES)), 2, "train")]
+        return merge_windows([make_windows(run, win_len, stride)
+                              for run in runs])
+
+    @staticmethod
+    def layer_inputs(monkeypatch) -> list:
+        """The shapes of the inputs of every later ``layer_forward``."""
+        shapes = []
+        original = training.layer_forward
+
+        def spy(x, params, cache=None):
+            shapes.append(x.shape)
+            return original(x, params, cache=cache)
+        monkeypatch.setattr(training, "layer_forward", spy)
+        return shapes
+
+    @staticmethod
+    def assert_same_predictions(probs, window_by_window):
+        np.testing.assert_allclose(probs, window_by_window, rtol=1e-12,
+                                   atol=0)
+        np.testing.assert_array_equal(probs.argmax(axis=1),
+                                      window_by_window.argmax(axis=1))
+
+    @pytest.mark.parametrize("mode", ("clip", "reparam"))
+    @pytest.mark.parametrize("variant", sorted(VARIANT_TYPES))
+    def test_dense_chunks_keep_the_probabilities(self, monkeypatch, variant,
+                                                 mode):
+        net = self.two_layer_net(variant, mode, input_shape=(8, N_VARIABLES))
+        ds = self.cut_runs(8, 2)
+        window_by_window = forward_network(net, ds.windows)
+        shapes = self.layer_inputs(monkeypatch)
+        probs = forward_network(net, ds.windows, ds.starts)
+        self.assert_same_predictions(probs, window_by_window)
+        # 13 windows every 2 rows fill a chunk's 4 x 8 rows
+        assert (1, training.EVAL_CHUNK * 8, N_VARIABLES) in shapes
+
+    @pytest.mark.parametrize("stride_t, dense", [(2, True), (3, False)])
+    def test_strides_must_divide_the_step(self, monkeypatch, stride_t,
+                                          dense):
+        # windows start every 10 rows; a union is run only where the
+        # layers' time strides divide that
+        net = self.perturbed(build_network(
+            (24, N_VARIABLES), 3,
+            [{"variant": "full_matrix", "k_h": 3, "k_w": 3,
+              "stride_t": stride_t, "activation": "tanh"},
+             {"variant": "elementwise", "k_h": 2, "k_w": 2,
+              "out_channels": 2, "activation": "tanh"}], seed=16))
+        ds = self.cut_runs(24, 10)
+        window_by_window = forward_network(net, ds.windows)
+        shapes = self.layer_inputs(monkeypatch)
+        probs = forward_network(net, ds.windows, ds.starts)
+        self.assert_same_predictions(probs, window_by_window)
+        assert any(shape[-2] > 24 for shape in shapes) == dense
+
+    def test_forward_checks_the_starts(self):
+        net = self.two_layer_net("elementwise", "clip")
+        windows, starts = series_windows(18, 6, 3)
+        starts[4] += 1
+        with pytest.raises(ValueError, match="^windows 3 and 4 claim shared"):
+            forward_network(net, windows, starts)
+        with pytest.raises(ValueError, match="one integer per window"):
+            forward_network(net, windows, starts[:5])
+
+    @pytest.mark.parametrize("variant", ("elementwise", "full_matrix"))
+    def test_plant_set_keeps_the_predictions(self, variant):
+        net = self.perturbed(build_network(
+            (40, 52), 4, [{"variant": variant, "k_h": 3, "k_w": 3,
+                           "out_channels": 8, "activation": "tanh"}],
+            seed=17))
+        ds = plant_test_set()
+        self.assert_same_predictions(
+            forward_network(net, ds.windows, ds.starts),
+            forward_network(net, ds.windows))
+
+    def test_evaluate_runs_layer_0_once_per_input_row(self, monkeypatch):
+        net = build_network((40, 52), 4,
+                            [{"variant": "elementwise", "k_h": 3, "k_w": 3,
+                              "out_channels": 8}], seed=12)
+        ds = plant_test_set()
+        out_rows = []
+        original = training.layer_forward
+
+        def counting(x, params, cache=None):
+            out = original(x, params, cache=cache)
+            out_rows.append(out.shape[0] * out.shape[1])
+            return out
+        monkeypatch.setattr(training, "layer_forward", counting)
+        evaluate(net, ds)
+        # a run: 13 normal windows in one chunk of 160 rows, 77 faulty ones
+        # in five chunks of 13 and one of 12 windows (150 rows)
+        assert len(out_rows) == 4 * 7
+        assert sum(out_rows) == 4 * (6 * 158 + 148) == 4384
+        out_rows.clear()
+        evaluate(net, WindowedDataset(ds.windows, ds.labels, 40, 10))
+        assert sum(out_rows) == len(ds) * 38 == 13680
+
+    @staticmethod
     def traced_peak(fn) -> int:
         tracemalloc.start()
         try:
@@ -366,7 +498,7 @@ class TestChunkedPasses:
         finally:
             tracemalloc.stop()
 
-    @pytest.mark.parametrize("pass_name", ("step", "forward"))
+    @pytest.mark.parametrize("pass_name", ("step", "forward", "dense"))
     def test_memory_does_not_grow_with_the_batch(self, monkeypatch,
                                                  pass_name):
         # the plant workload's layer: elementwise 3x3x8 on 40x52 windows
@@ -376,69 +508,97 @@ class TestChunkedPasses:
         rng = make_rng(13)
         windows = rng.normal(size=(64, 40, 52))
         labels = rng.integers(0, 3, size=64)
+        plant = plant_test_set()
         monkeypatch.setattr(training, "EVAL_WORKERS", 2)
 
         def run(n):
             if pass_name == "step":
                 return network_loss_grads(net, windows[:n], labels[:n])
+            if pass_name == "dense":
+                return forward_network(net, plant.windows[:n],
+                                       plant.starts[:n])
             return forward_network(net, windows[:n])
         run(8)  # warm up lazy set-up outside the measurement
         if pass_name == "step":  # serial: its chunks run one after another
             small = self.traced_peak(lambda: run(8))
         else:  # one chunk per worker at once, at worst both at their peaks
-            small = 2 * self.traced_peak(lambda: run(training.EVAL_CHUNK))
-        large = self.traced_peak(lambda: run(64))
+            # a dense chunk: the windows starting in its first 3 x 40 rows
+            chunk = (training.EVAL_CHUNK if pass_name == "forward"
+                     else (training.EVAL_CHUNK - 1) * 4 + 1)
+            small = 2 * self.traced_peak(lambda: run(chunk))
+        large = self.traced_peak(
+            lambda: run(len(plant) if pass_name == "dense" else 64))
         assert large < 1.25 * small, (small, large)
 
+    @pytest.mark.parametrize("dense", (False, True))
     @pytest.mark.parametrize("n", (0, 1, training.EVAL_CHUNK + 1,
                                    5 * training.EVAL_CHUNK + 3))
     @pytest.mark.parametrize("variant", sorted(VARIANT_TYPES))
     def test_worker_count_keeps_the_probabilities(self, monkeypatch, variant,
-                                                  n):
+                                                  n, dense):
         net = self.two_layer_net(variant, "clip")
-        windows = make_rng(14).normal(size=(n, 8, 6))
+        if dense:  # windows every 3 rows: dense chunks of 9 windows
+            windows, starts = series_windows(14, n, 3)
+        else:
+            windows, starts = make_rng(14).normal(size=(n, 8, 6)), None
         probs = []
         for workers in (1, 2):
             monkeypatch.setattr(training, "EVAL_WORKERS", workers)
-            probs.append(forward_network(net, windows))
+            probs.append(forward_network(net, windows, starts))
         assert probs[0].shape == (n, 3)
         np.testing.assert_array_equal(*probs)
 
 
 class TestEvalHelper:
     """``forward_network`` on two workers: of six chunks, the caller runs
-    chunks 0-2 and the helper thread chunks 3-5."""
+    chunks 0-2 and the helper thread chunks 3-5. The chunks are four
+    windows each, or, ``dense``, four windows one row apart evaluated over
+    their union."""
 
     @pytest.fixture
     def chunks(self, monkeypatch):
         """Replace each chunk's forward with ``chunks.body(k)`` followed by
         the real one, on windows that carry their chunk number k; record
-        the chunks that started and finished."""
+        the chunks that started and finished and the shapes they ran on."""
         monkeypatch.setattr(training, "EVAL_WORKERS", 2)
         original = training._forward_trace
-        record = SimpleNamespace(started=[], finished=[], body=lambda k: None)
+        record = SimpleNamespace(started=[], finished=[], shapes=[],
+                                 body=lambda k: None)
 
-        def forward_trace(net, x, layers):
+        def forward_trace(net, x, layers, **kwargs):
             k = int(x[0, 0, 0])
             record.started.append(k)
+            record.shapes.append(x.shape)
             try:
                 record.body(k)
-                return original(net, x, layers)
+                return original(net, x, layers, **kwargs)
             finally:
                 record.finished.append(k)
         monkeypatch.setattr(training, "_forward_trace", forward_trace)
         return record
 
     @staticmethod
-    def chunked_windows(n_chunks):
-        k = np.arange(n_chunks * training.EVAL_CHUNK) // training.EVAL_CHUNK
-        return np.broadcast_to(k[:, None, None], (len(k), 4, 3)).astype(float)
+    def chunked_windows(n_chunks, dense):
+        """The windows and starts of ``n_chunks`` chunks; dense chunks lie
+        100 rows apart, so no two of them share rows."""
+        i = np.arange(n_chunks * training.EVAL_CHUNK)
+        k = i // training.EVAL_CHUNK
+        windows = np.broadcast_to(k[:, None, None], (len(k), 4, 3))
+        starts = 100 * k + i % training.EVAL_CHUNK if dense else None
+        return windows.astype(float), starts
 
+    @staticmethod
+    def assert_chunk_shapes(chunks, dense):
+        want = (1, 3 + training.EVAL_CHUNK, 3) if dense \
+            else (training.EVAL_CHUNK, 4, 3)
+        assert set(chunks.shapes) == {want}
+
+    @pytest.mark.parametrize("dense", (False, True))
     @pytest.mark.parametrize("lagging", ("caller", "helper"))
     @pytest.mark.parametrize("failing, raised", [
         ({1, 2}, 1), ({2, 3}, 2), ({0, 5}, 0), ({4}, 4), ({5}, 5)])
     def test_earliest_failing_chunk_raises(self, chunks, lagging, failing,
-                                           raised):
+                                           raised, dense):
         # {2, 3} with the caller lagging: the helper fails first in time,
         # but chunk 2 comes first in a serial loop
         def body(k):
@@ -451,16 +611,18 @@ class TestEvalHelper:
         sys.setswitchinterval(1e-6)
         try:
             with pytest.raises(FloatingPointError, match=f"^chunk {raised}$"):
-                forward_network(tiny_net(), self.chunked_windows(6))
+                forward_network(tiny_net(), *self.chunked_windows(6, dense))
         finally:
             sys.setswitchinterval(interval)
+        self.assert_chunk_shapes(chunks, dense)
         assert sorted(chunks.started) == sorted(chunks.finished)
         assert set(range(raised + 1)) <= set(chunks.started)
         # the caller's half stops at its first failure
         assert not set(range(raised + 1, 3)) & set(chunks.started)
 
+    @pytest.mark.parametrize("dense", (False, True))
     @pytest.mark.parametrize("error", (FloatingPointError, KeyboardInterrupt))
-    def test_failure_waits_for_the_helper(self, chunks, error):
+    def test_failure_waits_for_the_helper(self, chunks, error, dense):
         helper_busy = threading.Event()
 
         def body(k):
@@ -471,7 +633,8 @@ class TestEvalHelper:
             time.sleep(0.05)
         chunks.body = body
         with pytest.raises(error, match="chunk 0"):
-            forward_network(tiny_net(), self.chunked_windows(6))
+            forward_network(tiny_net(), *self.chunked_windows(6, dense))
+        self.assert_chunk_shapes(chunks, dense)
         # chunk 3 finished before the call returned; no other chunk ran
         assert sorted(chunks.started) == sorted(chunks.finished) == [0, 3]
 

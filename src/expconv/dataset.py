@@ -74,25 +74,12 @@ class NormStats:
 
 @dataclass
 class WindowedDataset:
-    """Parallel arrays of windows (n, win_len, channels) and int labels (n,),
-    and where each window starts in its run.
-
-    ``starts`` (n,) gives each window's first row in one row numbering:
-    windows i and j share rows exactly when 0 < |s_j - s_i| < win_len, and
-    then window j's row r is window i's row r + s_j - s_i. The default,
-    ``arange(n) * win_len``, claims no shared rows. ``make_windows`` and
-    ``merge_windows`` record where their windows came from, so evaluation
-    can run the network once over the rows that consecutive windows share
-    (``training.forward_network``). Starts given to the constructor, and
-    to ``forward_network``, are checked on the first shared row of each
-    consecutive pair (``check_starts``).
-    """
+    """Parallel arrays of windows (n, win_len, channels) and int labels (n,)."""
 
     windows: np.ndarray
     labels: np.ndarray
     win_len: int
     stride: int
-    starts: np.ndarray | None = None
 
     def __post_init__(self):
         self.windows = np.asarray(self.windows, dtype=np.float64)
@@ -103,11 +90,6 @@ class WindowedDataset:
             raise ValueError("labels must align with windows")
         if self.windows.shape[0] and self.windows.shape[1] != self.win_len:
             raise ValueError("window length mismatch")
-        if self.starts is None:
-            self.starts = np.arange(len(self.windows), dtype=np.int64) \
-                * self.win_len
-        else:
-            self.starts = check_starts(self.windows, self.starts)
 
     def __len__(self) -> int:
         return self.windows.shape[0]
@@ -118,40 +100,6 @@ class WindowedDataset:
     @property
     def channels(self) -> int:
         return self.windows.shape[2]
-
-
-def check_starts(windows: np.ndarray, starts) -> np.ndarray:
-    """``starts`` as an int64 array, after checking it against a batch of
-    windows (n, win_len, channels): one integer per window, none negative,
-    and for each consecutive pair that claims shared rows (see
-    ``WindowedDataset``), the first shared row equal in both windows (NaN
-    matching NaN). A failed check is a ValueError naming the pair."""
-    starts = np.asarray(starts)
-    n, win_len = windows.shape[:2]
-    if starts.shape != (n,) or (n and starts.dtype.kind not in "iu"):
-        raise ValueError(f"starts must be one integer per window, got "
-                         f"{starts.dtype} starts of shape {starts.shape} "
-                         f"for {n} windows")
-    starts = starts.astype(np.int64, copy=False)
-    if n and starts.min() < 0:
-        raise ValueError(f"starts must not be negative, got {starts.min()}")
-    step = starts[1:] - starts[:-1]
-    shift = np.abs(step)
-    pair = np.flatnonzero((shift > 0) & (shift < win_len))
-    # the later-starting window's first row, and the same row of the other
-    later = pair + (step[pair] > 0)
-    first = windows[later, 0]
-    same = windows[2 * pair + 1 - later, shift[pair]]
-    differ = first != same
-    if differ.any():  # a NaN differs from itself
-        differ &= ~(np.isnan(first) & np.isnan(same))
-        bad = np.flatnonzero(differ.any(axis=-1))
-        if bad.size:
-            i = pair[bad[0]]
-            raise ValueError(
-                f"windows {i} and {i + 1} claim shared rows (starts "
-                f"{starts[i]} and {starts[i + 1]}) whose values differ")
-    return starts
 
 
 @dataclass
@@ -277,7 +225,6 @@ def make_windows(run: RawRun, win_len: int = DEFAULT_WIN_LEN,
             f"win_len {win_len} exceeds run length {run.rows}")
     windows = []
     labels = []
-    starts = []
     for start in range(0, run.rows - win_len + 1, stride):
         end = start + win_len  # exclusive
         if run.split == "test":
@@ -291,23 +238,15 @@ def make_windows(run: RawRun, win_len: int = DEFAULT_WIN_LEN,
             label = run.fault_id
         windows.append(run.matrix[start:end])
         labels.append(label)
-        starts.append(start)
     if windows:
         stacked = np.stack(windows)
     else:
         stacked = np.zeros((0, win_len, run.matrix.shape[1]))
-    dataset = WindowedDataset(stacked, np.asarray(labels, dtype=np.int64),
-                              win_len=win_len, stride=stride)
-    # each window is the run's rows from its start, so the starts need no
-    # check
-    dataset.starts = np.asarray(starts, dtype=np.int64)
-    return dataset
+    return WindowedDataset(stacked, np.asarray(labels, dtype=np.int64),
+                           win_len=win_len, stride=stride)
 
 
 def merge_windows(datasets) -> WindowedDataset:
-    """The datasets' windows in order, each part's starts shifted past the
-    end of the previous part's last window, so no two parts claim shared
-    rows."""
     datasets = list(datasets)
     if not datasets:
         raise ValueError("nothing to merge")
@@ -315,20 +254,10 @@ def merge_windows(datasets) -> WindowedDataset:
     stride = datasets[0].stride
     if any(d.win_len != win_len for d in datasets):
         raise ValueError("window lengths differ")
-    starts = []
-    offset = 0
-    for d in datasets:
-        starts.append(d.starts + offset)
-        if len(d):
-            offset += int(d.starts.max()) + win_len
-    merged = WindowedDataset(
+    return WindowedDataset(
         np.concatenate([d.windows for d in datasets], axis=0),
         np.concatenate([d.labels for d in datasets], axis=0),
         win_len=win_len, stride=stride)
-    # each part's starts hold, and no two parts claim shared rows, so the
-    # merged starts need no check
-    merged.starts = np.concatenate(starts)
-    return merged
 
 
 # --------------------------------------------------------------------------

@@ -6,12 +6,13 @@ the input and the last convolution must emit a single channel so their
 output is again a (time, channel) matrix.
 
 Passes run the network on chunks of a few windows (``EVAL_CHUNK``).
-Evaluation also reads where each window starts in its run
-(``WindowedDataset.starts``): consecutive windows that share rows are run
-once over the union of their rows, and each window's features are its
-slice of that chunk's last feature map, as in the dense sliding-window
-evaluation of OverFeat (Sermanet et al. 2014, arXiv:1312.6229). Training
-steps see shuffled, augmented batches, whose windows share no rows.
+Evaluation also reads how many rows apart the windows were cut
+(``WindowedDataset.stride``): consecutive windows whose shared rows are
+equal are run once over the union of their rows, and each window's
+features are its slice of that chunk's last feature map, as in the dense
+sliding-window evaluation of OverFeat (Sermanet et al. 2014,
+arXiv:1312.6229). Training steps see shuffled, augmented batches, whose
+windows share no rows.
 
 Exponent payloads are stored in the representation their constraint
 policy dictates (see ``constraints``), one payload per layer stacked over
@@ -46,7 +47,7 @@ from .constraints import (
     payload_arrays,
     stored_grad,
 )
-from .dataset import WindowedDataset, check_starts
+from .dataset import WindowedDataset
 from .gradients import layer_backward
 from .layers import VARIANT_TYPES, LayerCache, LayerParams, layer_forward, output_grid
 from .numerics import as_tensor, make_rng
@@ -197,20 +198,11 @@ def _effective_layers(net: Network) -> list:
             for layer, policy in zip(net.layers, net.policies)]
 
 
-def _forward_trace(net: Network, x: np.ndarray, layers: list | None = None,
-                   caches: list | None = None, step: int = 0):
-    """Run the conv stack, keeping per-layer inputs and raw outputs, then
-    the classifier head on each window's features.
-
-    ``layers`` are the effective layers (built here when omitted); with
-    ``caches``, one LayerCache per layer, each layer's forward state is
-    kept for the backward pass. ``x`` is a batch of windows, or, with
-    ``step`` > 0, one (1, rows, C) union of windows whose starts step by
-    ``step`` rows, a multiple of the product of the layers' ``stride_t``:
-    each window's features are then its rows of the last feature map.
-    """
-    if layers is None:
-        layers = _effective_layers(net)
+def _run_stack(net: Network, x: np.ndarray, layers: list,
+               caches: list | None = None):
+    """Run the conv stack on ``x``, keeping per-layer inputs and raw
+    outputs; with ``caches``, one LayerCache per layer, each layer's
+    forward state is kept for the backward pass."""
     inputs = []
     outputs = []
     cur = np.asarray(x, dtype=np.float64)
@@ -223,69 +215,95 @@ def _forward_trace(net: Network, x: np.ndarray, layers: list | None = None,
             raise FloatingPointError(f"layer {i}: {exc}") from exc
         outputs.append(out)
         cur = out[..., 0]  # single channel between layers
-    if step:
-        # window w's features: the feature map's rows from w * shift on,
-        # one overlapping view per window over the flattened map
-        n = (x.shape[1] - net.input_shape[0]) // step + 1
-        shift = step // math.prod(layer.stride_t for layer in layers)
-        flat = np.ascontiguousarray(outputs[-1][0]).reshape(-1)
-        row = flat.size // outputs[-1].shape[1]
-        feats = np.lib.stride_tricks.sliding_window_view(
-            flat, flat.size - (n - 1) * shift * row)[::shift * row]
-        # a product per window: one product over ``feats`` would first copy
-        # every row of the map once per window that reads it
-        logits = np.stack([f @ net.head_w for f in feats]) + net.head_b
-    else:
-        feats = outputs[-1].reshape(x.shape[0], -1)
-        logits = feats @ net.head_w + net.head_b
+    return inputs, outputs
+
+
+def _forward_trace(net: Network, x: np.ndarray, layers: list | None = None,
+                   caches: list | None = None):
+    """Run the conv stack, keeping per-layer inputs and raw outputs.
+
+    ``layers`` are the effective layers (built here when omitted); with
+    ``caches``, one LayerCache per layer, each layer's forward state is
+    kept for the backward pass.
+    """
+    if layers is None:
+        layers = _effective_layers(net)
+    inputs, outputs = _run_stack(net, x, layers, caches)
+    feats = outputs[-1].reshape(x.shape[0], -1)
+    logits = feats @ net.head_w + net.head_b
     return inputs, outputs, feats, logits
 
 
-def _eval_chunks(starts: np.ndarray, win_len: int, unit: int) -> list:
-    """``forward_network``'s chunks, as (first, stop, step) window ranges.
+def _union_logits(net: Network, union: np.ndarray, layers: list, n: int,
+                  shift: int) -> np.ndarray:
+    """The logits of the n windows of a union (1, rows, C) of windows that
+    start equally far apart: window w's features are the last feature
+    map's rows from w * shift on."""
+    _, outputs = _run_stack(net, union, layers)
+    flat = np.ascontiguousarray(outputs[-1][0]).reshape(-1)
+    row = flat.size // outputs[-1].shape[1]
+    # one overlapping view per window over the flattened map
+    feats = np.lib.stride_tricks.sliding_window_view(
+        flat, flat.size - (n - 1) * shift * row)[::shift * row]
+    # a product per window: one product over ``feats`` would first copy
+    # every row of the map once per window that reads it
+    return np.stack([f @ net.head_w for f in feats]) + net.head_b
 
-    A run of consecutive windows whose starts step by the same 0 < step <
-    win_len, a multiple of ``unit``, and that span at most EVAL_CHUNK *
-    win_len rows is one chunk with that step. The other windows form
-    chunks of up to EVAL_CHUNK consecutive windows with step 0.
+
+def _eval_chunks(windows: np.ndarray, stride: int) -> list:
+    """``forward_network``'s chunks, as (first, stop, stride) window ranges.
+
+    With 0 < stride < T, a window whose rows from ``stride`` on are the
+    next window's first T - stride rows starts a dense chunk: it and the
+    windows after it that continue the same rows, at most EVAL_CHUNK * T
+    rows in all. The other windows form chunks of up to EVAL_CHUNK
+    consecutive windows, with stride 0. Each chunk compares the rows of at
+    most a dense chunk's windows, in one comparison; NaN equals nothing,
+    so a window holding one is never joined to its neighbours.
     """
-    steps = np.diff(starts).tolist()
-    starts = starts.tolist()
-    n = len(starts)
-    # whether window i and the next one can share a union
-    shared = [0 < d < win_len and d % unit == 0 for d in steps] + [False]
+    n, win_len = windows.shape[:2]
+    if not 0 < stride < win_len:
+        return [(first, min(first + EVAL_CHUNK, n), 0)
+                for first in range(0, n, EVAL_CHUNK)]
+    span = (EVAL_CHUNK - 1) * win_len // stride + 1  # a dense chunk's windows
+    reach = max(span, EVAL_CHUNK) + 1
     chunks = []
     first = 0
     while first < n:
+        block = windows[first:first + reach]
+        # shared[j]: window first + j continues into window first + j + 1
+        shared = (block[1:, :win_len - stride] == block[:-1, stride:]).all(
+            axis=(1, 2)).tolist() + [False]
         stop = first + 1
-        if shared[first]:
-            step = steps[first]
-            while (stop < n and steps[stop - 1] == step and starts[stop]
-                   + win_len - starts[first] <= EVAL_CHUNK * win_len):
+        if shared[0]:
+            while stop - first < span and shared[stop - 1 - first]:
                 stop += 1
+            chunks.append((first, stop, stride))
         else:
-            step = 0
-            while stop < n and stop - first < EVAL_CHUNK and not shared[stop]:
+            while (stop < n and stop - first < EVAL_CHUNK
+                   and not shared[stop - first]):
                 stop += 1
-        chunks.append((first, stop, step))
+            chunks.append((first, stop, 0))
         first = stop
     return chunks
 
 
 def forward_network(net: Network, windows: np.ndarray,
-                    starts=None) -> np.ndarray:
+                    stride: int = 0) -> np.ndarray:
     """Class probabilities for a batch of windows (n, T, C) or one (T, C).
 
-    ``starts`` gives each window's first row as in
-    ``dataset.WindowedDataset`` and is checked the same way; None claims no
-    shared rows. Consecutive windows whose starts step by the same d, with
-    0 < d < T and d a multiple of the product of the layers' ``stride_t``,
+    ``stride`` is how many rows apart the windows were cut from their
+    series (``WindowedDataset.stride``); 0 evaluates every window on its
+    own. With 0 < stride < T, stride a multiple of the product of the
+    layers' ``stride_t``, consecutive windows whose shared rows are equal
     are evaluated together, up to EVAL_CHUNK * T input rows at a time: the
-    network runs once over the union of their rows (the first window, then
-    the last d rows of each next one), and each window's features are its
-    slice of the last feature map. Other windows run in chunks of up to
-    EVAL_CHUNK windows. Either way each window's probabilities are those of
-    the network run on it alone, up to summation order.
+    network runs once over the union of their rows (the first window,
+    then the last ``stride`` rows of each next one), and each window's
+    features are its slice of the last feature map. The rows are compared,
+    not assumed, so shuffled, filtered or edited windows fall back on
+    their own. Other windows run in chunks of up to EVAL_CHUNK windows.
+    Either way each window's probabilities are those of the network run on
+    it alone, up to summation order.
 
     Each chunk writes its own rows of the result. With EVAL_WORKERS = 2
     the calling thread runs the first half of the chunks and one helper
@@ -301,21 +319,19 @@ def forward_network(net: Network, windows: np.ndarray,
     windows = _checked_windows(net, windows[None] if single else windows)
     win_len = net.input_shape[0]
     layers = _effective_layers(net)
-    if starts is None:
-        starts = np.arange(len(windows)) * win_len
-    else:
-        starts = check_starts(windows, starts)
-    chunks = _eval_chunks(starts, win_len,
-                          math.prod(layer.stride_t for layer in layers))
+    unit = math.prod(layer.stride_t for layer in layers)
+    chunks = _eval_chunks(windows, stride if stride % unit == 0 else 0)
     probs = np.empty((len(windows), net.n_classes))
 
     def run_chunk(k):
         first, stop, step = chunks[k]
         x = windows[first:stop]
         if step:
-            x = np.concatenate([x[0], x[1:, win_len - step:].reshape(
+            union = np.concatenate([x[0], x[1:, win_len - step:].reshape(
                 -1, x.shape[2])])[None]
-        _, _, _, logits = _forward_trace(net, x, layers, step=step)
+            logits = _union_logits(net, union, layers, len(x), step // unit)
+        else:
+            _, _, _, logits = _forward_trace(net, x, layers)
         probs[first:stop] = softmax(logits)
 
     if EVAL_WORKERS < 2 or len(chunks) < 2:
@@ -564,11 +580,11 @@ def predict(net: Network, windows: np.ndarray) -> np.ndarray:
 
 def evaluate(net: Network, dataset: WindowedDataset) -> Metrics:
     """The metrics of the network's predictions on the dataset. Its
-    windows' starts are passed to ``forward_network``, so windows that
+    stride is passed to ``forward_network``, so consecutive windows that
     share rows are run once over their union."""
     if len(dataset) == 0:
         raise ValueError("cannot evaluate on an empty dataset")
-    preds = np.argmax(forward_network(net, dataset.windows, dataset.starts),
+    preds = np.argmax(forward_network(net, dataset.windows, dataset.stride),
                       axis=-1)
     true = dataset.labels
     k = net.n_classes

@@ -30,6 +30,7 @@ from expconv.numerics import make_rng
 from expconv.training import (
     TrainConfig,
     build_network,
+    forward_network,
     load_model,
     save_model,
 )
@@ -741,22 +742,23 @@ class TestAugmentCommand:
         np.testing.assert_array_equal(out.windows, train_ds.windows)
         np.testing.assert_array_equal(out.labels, train_ds.labels)
 
-    def test_output_claims_no_shared_rows(self, tmp_path, monkeypatch):
-        # the input windows share rows; augmented ones need not
+    def test_output_evaluates_as_window_by_window(self, tmp_path):
+        # the input windows share rows; the flipped ones no longer do
         make_plant_fixtures(tmp_path)
         path = write_config(
             tmp_path,
             data={"path": str(tmp_path), "fault_ids": [1], "win_len": 40,
                   "stride": 10},
             augment=[{"op": "flip_lr", "probability": 0.5}])
-        train_ds = cli.build_datasets(cli.load_config(str(path)))[0]
-        assert (np.diff(train_ds.starts) == 10).any()
-        saved = []
-        monkeypatch.setattr(cli, "save_windows_csv",
-                            lambda ds, _: saved.append(ds))
         assert cli.main(["augment", "--config", str(path)]) == 0
-        np.testing.assert_array_equal(saved[0].starts,
-                                      np.arange(len(train_ds)) * 40)
+        out = load_windows_csv(tmp_path / "out" / "augmented.csv")
+        assert out.stride == 10
+        net = build_network(out.windows.shape[1:], 2,
+                            [{"variant": "elementwise", "k_h": 3, "k_w": 3,
+                              "activation": "tanh"}], seed=3)
+        np.testing.assert_allclose(
+            forward_network(net, out.windows, out.stride),
+            forward_network(net, out.windows), rtol=1e-12, atol=0)
 
     def test_echoed_config_reproduces_seeded_run(self, tmp_path):
         path = write_config(

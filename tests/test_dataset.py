@@ -5,8 +5,6 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from expconv.dataset import (
     FAULT_ONSET,
@@ -17,7 +15,6 @@ from expconv.dataset import (
     RawRun,
     WindowedDataset,
     apply_normalize,
-    check_starts,
     energy_feature,
     fit_normalize,
     gen_synthetic,
@@ -223,92 +220,6 @@ class TestMakeWindows:
         b = make_windows(fake_run(18, 60), win_len=30, stride=30)
         with pytest.raises(ValueError):
             merge_windows([a, b])
-
-
-def assert_starts_hold(ds):
-    """Every row position the starts give holds one value in every window
-    that claims it."""
-    positions = (ds.starts[:, None] + np.arange(ds.win_len)).reshape(-1)
-    values = ds.windows.reshape(len(positions), -1)
-    _, index = np.unique(positions, return_inverse=True)
-    series = np.empty((index.max() + 1, values.shape[1]))
-    series[index] = values
-    np.testing.assert_array_equal(series[index], values)
-
-
-class TestWindowStarts:
-    """``WindowedDataset.starts``: where each window starts, in a row
-    numbering in which windows that claim shared rows agree on them."""
-
-    @settings(max_examples=40, deadline=None)
-    @given(rows=st.lists(st.integers(30, 240), min_size=1, max_size=3),
-           win_len=st.integers(1, 30), stride=st.integers(1, 45),
-           split=st.sampled_from(("train", "test")))
-    def test_made_and_merged_windows_keep_the_invariant(self, rows, win_len,
-                                                        stride, split):
-        runs = [fake_run(20 + k, n, split=split) for k, n in enumerate(rows)]
-        parts = [make_windows(run, win_len, stride) for run in runs]
-        for run, part in zip(runs, parts):  # each window's first run row
-            for window, start in zip(part.windows, part.starts):
-                np.testing.assert_array_equal(
-                    window, run.matrix[start:start + win_len])
-        merged = merge_windows(parts)
-        assert_starts_hold(merged)
-        np.testing.assert_array_equal(check_starts(merged.windows,
-                                                   merged.starts),
-                                      merged.starts)
-        run_of = np.repeat(np.arange(len(parts)), [len(p) for p in parts])
-        apart = np.abs(merged.starts[:, None] - merged.starts) >= win_len
-        other_run = run_of[:, None] != run_of
-        assert apart[other_run].all()
-
-    def test_default_claims_no_shared_rows(self):
-        ds = WindowedDataset(np.zeros((5, 4, 2)), np.zeros(5), win_len=4,
-                             stride=1)
-        np.testing.assert_array_equal(ds.starts, [0, 4, 8, 12, 16])
-        assert ds.starts.dtype == np.int64
-
-    def test_label_filtered_subset_takes_the_default(self):
-        ds = make_windows(fake_run(21, TEST_ROWS, fault_id=2, split="test"),
-                          win_len=40, stride=10)
-        keep = ds.labels == 2
-        faulty = WindowedDataset(ds.windows[keep], ds.labels[keep],
-                                 ds.win_len, ds.stride)
-        np.testing.assert_array_equal(faulty.starts,
-                                      np.arange(len(faulty)) * 40)
-
-    def test_shuffled_windows_rejected(self):
-        ds = make_windows(fake_run(22, 200), win_len=20, stride=5)
-        order = make_rng(23).permutation(len(ds))
-        with pytest.raises(ValueError,
-                           match=r"^windows \d+ and \d+ claim shared rows"):
-            WindowedDataset(ds.windows[order], ds.labels[order], 20, 5,
-                            starts=ds.starts)
-
-    @pytest.mark.parametrize("shift", (-1, 1))
-    def test_off_by_one_start_rejected(self, shift):
-        ds = make_windows(fake_run(24, 200), win_len=20, stride=5)
-        starts = ds.starts.copy()
-        starts[6] += shift
-        with pytest.raises(ValueError, match=r"^windows 5 and 6 claim "
-                           r"shared rows \(starts 25 and (29|31)\)"):
-            WindowedDataset(ds.windows, ds.labels, 20, 5, starts=starts)
-
-    def test_nan_rows_match_themselves(self):
-        run = fake_run(25, 60)
-        run.matrix[30, 3] = np.nan  # window 6's first row, in windows 3-5
-        ds = make_windows(run, win_len=20, stride=5)  # accepted
-        assert np.isnan(ds.windows[3:7]).any(axis=(1, 2)).all()
-
-    @pytest.mark.parametrize("starts, match", [
-        (np.zeros(3, dtype=np.int64), "one integer per window"),
-        (np.zeros(4), "one integer per window"),
-        (np.array([0, 4, -8, 12]), "not be negative"),
-    ])
-    def test_malformed_starts_rejected(self, starts, match):
-        with pytest.raises(ValueError, match=match):
-            WindowedDataset(np.zeros((4, 4, 2)), np.zeros(4), win_len=4,
-                            stride=4, starts=starts)
 
 
 class TestSyntheticTask:

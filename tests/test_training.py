@@ -15,6 +15,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from expconv import training
 from expconv.augment import AugmentSpec
@@ -30,8 +32,10 @@ from expconv.dataset import (
     RawRun,
     WindowedDataset,
     gen_synthetic,
+    load_windows_csv,
     make_windows,
     merge_windows,
+    save_windows_csv,
 )
 from expconv.gradients import finite_diff
 from expconv.layers import VARIANT_TYPES, LayerParams, Standard, layer_forward
@@ -77,12 +81,12 @@ def labeled_windows(seed, n=12, shape=(4, 3), n_classes=2):
 
 
 def series_windows(seed, n, step, shape=(8, 6)):
-    """n windows of shape[0] rows every ``step`` rows of one seeded series,
-    and their starts."""
+    """n windows of shape[0] rows every ``step`` rows of one seeded
+    series."""
     starts = step * np.arange(n)
     series = make_rng(seed).normal(
         size=(step * max(n - 1, 0) + shape[0], shape[1]))
-    return series[starts[:, None] + np.arange(shape[0])], starts
+    return series[starts[:, None] + np.arange(shape[0])]
 
 
 def plant_test_set(n_runs=4):
@@ -424,7 +428,7 @@ class TestChunkedPasses:
         ds = self.cut_runs(8, 2)
         window_by_window = forward_network(net, ds.windows)
         shapes = self.layer_inputs(monkeypatch)
-        probs = forward_network(net, ds.windows, ds.starts)
+        probs = forward_network(net, ds.windows, ds.stride)
         self.assert_same_predictions(probs, window_by_window)
         # 13 windows every 2 rows fill a chunk's 4 x 8 rows
         assert (1, training.EVAL_CHUNK * 8, N_VARIABLES) in shapes
@@ -443,18 +447,71 @@ class TestChunkedPasses:
         ds = self.cut_runs(24, 10)
         window_by_window = forward_network(net, ds.windows)
         shapes = self.layer_inputs(monkeypatch)
-        probs = forward_network(net, ds.windows, ds.starts)
+        probs = forward_network(net, ds.windows, ds.stride)
         self.assert_same_predictions(probs, window_by_window)
         assert any(shape[-2] > 24 for shape in shapes) == dense
 
-    def test_forward_checks_the_starts(self):
+    def test_a_row_differing_late_in_the_overlap_splits_the_union(
+            self, monkeypatch):
+        # windows 3 and 4 agree on the first row they share, but not on
+        # window 3's last row, so no union may hold both
+        net = self.two_layer_net("elementwise", "clip",
+                                 input_shape=(40, N_VARIABLES))
+        windows = series_windows(18, 17, 10, shape=(40, N_VARIABLES))
+        windows[3, -1] += 5.0
+        shapes = self.layer_inputs(monkeypatch)
+        probs = forward_network(net, windows, 10)
+        monkeypatch.undo()
+        self.assert_same_predictions(probs, forward_network(net, windows))
+        # windows 0-3 and 4-16 run as unions of 70 and 160 rows, on either
+        # thread
+        assert sorted(s for s in shapes if s[-1] == N_VARIABLES) == [
+            (1, 70, N_VARIABLES), (1, 160, N_VARIABLES)]
+
+    def test_reordered_windows_run_on_their_own(self, monkeypatch):
         net = self.two_layer_net("elementwise", "clip")
-        windows, starts = series_windows(18, 6, 3)
-        starts[4] += 1
-        with pytest.raises(ValueError, match="^windows 3 and 4 claim shared"):
-            forward_network(net, windows, starts)
-        with pytest.raises(ValueError, match="one integer per window"):
-            forward_network(net, windows, starts[:5])
+        windows = series_windows(19, 12, 2)
+        order = make_rng(20).permutation(len(windows))
+        reversed_ = windows[::-1]
+        for batch in (windows[order], reversed_):
+            self.assert_same_predictions(forward_network(net, batch, 2),
+                                         forward_network(net, batch))
+        shapes = self.layer_inputs(monkeypatch)
+        forward_network(net, reversed_, 2)
+        assert {shape[0] for shape in shapes} == {training.EVAL_CHUNK}
+
+    @settings(max_examples=40, deadline=None)
+    @given(rows=st.lists(st.integers(30, 240), min_size=1, max_size=3),
+           win_len=st.integers(1, 30), stride=st.integers(1, 45),
+           split=st.sampled_from(("train", "test")))
+    def test_chunks_join_only_windows_that_continue(self, rows, win_len,
+                                                    stride, split):
+        rng = make_rng(21)
+        parts = [make_windows(RawRun(rng.normal(size=(n, N_VARIABLES)), 1,
+                                     split), win_len, stride) for n in rows]
+        ds = merge_windows(parts)
+        run_of = np.repeat(np.arange(len(parts)), [len(p) for p in parts])
+        chunks = training._eval_chunks(ds.windows, ds.stride)
+        assert [c[0] for c in chunks] == [0] + [c[1] for c in chunks[:-1]]
+        assert chunks[-1][1] == len(ds)
+        for first, stop, step in chunks:
+            x = ds.windows[first:stop]
+            if not step:
+                assert stop - first <= training.EVAL_CHUNK
+                continue
+            assert step == stride < win_len and stop - first > 1
+            assert win_len + (stop - first - 1) * step \
+                <= training.EVAL_CHUNK * win_len
+            assert len(set(run_of[first:stop])) == 1
+            union = np.concatenate([x[0], x[1:, win_len - step:].reshape(
+                -1, N_VARIABLES)])
+            for w, window in enumerate(x):
+                np.testing.assert_array_equal(
+                    union[w * step:w * step + win_len], window)
+        if split == "train" and len(rows) == 1 and stride < win_len:
+            # a training run's windows all continue one another
+            span = (training.EVAL_CHUNK - 1) * win_len // stride + 1
+            assert len(chunks) == -(-len(ds) // span)
 
     @pytest.mark.parametrize("variant", ("elementwise", "full_matrix"))
     def test_plant_set_keeps_the_predictions(self, variant):
@@ -464,10 +521,11 @@ class TestChunkedPasses:
             seed=17))
         ds = plant_test_set()
         self.assert_same_predictions(
-            forward_network(net, ds.windows, ds.starts),
+            forward_network(net, ds.windows, ds.stride),
             forward_network(net, ds.windows))
 
-    def test_evaluate_runs_layer_0_once_per_input_row(self, monkeypatch):
+    def test_evaluate_runs_layer_0_once_per_input_row(self, monkeypatch,
+                                                      tmp_path):
         net = build_network((40, 52), 4,
                             [{"variant": "elementwise", "k_h": 3, "k_w": 3,
                               "out_channels": 8}], seed=12)
@@ -485,8 +543,12 @@ class TestChunkedPasses:
         # in five chunks of 13 and one of 12 windows (150 rows)
         assert len(out_rows) == 4 * 7
         assert sum(out_rows) == 4 * (6 * 158 + 148) == 4384
-        out_rows.clear()
-        evaluate(net, WindowedDataset(ds.windows, ds.labels, 40, 10))
+        out_rows.clear()  # read back from the window cache: the same
+        save_windows_csv(ds, tmp_path / "windows.csv")
+        evaluate(net, load_windows_csv(tmp_path / "windows.csv"))
+        assert sum(out_rows) == 4384
+        out_rows.clear()  # windows said to share no rows: one by one
+        evaluate(net, WindowedDataset(ds.windows, ds.labels, 40, 40))
         assert sum(out_rows) == len(ds) * 38 == 13680
 
     @staticmethod
@@ -515,8 +577,7 @@ class TestChunkedPasses:
             if pass_name == "step":
                 return network_loss_grads(net, windows[:n], labels[:n])
             if pass_name == "dense":
-                return forward_network(net, plant.windows[:n],
-                                       plant.starts[:n])
+                return forward_network(net, plant.windows[:n], plant.stride)
             return forward_network(net, windows[:n])
         run(8)  # warm up lazy set-up outside the measurement
         if pass_name == "step":  # serial: its chunks run one after another
@@ -538,13 +599,13 @@ class TestChunkedPasses:
                                                   n, dense):
         net = self.two_layer_net(variant, "clip")
         if dense:  # windows every 3 rows: dense chunks of 9 windows
-            windows, starts = series_windows(14, n, 3)
+            windows, stride = series_windows(14, n, 3), 3
         else:
-            windows, starts = make_rng(14).normal(size=(n, 8, 6)), None
+            windows, stride = make_rng(14).normal(size=(n, 8, 6)), 0
         probs = []
         for workers in (1, 2):
             monkeypatch.setattr(training, "EVAL_WORKERS", workers)
-            probs.append(forward_network(net, windows, starts))
+            probs.append(forward_network(net, windows, stride))
         assert probs[0].shape == (n, 3)
         np.testing.assert_array_equal(*probs)
 
@@ -557,35 +618,34 @@ class TestEvalHelper:
 
     @pytest.fixture
     def chunks(self, monkeypatch):
-        """Replace each chunk's forward with ``chunks.body(k)`` followed by
-        the real one, on windows that carry their chunk number k; record
+        """Replace each chunk's conv stack with ``chunks.body(k)`` followed
+        by the real one, on windows that carry their chunk number k; record
         the chunks that started and finished and the shapes they ran on."""
         monkeypatch.setattr(training, "EVAL_WORKERS", 2)
-        original = training._forward_trace
+        original = training._run_stack
         record = SimpleNamespace(started=[], finished=[], shapes=[],
                                  body=lambda k: None)
 
-        def forward_trace(net, x, layers, **kwargs):
+        def run_stack(net, x, layers, caches=None):
             k = int(x[0, 0, 0])
             record.started.append(k)
             record.shapes.append(x.shape)
             try:
                 record.body(k)
-                return original(net, x, layers, **kwargs)
+                return original(net, x, layers, caches)
             finally:
                 record.finished.append(k)
-        monkeypatch.setattr(training, "_forward_trace", forward_trace)
+        monkeypatch.setattr(training, "_run_stack", run_stack)
         return record
 
     @staticmethod
     def chunked_windows(n_chunks, dense):
-        """The windows and starts of ``n_chunks`` chunks; dense chunks lie
-        100 rows apart, so no two of them share rows."""
-        i = np.arange(n_chunks * training.EVAL_CHUNK)
-        k = i // training.EVAL_CHUNK
+        """The windows of ``n_chunks`` chunks and the stride to evaluate
+        them with: a chunk's windows hold its number k in every row, so,
+        cut one row apart, they continue one another, and chunks do not."""
+        k = np.arange(n_chunks * training.EVAL_CHUNK) // training.EVAL_CHUNK
         windows = np.broadcast_to(k[:, None, None], (len(k), 4, 3))
-        starts = 100 * k + i % training.EVAL_CHUNK if dense else None
-        return windows.astype(float), starts
+        return windows.astype(float), 1 if dense else 0
 
     @staticmethod
     def assert_chunk_shapes(chunks, dense):

@@ -531,6 +531,9 @@ def main(argv=None) -> int:
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError as exc:  # a configured size too large to allocate
+        print(f"error: out of memory: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .numerics import make_rng, signed_pow
+from .numerics import DEFAULT_EPS, make_rng, signed_pow
 
 N_VARIABLES = 52
 FAULTY_TRAIN_ROWS = 480
@@ -264,6 +264,8 @@ def merge_windows(datasets) -> WindowedDataset:
 # Synthetic task generation
 
 ENERGY_REJECT_BUDGET = 1000  # draw attempts allowed per emitted window
+PILOT_DRAWS = 256  # candidates whose features set the threshold and margin
+BLOCK_VALUES = 65536  # uniforms drawn per block of candidates (0.5 MB)
 
 
 def energy_feature(window, exponent: float) -> float:
@@ -271,12 +273,22 @@ def energy_feature(window, exponent: float) -> float:
     return float(np.sum(signed_pow(window, exponent)))
 
 
-def _draw_window(rng: np.random.Generator, win_len: int, channels: int,
-                 mag_lo: float, mag_hi: float) -> np.ndarray:
-    mags = np.exp(rng.uniform(np.log(mag_lo), np.log(mag_hi),
-                              size=(win_len, channels)))
-    signs = np.where(rng.uniform(size=(win_len, channels)) < 0.5, -1.0, 1.0)
-    return signs * mags
+def _candidate_block(rng: np.random.Generator, size: int, win_len: int,
+                     channels: int, exponent: float, low: float,
+                     high: float) -> tuple[np.ndarray, np.ndarray]:
+    """``size`` candidate windows and their energy features.
+
+    Candidate j takes the 2 * win_len * channels uniforms after those of
+    candidate j - 1: its log-uniform magnitudes, then its signs, negative
+    where the uniform is below 0.5. Each feature equals
+    ``energy_feature`` of its window bit for bit.
+    """
+    u = rng.random((size, 2, win_len, channels))
+    mags = np.exp(low + (high - low) * u[:, 0])  # Generator.uniform's formula
+    side = u[:, 1] - 0.5
+    powers = np.copysign(np.maximum(mags, DEFAULT_EPS) ** exponent, side)
+    return (np.copysign(mags, side, out=mags),
+            powers.reshape(size, -1).sum(axis=1))
 
 
 @np.errstate(over="ignore", invalid="ignore")  # overflow raises below
@@ -287,13 +299,31 @@ def gen_synthetic(win_len: int = 8, channels: int = 4, exponent: float = 2.0,
     """Emit a balanced two-class dataset split by a power-energy feature.
 
     Windows have log-uniform magnitudes and random signs. A pilot sample
-    sets the class threshold (median feature) and margin; each emitted
-    window is rejection-sampled until its feature clears the margin on
-    the side its class requires. Noise is added after labeling, so with
-    noise=0 the labeling rule holds exactly on the emitted windows. A
-    pilot feature or noisy window that overflows raises FloatingPointError
-    instead of a NumPy warning.
+    of 256 candidates sets the class threshold (median feature) and
+    margin; each emitted window is the next candidate whose feature
+    clears the margin on the side its class requires, after at most
+    ENERGY_REJECT_BUDGET candidates. Noise is added after labeling, so
+    with noise=0 the labeling rule holds exactly on the emitted windows.
+    A pilot feature or noisy window that overflows raises
+    FloatingPointError instead of a NumPy warning; a non-finite
+    parameter raises ValueError naming it.
+
+    Candidates are drawn and scored in blocks of about BLOCK_VALUES
+    uniforms, one ``rng.random`` call and one feature pass a block; only
+    the accept/reject scan runs per candidate. The stream, windows,
+    labels, threshold and margin are those of drawing one candidate at a
+    time, byte for byte: after the scan the generator is rewound to the
+    start of the last block and advanced past the candidates read, so the
+    candidates drawn beyond the last accepted one do not move the noise
+    draw (PCG64 takes one 64-bit output per double).
     """
+    for name, value in (("exponent", exponent), ("noise", noise),
+                        ("margin_scale", margin_scale), ("mag_lo", mag_lo),
+                        ("mag_hi", mag_hi)):
+        if not np.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
+    if win_len < 1 or channels < 1:
+        raise ValueError("win_len and channels must be >= 1")
     if not count >= 0:
         raise ValueError("count must be >= 0")
     if noise < 0:
@@ -301,10 +331,20 @@ def gen_synthetic(win_len: int = 8, channels: int = 4, exponent: float = 2.0,
     if not 0 < mag_lo < mag_hi:
         raise ValueError("need 0 < mag_lo < mag_hi")
     rng = make_rng(seed)
-    pilot = np.array([
-        energy_feature(_draw_window(rng, win_len, channels, mag_lo, mag_hi),
-                       exponent)
-        for _ in range(256)])
+    per_draw = 2 * win_len * channels
+    size = max(1, BLOCK_VALUES // per_draw)
+    low, high = np.log(mag_lo), np.log(mag_hi)
+
+    def next_block():
+        state = rng.bit_generator.state
+        return (state, *_candidate_block(rng, size, win_len, channels,
+                                         exponent, low, high))
+
+    pilot = np.empty(PILOT_DRAWS)
+    for start in range(0, PILOT_DRAWS, size):
+        state, cands, feats = next_block()
+        used = min(size, PILOT_DRAWS - start)
+        pilot[start:start + used] = feats[:used]
     if not np.isfinite(pilot).all():
         raise FloatingPointError(
             f"energy feature overflows for exponent={exponent}, "
@@ -314,23 +354,32 @@ def gen_synthetic(win_len: int = 8, channels: int = 4, exponent: float = 2.0,
     if margin <= 0:
         raise ValueError("degenerate feature distribution (zero spread)")
 
-    windows = np.zeros((count, win_len, channels))
-    labels = np.zeros(count, dtype=np.int64)
-    for i in range(count):
-        target = i % 2
-        for _ in range(ENERGY_REJECT_BUDGET):
-            cand = _draw_window(rng, win_len, channels, mag_lo, mag_hi)
-            f = energy_feature(cand, exponent)
-            if target == 0 and f <= threshold - margin:
-                break
-            if target == 1 and f >= threshold + margin:
-                break
-        else:
-            raise RuntimeError(
-                f"rejection budget exhausted for class {target}; "
-                "margin_scale too aggressive for these task parameters")
-        windows[i] = cand
-        labels[i] = target
+    below, above = threshold - margin, threshold + margin
+    windows = np.empty((count, win_len, channels))
+    done = tries = 0
+    while done < count:
+        if used == size:
+            state, cands, feats = next_block()
+            used = 0
+        taken = []
+        for f in feats[used:].tolist():
+            used += 1
+            tries += 1
+            if (f >= above) if done % 2 else (f <= below):
+                taken.append(used - 1)
+                done += 1
+                tries = 0
+                if done == count:
+                    break
+            elif tries == ENERGY_REJECT_BUDGET:
+                raise RuntimeError(
+                    f"rejection budget exhausted for class {done % 2}; "
+                    "margin_scale too aggressive for these task parameters")
+        windows[done - len(taken):done] = cands[taken]
+    if used < size:  # the unread candidates must not move the noise draw
+        rng.bit_generator.state = state
+        rng.bit_generator.advance(used * per_draw)
+    labels = np.arange(count, dtype=np.int64) % 2
     if noise > 0 and count > 0:
         windows = windows + noise * rng.standard_normal(windows.shape)
         if not np.isfinite(windows).all():

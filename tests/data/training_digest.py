@@ -16,6 +16,9 @@ gradient checks.
   networks on windows of 8 rows every 2 rows of one seeded 120 x 5
   series, given with their stride, so consecutive windows are evaluated
   over the rows they share.
+* ``synthetic``: the windows, labels, threshold and margin of two
+  ``gen_synthetic`` tasks, 240 windows of 40 x 52 (seed 5) and the task
+  of ``configs/tiny_synth.json``.
 
 A change that is meant to leave the numerics alone must leave every
 digest as it was; run the script before and after it and compare.
@@ -102,8 +105,24 @@ def evaluate_digest(nets) -> str:
     return digest.hexdigest()
 
 
+def synthetic_digest() -> str:
+    config = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                          os.pardir, os.pardir, "configs", "tiny_synth.json")
+    with open(config) as fh:
+        tiny = json.load(fh)["data"]["synthetic"]
+    tiny.pop("train_fraction")
+    digest = hashlib.sha256()
+    for params in (dict(win_len=40, channels=52, exponent=2.0, noise=0.05,
+                        count=240, seed=5), tiny):
+        task = gen_synthetic(**params)
+        digest.update(task.windows.tobytes() + task.labels.tobytes()
+                      + np.float64([task.threshold, task.margin]).tobytes())
+    return digest.hexdigest()
+
+
 if __name__ == "__main__":
     trained, nets = training_digest()
     print(f"training  {trained}")
     print(f"gradcheck {gradcheck_digest()}")
     print(f"evaluate  {evaluate_digest(nets)}")
+    print(f"synthetic {synthetic_digest()}")

@@ -729,6 +729,21 @@ class TestSynthCommand:
         assert cli.main(["synth", "--config", str(path)]) == 2
 
 
+@pytest.mark.parametrize("command, section, value", [
+    ("synth", "data", {"synthetic": {"win_len": 10**13, "channels": 4}}),
+    ("synth", "data", {"synthetic": {"count": 10**14}}),
+    ("train", "model", {"layers": [{"variant": "elementwise", "k_h": 2,
+                                    "k_w": 2, "out_channels": 10**13}]})])
+def test_unallocatable_size_exits_2(tmp_path, capsys, command, section,
+                                    value):
+    # hundreds of TiB, which NumPy refuses at once without allocating
+    path = write_config(tmp_path, **{section: value})
+    assert cli.main([command, "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: out of memory: ")
+
+
 class TestAugmentCommand:
     def test_zero_probability_outputs_inputs(self, tmp_path):
         path = write_config(

@@ -1,11 +1,19 @@
 """Run ingestion, normalization, onset-aware windowing, the synthetic
 two-class generator, and the CSV window cache."""
 
+import hashlib
+import json
 import re
+import tracemalloc
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from expconv import dataset
 from expconv.dataset import (
     FAULT_ONSET,
     FAULTY_TRAIN_ROWS,
@@ -13,6 +21,7 @@ from expconv.dataset import (
     TEST_ROWS,
     NormStats,
     RawRun,
+    SyntheticTask,
     WindowedDataset,
     apply_normalize,
     energy_feature,
@@ -284,6 +293,143 @@ class TestSyntheticTask:
             gen_synthetic(noise=-0.1)
         with pytest.raises(ValueError):
             gen_synthetic(mag_lo=0.0)
+        for sizes in ({"win_len": 0}, {"channels": 0}):
+            with pytest.raises(ValueError, match="must be >= 1"):
+                gen_synthetic(**sizes)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("field", [
+        "exponent", "noise", "margin_scale", "mag_lo", "mag_hi"])
+    def test_non_finite_parameter_is_named(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be finite"):
+            gen_synthetic(count=4, **{field: value})
+
+    @pytest.mark.parametrize("sizes", [
+        {"win_len": 10**13}, {"count": 10**14}])
+    def test_unallocatable_size_raises_memory_error(self, sizes):
+        # hundreds of TiB, refused at once without allocating anything
+        with pytest.raises(MemoryError):
+            gen_synthetic(**{"win_len": 8, "channels": 4, **sizes})
+
+
+def per_candidate_gen_synthetic(win_len, channels, exponent, noise, count,
+                                seed, margin_scale, mag_lo, mag_hi):
+    """The generator as it drew one candidate window at a time: the oracle
+    of the block draws."""
+    def draw(rng):
+        mags = np.exp(rng.uniform(np.log(mag_lo), np.log(mag_hi),
+                                  size=(win_len, channels)))
+        signs = np.where(rng.uniform(size=(win_len, channels)) < 0.5,
+                         -1.0, 1.0)
+        return signs * mags
+
+    rng = make_rng(seed)
+    pilot = np.array([energy_feature(draw(rng), exponent)
+                      for _ in range(256)])
+    threshold = float(np.median(pilot))
+    margin = float(margin_scale * pilot.std())
+    if margin <= 0:
+        raise ValueError("degenerate feature distribution (zero spread)")
+    windows = np.zeros((count, win_len, channels))
+    labels = np.zeros(count, dtype=np.int64)
+    for i in range(count):
+        target = i % 2
+        for _ in range(dataset.ENERGY_REJECT_BUDGET):
+            cand = draw(rng)
+            f = energy_feature(cand, exponent)
+            if target == 0 and f <= threshold - margin:
+                break
+            if target == 1 and f >= threshold + margin:
+                break
+        else:
+            raise RuntimeError(
+                f"rejection budget exhausted for class {target}; "
+                "margin_scale too aggressive for these task parameters")
+        windows[i] = cand
+        labels[i] = target
+    if noise > 0 and count > 0:
+        windows = windows + noise * rng.standard_normal(windows.shape)
+    return windows, labels, threshold, margin
+
+
+def outcome(generate, **params):
+    """The bytes a generator emits, or the error it raises."""
+    try:
+        out = generate(**params)
+    except (RuntimeError, ValueError) as exc:
+        return type(exc), str(exc)
+    if isinstance(out, SyntheticTask):
+        out = out.windows, out.labels, out.threshold, out.margin
+    windows, labels, threshold, margin = out
+    return (windows.shape, windows.tobytes(), labels.tobytes(),
+            np.float64(threshold).tobytes(), np.float64(margin).tobytes())
+
+
+def task_digest(task) -> str:
+    return hashlib.sha256(task.windows.tobytes()
+                          + task.labels.tobytes()).hexdigest()[:16]
+
+
+TINY_SYNTH = (Path(__file__).resolve().parents[1] / "configs"
+              / "tiny_synth.json")
+
+
+class TestBlockDraws:
+    @given(win_len=st.integers(1, 12), channels=st.integers(1, 12),
+           count=st.integers(0, 40), seed=st.integers(0, 2**32 - 1),
+           exponent=st.floats(-3.0, 4.0),
+           margin_scale=st.floats(0.01, 3.0),
+           mag_lo=st.floats(0.01, 2.0), spread=st.floats(1.01, 100.0),
+           noise=st.one_of(st.just(0.0), st.floats(1e-3, 1.0)),
+           budget=st.sampled_from([1, 2, 3, dataset.ENERGY_REJECT_BUDGET]))
+    @settings(max_examples=80, deadline=None)
+    def test_same_bytes_as_one_candidate_at_a_time(
+            self, win_len, channels, count, seed, exponent, margin_scale,
+            mag_lo, spread, noise, budget):
+        params = dict(win_len=win_len, channels=channels, exponent=exponent,
+                      noise=noise, count=count, seed=seed,
+                      margin_scale=margin_scale, mag_lo=mag_lo,
+                      mag_hi=mag_lo * spread)
+        # small budgets run out often: then both raise for the same class,
+        # and a window accepted at the budget's last candidate is kept
+        with mock.patch.object(dataset, "ENERGY_REJECT_BUDGET", budget):
+            assert outcome(gen_synthetic, **params) == \
+                outcome(per_candidate_gen_synthetic, **params)
+
+        windows, feats = dataset._candidate_block(
+            make_rng(seed), 3, win_len, channels, exponent,
+            np.log(mag_lo), np.log(mag_lo * spread))
+        assert feats.tolist() == [energy_feature(w, exponent)
+                                  for w in windows]
+
+    def test_exhausted_budget_raises_for_the_same_class(self):
+        params = dict(win_len=1, channels=1, exponent=2.0, noise=0.0,
+                      count=3, seed=4, margin_scale=3.0, mag_lo=0.2,
+                      mag_hi=3.0)
+        want = outcome(per_candidate_gen_synthetic, **params)
+        assert want[0] is RuntimeError and "budget" in want[1]
+        assert outcome(gen_synthetic, **params) == want
+
+    @pytest.mark.parametrize("params, digest", [
+        (dict(win_len=40, channels=52, exponent=2.0, noise=0.05, count=240,
+              seed=5), "e200eddf6646550c"),
+        ("tiny_synth", "e90c60d0833be64e")])
+    def test_stream_is_pinned(self, params, digest):
+        if params == "tiny_synth":
+            params = json.loads(TINY_SYNTH.read_text())["data"]["synthetic"]
+            params.pop("train_fraction")
+        assert task_digest(gen_synthetic(**params)) == digest
+
+    def test_peak_memory_stays_near_the_output(self):
+        gen_synthetic(win_len=4, channels=3, count=4, seed=1)
+        tracemalloc.start()
+        try:
+            task = gen_synthetic(win_len=40, channels=52, exponent=2.0,
+                                 noise=0.05, count=240, seed=5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * task.windows.nbytes + 2 * 2**20
 
 
 class TestWindowsCsv:

@@ -19,7 +19,9 @@ the clamp boundary.
 ``layer_backward`` works on the layer kernel's patch matrix (the layout
 of ``numerics.extract_patches``) for all channels at once and reads the
 log-magnitudes and powered values from the ``LayerCache`` that
-``layer_forward`` filled; it never evaluates the exponent stage again. Its
+``layer_forward`` filled; it never evaluates the exponent stage again.
+It takes the layer's operator as ``op`` from a caller that built it for
+the whole pass, as ``layer_forward`` does, and builds it otherwise. Its
 gradient with respect to log|x| is summed onto the input grid first
 (``numerics.scatter_patch_grads``) and divided by x there, once per input
 entry, since every patch entry of one input shares its x. Called without
@@ -42,6 +44,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .layers import (
+    BUILD_OPERATOR,
     VARIANT_TYPES,
     LayerCache,
     LayerParams,
@@ -51,6 +54,7 @@ from .layers import (
     channel_preact,  # noqa: F401  (part of this module's namespace)
     extract_patches,  # noqa: F401
     layer_forward,
+    layer_operator,
     payload_map,
 )
 from .numerics import DEFAULT_EPS, make_rng, scatter_patch_grads
@@ -100,7 +104,8 @@ def unit_backward(x: np.ndarray, weights: np.ndarray, bias: float,
 
 def layer_backward(x: np.ndarray, params: LayerParams, upstream: np.ndarray,
                    cache: LayerCache | None = None,
-                   input_grad: bool = True) -> GradBundle:
+                   input_grad: bool = True,
+                   op=BUILD_OPERATOR) -> GradBundle:
     """Backward through one layer (activation included).
 
     ``upstream`` is d(loss)/d(feature map), shaped like the layer output
@@ -109,13 +114,17 @@ def layer_backward(x: np.ndarray, params: LayerParams, upstream: np.ndarray,
     one, the forward kernel runs here to fill a fresh cache. With
     ``input_grad=False`` the d L accumulation, the scatter and the divide
     by x are skipped and ``d_input`` is an empty array; the parameter
-    gradients come from the same operations either way. A non-finite
-    exponent gradient raises FloatingPointError.
+    gradients come from the same operations either way. ``op`` is
+    ``layer_operator(params)``, built here when not given, as in
+    ``layer_forward``. A non-finite exponent gradient raises
+    FloatingPointError.
     """
     x = np.asarray(x, dtype=np.float64)
+    if op is BUILD_OPERATOR:
+        op = layer_operator(params)
     if cache is None:
         cache = LayerCache()
-        layer_forward(x, params, cache)
+        layer_forward(x, params, cache, op)
     g = activation_grad(cache.output, params.activation)
     g *= upstream
     out_ch = params.out_channels
@@ -123,7 +132,6 @@ def layer_backward(x: np.ndarray, params: LayerParams, upstream: np.ndarray,
     g = np.moveaxis(g, -1, 0).reshape(out_ch, -1)
     weights = params.weights.reshape(out_ch, -1)
     d_biases = g.sum(axis=1)
-    op = params.payload.operator(params.k_h, params.k_w)
     if op is None:
         d_weights = (g @ cache.patches.T).reshape(params.weights.shape)
         d_payload = Standard()

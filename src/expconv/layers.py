@@ -42,10 +42,13 @@ so row_mix @ L @ col_mix is one matrix product over all patches), with the
 sign applied by a multiply, and its pre-activation is one vector-matrix
 product with its filter.
 
-``layer_forward(x, params, cache)`` keeps the log-magnitudes, every
+``layer_forward(x, params, cache, op)`` keeps the log-magnitudes, every
 channel's powered values and the output in a ``LayerCache`` when one is
 passed, and ``layer_backward`` reads it, so the exponent stage runs once
-per training step. The powered values alone are M * n * N floats for N
+per training step. The operator (``layer_operator``) depends on the
+parameters alone: a pass over many chunks builds it once per layer and
+passes it as ``op`` to every kernel call, and a call without ``op``
+builds its own. The powered values alone are M * n * N floats for N
 patches, so a cache grows with the number of windows it is given;
 training passes a few windows at a time (``training.EVAL_CHUNK``).
 Without a cache, the channels share one (n, N) scratch matrix for their
@@ -458,8 +461,19 @@ def activation_grad(output: np.ndarray, activation: str) -> np.ndarray:
     raise ValueError(f"unknown activation {activation!r}")
 
 
+# ``op`` default of the layer kernels: build the operator from the payload
+BUILD_OPERATOR = object()
+
+
+def layer_operator(params: LayerParams) -> np.ndarray | None:
+    """The exponent operator of the layer's stacked payload
+    (``Payload.operator``): (M, n) diagonals, (M, n, n) matrices or None."""
+    return params.payload.operator(params.k_h, params.k_w)
+
+
 def layer_forward(x: np.ndarray, params: LayerParams,
-                  cache: LayerCache | None = None) -> np.ndarray:
+                  cache: LayerCache | None = None,
+                  op=BUILD_OPERATOR) -> np.ndarray:
     """Slide every channel's unit over the input and apply the activation.
 
     Accepts a (T, C) input or a batch (..., T, C); the feature map has
@@ -467,14 +481,17 @@ def layer_forward(x: np.ndarray, params: LayerParams,
     A cache, when given, is filled for ``layer_backward``; it holds every
     channel's powered values, so its memory grows with the number of
     patches. Without one, the channels share one scratch matrix for their
-    powered values. A non-finite pre-activation (an overflowing power or
-    filter product) raises FloatingPointError.
+    powered values. ``op`` is ``layer_operator(params)``, built here when
+    not given: a pass that runs the layer on many chunks builds it once
+    and hands it to every call. A non-finite pre-activation (an
+    overflowing power or filter product) raises FloatingPointError.
     """
     x = np.asarray(x, dtype=np.float64)
     n = params.k_h * params.k_w
     out_ch = params.out_channels
     weights = params.weights.reshape(out_ch, -1)
-    op = params.payload.operator(params.k_h, params.k_w)
+    if op is BUILD_OPERATOR:
+        op = layer_operator(params)
 
     def patch_matrix(a):
         p = extract_patches(a, params.k_h, params.k_w,

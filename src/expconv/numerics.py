@@ -89,17 +89,21 @@ def extract_patches(x: np.ndarray, k_h: int, k_w: int,
     it is the patch matrix of the layer kernels without another copy: the
     im2col layout of Chellapilla et al. (2006), "High Performance
     Convolutional Neural Networks for Document Processing", transposed.
-    ``scatter_patch_grads`` is its adjoint on the same layout.
+    It is filled by one strided slice copy per kernel position, the loop
+    of its adjoint ``scatter_patch_grads`` with ``=`` for ``+=``.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim < 2:
         raise ValueError("input must be at least 2-D (time x channels)")
-    patch_grid(x.shape[-2], x.shape[-1], k_h, k_w, stride_t, stride_c)
-    windows = np.lib.stride_tricks.sliding_window_view(
-        x, (k_h, k_w), axis=(-2, -1))[..., ::stride_t, ::stride_c, :, :]
-    # .copy() always copies; ascontiguousarray would hand back the
-    # read-only view itself when the input is one kernel-sized window
-    return np.moveaxis(windows, (-2, -1), (0, 1)).copy()
+    grid_t, grid_c = patch_grid(x.shape[-2], x.shape[-1], k_h, k_w,
+                                stride_t, stride_c)
+    patches = np.empty((k_h, k_w, *x.shape[:-2], grid_t, grid_c))
+    for ky in range(k_h):
+        t_stop = ky + stride_t * grid_t
+        for kx in range(k_w):
+            c_stop = kx + stride_c * grid_c
+            patches[ky, kx] = x[..., ky:t_stop:stride_t, kx:c_stop:stride_c]
+    return patches
 
 
 def scatter_patch_grads(d_patches: np.ndarray, input_shape: tuple,

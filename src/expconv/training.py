@@ -49,7 +49,14 @@ from .constraints import (
 )
 from .dataset import WindowedDataset
 from .gradients import layer_backward
-from .layers import VARIANT_TYPES, LayerCache, LayerParams, layer_forward, output_grid
+from .layers import (
+    VARIANT_TYPES,
+    LayerCache,
+    LayerParams,
+    layer_forward,
+    layer_operator,
+    output_grid,
+)
 from .numerics import as_tensor, make_rng
 
 FORMAT_MAGIC = b"EXPC"
@@ -193,24 +200,29 @@ def _checked_windows(net: Network, windows: np.ndarray) -> np.ndarray:
     return windows
 
 
-def _effective_layers(net: Network) -> list:
-    return [effective_layer(layer, policy)
-            for layer, policy in zip(net.layers, net.policies)]
+def _effective_layers(net: Network) -> tuple[list, list]:
+    """The effective layers of a pass and their operators
+    (``layer_operator``), built once per pass and shared by its chunks."""
+    layers = [effective_layer(layer, policy)
+              for layer, policy in zip(net.layers, net.policies)]
+    return layers, [layer_operator(layer) for layer in layers]
 
 
-def _run_stack(net: Network, x: np.ndarray, layers: list,
+def _run_stack(net: Network, x: np.ndarray, layers: list, ops: list,
                caches: list | None = None):
     """Run the conv stack on ``x``, keeping per-layer inputs and raw
-    outputs; with ``caches``, one LayerCache per layer, each layer's
-    forward state is kept for the backward pass."""
+    outputs; ``ops`` are the layers' operators. With ``caches``, one
+    LayerCache per layer, each layer's forward state is kept for the
+    backward pass."""
     inputs = []
     outputs = []
     cur = np.asarray(x, dtype=np.float64)
-    for i, layer in enumerate(layers):
+    for i, (layer, op) in enumerate(zip(layers, ops)):
         inputs.append(cur)
         try:
             out = layer_forward(cur, layer,
-                                cache=None if caches is None else caches[i])
+                                cache=None if caches is None else caches[i],
+                                op=op)
         except FloatingPointError as exc:
             raise FloatingPointError(f"layer {i}: {exc}") from exc
         outputs.append(out)
@@ -219,27 +231,28 @@ def _run_stack(net: Network, x: np.ndarray, layers: list,
 
 
 def _forward_trace(net: Network, x: np.ndarray, layers: list | None = None,
-                   caches: list | None = None):
+                   ops: list | None = None, caches: list | None = None):
     """Run the conv stack, keeping per-layer inputs and raw outputs.
 
-    ``layers`` are the effective layers (built here when omitted); with
-    ``caches``, one LayerCache per layer, each layer's forward state is
-    kept for the backward pass.
+    ``layers`` are the effective layers and ``ops`` their operators (both
+    built here when ``layers`` is omitted); with ``caches``, one
+    LayerCache per layer, each layer's forward state is kept for the
+    backward pass.
     """
     if layers is None:
-        layers = _effective_layers(net)
-    inputs, outputs = _run_stack(net, x, layers, caches)
+        layers, ops = _effective_layers(net)
+    inputs, outputs = _run_stack(net, x, layers, ops, caches)
     feats = outputs[-1].reshape(x.shape[0], -1)
     logits = feats @ net.head_w + net.head_b
     return inputs, outputs, feats, logits
 
 
-def _union_logits(net: Network, union: np.ndarray, layers: list, n: int,
-                  shift: int) -> np.ndarray:
+def _union_logits(net: Network, union: np.ndarray, layers: list, ops: list,
+                  n: int, shift: int) -> np.ndarray:
     """The logits of the n windows of a union (1, rows, C) of windows that
     start equally far apart: window w's features are the last feature
     map's rows from w * shift on."""
-    _, outputs = _run_stack(net, union, layers)
+    _, outputs = _run_stack(net, union, layers, ops)
     flat = np.ascontiguousarray(outputs[-1][0]).reshape(-1)
     row = flat.size // outputs[-1].shape[1]
     # one overlapping view per window over the flattened map
@@ -318,7 +331,7 @@ def forward_network(net: Network, windows: np.ndarray,
     single = windows.ndim == 2
     windows = _checked_windows(net, windows[None] if single else windows)
     win_len = net.input_shape[0]
-    layers = _effective_layers(net)
+    layers, ops = _effective_layers(net)
     unit = math.prod(layer.stride_t for layer in layers)
     chunks = _eval_chunks(windows, stride if stride % unit == 0 else 0)
     probs = np.empty((len(windows), net.n_classes))
@@ -329,9 +342,10 @@ def forward_network(net: Network, windows: np.ndarray,
         if step:
             union = np.concatenate([x[0], x[1:, win_len - step:].reshape(
                 -1, x.shape[2])])[None]
-            logits = _union_logits(net, union, layers, len(x), step // unit)
+            logits = _union_logits(net, union, layers, ops, len(x),
+                                   step // unit)
         else:
-            _, _, _, logits = _forward_trace(net, x, layers)
+            _, _, _, logits = _forward_trace(net, x, layers, ops)
         probs[first:stop] = softmax(logits)
 
     if EVAL_WORKERS < 2 or len(chunks) < 2:
@@ -381,11 +395,34 @@ def cross_entropy(logits: np.ndarray, labels: np.ndarray) -> float:
     return float(np.mean(lse - picked))
 
 
+def _checked_labels(labels, n: int, n_classes: int) -> np.ndarray:
+    """``labels`` as an array of n > 0 integer classes in [0, n_classes);
+    anything else is a ValueError."""
+    labels = np.asarray(labels)
+    if n == 0 or labels.shape != (n,) or labels.dtype.kind not in "iu":
+        raise ValueError(f"need one integer label per window of a non-empty "
+                         f"batch of {n}, got {labels.dtype} labels of shape "
+                         f"{labels.shape}")
+    if labels.min() < 0 or labels.max() >= n_classes:
+        raise ValueError(f"labels must lie in [0, {n_classes}), got "
+                         f"{labels.min()} to {labels.max()}")
+    return labels
+
+
 @dataclass
 class NetGrads:
     layers: list  # GradBundle per layer, payload grads w.r.t. stored values
     d_head_w: np.ndarray
     d_head_b: np.ndarray
+
+
+def _stacked_grads(grads: NetGrads) -> list:
+    """Every parameter gradient as one array per tensor: each layer's
+    weights, biases and stacked payload fields, then the head."""
+    arrays = []
+    for b in grads.layers:
+        arrays += [b.d_weights, b.d_biases, *payload_arrays(b.d_payload)]
+    return arrays + [grads.d_head_w, grads.d_head_b]
 
 
 def network_loss_grads(net: Network, windows: np.ndarray,
@@ -395,29 +432,24 @@ def network_loss_grads(net: Network, windows: np.ndarray,
     Each window's loss and upstream gradients depend on that window alone,
     so the network runs forward, through the head and backward on one
     chunk of EVAL_CHUNK windows at a time and holds one chunk's layer
-    caches, whatever the batch size. The chunks' parameter gradients are
-    summed and their input gradients joined into full-batch arrays. Only a
-    later layer reads an input gradient, so layer 0, whose input is the
-    windows, skips it: its bundle carries an empty ``d_input``.
+    caches, whatever the batch size. Each layer's operator is built once
+    for all chunks. The chunks' parameter gradients are summed, stacked
+    array by stacked array, and their input gradients joined into
+    full-batch arrays. Only a later layer reads an input gradient, so
+    layer 0, whose input is the windows, skips it: its bundle carries an
+    empty ``d_input``.
     """
     windows = _checked_windows(net, windows)
     n = len(windows)
-    labels = np.asarray(labels)
-    if n == 0 or labels.shape != (n,) or labels.dtype.kind not in "iu":
-        raise ValueError(f"need one integer label per window of a non-empty "
-                         f"batch of {n}, got {labels.dtype} labels of shape "
-                         f"{labels.shape}")
-    if labels.min() < 0 or labels.max() >= net.n_classes:
-        raise ValueError(f"labels must lie in [0, {net.n_classes}), got "
-                         f"{labels.min()} to {labels.max()}")
-    evaluated = _effective_layers(net)
+    labels = _checked_labels(labels, n, net.n_classes)
+    evaluated, ops = _effective_layers(net)
     loss, grads, d_inputs = 0.0, None, []
     for start in range(0, n, EVAL_CHUNK):
         rows = slice(start, start + EVAL_CHUNK)
         y = labels[rows]
         caches = [LayerCache() for _ in evaluated]
         inputs, outputs, feats, logits = _forward_trace(
-            net, windows[rows], evaluated, caches)
+            net, windows[rows], evaluated, ops, caches)
         loss += cross_entropy(logits, y) * len(y)
         if not np.isfinite(loss):
             raise FloatingPointError("non-finite loss")
@@ -430,7 +462,7 @@ def network_loss_grads(net: Network, windows: np.ndarray,
             try:
                 bundles[i] = layer_backward(inputs[i], evaluated[i],
                                             upstream, cache=caches[i],
-                                            input_grad=i > 0)
+                                            input_grad=i > 0, op=ops[i])
             except FloatingPointError as exc:
                 raise FloatingPointError(f"layer {i}: {exc}") from exc
             upstream = bundles[i].d_input[..., None]
@@ -439,7 +471,8 @@ def network_loss_grads(net: Network, windows: np.ndarray,
         if grads is None:
             grads = chunk
         else:
-            for total, part in zip(_grad_arrays(grads), _grad_arrays(chunk)):
+            for total, part in zip(_stacked_grads(grads),
+                                   _stacked_grads(chunk)):
                 total += part
     for bundle, layer, policy, parts in zip(grads.layers, net.layers,
                                             net.policies, zip(*d_inputs)):
@@ -581,12 +614,13 @@ def predict(net: Network, windows: np.ndarray) -> np.ndarray:
 def evaluate(net: Network, dataset: WindowedDataset) -> Metrics:
     """The metrics of the network's predictions on the dataset. Its
     stride is passed to ``forward_network``, so consecutive windows that
-    share rows are run once over their union."""
+    share rows are run once over their union. A label outside
+    [0, n_classes) is a ValueError."""
     if len(dataset) == 0:
         raise ValueError("cannot evaluate on an empty dataset")
+    true = _checked_labels(dataset.labels, len(dataset), net.n_classes)
     preds = np.argmax(forward_network(net, dataset.windows, dataset.stride),
                       axis=-1)
-    true = dataset.labels
     k = net.n_classes
     confusion = np.zeros((k, k), dtype=np.int64)
     np.add.at(confusion, (true, preds), 1)

@@ -1,6 +1,8 @@
 """Scalar and linear-algebra primitives: signed powers, Kronecker
 products, column-major vectorization, patch extraction."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -110,9 +112,46 @@ class TestVec:
             np.testing.assert_allclose(lhs, rhs, atol=1e-12)
 
 
+def strided_view_patches(x, k_h, k_w, stride_t, stride_c):
+    """``extract_patches`` through a strided view of every window, moved
+    to the position-major layout and copied: the oracle of its slice
+    copies."""
+    windows = np.lib.stride_tricks.sliding_window_view(
+        x, (k_h, k_w), axis=(-2, -1))[..., ::stride_t, ::stride_c, :, :]
+    return np.moveaxis(windows, (-2, -1), (0, 1)).copy()
+
+
 class TestExtractPatches:
     """Patches are position-major, (k_h, k_w, ..., grid_t, grid_c): the
     patch at grid cell (i, j) is ``patches[..., i, j]``."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(lead=st.lists(st.integers(1, 3), max_size=2),
+           rows=st.integers(1, 9), cols=st.integers(1, 9),
+           channels=st.integers(0, 3), seed=st.integers(0, 2**32 - 1),
+           data=st.data())
+    def test_matches_the_strided_view(self, lead, rows, cols, channels, seed,
+                                      data):
+        k_h = data.draw(st.integers(1, rows), label="k_h")
+        k_w = data.draw(st.integers(1, cols), label="k_w")
+        strides = data.draw(st.tuples(st.integers(1, 3), st.integers(1, 3)),
+                            label="strides")
+        rng = make_rng(seed)
+        if channels:
+            # one channel of a layer's output: the channel-last view of its
+            # channel-major (M, N) pre-activations that the next layer reads
+            preact = rng.normal(size=(channels, math.prod(lead) * rows * cols))
+            x = preact.T.reshape(*lead, rows, cols, channels)[..., 0]
+        else:
+            x = rng.normal(size=(*lead, rows, cols))
+        before = x.copy()
+        patches = extract_patches(x, k_h, k_w, *strides)
+        want = strided_view_patches(x, k_h, k_w, *strides)
+        assert patches.shape == want.shape and patches.dtype == want.dtype
+        assert patches.tobytes() == want.tobytes()
+        assert patches.flags.c_contiguous and patches.flags.writeable
+        assert not np.shares_memory(patches, x)
+        np.testing.assert_array_equal(x, before)
 
     def test_three_by_three_unit_stride(self):
         x = np.arange(9.0).reshape(3, 3)

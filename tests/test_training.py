@@ -39,7 +39,7 @@ from expconv.dataset import (
 )
 from expconv.gradients import finite_diff
 from expconv.layers import VARIANT_TYPES, LayerParams, Standard, layer_forward
-from expconv.numerics import make_rng
+from expconv.numerics import extract_patches, make_rng
 from expconv.training import (
     Network,
     TrainConfig,
@@ -392,6 +392,60 @@ class TestChunkedPasses:
         np.testing.assert_allclose(probs, whole_probs, rtol=1e-12, atol=0)
 
     @staticmethod
+    def built_operators(monkeypatch) -> list:
+        """The variant of every payload whose ``operator`` is built."""
+        built = []
+        for cls in VARIANT_TYPES.values():
+            def counting(self, k_h, k_w, original=cls.operator):
+                built.append(self.name)
+                return original(self, k_h, k_w)
+            monkeypatch.setattr(cls, "operator", counting)
+        return built
+
+    @pytest.mark.parametrize("mode", ("clip", "reparam"))
+    @pytest.mark.parametrize("variant", sorted(VARIANT_TYPES))
+    def test_a_pass_builds_each_operator_once(self, monkeypatch, variant,
+                                              mode):
+        net = self.two_layer_net(variant, mode)
+        rng = make_rng(22)
+        windows = rng.normal(size=(19, 8, 6))
+        labels = rng.integers(0, 3, size=19)
+        dense = series_windows(23, 19, 2)
+        built = self.built_operators(monkeypatch)
+        # five chunks of windows, two dense chunks, a step of five chunks
+        for run in (lambda: forward_network(net, windows),
+                    lambda: forward_network(net, dense, 2),
+                    lambda: network_loss_grads(net, windows, labels)):
+            built.clear()
+            run()
+            assert built == [variant, variant]
+
+    @pytest.mark.parametrize("variant", sorted(VARIANT_TYPES))
+    def test_patches_are_extracted_once_per_layer_input(self, monkeypatch,
+                                                        variant):
+        # an exponent layer extracts the patches of the input's sign and of
+        # its log-magnitude, a standard layer those of the input; the
+        # backward pass reads them from the cache
+        net = self.two_layer_net(variant, "clip")
+        rng = make_rng(24)
+        windows = rng.normal(size=(19, 8, 6))
+        labels = rng.integers(0, 3, size=19)
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return extract_patches(*args)
+        # the layer kernels call it through their module's global
+        monkeypatch.setattr("expconv.layers.extract_patches", counting)
+        per_chunk = 2 * (1 if variant == "standard" else 2)
+        n_chunks = -(-len(windows) // training.EVAL_CHUNK)
+        forward_network(net, windows)
+        assert len(calls) == n_chunks * per_chunk
+        calls.clear()
+        network_loss_grads(net, windows, labels)
+        assert len(calls) == n_chunks * per_chunk
+
+    @staticmethod
     def cut_runs(win_len, stride):
         """Windows of a 200-row test run, with the gap its fault onset
         leaves, merged with those of a 120-row training run."""
@@ -407,9 +461,9 @@ class TestChunkedPasses:
         shapes = []
         original = training.layer_forward
 
-        def spy(x, params, cache=None):
+        def spy(x, params, cache, op):
             shapes.append(x.shape)
-            return original(x, params, cache=cache)
+            return original(x, params, cache=cache, op=op)
         monkeypatch.setattr(training, "layer_forward", spy)
         return shapes
 
@@ -533,8 +587,8 @@ class TestChunkedPasses:
         out_rows = []
         original = training.layer_forward
 
-        def counting(x, params, cache=None):
-            out = original(x, params, cache=cache)
+        def counting(x, params, cache, op):
+            out = original(x, params, cache=cache, op=op)
             out_rows.append(out.shape[0] * out.shape[1])
             return out
         monkeypatch.setattr(training, "layer_forward", counting)
@@ -626,13 +680,13 @@ class TestEvalHelper:
         record = SimpleNamespace(started=[], finished=[], shapes=[],
                                  body=lambda k: None)
 
-        def run_stack(net, x, layers, caches=None):
+        def run_stack(net, x, layers, ops, caches=None):
             k = int(x[0, 0, 0])
             record.started.append(k)
             record.shapes.append(x.shape)
             try:
                 record.body(k)
-                return original(net, x, layers, caches)
+                return original(net, x, layers, ops, caches)
             finally:
                 record.finished.append(k)
         monkeypatch.setattr(training, "_run_stack", run_stack)
@@ -888,6 +942,16 @@ class TestEvaluate:
                                 win_len=1, stride=1)
         with pytest.raises(ValueError):
             evaluate(self.sign_net(), empty)
+
+    @pytest.mark.parametrize("bad", (-1, 2))
+    def test_labels_outside_the_classes_rejected(self, bad):
+        # of two classes: -1 would be counted as class 1, and 2 would
+        # index past the confusion matrix
+        ds = self.sign_dataset(n=5)
+        labels = np.array([0, 1, bad, 1, 0])
+        with pytest.raises(ValueError, match=r"lie in \[0, 2\)"):
+            evaluate(self.sign_net(),
+                     WindowedDataset(ds.windows, labels, win_len=1, stride=1))
 
     def test_predict_chunks_large_batches(self):
         ds = self.sign_dataset(n=600)

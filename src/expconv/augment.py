@@ -49,6 +49,9 @@ class AugmentSpec:
             raise ValueError(f"granularity must be one of {GRANULARITIES}")
         if not -np.inf < self.lo <= self.hi < np.inf:
             raise ValueError("lo and hi must be finite with lo <= hi")
+        if not self.hi - self.lo < np.inf:
+            raise ValueError(f"hi - lo must be finite, got {self.hi} - "
+                             f"{self.lo}")
 
 
 def _check_window(x) -> np.ndarray:

@@ -229,9 +229,14 @@ def load_config(path) -> dict:
             raise ConfigError(f"{path}: non-finite number {token}")
         return value
 
+    def integer(token: str) -> int:
+        finite(token)  # an integer literal too large for a float too
+        return int(token)
+
     try:
         with open(path) as fh:
-            raw = json.load(fh, parse_float=finite, parse_constant=finite)
+            raw = json.load(fh, parse_float=finite, parse_int=integer,
+                            parse_constant=finite)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
@@ -477,6 +482,18 @@ def _int_at_least(low: int):
     return integer
 
 
+def _positive_finite(text: str) -> float:
+    """An argparse type: a finite float greater than 0."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan  # reported as any other unusable tolerance
+    if not 0 < value < math.inf:
+        raise argparse.ArgumentTypeError(
+            f"must be finite and > 0, got {text}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="expconv",
@@ -495,8 +512,9 @@ def build_parser() -> argparse.ArgumentParser:
                             "differences")
     p.add_argument("--variant", default="all",
                    choices=["all"] + sorted(VARIANT_TYPES))
-    p.add_argument("--tol", type=float, default=1e-6,
-                   help="relative-error tolerance (default 1e-6)")
+    p.add_argument("--tol", type=_positive_finite, default=1e-6,
+                   help="relative-error tolerance, finite and > 0 "
+                        "(default 1e-6)")
     p.add_argument("--checks", type=_int_at_least(1), default=10,
                    help="seeds per variant and kernel shape (default 10)")
     p.set_defaults(func=cmd_gradcheck)

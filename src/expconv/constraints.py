@@ -56,6 +56,9 @@ class ConstraintPolicy:
     kind: str = "sigmoid"
 
     def __post_init__(self):
+        for name in ("v_min", "v_max"):
+            if isinstance(getattr(self, name), bool):
+                raise ValueError(f"{name} must be a number, not a bool")
         if not -np.inf < self.v_min < 1.0 < self.v_max < np.inf:
             raise ValueError(
                 "bounds must be finite and straddle the neutral exponent 1 "

@@ -19,9 +19,10 @@ policy dictates (see ``constraints``), one payload per layer stacked over
 its output channels (``LayerParams.payload``). Training never tests the
 policy's mode itself: each step evaluates ``effective_layer``, maps each
 layer's payload gradient back with ``stored_grad`` and, after the
-optimizer step, applies ``enforce_bounds`` to each layer's payload. Only
-the model file and the optimizer state walk the payloads channel by
-channel (``_file_order``).
+optimizer step, applies ``enforce_bounds`` to each layer's payload. A
+step sums, pairs and updates each payload as its stacked arrays
+(``_tensors``); only the model file walks the payloads channel by channel
+(``network_param_arrays``).
 """
 
 from __future__ import annotations
@@ -77,19 +78,9 @@ class Network:
     def __post_init__(self):
         self.head_w = as_tensor(self.head_w, "head_w")
         self.head_b = as_tensor(self.head_b, "head_b")
-        if not self.layers:
-            raise ValueError("need at least one convolution layer")
         if len(self.policies) != len(self.layers):
             raise ValueError("one constraint policy per layer required")
-        rows, cols = self.input_shape
-        for i, layer in enumerate(self.layers):
-            rows, cols = output_grid(layer, rows, cols)
-            last = i == len(self.layers) - 1
-            if not last and layer.out_channels != 1:
-                raise ValueError(
-                    "layers before the last must emit one channel "
-                    f"(layer {i} emits {layer.out_channels})")
-        n_features = rows * cols * self.layers[-1].out_channels
+        n_features = _n_features(self.layers, self.input_shape)
         if self.head_w.shape != (n_features, self.n_classes):
             raise ValueError(
                 f"classifier expects ({n_features}, {self.n_classes}) "
@@ -100,6 +91,21 @@ class Network:
     @property
     def n_features(self) -> int:
         return self.head_w.shape[0]
+
+
+def _n_features(layers: list, input_shape: tuple) -> int:
+    """The length of the flattened last feature map of ``layers`` on
+    windows of ``input_shape``. No layers, or a layer before the last that
+    emits more than one channel, is a ValueError."""
+    if not layers:
+        raise ValueError("need at least one convolution layer")
+    rows, cols = input_shape
+    for i, layer in enumerate(layers):
+        if i < len(layers) - 1 and layer.out_channels != 1:
+            raise ValueError("layers before the last must emit one channel "
+                             f"(layer {i} emits {layer.out_channels})")
+        rows, cols = output_grid(layer, rows, cols)
+    return rows * cols * layers[-1].out_channels
 
 
 def glorot_uniform(rng: np.random.Generator, shape: tuple,
@@ -134,7 +140,6 @@ def build_network(input_shape: tuple, n_classes: int, layer_specs,
         policy = ConstraintPolicy()
     rng = make_rng(seed)
     layers = []
-    rows, cols = input_shape
     for i, spec in enumerate(layer_specs):
         _reject_unknown_keys(spec, LAYER_KEYS, f"layer {i}")
         k_h, k_w = int(spec["k_h"]), int(spec["k_w"])
@@ -143,13 +148,11 @@ def build_network(input_shape: tuple, n_classes: int, layer_specs,
         weights = glorot_uniform(rng, (out_ch, k_h, k_w), fan, out_ch)
         biases = np.zeros(out_ch)
         ewms = [init_exponents(spec["variant"], k_h, k_w, policy)] * out_ch
-        layer = LayerParams(weights, biases, ewms,
-                            stride_t=int(spec.get("stride_t", 1)),
-                            stride_c=int(spec.get("stride_c", 1)),
-                            activation=spec.get("activation", "tanh"))
-        layers.append(layer)
-        rows, cols = output_grid(layer, rows, cols)
-    n_features = rows * cols * layers[-1].out_channels
+        layers.append(LayerParams(weights, biases, ewms,
+                                  stride_t=int(spec.get("stride_t", 1)),
+                                  stride_c=int(spec.get("stride_c", 1)),
+                                  activation=spec.get("activation", "tanh")))
+    n_features = _n_features(layers, input_shape)
     head_w = glorot_uniform(rng, (n_features, n_classes),
                             n_features, n_classes)
     head_b = np.zeros(n_classes)
@@ -208,7 +211,7 @@ def _effective_layers(net: Network) -> tuple[list, list]:
     return layers, [layer_operator(layer) for layer in layers]
 
 
-def _run_stack(net: Network, x: np.ndarray, layers: list, ops: list,
+def _run_stack(x: np.ndarray, layers: list, ops: list,
                caches: list | None = None):
     """Run the conv stack on ``x``, keeping per-layer inputs and raw
     outputs; ``ops`` are the layers' operators. With ``caches``, one
@@ -241,7 +244,7 @@ def _forward_trace(net: Network, x: np.ndarray, layers: list | None = None,
     """
     if layers is None:
         layers, ops = _effective_layers(net)
-    inputs, outputs = _run_stack(net, x, layers, ops, caches)
+    inputs, outputs = _run_stack(x, layers, ops, caches)
     feats = outputs[-1].reshape(x.shape[0], -1)
     logits = feats @ net.head_w + net.head_b
     return inputs, outputs, feats, logits
@@ -252,7 +255,7 @@ def _union_logits(net: Network, union: np.ndarray, layers: list, ops: list,
     """The logits of the n windows of a union (1, rows, C) of windows that
     start equally far apart: window w's features are the last feature
     map's rows from w * shift on."""
-    _, outputs = _run_stack(net, union, layers, ops)
+    _, outputs = _run_stack(union, layers, ops)
     flat = np.ascontiguousarray(outputs[-1][0]).reshape(-1)
     row = flat.size // outputs[-1].shape[1]
     # one overlapping view per window over the flattened map
@@ -416,13 +419,20 @@ class NetGrads:
     d_head_b: np.ndarray
 
 
-def _stacked_grads(grads: NetGrads) -> list:
-    """Every parameter gradient as one array per tensor: each layer's
-    weights, biases and stacked payload fields, then the head."""
+def _tensors(layers, head_w, head_b) -> list:
+    """The arrays of (weights, biases, payload) triples, each payload as its
+    stacked arrays, then the classifier head: the order in which a step
+    sums chunk gradients, pairs tensors with gradients and updates them."""
     arrays = []
-    for b in grads.layers:
-        arrays += [b.d_weights, b.d_biases, *payload_arrays(b.d_payload)]
-    return arrays + [grads.d_head_w, grads.d_head_b]
+    for weights, biases, payload in layers:
+        arrays += [weights, biases, *payload_arrays(payload)]
+    return arrays + [head_w, head_b]
+
+
+def _grad_tensors(grads: NetGrads) -> list:
+    """Every parameter gradient of ``grads``, in ``_tensors`` order."""
+    return _tensors([(b.d_weights, b.d_biases, b.d_payload)
+                     for b in grads.layers], grads.d_head_w, grads.d_head_b)
 
 
 def network_loss_grads(net: Network, windows: np.ndarray,
@@ -431,11 +441,12 @@ def network_loss_grads(net: Network, windows: np.ndarray,
 
     Each window's loss and upstream gradients depend on that window alone,
     so the network runs forward, through the head and backward on one
-    chunk of EVAL_CHUNK windows at a time and holds one chunk's layer
-    caches, whatever the batch size. Each layer's operator is built once
-    for all chunks. The chunks' parameter gradients are summed, stacked
-    array by stacked array, and their input gradients joined into
-    full-batch arrays. Only a later layer reads an input gradient, so
+    chunk of windows at a time, the chunks ``_eval_chunks`` gives for
+    stride 0, and holds one chunk's layer caches, whatever the batch size.
+    Each layer's operator is built once for all chunks. The chunks'
+    parameter gradients are summed, stacked array by stacked array
+    (``_tensors``), and their input gradients joined into full-batch
+    arrays. Only a later layer reads an input gradient, so
     layer 0, whose input is the windows, skips it: its bundle carries an
     empty ``d_input``.
     """
@@ -444,8 +455,8 @@ def network_loss_grads(net: Network, windows: np.ndarray,
     labels = _checked_labels(labels, n, net.n_classes)
     evaluated, ops = _effective_layers(net)
     loss, grads, d_inputs = 0.0, None, []
-    for start in range(0, n, EVAL_CHUNK):
-        rows = slice(start, start + EVAL_CHUNK)
+    for first, stop, _ in _eval_chunks(windows, 0):
+        rows = slice(first, stop)
         y = labels[rows]
         caches = [LayerCache() for _ in evaluated]
         inputs, outputs, feats, logits = _forward_trace(
@@ -471,8 +482,8 @@ def network_loss_grads(net: Network, windows: np.ndarray,
         if grads is None:
             grads = chunk
         else:
-            for total, part in zip(_stacked_grads(grads),
-                                   _stacked_grads(chunk)):
+            for total, part in zip(_grad_tensors(grads),
+                                   _grad_tensors(chunk)):
                 total += part
     for bundle, layer, policy, parts in zip(grads.layers, net.layers,
                                             net.policies, zip(*d_inputs)):
@@ -514,36 +525,23 @@ class TrainConfig:
                 raise TypeError("augments must be AugmentSpec instances")
 
 
-def _file_order(layers, head_w, head_b) -> list:
+def network_param_arrays(net: Network) -> list:
     """Each layer's weights, biases and, channel by channel, views of its
     stacked payload's arrays; then the classifier head: the order of the
-    model file and of the optimizer state."""
+    model file."""
     arrays = []
-    for weights, biases, payload in layers:
-        arrays += [weights, biases]
-        stacked = payload_arrays(payload)
-        for m in range(len(weights)):
-            arrays += [a[m] for a in stacked]
-    return arrays + [head_w, head_b]
-
-
-def network_param_arrays(net: Network) -> list:
-    return _file_order(
-        [(layer.weights, layer.biases, layer.payload) for layer in net.layers],
-        net.head_w, net.head_b)
-
-
-def _grad_arrays(grads: NetGrads) -> list:
-    """Every parameter gradient in file order, payload gradients as views."""
-    return _file_order(
-        [(b.d_weights, b.d_biases, b.d_payload) for b in grads.layers],
-        grads.d_head_w, grads.d_head_b)
+    for layer in net.layers:
+        arrays += [layer.weights, layer.biases]
+        for ewm in layer.ewms:
+            arrays += payload_arrays(ewm)
+    return arrays + [net.head_w, net.head_b]
 
 
 def _param_grad_pairs(net: Network, grads: NetGrads):
-    """Stored tensors paired with their gradients, in file order."""
-    return list(zip(network_param_arrays(net), _grad_arrays(grads),
-                    strict=True))
+    """Stored tensors paired with their gradients (``_tensors``)."""
+    params = _tensors([(layer.weights, layer.biases, layer.payload)
+                       for layer in net.layers], net.head_w, net.head_b)
+    return list(zip(params, _grad_tensors(grads), strict=True))
 
 
 class _Sgd:
@@ -656,8 +654,6 @@ def train(net: Network, dataset: WindowedDataset, config: TrainConfig,
                     "config constraint policy differs from the network's; "
                     "build the network with the policy you train under")
     history = []
-    if config.epochs == 0:
-        return net, history
     shuffle_rng, aug_rng = make_rng(config.seed).spawn(2)
     streams = private_streams(config.augments)
     optimizer = make_optimizer(config)
@@ -674,11 +670,11 @@ def train(net: Network, dataset: WindowedDataset, config: TrainConfig,
                     xb = np.stack([apply_pipeline(w, config.augments, aug_rng,
                                                   streams) for w in xb])
                 loss, grads = network_loss_grads(net, xb, yb)
+                pairs = _param_grad_pairs(net, grads)
                 with np.errstate(over="ignore", invalid="ignore"):
-                    optimizer.step(_param_grad_pairs(net, grads))
+                    optimizer.step(pairs)
                     enforce_constraints(net)
-                if not all(np.isfinite(arr).all()
-                           for arr in network_param_arrays(net)):
+                if not all(np.isfinite(param).all() for param, _ in pairs):
                     raise FloatingPointError(
                         "optimizer step left non-finite parameters")
             except FloatingPointError as exc:
@@ -723,23 +719,15 @@ def write_history_csv(history, path, n_classes: int) -> None:
 
 # The metadata keys ``_net_metadata`` writes; ``load_model`` rejects others
 _META_KEYS = ("input_shape", "n_classes", "layers", "tensor_shapes")
-_POLICY_KEYS = ("v_min", "v_max", "mode", "kind")
+_POLICY_KEYS = tuple(f.name for f in fields(ConstraintPolicy))
 
 
 def _net_metadata(net: Network) -> dict:
-    layers = []
-    for layer, policy in zip(net.layers, net.policies):
-        layers.append({
-            "variant": layer.variant,
-            "out_channels": layer.out_channels,
-            "k_h": layer.k_h,
-            "k_w": layer.k_w,
-            "stride_t": layer.stride_t,
-            "stride_c": layer.stride_c,
-            "activation": layer.activation,
-            "policy": {"v_min": policy.v_min, "v_max": policy.v_max,
-                       "mode": policy.mode, "kind": policy.kind},
-        })
+    """Each layer's ``LAYER_KEYS`` and its policy's ``_POLICY_KEYS``, read
+    off the layer and the policy, with the network's shapes."""
+    layers = [{**{key: getattr(layer, key) for key in LAYER_KEYS},
+               "policy": {key: getattr(policy, key) for key in _POLICY_KEYS}}
+              for layer, policy in zip(net.layers, net.policies)]
     return {
         "input_shape": list(net.input_shape),
         "n_classes": net.n_classes,
@@ -838,10 +826,8 @@ def _network_from(meta: dict, blob: bytes, pos: int) -> Network:
                                   stride_t=spec["stride_t"],
                                   stride_c=spec["stride_c"],
                                   activation=spec["activation"]))
-        pol = spec["policy"]
-        policies.append(ConstraintPolicy(v_min=pol["v_min"],
-                                         v_max=pol["v_max"],
-                                         mode=pol["mode"], kind=pol["kind"]))
+        policies.append(ConstraintPolicy(
+            **{key: spec["policy"][key] for key in _POLICY_KEYS}))
         if not in_bounds(layers[i].payload, policies[i]):
             raise ValueError(
                 f"layer {i}: stored exponents lie outside "

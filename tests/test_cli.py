@@ -6,6 +6,7 @@ import contextlib
 import copy
 import io
 import json
+import os
 import re
 import struct
 import tempfile
@@ -187,6 +188,22 @@ class TestConfigValidation:
         assert "constraints.mode: 'project' is not one of" in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("command", ["train", "eval", "synth", "augment"])
+    def test_overflowing_augment_range_fails_every_command_first(
+            self, tmp_path, command):
+        # both bounds are finite, but Generator.uniform cannot draw from a
+        # range whose width overflows
+        path = write_config(tmp_path, augment=[
+            {"op": "exp_augment", "lo": -1e308, "hi": 1e308}])
+        argv = [command, "--config", str(path)]
+        if command == "eval":
+            argv += ["--model", str(tmp_path / "absent.bin")]
+        code, err = run_quietly(argv)
+        assert code == 2
+        assert len(err.splitlines()) == 1
+        assert err.startswith("config error: augment: hi - lo must be finite")
+        assert not (tmp_path / "out").exists()
+
     @given(field=st.sampled_from([(section, key) for section, keys
                                   in SECTION_FIELDS.items() for key in keys]),
            value=st.one_of(st.none(), st.booleans(), st.integers(),
@@ -313,7 +330,9 @@ class TestNonFiniteNumbers:
                 assert not out.exists()
 
     @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity",
-                                       "1e400"])
+                                       "1e400", pytest.param(
+                                           "1" + "0" * 400,
+                                           id="integer-1e400")])
     def test_message_names_the_token(self, tmp_path, capsys, token):
         path = write_config(tmp_path)
         path.write_text(path.read_text().replace('"noise": 0.05',
@@ -321,6 +340,72 @@ class TestNonFiniteNumbers:
         assert cli.main(["synth", "--config", str(path)]) == 2
         assert capsys.readouterr().err == (
             f"config error: {path}: non-finite number {token}\n")
+
+
+def schema_paths(schema, path=()):
+    """Every path to a property of the config schema, sections included;
+    array items at 0."""
+    paths = [path] if path else []
+    for key, sub in schema.get("properties", {}).items():
+        paths += schema_paths(sub, path + (key,))
+    if "items" in schema:
+        paths += schema_paths(schema["items"], path + (0,))
+    return paths
+
+
+MUTATED_PATHS = [p for p in schema_paths(cli.CONFIG_SCHEMA)
+                 if p[0] in ("data", "model", "output")]
+DELETE = object()
+
+
+class TestSingleFieldMutations:
+    @pytest.fixture(scope="class")
+    def base(self, tmp_path_factory):
+        """A one-epoch config with a relative output directory, and the
+        model it trains."""
+        root = tmp_path_factory.mktemp("base")
+        cfg = json.loads(write_config(root, train={
+            "epochs": 1, "batch_size": 16, "seed": 0}).read_text())
+        cfg["output"]["dir"] = "out"
+        path = root / "config.json"
+        path.write_text(json.dumps(cfg))
+        out = root / "out"
+        assert run_quietly(["train", "--config", str(path),
+                            "--out", str(out)])[0] == 0
+        return cfg, out / "model.bin"
+
+    @given(path=st.sampled_from(MUTATED_PATHS),
+           value=st.one_of(st.just(DELETE), st.none(), st.booleans(),
+                           st.integers(-2, 40), st.floats(),
+                           st.text(alphabet="ab", max_size=3),
+                           st.sampled_from(ENUM_NAMES + ["elementwise"]),
+                           st.lists(st.integers(0, 3), max_size=2)))
+    @settings(max_examples=20, deadline=None)
+    def test_every_exit_is_documented(self, base, path, value):
+        # a data, model or output field set to any value, or deleted, ends
+        # each command with exit 0, 1 or 2, and one stderr line unless 0
+        cfg, model = copy.deepcopy(base[0]), base[1]
+        if value is not DELETE:
+            set_field(cfg, path, value)
+        else:
+            node = cfg
+            with contextlib.suppress(KeyError, IndexError, TypeError):
+                for key in path[:-1]:
+                    node = node[key]
+                del node[path[-1]]
+        cwd = os.getcwd()
+        with tempfile.TemporaryDirectory() as tmp:
+            os.chdir(tmp)  # a relative output.dir lands in tmp
+            try:
+                Path("config.json").write_text(json.dumps(cfg))
+                for argv in (["train"], ["eval", "--model", str(model)],
+                             ["synth"]):
+                    code, err = run_quietly(argv + ["--config", "config.json"])
+                    assert code in (0, 1, 2), (argv, code, err)
+                    assert code == 0 or len(err.splitlines()) == 1, (argv,
+                                                                     err)
+            finally:
+                os.chdir(cwd)
 
 
 class TestGradcheckCommand:
@@ -331,11 +416,21 @@ class TestGradcheckCommand:
         assert rc == 0
         assert "elementwise" in out and "total: pass" in out
 
-    def test_zero_tolerance_fails(self, capsys):
+    def test_tolerance_below_the_error_fails(self, capsys):
         rc = cli.main(["gradcheck", "--variant", "standard",
-                       "--checks", "1", "--tol", "0"])
+                       "--checks", "1", "--tol", "1e-300"])
         assert rc == 1
         assert "total: FAIL" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("tol", ["nan", "-1", "0", "inf", "abc"])
+    def test_tolerance_must_be_positive_and_finite(self, capsys, tol):
+        # none of these can tell a correct gradient from a wrong one
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["gradcheck", "--variant", "standard", "--checks", "1",
+                      "--tol", tol])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"--tol: must be finite and > 0, got {tol}" in err
 
     @pytest.mark.parametrize("checks", ["0", "-3"])
     def test_non_positive_checks_rejected(self, capsys, checks):
@@ -625,6 +720,22 @@ class TestEvalCommand:
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1
         assert str(model) in err and "bounds must be finite" in err
+
+    def test_bool_bound_in_model_exits_2(self, tmp_path, capsys):
+        # JSON false is not a bound, although Python compares it as 0
+        model = tmp_path / "model.bin"
+        blob = (FIXTURE_DIR / "model_elementwise_clip.bin").read_bytes()
+        (meta_len,) = struct.unpack_from("<Q", blob, 8)
+        meta = blob[16:16 + meta_len].replace(b'"v_min":-2.0',
+                                              b'"v_min":false')
+        model.write_bytes(blob[:8] + struct.pack("<Q", len(meta)) + meta
+                          + blob[16 + meta_len:])
+        path = write_config(tmp_path)
+        rc = cli.main(["eval", "--config", str(path), "--model", str(model)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert str(model) in err and "v_min must be a number" in err
 
     @pytest.mark.parametrize("name, value", [("head_w", np.nan),
                                              ("head_b", np.inf)])

@@ -391,6 +391,38 @@ class TestChunkedPasses:
                                        atol=1e-12 * np.abs(b).max())
         np.testing.assert_allclose(probs, whole_probs, rtol=1e-12, atol=0)
 
+    def test_a_step_runs_the_chunks_of_eval_chunks(self, monkeypatch):
+        # the chunk rule has one owner: a step asks ``_eval_chunks`` once,
+        # with stride 0, and runs the chunks it returns, here uneven ones
+        net = self.two_layer_net("elementwise", "clip")
+        rng = make_rng(25)
+        windows = rng.normal(size=(19, 8, 6))
+        labels = rng.integers(0, 3, size=19)
+        loss, arrays, _ = self.step(net, windows, labels)
+        chunks = [(0, 7, 0), (7, 8, 0), (8, 19, 0)]
+        asked, ran = [], []
+
+        def eval_chunks(w, stride):
+            asked.append((w, stride))
+            return chunks
+
+        def forward(x, layer, **kwargs):
+            if x.shape[1:] == windows.shape[1:]:  # layer 0's input
+                ran.append(x)
+            return layer_forward(x, layer, **kwargs)
+        monkeypatch.setattr(training, "_eval_chunks", eval_chunks)
+        monkeypatch.setattr(training, "layer_forward", forward)
+        chunked_loss, grads = network_loss_grads(net, windows, labels)
+        assert len(asked) == 1 and asked[0][1] == 0
+        np.testing.assert_array_equal(asked[0][0], windows)
+        assert len(ran) == len(chunks)
+        for x, (first, stop, _) in zip(ran, chunks):
+            np.testing.assert_array_equal(x, windows[first:stop])
+        assert chunked_loss == pytest.approx(loss, rel=1e-12, abs=0)
+        for a, (_, b) in zip(arrays, _param_grad_pairs(net, grads)):
+            np.testing.assert_allclose(b, a, rtol=1e-12,
+                                       atol=1e-12 * np.abs(a).max())
+
     @staticmethod
     def built_operators(monkeypatch) -> list:
         """The variant of every payload whose ``operator`` is built."""
@@ -680,13 +712,13 @@ class TestEvalHelper:
         record = SimpleNamespace(started=[], finished=[], shapes=[],
                                  body=lambda k: None)
 
-        def run_stack(net, x, layers, ops, caches=None):
+        def run_stack(x, layers, ops, caches=None):
             k = int(x[0, 0, 0])
             record.started.append(k)
             record.shapes.append(x.shape)
             try:
                 record.body(k)
-                return original(net, x, layers, ops, caches)
+                return original(x, layers, ops, caches)
             finally:
                 record.finished.append(k)
         monkeypatch.setattr(training, "_run_stack", run_stack)

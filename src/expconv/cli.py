@@ -288,16 +288,14 @@ def _synthetic_task(s: dict):
         raise ConfigError(f"data.synthetic: {exc}") from exc
 
 
-def _class_windows(runs: list, stats, label_of: dict, win_len: int,
+def _class_windows(runs: list, stats, fault_ids: list, win_len: int,
                    stride: int) -> WindowedDataset:
     """Normalized windows of every run, merged, with fault ids remapped to
-    class indices."""
-    parts = []
-    for run in runs:
-        ds = make_windows(apply_normalize(run, stats), win_len, stride)
-        ds.labels = np.array([label_of[l] for l in ds.labels.tolist()])
-        parts.append(ds)
-    return merge_windows(parts)
+    class indices (positions in the sorted ``fault_ids``)."""
+    ds = merge_windows(make_windows(apply_normalize(run, stats), win_len,
+                                    stride) for run in runs)
+    ds.labels = np.searchsorted(fault_ids, ds.labels)
+    return ds
 
 
 def build_datasets(cfg: dict):
@@ -324,18 +322,17 @@ def build_datasets(cfg: dict):
 
     root = data["path"]
     fault_ids = sorted(set(data["fault_ids"]) | {0})
-    label_of = {fid: i for i, fid in enumerate(fault_ids)}
     win_len, stride = data["win_len"], data["stride"]
 
     train_runs = [load_run(os.path.join(root, run_filename(fid, "train")),
                            fid, "train") for fid in fault_ids]
     stats = fit_normalize(train_runs)
-    train_ds = _class_windows(train_runs, stats, label_of, win_len, stride)
+    train_ds = _class_windows(train_runs, stats, fault_ids, win_len, stride)
     test_paths = [(fid, os.path.join(root, run_filename(fid, "test")))
                   for fid in fault_ids]
     test_runs = [load_run(path, fid, "test") for fid, path in test_paths
                  if os.path.exists(path)]
-    test_ds = (_class_windows(test_runs, stats, label_of, win_len, stride)
+    test_ds = (_class_windows(test_runs, stats, fault_ids, win_len, stride)
                if test_runs else None)
     return train_ds, test_ds, len(fault_ids), N_VARIABLES
 

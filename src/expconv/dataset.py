@@ -16,7 +16,9 @@ data.
 from __future__ import annotations
 
 import csv
+import warnings
 from dataclasses import dataclass, field
+from itertools import repeat
 
 import numpy as np
 
@@ -147,12 +149,22 @@ def load_run(path, fault_id: int, split: str) -> RawRun:
 
     Files stored variables-by-samples (52 x N) are transposed. Faulty
     training runs must have 480 rows and test runs 960; a normal-condition
-    training run may have any length.
+    training run may have any length. An empty file, or a NaN or
+    infinite entry, is a ValueError; the entry's row and column are
+    counted from 1 as the file stores them.
     """
     try:
-        matrix = np.loadtxt(path, dtype=np.float64, ndmin=2)
+        with warnings.catch_warnings():  # an empty file is rejected below
+            warnings.simplefilter("ignore", UserWarning)
+            matrix = np.loadtxt(path, dtype=np.float64, ndmin=2)
     except ValueError as exc:
         raise ValueError(f"could not parse {path}: {exc}") from exc
+    if not matrix.size:
+        raise ValueError(f"{path}: file holds no data")
+    if not np.isfinite(matrix).all():
+        row, col = np.argwhere(~np.isfinite(matrix))[0]
+        raise ValueError(f"{path}: non-finite value {matrix[row, col]} at "
+                         f"row {row + 1}, column {col + 1}")
     if matrix.shape[1] != N_VARIABLES:
         if matrix.shape[0] == N_VARIABLES and matrix.shape[1] > N_VARIABLES:
             matrix = matrix.T
@@ -183,8 +195,14 @@ def save_run_text(run: RawRun, path) -> None:
 # --------------------------------------------------------------------------
 # Normalization
 
+@np.errstate(over="ignore", invalid="ignore")  # overflow raises below
 def fit_normalize(runs) -> NormStats:
-    """Column mean/std over the concatenated training runs (population std)."""
+    """Column mean/std over the concatenated training runs (population std).
+
+    A column whose mean or std is not finite (values near the float64
+    limit overflow the variance) or whose std is zero is a ValueError
+    naming the columns.
+    """
     mats = [r.matrix for r in runs]
     if not mats:
         raise ValueError("need at least one training run")
@@ -193,17 +211,29 @@ def fit_normalize(runs) -> NormStats:
         raise ValueError("need at least 2 training rows to fit normalization")
     mean = stacked.mean(axis=0)
     std = stacked.std(axis=0)  # ddof=0
+    bad = np.flatnonzero(~(np.isfinite(mean) & np.isfinite(std)))
+    if bad.size:
+        raise ValueError(f"non-finite mean or std in columns: {bad.tolist()}")
     bad = np.flatnonzero(std <= 0)
     if bad.size:
         raise ValueError(f"zero-variance columns: {bad.tolist()}")
     return NormStats(mean, std)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # overflow raises below
 def apply_normalize(run: RawRun, stats: NormStats) -> RawRun:
+    """The run standardized by ``stats``; a value that is not finite once
+    normalized is a ValueError naming its row and column (from 1)."""
     if stats.mean.shape[0] != run.matrix.shape[1]:
         raise ValueError("normalization stats do not match run width")
-    return RawRun((run.matrix - stats.mean) / stats.std,
-                  fault_id=run.fault_id, split=run.split)
+    matrix = (run.matrix - stats.mean) / stats.std
+    if not np.isfinite(matrix).all():
+        row, col = np.argwhere(~np.isfinite(matrix))[0]
+        raise ValueError(
+            f"{run.split} run of fault {run.fault_id}: value "
+            f"{run.matrix[row, col]} at row {row + 1}, column {col + 1} "
+            "is not finite once normalized")
+    return RawRun(matrix, fault_id=run.fault_id, split=run.split)
 
 
 # --------------------------------------------------------------------------
@@ -223,27 +253,15 @@ def make_windows(run: RawRun, win_len: int = DEFAULT_WIN_LEN,
     if win_len > run.rows:
         raise ValueError(
             f"win_len {win_len} exceeds run length {run.rows}")
-    windows = []
-    labels = []
-    for start in range(0, run.rows - win_len + 1, stride):
-        end = start + win_len  # exclusive
-        if run.split == "test":
-            if end <= FAULT_ONSET:
-                label = 0
-            elif start >= FAULT_ONSET:
-                label = run.fault_id
-            else:
-                continue  # straddles the onset
-        else:
-            label = run.fault_id
-        windows.append(run.matrix[start:end])
-        labels.append(label)
-    if windows:
-        stacked = np.stack(windows)
+    starts = np.arange(0, run.rows - win_len + 1, stride)
+    if run.split == "test":
+        starts = starts[(starts + win_len <= FAULT_ONSET)
+                        | (starts >= FAULT_ONSET)]
+        labels = np.where(starts >= FAULT_ONSET, run.fault_id, 0)
     else:
-        stacked = np.zeros((0, win_len, run.matrix.shape[1]))
-    return WindowedDataset(stacked, np.asarray(labels, dtype=np.int64),
-                           win_len=win_len, stride=stride)
+        labels = np.full(starts.shape, run.fault_id)
+    return WindowedDataset(run.matrix[starts[:, None] + np.arange(win_len)],
+                           labels, win_len=win_len, stride=stride)
 
 
 def merge_windows(datasets) -> WindowedDataset:
@@ -309,13 +327,15 @@ def gen_synthetic(win_len: int = 8, channels: int = 4, exponent: float = 2.0,
     parameter raises ValueError naming it.
 
     Candidates are drawn and scored in blocks of about BLOCK_VALUES
-    uniforms, one ``rng.random`` call and one feature pass a block; only
-    the accept/reject scan runs per candidate. The stream, windows,
-    labels, threshold and margin are those of drawing one candidate at a
-    time, byte for byte: after the scan the generator is rewound to the
-    start of the last block and advanced past the candidates read, so the
-    candidates drawn beyond the last accepted one do not move the noise
-    draw (PCG64 takes one 64-bit output per double).
+    uniforms, one ``rng.random`` call and one feature pass a block. The
+    pilot and the accept/reject scan read one stream of candidates in
+    draw order, each with its block's start state and its index in the
+    block. The windows, labels, threshold and margin are those of drawing
+    one candidate at a time, byte for byte: after the scan the generator
+    is rewound to the last candidate read (its block's start state,
+    advanced past it and the candidates before it in the block), so the
+    candidates drawn beyond it do not move the noise draw (PCG64 takes
+    one 64-bit output per double).
     """
     for name, value in (("exponent", exponent), ("noise", noise),
                         ("margin_scale", margin_scale), ("mag_lo", mag_lo),
@@ -335,16 +355,17 @@ def gen_synthetic(win_len: int = 8, channels: int = 4, exponent: float = 2.0,
     size = max(1, BLOCK_VALUES // per_draw)
     low, high = np.log(mag_lo), np.log(mag_hi)
 
-    def next_block():
-        state = rng.bit_generator.state
-        return (state, *_candidate_block(rng, size, win_len, channels,
-                                         exponent, low, high))
+    def stream():  # (window, feature, block start state, index in block)
+        while True:
+            state = rng.bit_generator.state
+            cands, feats = _candidate_block(rng, size, win_len, channels,
+                                            exponent, low, high)
+            yield from zip(cands, feats.tolist(), repeat(state), range(size))
 
+    candidates = stream()
     pilot = np.empty(PILOT_DRAWS)
-    for start in range(0, PILOT_DRAWS, size):
-        state, cands, feats = next_block()
-        used = min(size, PILOT_DRAWS - start)
-        pilot[start:start + used] = feats[:used]
+    for i in range(PILOT_DRAWS):
+        _, pilot[i], state, j = next(candidates)
     if not np.isfinite(pilot).all():
         raise FloatingPointError(
             f"energy feature overflows for exponent={exponent}, "
@@ -358,27 +379,19 @@ def gen_synthetic(win_len: int = 8, channels: int = 4, exponent: float = 2.0,
     windows = np.empty((count, win_len, channels))
     done = tries = 0
     while done < count:
-        if used == size:
-            state, cands, feats = next_block()
-            used = 0
-        taken = []
-        for f in feats[used:].tolist():
-            used += 1
-            tries += 1
-            if (f >= above) if done % 2 else (f <= below):
-                taken.append(used - 1)
-                done += 1
-                tries = 0
-                if done == count:
-                    break
-            elif tries == ENERGY_REJECT_BUDGET:
-                raise RuntimeError(
-                    f"rejection budget exhausted for class {done % 2}; "
-                    "margin_scale too aggressive for these task parameters")
-        windows[done - len(taken):done] = cands[taken]
-    if used < size:  # the unread candidates must not move the noise draw
-        rng.bit_generator.state = state
-        rng.bit_generator.advance(used * per_draw)
+        cand, f, state, j = next(candidates)
+        tries += 1
+        if (f >= above) if done % 2 else (f <= below):
+            windows[done] = cand
+            done += 1
+            tries = 0
+        elif tries == ENERGY_REJECT_BUDGET:
+            raise RuntimeError(
+                f"rejection budget exhausted for class {done % 2}; "
+                "margin_scale too aggressive for these task parameters")
+    # the candidates drawn after the last one read must not move the noise
+    rng.bit_generator.state = state
+    rng.bit_generator.advance((j + 1) * per_draw)
     labels = np.arange(count, dtype=np.int64) % 2
     if noise > 0 and count > 0:
         windows = windows + noise * rng.standard_normal(windows.shape)

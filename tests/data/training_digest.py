@@ -19,6 +19,11 @@ gradient checks.
 * ``synthetic``: the windows, labels, threshold and margin of two
   ``gen_synthetic`` tasks, 240 windows of 40 x 52 (seed 5) and the task
   of ``configs/tiny_synth.json``.
+* ``windows``: the train and test windows and labels that
+  ``cli.build_datasets`` reads from a seeded plant-file set (fault ids 0,
+  1 and 3) in a temporary directory, with windows of 20 rows every 20
+  rows and of 40 rows every 10 rows (which drops the windows that
+  straddle the fault onset).
 
 A change that is meant to leave the numerics alone must leave every
 digest as it was; run the script before and after it and compare.
@@ -33,8 +38,15 @@ import tempfile
 
 import numpy as np
 
+from expconv.cli import build_datasets
 from expconv.constraints import ConstraintPolicy
-from expconv.dataset import gen_synthetic
+from expconv.dataset import (
+    N_VARIABLES,
+    RawRun,
+    gen_synthetic,
+    run_filename,
+    save_run_text,
+)
 from expconv.gradients import CHECK_KERNELS, run_variant_checks
 from expconv.layers import VARIANT_TYPES
 from expconv.numerics import make_rng
@@ -120,9 +132,30 @@ def synthetic_digest() -> str:
     return digest.hexdigest()
 
 
+def windows_digest() -> str:
+    rng = make_rng(17)
+    digest = hashlib.sha256()
+    with tempfile.TemporaryDirectory() as tmp:
+        for fault_id, split, rows in ((0, "train", 250), (1, "train", 480),
+                                      (3, "train", 480), (1, "test", 960),
+                                      (3, "test", 960)):
+            run = RawRun(rng.normal(loc=fault_id, size=(rows, N_VARIABLES)),
+                         fault_id, split)
+            save_run_text(run, os.path.join(tmp, run_filename(fault_id,
+                                                              split)))
+        for win_len, stride in ((20, 20), (40, 10)):
+            train_ds, test_ds, _, _ = build_datasets({"data": {
+                "path": tmp, "fault_ids": [3, 1], "win_len": win_len,
+                "stride": stride}})
+            for ds in (train_ds, test_ds):
+                digest.update(ds.windows.tobytes() + ds.labels.tobytes())
+    return digest.hexdigest()
+
+
 if __name__ == "__main__":
     trained, nets = training_digest()
     print(f"training  {trained}")
     print(f"gradcheck {gradcheck_digest()}")
     print(f"evaluate  {evaluate_digest(nets)}")
     print(f"synthetic {synthetic_digest()}")
+    print(f"windows   {windows_digest()}")

@@ -10,11 +10,12 @@ import os
 import re
 import struct
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from expconv import cli, training
@@ -61,14 +62,16 @@ def write_config(tmp_path, name="config.json", **overrides):
     return path
 
 
-def make_plant_fixtures(root, fault_id=1, normal_rows=300, seed=0):
+def make_plant_fixtures(root, fault_id=1, normal_rows=300, seed=0,
+                        scale=1.0):
     rng = make_rng(seed)
     runs = [
-        RawRun(rng.normal(size=(normal_rows, N_VARIABLES)), 0, "train"),
-        RawRun(rng.normal(loc=0.5, size=(480, N_VARIABLES)), fault_id,
+        RawRun(rng.normal(scale=scale, size=(normal_rows, N_VARIABLES)), 0,
                "train"),
-        RawRun(rng.normal(loc=0.5, size=(960, N_VARIABLES)), fault_id,
-               "test"),
+        RawRun(rng.normal(loc=0.5, scale=scale, size=(480, N_VARIABLES)),
+               fault_id, "train"),
+        RawRun(rng.normal(loc=0.5, scale=scale, size=(960, N_VARIABLES)),
+               fault_id, "test"),
     ]
     save_run_text(runs[0], root / run_filename(0, "train"))
     save_run_text(runs[1], root / run_filename(fault_id, "train"))
@@ -408,6 +411,106 @@ class TestSingleFieldMutations:
                 os.chdir(cwd)
 
 
+PLANT_FILES = ("d00.dat", "d01.dat", "d01_te.dat")
+FILE_MUTATIONS = ("nan", "inf", "-inf", "1e308", "-1e308", "1.5x", "drop",
+                  "add", "empty")
+
+
+def mutate_run_file(text, mutation, row, col):
+    """A run file's text with one entry set to ``mutation``, its row
+    ``row`` dropped or repeated, or all of it gone."""
+    if mutation == "empty":
+        return ""
+    lines = text.splitlines(keepends=True)
+    if mutation == "drop":
+        del lines[row]
+    elif mutation == "add":
+        lines.insert(row, lines[row])
+    else:
+        tokens = lines[row].split()
+        tokens[col] = mutation
+        lines[row] = " ".join(tokens) + "\n"
+    return "".join(lines)
+
+
+def run_recording_warnings(argv):
+    """``run_quietly(argv)`` and the warnings it raised."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, err = run_quietly(argv)
+    return code, err, [str(w.message) for w in caught]
+
+
+class TestPlantFileMutations:
+    @pytest.fixture(scope="class")
+    def base(self, tmp_path_factory):
+        """The texts of a tiny plant-file set, a one-epoch config that
+        reads it, and the model that config trains."""
+        root = tmp_path_factory.mktemp("plant")
+        # a std near 0.5, so 1e308 in the test file overflows normalized
+        make_plant_fixtures(root, normal_rows=60, scale=0.5)
+        cfg = json.loads(write_config(
+            root, data={"path": str(root), "fault_ids": [1], "win_len": 40,
+                        "stride": 40},
+            train={"epochs": 1, "batch_size": 16, "seed": 0}).read_text())
+        assert run_quietly(["train", "--config", str(root / "config.json"),
+                            "--out", str(root / "out")])[0] == 0
+        texts = {name: (root / name).read_text() for name in PLANT_FILES}
+        return texts, cfg, root / "out" / "model.bin"
+
+    def run_mutated(self, base, root, name, mutation, row, col):
+        """Each of ``train`` and ``eval`` on the set written to ``root``
+        with one file mutated: (command, exit code, stderr, warnings)."""
+        texts, cfg, model = base
+        for file, text in texts.items():
+            if file == name:
+                text = mutate_run_file(text, mutation, row, col)
+            Path(root, file).write_text(text)
+        path = Path(root, "config.json")
+        path.write_text(json.dumps({**cfg, "data": {**cfg["data"],
+                                                    "path": str(root)}}))
+        return [(argv[0], *run_recording_warnings(
+                    argv + ["--config", str(path), "--out",
+                            str(Path(root, argv[0]))]))
+                for argv in (["train"], ["eval", "--model", str(model)])]
+
+    @given(name=st.sampled_from(PLANT_FILES),
+           mutation=st.sampled_from(FILE_MUTATIONS),
+           row=st.integers(0, 59), col=st.integers(0, N_VARIABLES - 1))
+    @example(name="d01.dat", mutation="1e308", row=7, col=30)
+    @example(name="d00.dat", mutation="empty", row=0, col=0)
+    @settings(max_examples=20, deadline=None)
+    def test_every_exit_is_documented(self, base, name, mutation, row, col):
+        # one entry or row of one file mutated, or the file emptied: each
+        # command exits 0, 1 or 2, with one stderr line unless 0 and no
+        # NumPy warning
+        with tempfile.TemporaryDirectory() as root:
+            for command, code, err, caught in self.run_mutated(
+                    base, root, name, mutation, row, col):
+                assert code in (0, 1, 2), (command, code, err)
+                assert code == 0 or len(err.splitlines()) == 1, (command,
+                                                                 err)
+                assert not caught, (command, caught)
+
+    @pytest.mark.parametrize("name, mutation, message", [
+        ("d01.dat", "1e308", "non-finite mean or std in columns: [30]"),
+        ("d01.dat", "-1e308", "non-finite mean or std in columns: [30]"),
+        ("d00.dat", "empty", "{root}/d00.dat: file holds no data"),
+        ("d01.dat", "nan", "{root}/d01.dat: non-finite value nan at row 8, "
+                           "column 31"),
+        ("d01_te.dat", "1e308", "test run of fault 1: value 1e+308 at "
+                                "row 8, column 31 is not finite once "
+                                "normalized")],
+        ids=["1e308-train", "-1e308-train", "empty", "nan", "1e308-test"])
+    def test_bad_values_exit_2_with_one_line(self, base, tmp_path, name,
+                                              mutation, message):
+        message = message.format(root=tmp_path)
+        for command, code, err, caught in self.run_mutated(
+                base, tmp_path, name, mutation, 7, 30):
+            assert (code, err, caught) == (2, f"error: {message}\n", []), \
+                command
+
+
 class TestGradcheckCommand:
     def test_single_variant_passes(self, capsys):
         rc = cli.main(["gradcheck", "--variant", "elementwise",
@@ -550,6 +653,22 @@ class TestTrainCommand:
         net = load_model(tmp_path / "out" / "model.bin")
         assert net.n_classes == 2
         assert net.input_shape == (40, 52)
+
+    def test_fault_ids_become_class_indices(self, tmp_path):
+        # a class is the fault id's position among the sorted ids, normal
+        # (0) first
+        make_plant_fixtures(tmp_path, fault_id=4)
+        save_run_text(RawRun(make_rng(5).normal(size=(480, N_VARIABLES)), 2,
+                             "train"), tmp_path / run_filename(2, "train"))
+        path = write_config(
+            tmp_path, data={"path": str(tmp_path), "fault_ids": [4, 2],
+                            "win_len": 40, "stride": 40})
+        train_ds, test_ds, n_classes, _ = cli.build_datasets(
+            cli.load_config(str(path)))
+        assert n_classes == 3
+        assert train_ds.labels.dtype == test_ds.labels.dtype == np.int64
+        assert train_ds.labels.tolist() == [0] * 7 + [1] * 12 + [2] * 12
+        assert test_ds.labels.tolist() == [0] * 4 + [2] * 20
 
 
     @pytest.mark.parametrize("mode", ["clip", "reparam"])

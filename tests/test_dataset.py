@@ -5,12 +5,13 @@ import hashlib
 import json
 import re
 import tracemalloc
+import warnings
 from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from expconv import dataset
@@ -18,6 +19,7 @@ from expconv.dataset import (
     FAULT_ONSET,
     FAULTY_TRAIN_ROWS,
     N_VARIABLES,
+    SPLITS,
     TEST_ROWS,
     NormStats,
     RawRun,
@@ -129,6 +131,32 @@ class TestLoadRun:
         with pytest.raises(ValueError, match="neither dimension"):
             load_run(path, fault_id=1, split="train")
 
+    @pytest.mark.parametrize("token", ["nan", "inf", "-inf", "1e400"])
+    def test_non_finite_entry_named_where_the_file_holds_it(self, tmp_path,
+                                                             token):
+        # stored as 52 x 960, so the entry's row and column are those of
+        # the file, before the transpose
+        lines = [" ".join(["0.5"] * TEST_ROWS)] * N_VARIABLES
+        row = lines[2].split()
+        row[6] = token
+        lines[2] = " ".join(row)
+        path = tmp_path / "d04_te.dat"
+        path.write_text("\n".join(lines) + "\n")
+        value = float(token)
+        with pytest.raises(ValueError) as err:
+            load_run(path, fault_id=4, split="test")
+        assert str(err.value) == (f"{path}: non-finite value {value} at "
+                                  "row 3, column 7")
+
+    @pytest.mark.parametrize("text", ["", "\n\n", "# comment only\n"])
+    def test_empty_file_rejected_without_a_warning(self, tmp_path, text):
+        path = tmp_path / "d00.dat"
+        path.write_text(text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="no data"):
+                load_run(path, fault_id=0, split="train")
+
 
 class TestNormalization:
     def test_fit_then_apply_standardizes(self):
@@ -154,6 +182,33 @@ class TestNormalization:
     def test_needs_rows(self):
         with pytest.raises(ValueError):
             fit_normalize([])
+
+    @pytest.mark.parametrize("values", [(1e308, -1e308), (1e308, 1e308),
+                                        (-1e308, -1e308)])
+    def test_non_finite_statistics_rejected(self, values):
+        # the variance (or the sum) overflows: an error naming the
+        # column, not a warning and a column normalized to -0.0
+        matrix = make_rng(5).normal(size=(50, N_VARIABLES))
+        matrix[[3, 9], 21] = values
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError,
+                               match=r"non-finite mean or std in columns: "
+                                     r"\[21\]"):
+                fit_normalize([RawRun(matrix, fault_id=0, split="train")])
+
+    def test_value_overflowing_when_normalized_rejected(self):
+        stats = NormStats(np.zeros(N_VARIABLES), np.full(N_VARIABLES, 0.5))
+        matrix = np.zeros((TEST_ROWS, N_VARIABLES))
+        matrix[200, 4] = -1e308
+        run = RawRun(matrix, fault_id=2, split="test")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError) as err:
+                apply_normalize(run, stats)
+        assert str(err.value) == ("test run of fault 2: value -1e+308 at "
+                                  "row 201, column 5 is not finite once "
+                                  "normalized")
 
     def test_stats_fit_on_train_do_not_center_test(self):
         train = fake_run(6, 200)
@@ -229,6 +284,69 @@ class TestMakeWindows:
         b = make_windows(fake_run(18, 60), win_len=30, stride=30)
         with pytest.raises(ValueError):
             merge_windows([a, b])
+
+
+def per_window_make_windows(run, win_len, stride):
+    """Windowing as it cut one window at a time: the oracle of the
+    single index."""
+    if win_len < 1 or stride < 1:
+        raise ValueError("win_len and stride must be >= 1")
+    if win_len > run.rows:
+        raise ValueError(
+            f"win_len {win_len} exceeds run length {run.rows}")
+    windows = []
+    labels = []
+    for start in range(0, run.rows - win_len + 1, stride):
+        end = start + win_len  # exclusive
+        if run.split == "test":
+            if end <= FAULT_ONSET:
+                label = 0
+            elif start >= FAULT_ONSET:
+                label = run.fault_id
+            else:
+                continue  # straddles the onset
+        else:
+            label = run.fault_id
+        windows.append(run.matrix[start:end])
+        labels.append(label)
+    if windows:
+        stacked = np.stack(windows)
+    else:
+        stacked = np.zeros((0, win_len, run.matrix.shape[1]))
+    return WindowedDataset(stacked, np.asarray(labels, dtype=np.int64),
+                           win_len=win_len, stride=stride)
+
+
+def windowing(make, run, win_len, stride):
+    """The windows' shape, dtype and bytes and the labels a windowing
+    gives, or the error it raises."""
+    try:
+        ds = make(run, win_len, stride)
+    except ValueError as exc:
+        return str(exc)
+    return (ds.windows.shape, ds.windows.dtype, ds.windows.tobytes(),
+            ds.labels.dtype, ds.labels.tobytes(), ds.win_len, ds.stride)
+
+
+class TestWindowIndex:
+    @given(rows=st.integers(1, 400), win_len=st.integers(-1, 420),
+           stride=st.integers(-1, 60), split=st.sampled_from(SPLITS),
+           fault_id=st.integers(0, dataset.MAX_FAULT_ID),
+           seed=st.integers(0, 2**16))
+    @example(rows=200, win_len=170, stride=50, split="test", fault_id=3,
+             seed=0)  # the one window straddles the onset: none are left
+    @settings(max_examples=60, deadline=None)
+    def test_same_bytes_as_one_window_at_a_time(self, rows, win_len, stride,
+                                                split, fault_id, seed):
+        run = fake_run(seed, rows, fault_id=fault_id, split=split)
+        assert windowing(make_windows, run, win_len, stride) == \
+            windowing(per_window_make_windows, run, win_len, stride)
+
+    def test_every_test_window_dropped(self):
+        run = fake_run(19, 200, fault_id=3, split="test")
+        ds = make_windows(run, win_len=170, stride=50)
+        assert ds.windows.shape == (0, 170, N_VARIABLES)
+        assert ds.labels.dtype == np.int64 and len(ds) == 0
 
 
 class TestSyntheticTask:

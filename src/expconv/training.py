@@ -7,11 +7,13 @@ output is again a (time, channel) matrix.
 
 Passes run the network on chunks of a few windows (``EVAL_CHUNK``).
 Evaluation also reads how many rows apart the windows were cut
-(``WindowedDataset.stride``): consecutive windows whose shared rows are
-equal are run once over the union of their rows, and each window's
-features are its slice of that chunk's last feature map, as in the dense
-sliding-window evaluation of OverFeat (Sermanet et al. 2014,
-arXiv:1312.6229). Training steps see shuffled, augmented batches, whose
+(``WindowedDataset.stride``): a run of consecutive windows whose shared
+rows are equal is a dense group with one last feature map, the network's
+output on the union of the group's rows, and each window's features are
+its slice of that map, as in the dense sliding-window evaluation of
+OverFeat (Sermanet et al. 2014, arXiv:1312.6229). The map is computed
+once, in fixed blocks of output rows whose input is at most EVAL_CHUNK
+windows' rows. Training steps see shuffled, augmented batches, whose
 windows share no rows.
 
 Exponent payloads are stored in the representation their constraint
@@ -172,12 +174,12 @@ def softmax(logits: np.ndarray) -> np.ndarray:
 
 # Every pass runs the network on chunks of this many windows: the layer
 # kernels keep every channel's powered values for the windows they are
-# given, so the chunk, not the batch, bounds a pass's memory. An
-# evaluation chunk of windows that share rows holds at most this many
-# windows' worth of input rows (``forward_network``).
+# given, so the chunk, not the batch, bounds a pass's memory. A block of
+# a dense group's feature map reads at most this many windows' worth of
+# input rows (``forward_network``).
 EVAL_CHUNK = 4
 
-# Threads that share ``forward_network``'s chunks: the caller and, where the
+# Threads that share ``forward_network``'s tasks: the caller and, where the
 # process may run on a second CPU, one helper. Training steps stay on the
 # calling thread: a second chunk's layer caches in flight would raise their
 # peak memory by about a quarter.
@@ -250,58 +252,70 @@ def _forward_trace(net: Network, x: np.ndarray, layers: list | None = None,
     return inputs, outputs, feats, logits
 
 
-def _union_logits(net: Network, union: np.ndarray, layers: list, ops: list,
-                  n: int, shift: int) -> np.ndarray:
-    """The logits of the n windows of a union (1, rows, C) of windows that
-    start equally far apart: window w's features are the last feature
-    map's rows from w * shift on."""
-    _, outputs = _run_stack(union, layers, ops)
-    flat = np.ascontiguousarray(outputs[-1][0]).reshape(-1)
-    row = flat.size // outputs[-1].shape[1]
-    # one overlapping view per window over the flattened map
-    feats = np.lib.stride_tricks.sliding_window_view(
-        flat, flat.size - (n - 1) * shift * row)[::shift * row]
-    # a product per window: one product over ``feats`` would first copy
-    # every row of the map once per window that reads it
-    return np.stack([f @ net.head_w for f in feats]) + net.head_b
+def _union_logits(net: Network, maps: np.ndarray, starts: slice,
+                  r_w: int) -> np.ndarray:
+    """The logits of windows whose last feature maps are the ``r_w`` rows
+    of ``maps`` (rows, cols, channels), a stretch of a dense group's map,
+    from each row in ``starts`` on."""
+    rows = np.lib.stride_tricks.sliding_window_view(
+        maps.reshape(len(maps), -1), r_w, axis=0)[starts]
+    # row r of every window times the head's rows for row r, summed over
+    # r: strided views, so no map row is copied once per window reading it
+    return np.matmul(rows.transpose(2, 0, 1), net.head_w.reshape(
+        r_w, rows.shape[1], -1)).sum(axis=0) + net.head_b
 
 
 def _eval_chunks(windows: np.ndarray, stride: int) -> list:
-    """``forward_network``'s chunks, as (first, stop, stride) window ranges.
+    """``forward_network``'s chunks and dense groups, as (first, stop,
+    stride) window ranges.
 
     With 0 < stride < T, a window whose rows from ``stride`` on are the
-    next window's first T - stride rows starts a dense chunk: it and the
-    windows after it that continue the same rows, at most EVAL_CHUNK * T
-    rows in all. The other windows form chunks of up to EVAL_CHUNK
-    consecutive windows, with stride 0. Each chunk compares the rows of at
-    most a dense chunk's windows, in one comparison; NaN equals nothing,
-    so a window holding one is never joined to its neighbours.
+    next window's first T - stride rows starts a dense group: it and every
+    window after it that continues the same rows. The other windows form
+    chunks of up to EVAL_CHUNK consecutive windows, with stride 0. The
+    rows are compared a bounded number of windows at a time; NaN equals
+    nothing, so a window holding one is never joined to its neighbours.
     """
     n, win_len = windows.shape[:2]
     if not 0 < stride < win_len:
         return [(first, min(first + EVAL_CHUNK, n), 0)
                 for first in range(0, n, EVAL_CHUNK)]
-    span = (EVAL_CHUNK - 1) * win_len // stride + 1  # a dense chunk's windows
-    reach = max(span, EVAL_CHUNK) + 1
+    piece = EVAL_CHUNK * win_len // stride  # the windows of about a block
+    # continues[j]: window j's rows from ``stride`` on start window j + 1
+    continues = []
+    for j in range(0, n - 1, piece):
+        k = min(j + piece, n - 1)
+        continues += (windows[j + 1:k + 1, :win_len - stride]
+                      == windows[j:k, stride:]).all(axis=(1, 2)).tolist()
+    continues.append(False)
     chunks = []
     first = 0
     while first < n:
-        block = windows[first:first + reach]
-        # shared[j]: window first + j continues into window first + j + 1
-        shared = (block[1:, :win_len - stride] == block[:-1, stride:]).all(
-            axis=(1, 2)).tolist() + [False]
         stop = first + 1
-        if shared[0]:
-            while stop - first < span and shared[stop - 1 - first]:
+        if continues[first]:
+            while continues[stop - 1]:
                 stop += 1
             chunks.append((first, stop, stride))
         else:
             while (stop < n and stop - first < EVAL_CHUNK
-                   and not shared[stop - first]):
+                   and not continues[stop]):
                 stop += 1
             chunks.append((first, stop, 0))
         first = stop
     return chunks
+
+
+def _dense_blocks(n: int, shift: int, r_w: int, size: int) -> list:
+    """The blocks of a dense group of n windows whose last feature maps
+    hold ``r_w`` rows each, ``shift`` rows apart: (first, stop, lo, hi) for
+    the group map's rows [lo, hi), ``size`` rows a block but the last, and
+    the windows [first, stop) of the group whose maps end in them."""
+    rows = (n - 1) * shift + r_w
+    los = range(0, rows, size)
+    ends = np.arange(n) * shift + r_w - 1
+    firsts = np.searchsorted(ends, los).tolist() + [n]
+    return [(firsts[b], firsts[b + 1], lo, min(lo + size, rows))
+            for b, lo in enumerate(los)]
 
 
 def forward_network(net: Network, windows: np.ndarray,
@@ -310,80 +324,127 @@ def forward_network(net: Network, windows: np.ndarray,
 
     ``stride`` is how many rows apart the windows were cut from their
     series (``WindowedDataset.stride``); 0 evaluates every window on its
-    own. With 0 < stride < T, stride a multiple of the product of the
-    layers' ``stride_t``, consecutive windows whose shared rows are equal
-    are evaluated together, up to EVAL_CHUNK * T input rows at a time: the
-    network runs once over the union of their rows (the first window,
-    then the last ``stride`` rows of each next one), and each window's
-    features are its slice of the last feature map. The rows are compared,
-    not assumed, so shuffled, filtered or edited windows fall back on
-    their own. Other windows run in chunks of up to EVAL_CHUNK windows.
+    own. With 0 < stride < T, stride a multiple of the product ``unit`` of
+    the layers' ``stride_t``, a run of consecutive windows whose shared
+    rows are equal forms a dense group (``_eval_chunks``): the rows are
+    compared, not assumed, so shuffled, filtered or edited windows fall
+    back on their own. A group has one last feature map, the network's
+    output on the union of its rows (the first window, then the last
+    ``stride`` rows of each next one), and each window's features are its
+    slice of that map. The map is computed once, in fixed blocks of
+    ``size`` output rows counted from the group's first row, each from at
+    most EVAL_CHUNK * T input rows (``_dense_blocks``); adjacent blocks
+    share input rows, never an output row. A window whose map begins in
+    the block before its last row's reads those rows through a rolling
+    buffer, the last rows of the block before, so nothing is held per
+    group; the head runs once per block over strided views of the buffer
+    (``_union_logits``). Other windows run in chunks of up to EVAL_CHUNK
+    windows.
     Either way each window's probabilities are those of the network run on
     it alone, up to summation order.
 
-    Each chunk writes its own rows of the result. With EVAL_WORKERS = 2
-    the calling thread runs the first half of the chunks and one helper
-    thread the second half, in a copy of the caller's context, so the
-    caller's ``np.errstate`` holds in both. A chunk computes the same
-    numbers on either thread, so the probabilities do not depend on the
-    worker count. A failing chunk raises as in a serial loop: the call
-    waits for the helper, then raises the error of the earliest failing
-    chunk.
+    Each block or chunk is a task that writes its own rows of the result.
+    With EVAL_WORKERS = 2 the calling thread runs the first half of the
+    tasks and one helper thread the second half, in a copy of the caller's
+    context, so the caller's ``np.errstate`` holds in both. The helper's
+    first block, if its windows begin in the caller's last block, computes
+    that block again for its buffer. A block computes the same numbers on
+    either thread, so the probabilities do not depend on the worker
+    count. A failing task raises as in a serial loop: the call waits for
+    the helper, then raises the error of the earliest failing task.
     """
     windows = np.asarray(windows, dtype=np.float64)
     single = windows.ndim == 2
     windows = _checked_windows(net, windows[None] if single else windows)
     win_len = net.input_shape[0]
     layers, ops = _effective_layers(net)
-    unit = math.prod(layer.stride_t for layer in layers)
-    chunks = _eval_chunks(windows, stride if stride % unit == 0 else 0)
+    field, unit = 1, 1  # input rows one output row reads, and between two
+    for layer in layers:
+        field += (layer.k_h - 1) * unit
+        unit *= layer.stride_t
+    r_w = (win_len - field) // unit + 1  # rows of a window's last map
+    size = (EVAL_CHUNK * win_len - field) // unit + 1  # rows of a block
+    tasks = []  # (origin, step, first, stop, lo, hi); see _dense_blocks
+    for origin, stop, step in _eval_chunks(
+            windows, stride if stride % unit == 0 else 0):
+        blocks = (_dense_blocks(stop - origin, step // unit, r_w, size)
+                  if step else [(0, stop - origin, 0, 0)])
+        tasks += [(origin, step, *block) for block in blocks]
     probs = np.empty((len(windows), net.n_classes))
 
-    def run_chunk(k):
-        first, stop, step = chunks[k]
-        x = windows[first:stop]
-        if step:
-            union = np.concatenate([x[0], x[1:, win_len - step:].reshape(
-                -1, x.shape[2])])[None]
-            logits = _union_logits(net, union, layers, ops, len(x),
-                                   step // unit)
-        else:
-            _, _, _, logits = _forward_trace(net, x, layers, ops)
-        probs[first:stop] = softmax(logits)
+    def block_map(origin, step, lo, hi):
+        """Rows [lo, hi) of the last feature map of the dense group whose
+        first window is ``origin``, each input row read from the first
+        window that holds it."""
+        rows = np.arange(lo * unit, (hi - 1) * unit + field)
+        w = np.maximum((rows - win_len) // step + 1, 0)
+        _, outputs = _run_stack(windows[origin + w, rows - w * step][None],
+                                layers, ops)
+        return outputs[-1][0]
 
-    if EVAL_WORKERS < 2 or len(chunks) < 2:
-        for k in range(len(chunks)):
-            run_chunk(k)
+    def worker():
+        """A task runner with its own rolling buffer: the last r_w - 1
+        rows of the map of the block it ran last, which ends at row
+        ``after[1]`` of the group from window ``after[0]``."""
+        carry, after = None, None
+
+        def run_task(k):
+            nonlocal carry, after
+            origin, step, first, stop, lo, hi = tasks[k]
+            if not step:
+                x = windows[origin + first:origin + stop]
+                _, _, _, logits = _forward_trace(net, x, layers, ops)
+            else:
+                if lo and after != (origin, lo):  # ran on the other thread
+                    carry = block_map(origin, step, lo - size, lo)[
+                        size - r_w + 1:].copy()
+                block = block_map(origin, step, lo, hi)
+                # the contiguous copy the head products read
+                maps = np.concatenate([carry if lo else block[:0], block])
+                base = lo - (len(maps) - len(block))  # the group row maps[0]
+                shift = step // unit
+                logits = _union_logits(net, maps, slice(
+                    first * shift - base, stop * shift - base, shift), r_w)
+                carry, after = maps[len(maps) - r_w + 1:].copy(), (origin, hi)
+            probs[origin + first:origin + stop] = softmax(logits)
+        return run_task
+
+    if EVAL_WORKERS < 2 or len(tasks) < 2:
+        run_task = worker()
+        for k in range(len(tasks)):
+            run_task(k)
     else:
-        _share_with_helper(run_chunk, len(chunks))
+        _share_with_helper(worker, len(tasks))
     return probs[0] if single else probs
 
 
-def _share_with_helper(run_chunk, n_chunks: int) -> None:
-    """Call ``run_chunk(k)`` for every k < n_chunks, chunks [0, half) on
-    this thread and [half, n_chunks) on the helper, and raise what a serial
-    loop would raise.
+def _share_with_helper(worker, n_tasks: int) -> None:
+    """Run tasks [0, half) of n_tasks on this thread and [half, n_tasks)
+    on the helper, each through its own ``worker()``, a function of the
+    task number, and raise what a serial loop would raise.
 
-    Every chunk of this thread comes before every chunk of the helper, so
+    Every task of this thread comes before every task of the helper, so
     a failure here is the earliest: it sets ``stop``, which the helper
-    reads before each chunk, and is raised once the helper has stopped.
+    reads before each task, and is raised once the helper has stopped.
     Otherwise ``helper.result()`` waits for the helper and raises its first
     failure, if any.
     """
-    half = (n_chunks + 1) // 2
+    half = (n_tasks + 1) // 2
     stop = False  # written by this thread only, read by the helper
 
     def run_second_half():
-        for k in range(half, n_chunks):
+        run_task = worker()
+        for k in range(half, n_tasks):
             if not stop:
-                run_chunk(k)
+                run_task(k)
 
     helper = _eval_helper().submit(contextvars.copy_context().run,
                                    run_second_half)
     try:
+        run_task = worker()
         for k in range(half):
-            run_chunk(k)
-    except BaseException:  # interrupts too: the helper ends its chunk
+            run_task(k)
+    except BaseException:  # interrupts too: the helper ends its task
         stop = True
         wait([helper])
         raise
@@ -611,8 +672,8 @@ def predict(net: Network, windows: np.ndarray) -> np.ndarray:
 
 def evaluate(net: Network, dataset: WindowedDataset) -> Metrics:
     """The metrics of the network's predictions on the dataset. Its
-    stride is passed to ``forward_network``, so consecutive windows that
-    share rows are run once over their union. A label outside
+    stride is passed to ``forward_network``, so the rows that consecutive
+    windows share are run once. A label outside
     [0, n_classes) is a ValueError."""
     if len(dataset) == 0:
         raise ValueError("cannot evaluate on an empty dataset")
@@ -643,7 +704,8 @@ def train(net: Network, dataset: WindowedDataset, config: TrainConfig,
     and augmentation draw from streams spawned off config.seed, so a
     fixed config reproduces the run exactly. A numeric failure in a
     batch, including an optimizer step that leaves a parameter
-    non-finite, raises FloatingPointError naming the epoch and batch.
+    non-finite, raises FloatingPointError naming the epoch and batch; one
+    in an evaluation names the epoch it follows.
     """
     if len(dataset) == 0:
         raise ValueError("cannot train on an empty dataset")
@@ -685,7 +747,11 @@ def train(net: Network, dataset: WindowedDataset, config: TrainConfig,
         record = {"epoch": epoch, "loss": float(np.mean(batch_losses))}
         last = epoch == config.epochs - 1
         if (epoch + 1) % config.eval_every == 0 or last:
-            m = evaluate(net, eval_set)
+            try:
+                m = evaluate(net, eval_set)
+            except FloatingPointError as exc:
+                raise FloatingPointError(
+                    f"{exc} while evaluating after epoch {epoch}") from exc
             record["accuracy"] = m.accuracy
             record["false_alarm"] = m.false_alarm
             record["detection"] = m.detection.tolist()

@@ -568,6 +568,24 @@ class TestTrainCommand:
         assert len(lines) == 1 + 3  # header + one row per epoch
         assert "trained 3 epochs" in capsys.readouterr().out
 
+    def test_evaluation_failure_names_the_epoch(self, tmp_path):
+        # 1e308 is finite once normalized by its column's std of about 1,
+        # but overflows layer 0 when the test set is evaluated
+        make_plant_fixtures(tmp_path, normal_rows=60)
+        test_file = tmp_path / "d01_te.dat"
+        test_file.write_text(mutate_run_file(test_file.read_text(), "1e308",
+                                             301, 5))
+        path = write_config(
+            tmp_path, data={"path": str(tmp_path), "fault_ids": [1],
+                            "win_len": 40, "stride": 40},
+            train={"epochs": 1, "batch_size": 16, "seed": 0})
+        code, err, caught = run_recording_warnings(["train", "--config",
+                                                    str(path)])
+        assert (code, err, caught) == (
+            1, "numeric failure: layer 0: feature map contains non-finite "
+               "values while evaluating after epoch 0\n", [])
+        assert not (tmp_path / "out" / "model.bin").exists()
+
     def test_deterministic_across_runs(self, tmp_path):
         path = write_config(tmp_path)
         for sub in ("a", "b"):

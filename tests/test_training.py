@@ -10,8 +10,10 @@ import sys
 import threading
 import time
 import tracemalloc
+from collections import Counter
 from pathlib import Path
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -566,38 +568,85 @@ class TestChunkedPasses:
         forward_network(net, reversed_, 2)
         assert {shape[0] for shape in shapes} == {training.EVAL_CHUNK}
 
+    @staticmethod
+    def dense_blocks(union, win_len, field, unit):
+        """The input rows of each block of a dense group's last feature
+        map: output rows [b * size, (b + 1) * size), each block's input at
+        most EVAL_CHUNK * win_len rows."""
+        size = (training.EVAL_CHUNK * win_len - field) // unit + 1
+        rows = (len(union) - field) // unit + 1
+        return [union[lo * unit:(min(lo + size, rows) - 1) * unit + field]
+                for lo in range(0, rows, size)]
+
     @settings(max_examples=40, deadline=None)
     @given(rows=st.lists(st.integers(30, 240), min_size=1, max_size=3),
            win_len=st.integers(1, 30), stride=st.integers(1, 45),
-           split=st.sampled_from(("train", "test")))
+           split=st.sampled_from(("train", "test")),
+           stride_t=st.sampled_from((1, 2)))
     def test_chunks_join_only_windows_that_continue(self, rows, win_len,
-                                                    stride, split):
+                                                    stride, split, stride_t):
         rng = make_rng(21)
         parts = [make_windows(RawRun(rng.normal(size=(n, N_VARIABLES)), 1,
                                      split), win_len, stride) for n in rows]
         ds = merge_windows(parts)
         run_of = np.repeat(np.arange(len(parts)), [len(p) for p in parts])
+        # layer 0 reads k_0 rows every stride_t, layer 1 k_1 of its rows
+        k_0 = min(3, win_len)
+        k_1 = min(2, (win_len - k_0) // stride_t + 1)
+        net = self.perturbed(build_network(
+            (win_len, N_VARIABLES), 3,
+            [{"variant": "elementwise", "k_h": k_0, "k_w": 2,
+              "stride_t": stride_t, "activation": "tanh"},
+             {"variant": "elementwise", "k_h": k_1, "k_w": 2,
+              "out_channels": 2, "activation": "tanh"}], seed=26))
+        field = k_0 + (k_1 - 1) * stride_t  # input rows of one output row
+        dense = stride % stride_t == 0  # else every window runs on its own
         chunks = training._eval_chunks(ds.windows, ds.stride)
         assert [c[0] for c in chunks] == [0] + [c[1] for c in chunks[:-1]]
         assert chunks[-1][1] == len(ds)
+        blocks = []
         for first, stop, step in chunks:
             x = ds.windows[first:stop]
             if not step:
                 assert stop - first <= training.EVAL_CHUNK
                 continue
             assert step == stride < win_len and stop - first > 1
-            assert win_len + (stop - first - 1) * step \
-                <= training.EVAL_CHUNK * win_len
             assert len(set(run_of[first:stop])) == 1
             union = np.concatenate([x[0], x[1:, win_len - step:].reshape(
                 -1, N_VARIABLES)])
             for w, window in enumerate(x):
                 np.testing.assert_array_equal(
                     union[w * step:w * step + win_len], window)
-        if split == "train" and len(rows) == 1 and stride < win_len:
-            # a training run's windows all continue one another
-            span = (training.EVAL_CHUNK - 1) * win_len // stride + 1
-            assert len(chunks) == -(-len(ds) // span)
+            if dense:
+                group = self.dense_blocks(union, win_len, field, stride_t)
+                assert all(len(b) <= training.EVAL_CHUNK * win_len
+                           for b in group)
+                blocks += group
+        if split == "train" and len(rows) == 1 and stride < win_len \
+                and len(ds) > 1:
+            # a training run's windows all continue one another: one group
+            assert chunks == [(0, len(ds), stride)]
+            if dense:
+                out_rows = ((len(ds) - 1) * stride + win_len - field) \
+                    // stride_t + 1
+                size = (training.EVAL_CHUNK * win_len - field) // stride_t + 1
+                assert len(blocks) == -(-out_rows // size)
+        window_by_window = forward_network(net, ds.windows)
+        ran = []
+        original = training._run_stack
+
+        def spy(x, layers, ops, caches=None):
+            ran.append(x[0].tobytes())
+            return original(x, layers, ops, caches)
+        with mock.patch.object(training, "EVAL_WORKERS", 2), \
+                mock.patch.object(training, "_run_stack", spy):
+            probs = forward_network(net, ds.windows, ds.stride)
+        self.assert_same_predictions(probs, window_by_window)
+        # each block runs once, but the one the helper's first block reads
+        # from when the workers split a group
+        runs = Counter(ran)
+        assert all(runs[b.tobytes()] >= 1 for b in blocks)
+        assert sum(runs[b.tobytes()] for b in blocks) <= len(blocks) + 1
 
     @pytest.mark.parametrize("variant", ("elementwise", "full_matrix"))
     def test_plant_set_keeps_the_predictions(self, variant):
@@ -625,17 +674,67 @@ class TestChunkedPasses:
             return out
         monkeypatch.setattr(training, "layer_forward", counting)
         evaluate(net, ds)
-        # a run: 13 normal windows in one chunk of 160 rows, 77 faulty ones
-        # in five chunks of 13 and one of 12 windows (150 rows)
+        # a run: 13 normal windows in one block of 158 output rows, 77
+        # faulty ones (798 rows) in five blocks of 158 and one of 8
         assert len(out_rows) == 4 * 7
-        assert sum(out_rows) == 4 * (6 * 158 + 148) == 4384
+        assert sum(out_rows) == 4 * (158 + 798) == 3824
         out_rows.clear()  # read back from the window cache: the same
         save_windows_csv(ds, tmp_path / "windows.csv")
         evaluate(net, load_windows_csv(tmp_path / "windows.csv"))
-        assert sum(out_rows) == 4384
+        assert len(out_rows) == 4 * 7
+        assert sum(out_rows) == 3824
         out_rows.clear()  # windows said to share no rows: one by one
         evaluate(net, WindowedDataset(ds.windows, ds.labels, 40, 40))
         assert sum(out_rows) == len(ds) * 38 == 13680
+
+    @staticmethod
+    def exponentials(monkeypatch) -> list:
+        """M * n * N, the exponentials of every later ``layer_forward``:
+        M output channels, n kernel positions, N output positions."""
+        exps = []
+        original = training.layer_forward
+
+        def counting(x, params, cache, op):
+            out = original(x, params, cache=cache, op=op)
+            exps.append(out.size * params.k_h * params.k_w)
+            return out
+        monkeypatch.setattr(training, "layer_forward", counting)
+        return exps
+
+    @pytest.mark.parametrize("variant", ("elementwise", "full_matrix"))
+    def test_plant_evaluation_exponentials(self, monkeypatch, variant):
+        # each layer-0 output row of a dense group once: 3 824 rows of 50
+        # positions, 8 channels of 9 exponentials each
+        net = build_network((40, 52), 4,
+                            [{"variant": variant, "k_h": 3, "k_w": 3,
+                              "out_channels": 8}], seed=12)
+        ds = plant_test_set()
+        exps = self.exponentials(monkeypatch)
+        evaluate(net, ds)
+        assert len(exps) == 28
+        assert sum(exps) == 8 * 9 * 3824 * 50 == 13_766_400
+
+    def test_synth_stack_exponentials(self, monkeypatch):
+        # the synth workload's stack on 32 windows of 40 x 52 cut apart, in
+        # stacked chunks of EVAL_CHUNK windows: bilinear 3x3x1 on 38 x 50
+        # positions a window, full_matrix 2x2x4 on 37 x 49
+        net = build_network((40, 52), 2,
+                            [{"variant": "bilinear", "k_h": 3, "k_w": 3},
+                             {"variant": "full_matrix", "k_h": 2, "k_w": 2,
+                              "out_channels": 4}],
+                            policy=ConstraintPolicy(mode="reparam",
+                                                    kind="sigmoid"), seed=12)
+        rng = make_rng(27)
+        ds = WindowedDataset(rng.normal(size=(32, 40, 52)),
+                             rng.integers(0, 2, size=32), 40, 40)
+        exps = self.exponentials(monkeypatch)
+        per_chunk = [4 * 9 * 38 * 50, 4 * 4 * 4 * 37 * 49]
+        for run in (lambda: evaluate(net, ds),
+                    lambda: network_loss_grads(net, ds.windows, ds.labels)):
+            exps.clear()
+            run()  # evaluate's chunks may run on two threads
+            assert sorted(exps) == sorted(per_chunk * 8)
+            assert sum(exps) == 1_475_456
 
     @staticmethod
     def traced_peak(fn) -> int:
@@ -646,7 +745,8 @@ class TestChunkedPasses:
         finally:
             tracemalloc.stop()
 
-    @pytest.mark.parametrize("pass_name", ("step", "forward", "dense"))
+    @pytest.mark.parametrize("pass_name",
+                             ("step", "forward", "dense", "long_group"))
     def test_memory_does_not_grow_with_the_batch(self, monkeypatch,
                                                  pass_name):
         # the plant workload's layer: elementwise 3x3x8 on 40x52 windows
@@ -656,25 +756,30 @@ class TestChunkedPasses:
         rng = make_rng(13)
         windows = rng.normal(size=(64, 40, 52))
         labels = rng.integers(0, 3, size=64)
-        plant = plant_test_set()
+        if pass_name == "long_group":  # one group of 397 windows
+            dense = make_windows(RawRun(rng.normal(size=(4000, 52)), 0,
+                                        "train"), 40, 10)
+        else:
+            dense = plant_test_set()
         monkeypatch.setattr(training, "EVAL_WORKERS", 2)
 
         def run(n):
             if pass_name == "step":
                 return network_loss_grads(net, windows[:n], labels[:n])
-            if pass_name == "dense":
-                return forward_network(net, plant.windows[:n], plant.stride)
-            return forward_network(net, windows[:n])
+            if pass_name == "forward":
+                return forward_network(net, windows[:n])
+            return forward_network(net, dense.windows[:n], dense.stride)
         run(8)  # warm up lazy set-up outside the measurement
         if pass_name == "step":  # serial: its chunks run one after another
             small = self.traced_peak(lambda: run(8))
-        else:  # one chunk per worker at once, at worst both at their peaks
-            # a dense chunk: the windows starting in its first 3 x 40 rows
+        else:  # one task per worker at once, at worst both at their peaks
+            # a dense block: the windows of its 3 x 40 + 40 input rows
             chunk = (training.EVAL_CHUNK if pass_name == "forward"
                      else (training.EVAL_CHUNK - 1) * 4 + 1)
             small = 2 * self.traced_peak(lambda: run(chunk))
         large = self.traced_peak(
-            lambda: run(len(plant) if pass_name == "dense" else 64))
+            lambda: run(64 if pass_name in ("step", "forward")
+                        else len(dense)))
         assert large < 1.25 * small, (small, large)
 
     @pytest.mark.parametrize("dense", (False, True))

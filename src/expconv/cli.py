@@ -36,6 +36,7 @@ from .constraints import KINDS, MODES, ConstraintPolicy
 from .dataset import (
     DEFAULT_STRIDE,
     DEFAULT_WIN_LEN,
+    FAULT_ONSET,
     N_VARIABLES,
     WindowedDataset,
     apply_normalize,
@@ -304,7 +305,8 @@ def build_datasets(cfg: dict):
     Plant-file mode loads d{NN}.dat / d{NN}_te.dat for the configured
     fault ids, normalizes with statistics fit on the training files only,
     and remaps fault ids to contiguous class indices (normal is always
-    class 0). Synthetic mode generates one task and splits it by
+    class 0). Test files that give no window (each holds the fault onset)
+    are a ConfigError. Synthetic mode generates one task and splits it by
     train_fraction.
     """
     data = cfg["data"]
@@ -334,6 +336,11 @@ def build_datasets(cfg: dict):
                  if os.path.exists(path)]
     test_ds = (_class_windows(test_runs, stats, fault_ids, win_len, stride)
                if test_runs else None)
+    if test_ds is not None and not len(test_ds):
+        raise ConfigError(
+            f"data: the test files give no window: every window of win_len "
+            f"{win_len} cut every stride {stride} rows holds the fault onset "
+            f"at row {FAULT_ONSET}, and those are dropped")
     return train_ds, test_ds, len(fault_ids), N_VARIABLES
 
 

@@ -13,8 +13,10 @@ output on the union of the group's rows, and each window's features are
 its slice of that map, as in the dense sliding-window evaluation of
 OverFeat (Sermanet et al. 2014, arXiv:1312.6229). The map is computed
 once, in fixed blocks of output rows whose input is at most EVAL_CHUNK
-windows' rows. Training steps see shuffled, augmented batches, whose
-windows share no rows.
+windows' rows. The classifier head is linear, so each block adds the head
+product of the map rows it holds to every window that reads them, and no
+block waits for or keeps another's rows. Training steps see shuffled,
+augmented batches, whose windows share no rows.
 
 Exponent payloads are stored in the representation their constraint
 policy dictates (see ``constraints``), one payload per layer stacked over
@@ -252,17 +254,22 @@ def _forward_trace(net: Network, x: np.ndarray, layers: list | None = None,
     return inputs, outputs, feats, logits
 
 
-def _union_logits(net: Network, maps: np.ndarray, starts: slice,
-                  r_w: int) -> np.ndarray:
-    """The logits of windows whose last feature maps are the ``r_w`` rows
-    of ``maps`` (rows, cols, channels), a stretch of a dense group's map,
-    from each row in ``starts`` on."""
+def _head_shares(net: Network, maps: np.ndarray, starts: slice,
+                 r_w: int) -> np.ndarray:
+    """Each window's share of the head product (its logits less
+    ``head_b``) over the rows of ``maps`` (rows, cols, channels), a block
+    of a dense group's last feature map. The windows' ``r_w``-row maps
+    begin at the rows ``starts`` of ``maps`` padded with r_w - 1 zero rows
+    on each side, so a window may begin before the block or end after it;
+    its rows outside the block add nothing."""
+    flat = maps.reshape(len(maps), -1)
+    pad = np.zeros((r_w - 1, flat.shape[1]))  # np.pad takes 3x as long
     rows = np.lib.stride_tricks.sliding_window_view(
-        maps.reshape(len(maps), -1), r_w, axis=0)[starts]
+        np.concatenate([pad, flat, pad]), r_w, axis=0)[starts]
     # row r of every window times the head's rows for row r, summed over
     # r: strided views, so no map row is copied once per window reading it
     return np.matmul(rows.transpose(2, 0, 1), net.head_w.reshape(
-        r_w, rows.shape[1], -1)).sum(axis=0) + net.head_b
+        r_w, rows.shape[1], -1)).sum(axis=0)
 
 
 def _eval_chunks(windows: np.ndarray, stride: int) -> list:
@@ -307,15 +314,16 @@ def _eval_chunks(windows: np.ndarray, stride: int) -> list:
 
 def _dense_blocks(n: int, shift: int, r_w: int, size: int) -> list:
     """The blocks of a dense group of n windows whose last feature maps
-    hold ``r_w`` rows each, ``shift`` rows apart: (first, stop, lo, hi) for
-    the group map's rows [lo, hi), ``size`` rows a block but the last, and
-    the windows [first, stop) of the group whose maps end in them."""
+    hold ``r_w`` <= ``size`` rows each, ``shift`` rows apart: (first, stop,
+    lo, hi) for the group map's rows [lo, hi), ``size`` rows a block but
+    the last, and the windows [first, stop) of the group whose maps touch
+    them. A window's map touches one block or two adjacent ones."""
     rows = (n - 1) * shift + r_w
-    los = range(0, rows, size)
-    ends = np.arange(n) * shift + r_w - 1
-    firsts = np.searchsorted(ends, los).tolist() + [n]
-    return [(firsts[b], firsts[b + 1], lo, min(lo + size, rows))
-            for b, lo in enumerate(los)]
+    los = np.arange(0, rows, size)
+    firsts, stops = np.searchsorted(np.arange(n) * shift,
+                                    [los - r_w + 1, los + size]).tolist()
+    return [(first, stop, lo, min(lo + size, rows))
+            for first, stop, lo in zip(firsts, stops, los.tolist())]
 
 
 def forward_network(net: Network, windows: np.ndarray,
@@ -334,24 +342,24 @@ def forward_network(net: Network, windows: np.ndarray,
     slice of that map. The map is computed once, in fixed blocks of
     ``size`` output rows counted from the group's first row, each from at
     most EVAL_CHUNK * T input rows (``_dense_blocks``); adjacent blocks
-    share input rows, never an output row. A window whose map begins in
-    the block before its last row's reads those rows through a rolling
-    buffer, the last rows of the block before, so nothing is held per
-    group; the head runs once per block over strided views of the buffer
-    (``_union_logits``). Other windows run in chunks of up to EVAL_CHUNK
-    windows.
+    share input rows, never an output row. The blocks are fixed because a
+    row's last bit can depend on the extent it is computed in, so they
+    must not depend on how the tasks are split. The head is linear, so
+    each block adds the head product of the map rows it holds to every
+    window that reads any of them (``_head_shares``), and nothing passes
+    from one block to the next. Other windows run in chunks of up to
+    EVAL_CHUNK windows, through the whole head.
     Either way each window's probabilities are those of the network run on
     it alone, up to summation order.
 
-    Each block or chunk is a task that writes its own rows of the result.
-    With EVAL_WORKERS = 2 the calling thread runs the first half of the
-    tasks and one helper thread the second half, in a copy of the caller's
-    context, so the caller's ``np.errstate`` holds in both. The helper's
-    first block, if its windows begin in the caller's last block, computes
-    that block again for its buffer. A block computes the same numbers on
-    either thread, so the probabilities do not depend on the worker
-    count. A failing task raises as in a serial loop: the call waits for
-    the helper, then raises the error of the earliest failing task.
+    Each block or chunk is a task that writes its windows' shares of the
+    head product into ``shares``, in the slot of its block's parity: a
+    window's map spans at most two adjacent blocks, so no two tasks write
+    the same cell, and a window reading one block gets zero from the other
+    slot. The softmax of ``shares[0] + shares[1] + head_b`` runs once all
+    tasks are done, in a fixed order, so the probabilities do not depend
+    on which thread ran which task. With EVAL_WORKERS = 2 the tasks are
+    shared with one helper thread (``_share_with_helper``).
     """
     windows = np.asarray(windows, dtype=np.float64)
     single = windows.ndim == 2
@@ -370,58 +378,42 @@ def forward_network(net: Network, windows: np.ndarray,
         blocks = (_dense_blocks(stop - origin, step // unit, r_w, size)
                   if step else [(0, stop - origin, 0, 0)])
         tasks += [(origin, step, *block) for block in blocks]
-    probs = np.empty((len(windows), net.n_classes))
+    shares = np.zeros((2, len(windows), net.n_classes))
 
-    def block_map(origin, step, lo, hi):
-        """Rows [lo, hi) of the last feature map of the dense group whose
-        first window is ``origin``, each input row read from the first
-        window that holds it."""
-        rows = np.arange(lo * unit, (hi - 1) * unit + field)
-        w = np.maximum((rows - win_len) // step + 1, 0)
-        _, outputs = _run_stack(windows[origin + w, rows - w * step][None],
-                                layers, ops)
-        return outputs[-1][0]
-
-    def worker():
-        """A task runner with its own rolling buffer: the last r_w - 1
-        rows of the map of the block it ran last, which ends at row
-        ``after[1]`` of the group from window ``after[0]``."""
-        carry, after = None, None
-
-        def run_task(k):
-            nonlocal carry, after
-            origin, step, first, stop, lo, hi = tasks[k]
-            if not step:
-                x = windows[origin + first:origin + stop]
-                _, _, _, logits = _forward_trace(net, x, layers, ops)
-            else:
-                if lo and after != (origin, lo):  # ran on the other thread
-                    carry = block_map(origin, step, lo - size, lo)[
-                        size - r_w + 1:].copy()
-                block = block_map(origin, step, lo, hi)
-                # the contiguous copy the head products read
-                maps = np.concatenate([carry if lo else block[:0], block])
-                base = lo - (len(maps) - len(block))  # the group row maps[0]
-                shift = step // unit
-                logits = _union_logits(net, maps, slice(
-                    first * shift - base, stop * shift - base, shift), r_w)
-                carry, after = maps[len(maps) - r_w + 1:].copy(), (origin, hi)
-            probs[origin + first:origin + stop] = softmax(logits)
-        return run_task
+    def run_task(k):
+        origin, step, first, stop, lo, hi = tasks[k]
+        if step:
+            # rows [lo, hi) of the group's map, each input row read from
+            # the first window that holds it
+            rows = np.arange(lo * unit, (hi - 1) * unit + field)
+            w = np.maximum((rows - win_len) // step + 1, 0)
+            _, outputs = _run_stack(windows[origin + w, rows - w * step][None],
+                                    layers, ops)
+            shift = step // unit
+            part = _head_shares(net, outputs[-1][0], slice(
+                first * shift - lo + r_w - 1, stop * shift - lo + r_w - 1,
+                shift), r_w)
+        else:
+            _, outputs = _run_stack(windows[origin + first:origin + stop],
+                                    layers, ops)
+            part = outputs[-1].reshape(stop - first, -1) @ net.head_w
+        shares[lo // size % 2, origin + first:origin + stop] = part
 
     if EVAL_WORKERS < 2 or len(tasks) < 2:
-        run_task = worker()
         for k in range(len(tasks)):
             run_task(k)
     else:
-        _share_with_helper(worker, len(tasks))
+        _share_with_helper(run_task, len(tasks))
+    probs = softmax(shares[0] + shares[1] + net.head_b)
     return probs[0] if single else probs
 
 
-def _share_with_helper(worker, n_tasks: int) -> None:
+def _share_with_helper(run_task, n_tasks: int) -> None:
     """Run tasks [0, half) of n_tasks on this thread and [half, n_tasks)
-    on the helper, each through its own ``worker()``, a function of the
-    task number, and raise what a serial loop would raise.
+    on the helper, in a copy of this thread's context, so its
+    ``np.errstate`` holds in both, and raise what a serial loop would
+    raise. ``run_task(k)`` runs task k; tasks keep no state between them,
+    so either thread may run any of them.
 
     Every task of this thread comes before every task of the helper, so
     a failure here is the earliest: it sets ``stop``, which the helper
@@ -433,7 +425,6 @@ def _share_with_helper(worker, n_tasks: int) -> None:
     stop = False  # written by this thread only, read by the helper
 
     def run_second_half():
-        run_task = worker()
         for k in range(half, n_tasks):
             if not stop:
                 run_task(k)
@@ -441,7 +432,6 @@ def _share_with_helper(worker, n_tasks: int) -> None:
     helper = _eval_helper().submit(contextvars.copy_context().run,
                                    run_second_half)
     try:
-        run_task = worker()
         for k in range(half):
             run_task(k)
     except BaseException:  # interrupts too: the helper ends its task

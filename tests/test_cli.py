@@ -586,6 +586,27 @@ class TestTrainCommand:
                "values while evaluating after epoch 0\n", [])
         assert not (tmp_path / "out" / "model.bin").exists()
 
+    def test_test_files_without_a_window_exit_2_before_training(
+            self, tmp_path):
+        # the one window of 200 rows a 960-row test run gives every 1000
+        # rows holds the fault onset, so it is dropped
+        make_plant_fixtures(tmp_path)
+        path = write_config(
+            tmp_path, data={"path": str(tmp_path), "fault_ids": [1],
+                            "win_len": 200, "stride": 1000},
+            train={"epochs": 3, "batch_size": 16, "seed": 0})
+        model = tmp_path / "model.bin"
+        save_model(build_network((200, N_VARIABLES), 2,
+                                 [{"variant": "elementwise", "k_h": 2,
+                                   "k_w": 2}]), model)
+        want = ("config error: data: the test files give no window: every "
+                "window of win_len 200 cut every stride 1000 rows holds the "
+                "fault onset at row 160, and those are dropped\n")
+        for argv in (["train"], ["eval", "--model", str(model)]):
+            assert run_quietly(argv + ["--config", str(path)]) == (2, want)
+        assert not (tmp_path / "out" / "metrics.csv").exists()
+        assert not (tmp_path / "out" / "model.bin").exists()
+
     def test_deterministic_across_runs(self, tmp_path):
         path = write_config(tmp_path)
         for sub in ("a", "b"):

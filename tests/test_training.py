@@ -642,11 +642,9 @@ class TestChunkedPasses:
                 mock.patch.object(training, "_run_stack", spy):
             probs = forward_network(net, ds.windows, ds.stride)
         self.assert_same_predictions(probs, window_by_window)
-        # each block runs once, but the one the helper's first block reads
-        # from when the workers split a group
-        runs = Counter(ran)
-        assert all(runs[b.tobytes()] >= 1 for b in blocks)
-        assert sum(runs[b.tobytes()] for b in blocks) <= len(blocks) + 1
+        # each block's input runs exactly once, wherever the workers split
+        runs, want = Counter(ran), Counter(b.tobytes() for b in blocks)
+        assert all(runs[key] == want[key] for key in want)
 
     @pytest.mark.parametrize("variant", ("elementwise", "full_matrix"))
     def test_plant_set_keeps_the_predictions(self, variant):
@@ -686,6 +684,28 @@ class TestChunkedPasses:
         out_rows.clear()  # windows said to share no rows: one by one
         evaluate(net, WindowedDataset(ds.windows, ds.labels, 40, 40))
         assert sum(out_rows) == len(ds) * 38 == 13680
+
+    def test_a_split_inside_a_group_runs_no_block_twice(self, monkeypatch):
+        # three runs make 21 tasks, seven a run: the caller runs tasks 0-10
+        # and the helper 11-20, from the fourth block of the second run's
+        # faulty group on
+        net = build_network((40, 52), 4,
+                            [{"variant": "elementwise", "k_h": 3, "k_w": 3,
+                              "out_channels": 8}], seed=12)
+        ds = plant_test_set(n_runs=3)
+        assert len(ds) == 270
+        monkeypatch.setattr(training, "EVAL_WORKERS", 2)
+        out_rows = []
+        original = training.layer_forward
+
+        def counting(x, params, cache, op):
+            out = original(x, params, cache=cache, op=op)
+            out_rows.append(out.shape[0] * out.shape[1])
+            return out
+        monkeypatch.setattr(training, "layer_forward", counting)
+        evaluate(net, ds)
+        assert len(out_rows) == 3 * 7
+        assert sum(out_rows) == 3 * (158 + 798) == 2868
 
     @staticmethod
     def exponentials(monkeypatch) -> list:

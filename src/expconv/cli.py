@@ -461,9 +461,9 @@ def cmd_augment(args) -> int:
     train_ds, _, _, _ = build_datasets(cfg)
     rng = make_rng(tc.seed)
     streams = private_streams(tc.augments)
+    windows = train_ds.windows
     augmented = np.stack([apply_pipeline(w, tc.augments, rng, streams)
-                          for w in train_ds.windows]) \
-        if len(train_ds) else train_ds.windows
+                          for w in windows]) if len(windows) else windows
     out_ds = WindowedDataset(augmented, train_ds.labels,
                              train_ds.win_len, train_ds.stride)
     save_windows_csv(out_ds, os.path.join(out_dir, "augmented.csv"))

@@ -6,6 +6,8 @@ operation. Each run measures 52 process variables; faulty training runs
 hold 480 samples and test runs 960, with the fault appearing at sample
 160 of a test run. Windows cut from a test run are labeled by where they
 sit relative to that onset; windows that contain the onset are dropped.
+A windowed dataset holds each row once: the runs' rows as one series,
+and each window as its start in it.
 
 The synthetic task generator builds two-class window datasets whose
 classes differ in a power-law energy feature with a known exponent, so a
@@ -74,34 +76,123 @@ class NormStats:
             raise ValueError("std entries must be positive")
 
 
-@dataclass
 class WindowedDataset:
-    """Parallel arrays of windows (n, win_len, channels) and int labels (n,)."""
+    """Windows of ``win_len`` rows cut every ``stride`` rows, with one int
+    label each.
 
-    windows: np.ndarray
-    labels: np.ndarray
-    win_len: int
-    stride: int
+    A dataset holds each row once: ``series`` (R, channels) holds the
+    rows, and window i is ``series[starts[i]:starts[i] + win_len]``.
+    Plant ingest (``make_windows``, ``merge_windows``) keeps the runs'
+    rows as the series and never copies a window. Built from a window
+    array (n, win_len, channels), a dataset keeps that array as its
+    series when its windows share no rows; otherwise each window whose
+    first win_len - stride rows equal the last rows of the window before
+    it is joined to it, its last ``stride`` rows appended once
+    (``join_windows``). A NaN equals nothing, so a window holding one is
+    never joined. ``windows`` gathers the window array for callers that
+    need it; training and evaluation read the series. A ``stride`` below
+    1 is a ValueError.
+    """
 
-    def __post_init__(self):
-        self.windows = np.asarray(self.windows, dtype=np.float64)
-        self.labels = np.asarray(self.labels, dtype=np.int64)
-        if self.windows.ndim != 3:
+    def __init__(self, windows, labels, win_len: int, stride: int):
+        windows = np.asarray(windows, dtype=np.float64)
+        if windows.ndim != 3:
             raise ValueError("windows must be (n, win_len, channels)")
-        if self.labels.shape != (self.windows.shape[0],):
-            raise ValueError("labels must align with windows")
-        if self.windows.shape[0] and self.windows.shape[1] != self.win_len:
+        if windows.shape[0] and windows.shape[1] != win_len:
             raise ValueError("window length mismatch")
+        _check_stride(stride)
+        self._hold(*join_windows(windows, stride), labels, win_len, stride)
+
+    @classmethod
+    def from_series(cls, series, starts, labels, win_len: int,
+                    stride: int) -> "WindowedDataset":
+        """The windows ``series[s:s + win_len]`` for s in ``starts``,
+        holding ``series`` as it is."""
+        _check_stride(stride)
+        dataset = cls.__new__(cls)
+        dataset._hold(series, starts, labels, win_len, stride)
+        return dataset
+
+    def _hold(self, series, starts, labels, win_len: int,
+              stride: int) -> None:
+        self.series = np.asarray(series, dtype=np.float64)
+        self.starts = np.asarray(starts, dtype=np.int64)
+        self.labels = np.asarray(labels, dtype=np.int64)
+        self.win_len = win_len
+        self.stride = stride
+        if self.series.ndim != 2 or self.starts.ndim != 1:
+            raise ValueError("need a (rows, channels) series and 1-D starts")
+        if self.labels.shape != self.starts.shape:
+            raise ValueError("labels must align with windows")
+        if len(self.starts) and not (
+                0 <= self.starts.min()
+                and self.starts.max() + win_len <= len(self.series)):
+            raise ValueError("a window lies outside the series")
 
     def __len__(self) -> int:
-        return self.windows.shape[0]
+        return len(self.starts)
 
     def __getitem__(self, i):
-        return self.windows[i], int(self.labels[i])
+        start = int(self.starts[i])
+        return (self.series[start:start + self.win_len],
+                int(self.labels[i]))
 
     @property
     def channels(self) -> int:
-        return self.windows.shape[2]
+        return self.series.shape[1]
+
+    @property
+    def windows(self) -> np.ndarray:
+        """The windows (n, win_len, channels), read from the series on
+        each read: a view when they lie back to back, else a gathered copy
+        (``window_rows``). Read it once."""
+        return window_rows(self.series, self.starts, self.win_len)
+
+
+def _check_stride(stride: int) -> None:
+    if not stride >= 1:
+        raise ValueError(f"stride must be >= 1, got {stride}")
+
+
+def window_rows(series: np.ndarray, starts, win_len: int) -> np.ndarray:
+    """The windows ``series[s:s + win_len]`` for s in ``starts``, as one
+    (n, win_len, channels) array: a reshape view of the series when they
+    lie back to back, else a gathered copy."""
+    starts = np.asarray(starts)
+    if len(starts) and (np.diff(starts) == win_len).all():
+        first = int(starts[0])
+        return series[first:first + len(starts) * win_len].reshape(
+            len(starts), win_len, series.shape[1])
+    return series[starts[:, None] + np.arange(win_len)]
+
+
+def join_windows(windows: np.ndarray, stride: int) -> tuple:
+    """(series, starts) holding the windows (n, win_len, channels).
+
+    With 0 < stride < win_len, a window whose first win_len - stride rows
+    equal the last rows of the window before it starts ``stride`` rows
+    after it, and only its last ``stride`` rows are added to the series;
+    the rows are compared as values, win_len windows at a time, so NaN
+    equals nothing and a shared row keeps the first window's bits (-0.0
+    equals 0.0). When no window is joined, the series is the window array
+    itself, reshaped.
+    """
+    n, win_len, channels = windows.shape
+    series, starts = windows.reshape(n * win_len, channels), \
+        np.arange(n) * win_len
+    if not 0 < stride < win_len or n < 2:
+        return series, starts
+    joined = np.zeros(n, dtype=bool)  # joined[j]: window j continues j - 1
+    for j in range(1, n, win_len):
+        k = min(j + win_len, n)
+        joined[j:k] = (windows[j:k, :win_len - stride]
+                       == windows[j - 1:k - 1, stride:]).all(axis=(1, 2))
+    if not joined.any():
+        return series, starts
+    counts = np.where(joined, stride, win_len)  # rows each window adds
+    ends = np.cumsum(counts)
+    rows = np.arange(ends[-1]) - np.repeat(ends - win_len, counts)
+    return windows[np.repeat(np.arange(n), counts), rows], ends - win_len
 
 
 @dataclass
@@ -246,7 +337,8 @@ def make_windows(run: RawRun, win_len: int = DEFAULT_WIN_LEN,
     Training windows inherit the run's fault id. Test windows are labeled
     normal when they end before the fault onset, with the fault id when
     they start at or after it, and are dropped when they contain the
-    onset itself.
+    onset itself. The dataset's series is the run's matrix itself and
+    its starts are the kept positions, so no window is copied.
     """
     if win_len < 1 or stride < 1:
         raise ValueError("win_len and stride must be >= 1")
@@ -260,22 +352,30 @@ def make_windows(run: RawRun, win_len: int = DEFAULT_WIN_LEN,
         labels = np.where(starts >= FAULT_ONSET, run.fault_id, 0)
     else:
         labels = np.full(starts.shape, run.fault_id)
-    return WindowedDataset(run.matrix[starts[:, None] + np.arange(win_len)],
-                           labels, win_len=win_len, stride=stride)
+    return WindowedDataset.from_series(run.matrix, starts, labels,
+                                       win_len=win_len, stride=stride)
 
 
 def merge_windows(datasets) -> WindowedDataset:
+    """One dataset of the parts' windows in order, over one series that
+    joins the parts' series. Parts whose window length, stride or channel
+    count differ are a ValueError naming both values."""
     datasets = list(datasets)
     if not datasets:
         raise ValueError("nothing to merge")
-    win_len = datasets[0].win_len
-    stride = datasets[0].stride
-    if any(d.win_len != win_len for d in datasets):
-        raise ValueError("window lengths differ")
-    return WindowedDataset(
-        np.concatenate([d.windows for d in datasets], axis=0),
-        np.concatenate([d.labels for d in datasets], axis=0),
-        win_len=win_len, stride=stride)
+    first = datasets[0]
+    for d in datasets[1:]:
+        for what, a, b in (("window lengths", first.win_len, d.win_len),
+                           ("strides", first.stride, d.stride),
+                           ("channel counts", first.channels, d.channels)):
+            if a != b:
+                raise ValueError(f"{what} differ: {a} and {b}")
+    offsets = np.cumsum([0] + [len(d.series) for d in datasets[:-1]])
+    return WindowedDataset.from_series(
+        np.concatenate([d.series for d in datasets]),
+        np.concatenate([d.starts + off for d, off in zip(datasets, offsets)]),
+        np.concatenate([d.labels for d in datasets]),
+        win_len=first.win_len, stride=first.stride)
 
 
 # --------------------------------------------------------------------------
@@ -407,7 +507,8 @@ def gen_synthetic(win_len: int = 8, channels: int = 4, exponent: float = 2.0,
 
 def save_windows_csv(dataset: WindowedDataset, path) -> None:
     """Cache a windowed dataset: shape comment, header, one window per row."""
-    n, win_len, channels = dataset.windows.shape
+    windows = dataset.windows
+    n, win_len, channels = windows.shape
     with open(path, "w", newline="") as fh:
         fh.write(f"# win_len={win_len} channels={channels} "
                  f"stride={dataset.stride}\n")
@@ -415,29 +516,45 @@ def save_windows_csv(dataset: WindowedDataset, path) -> None:
         names = [f"v{i}" for i in range(win_len * channels)]
         writer.writerow(["label"] + names)
         for i in range(n):
-            flat = dataset.windows[i].reshape(-1)
+            flat = windows[i].reshape(-1)
             writer.writerow([int(dataset.labels[i])]
                             + [repr(float(v)) for v in flat])
 
 
 def load_windows_csv(path) -> WindowedDataset:
+    """Read a cache written by ``save_windows_csv``. A malformed shape
+    line, header or row is a ValueError naming the path and the line."""
     with open(path, newline="") as fh:
         shape_line = fh.readline()
         if not shape_line.startswith("#"):
             raise ValueError(f"{path}: missing shape comment line")
-        fields = dict(part.split("=") for part in shape_line[1:].split())
-        win_len = int(fields["win_len"])
-        channels = int(fields["channels"])
-        stride = int(fields["stride"])
+        try:
+            fields = dict(part.split("=") for part in shape_line[1:].split())
+            win_len, channels, stride = (int(fields[key]) for key in
+                                         ("win_len", "channels", "stride"))
+            if min(win_len, channels, stride) < 1:
+                raise ValueError("a size below 1")
+        except (KeyError, ValueError) as exc:
+            raise ValueError(
+                f"{path}: line 1: shape comment {shape_line.strip()!r} is "
+                "not '# win_len=W channels=C stride=S' with sizes >= 1 "
+                f"({type(exc).__name__}: {exc})") from None
         reader = csv.reader(fh)
-        header = next(reader)
-        if header[0] != "label" or len(header) != 1 + win_len * channels:
+        header = next(reader, [])
+        if header[:1] != ["label"] or len(header) != 1 + win_len * channels:
             raise ValueError(f"{path}: header does not match shape line")
         labels = []
         rows = []
         for row in reader:
-            labels.append(int(row[0]))
-            rows.append(np.array([float(v) for v in row[1:]]))
+            where = f"{path}: line {reader.line_num + 1}"
+            if len(row) != 1 + win_len * channels:
+                raise ValueError(f"{where}: {len(row)} fields, expected a "
+                                 f"label and {win_len * channels} values")
+            try:
+                labels.append(int(row[0]))
+                rows.append(np.array([float(v) for v in row[1:]]))
+            except ValueError as exc:
+                raise ValueError(f"{where}: {exc}") from None
     if rows:
         windows = np.stack(rows).reshape(len(rows), win_len, channels)
     else:

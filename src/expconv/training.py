@@ -6,10 +6,11 @@ the input and the last convolution must emit a single channel so their
 output is again a (time, channel) matrix.
 
 Passes run the network on chunks of a few windows (``EVAL_CHUNK``).
-Evaluation also reads how many rows apart the windows were cut
-(``WindowedDataset.stride``): a run of consecutive windows whose shared
-rows are equal is a dense group with one last feature map, the network's
-output on the union of the group's rows, and each window's features are
+Evaluation reads the windows from their series (``WindowedDataset``) and
+how many rows apart they were cut (``WindowedDataset.stride``): a run of
+consecutive windows whose starts are that many rows apart is a dense
+group with one last feature map, the network's output on the union of
+the group's rows, a slice of the series, and each window's features are
 its slice of that map, as in the dense sliding-window evaluation of
 OverFeat (Sermanet et al. 2014, arXiv:1312.6229). The map is computed
 once, in fixed blocks of output rows whose input is at most EVAL_CHUNK
@@ -52,7 +53,7 @@ from .constraints import (
     payload_arrays,
     stored_grad,
 )
-from .dataset import WindowedDataset
+from .dataset import WindowedDataset, join_windows, window_rows
 from .gradients import layer_backward
 from .layers import (
     VARIANT_TYPES,
@@ -272,29 +273,22 @@ def _head_shares(net: Network, maps: np.ndarray, starts: slice,
         r_w, rows.shape[1], -1)).sum(axis=0)
 
 
-def _eval_chunks(windows: np.ndarray, stride: int) -> list:
-    """``forward_network``'s chunks and dense groups, as (first, stop,
-    stride) window ranges.
+def _eval_chunks(starts, stride: int, win_len: int = 0) -> list:
+    """``forward_network``'s chunks and dense groups of the windows at
+    ``starts`` in their series, as (first, stop, stride) window ranges.
 
-    With 0 < stride < T, a window whose rows from ``stride`` on are the
-    next window's first T - stride rows starts a dense group: it and every
-    window after it that continues the same rows. The other windows form
-    chunks of up to EVAL_CHUNK consecutive windows, with stride 0. The
-    rows are compared a bounded number of windows at a time; NaN equals
-    nothing, so a window holding one is never joined to its neighbours.
+    With 0 < stride < win_len, two or more consecutive windows whose
+    starts are ``stride`` apart form a dense group. The other windows form
+    chunks of up to EVAL_CHUNK consecutive windows, with stride 0; for
+    stride 0 only the count of ``starts`` is read, so a step passes its
+    batch.
     """
-    n, win_len = windows.shape[:2]
+    n = len(starts)
     if not 0 < stride < win_len:
         return [(first, min(first + EVAL_CHUNK, n), 0)
                 for first in range(0, n, EVAL_CHUNK)]
-    piece = EVAL_CHUNK * win_len // stride  # the windows of about a block
-    # continues[j]: window j's rows from ``stride`` on start window j + 1
-    continues = []
-    for j in range(0, n - 1, piece):
-        k = min(j + piece, n - 1)
-        continues += (windows[j + 1:k + 1, :win_len - stride]
-                      == windows[j:k, stride:]).all(axis=(1, 2)).tolist()
-    continues.append(False)
+    # continues[j]: window j + 1 starts ``stride`` rows after window j
+    continues = (np.diff(starts) == stride).tolist() + [False]
     chunks = []
     first = 0
     while first < n:
@@ -326,19 +320,23 @@ def _dense_blocks(n: int, shift: int, r_w: int, size: int) -> list:
             for first, stop, lo in zip(firsts, stops, los.tolist())]
 
 
-def forward_network(net: Network, windows: np.ndarray,
+def forward_network(net: Network, windows,
                     stride: int = 0) -> np.ndarray:
-    """Class probabilities for a batch of windows (n, T, C) or one (T, C).
+    """Class probabilities for a batch of windows (n, T, C), one window
+    (T, C) or a ``WindowedDataset``.
 
-    ``stride`` is how many rows apart the windows were cut from their
-    series (``WindowedDataset.stride``); 0 evaluates every window on its
-    own. With 0 < stride < T, stride a multiple of the product ``unit`` of
-    the layers' ``stride_t``, a run of consecutive windows whose shared
-    rows are equal forms a dense group (``_eval_chunks``): the rows are
-    compared, not assumed, so shuffled, filtered or edited windows fall
-    back on their own. A group has one last feature map, the network's
-    output on the union of its rows (the first window, then the last
-    ``stride`` rows of each next one), and each window's features are its
+    The windows are read from one series (``WindowedDataset.series``); a
+    window array is first joined into one (``join_windows``): each window
+    whose first T - stride rows equal the last rows of the window before
+    it adds only its last ``stride`` rows, so shuffled, filtered or edited
+    windows, and any window holding a NaN, keep rows of their own.
+    ``stride`` is how many rows apart the windows were cut
+    (``WindowedDataset.stride``); 0 evaluates every window on its own.
+    With 0 < stride < T, stride a multiple of the product ``unit`` of the
+    layers' ``stride_t``, consecutive windows whose starts in the series
+    are ``stride`` rows apart form a dense group (``_eval_chunks``). A
+    group has one last feature map, the network's output on the union of
+    its rows, a slice of the series, and each window's features are its
     slice of that map. The map is computed once, in fixed blocks of
     ``size`` output rows counted from the group's first row, each from at
     most EVAL_CHUNK * T input rows (``_dense_blocks``); adjacent blocks
@@ -348,7 +346,8 @@ def forward_network(net: Network, windows: np.ndarray,
     each block adds the head product of the map rows it holds to every
     window that reads any of them (``_head_shares``), and nothing passes
     from one block to the next. Other windows run in chunks of up to
-    EVAL_CHUNK windows, through the whole head.
+    EVAL_CHUNK windows, through the whole head; a chunk whose windows lie
+    back to back in the series is a view of it (``window_rows``).
     Either way each window's probabilities are those of the network run on
     it alone, up to summation order.
 
@@ -361,9 +360,18 @@ def forward_network(net: Network, windows: np.ndarray,
     on which thread ran which task. With EVAL_WORKERS = 2 the tasks are
     shared with one helper thread (``_share_with_helper``).
     """
-    windows = np.asarray(windows, dtype=np.float64)
-    single = windows.ndim == 2
-    windows = _checked_windows(net, windows[None] if single else windows)
+    single = False
+    if isinstance(windows, WindowedDataset):
+        shape = (windows.win_len, windows.channels)
+        if shape != tuple(net.input_shape):
+            raise ValueError(f"window shape {shape} does not match declared "
+                             f"input {tuple(net.input_shape)}")
+        series, starts = windows.series, windows.starts
+    else:
+        windows = np.asarray(windows, dtype=np.float64)
+        single = windows.ndim == 2
+        windows = _checked_windows(net, windows[None] if single else windows)
+        series, starts = join_windows(windows, stride)
     win_len = net.input_shape[0]
     layers, ops = _effective_layers(net)
     field, unit = 1, 1  # input rows one output row reads, and between two
@@ -374,28 +382,28 @@ def forward_network(net: Network, windows: np.ndarray,
     size = (EVAL_CHUNK * win_len - field) // unit + 1  # rows of a block
     tasks = []  # (origin, step, first, stop, lo, hi); see _dense_blocks
     for origin, stop, step in _eval_chunks(
-            windows, stride if stride % unit == 0 else 0):
+            starts, stride if stride % unit == 0 else 0, win_len):
         blocks = (_dense_blocks(stop - origin, step // unit, r_w, size)
                   if step else [(0, stop - origin, 0, 0)])
         tasks += [(origin, step, *block) for block in blocks]
-    shares = np.zeros((2, len(windows), net.n_classes))
+    shares = np.zeros((2, len(starts), net.n_classes))
 
     def run_task(k):
         origin, step, first, stop, lo, hi = tasks[k]
         if step:
-            # rows [lo, hi) of the group's map, each input row read from
-            # the first window that holds it
-            rows = np.arange(lo * unit, (hi - 1) * unit + field)
-            w = np.maximum((rows - win_len) // step + 1, 0)
-            _, outputs = _run_stack(windows[origin + w, rows - w * step][None],
-                                    layers, ops)
+            # rows [lo, hi) of the group's map, from a slice of the series
+            row = starts[origin] + lo * unit
+            _, outputs = _run_stack(
+                series[row:row + (hi - 1 - lo) * unit + field][None],
+                layers, ops)
             shift = step // unit
             part = _head_shares(net, outputs[-1][0], slice(
                 first * shift - lo + r_w - 1, stop * shift - lo + r_w - 1,
                 shift), r_w)
         else:
-            _, outputs = _run_stack(windows[origin + first:origin + stop],
-                                    layers, ops)
+            _, outputs = _run_stack(window_rows(
+                series, starts[origin + first:origin + stop], win_len),
+                layers, ops)
             part = outputs[-1].reshape(stop - first, -1) @ net.head_w
         shares[lo // size % 2, origin + first:origin + stop] = part
 
@@ -661,14 +669,14 @@ def predict(net: Network, windows: np.ndarray) -> np.ndarray:
 
 
 def evaluate(net: Network, dataset: WindowedDataset) -> Metrics:
-    """The metrics of the network's predictions on the dataset. Its
-    stride is passed to ``forward_network``, so the rows that consecutive
-    windows share are run once. A label outside
-    [0, n_classes) is a ValueError."""
+    """The metrics of the network's predictions on the dataset. The
+    dataset and its stride are passed to ``forward_network``, which reads
+    its series, so the rows that consecutive windows share are run once.
+    A label outside [0, n_classes) is a ValueError."""
     if len(dataset) == 0:
         raise ValueError("cannot evaluate on an empty dataset")
     true = _checked_labels(dataset.labels, len(dataset), net.n_classes)
-    preds = np.argmax(forward_network(net, dataset.windows, dataset.stride),
+    preds = np.argmax(forward_network(net, dataset, dataset.stride),
                       axis=-1)
     k = net.n_classes
     confusion = np.zeros((k, k), dtype=np.int64)
@@ -715,7 +723,8 @@ def train(net: Network, dataset: WindowedDataset, config: TrainConfig,
         batch_losses = []
         for start in range(0, len(order), config.batch_size):
             idx = order[start:start + config.batch_size]
-            xb = dataset.windows[idx]
+            xb = window_rows(dataset.series, dataset.starts[idx],
+                             dataset.win_len)
             yb = dataset.labels[idx]
             try:
                 if config.augments:

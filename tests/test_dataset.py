@@ -286,6 +286,75 @@ class TestMakeWindows:
             merge_windows([a, b])
 
 
+    def test_merge_rejects_mixed_strides(self):
+        a = make_windows(fake_run(20, 60), win_len=20, stride=5)
+        b = make_windows(fake_run(21, 60), win_len=20, stride=2)
+        with pytest.raises(ValueError, match="strides differ: 5 and 2"):
+            merge_windows([a, b])
+
+    def test_merge_rejects_mixed_channel_counts(self):
+        a = WindowedDataset(np.zeros((2, 4, 3)), [0, 0], 4, 4)
+        b = WindowedDataset(np.zeros((2, 4, 4)), [0, 0], 4, 4)
+        with pytest.raises(ValueError, match="channel counts differ: 3 and 4"):
+            merge_windows([a, b])
+
+
+class TestSeries:
+    """A dataset holds its rows once, as a series and window starts."""
+
+    def test_make_windows_keeps_the_run_as_its_series(self):
+        run = fake_run(22, TEST_ROWS, fault_id=2, split="test")
+        ds = make_windows(run, win_len=40, stride=10)
+        assert ds.series is run.matrix
+        starts = np.arange(0, TEST_ROWS - 40 + 1, 10)
+        assert ds.starts.tolist() == starts[(starts + 40 <= FAULT_ONSET)
+                                            | (starts >= FAULT_ONSET)].tolist()
+
+    def test_merge_joins_the_series(self):
+        runs = [fake_run(23, 60), fake_run(24, 90, fault_id=2)]
+        parts = [make_windows(run, win_len=20, stride=10) for run in runs]
+        merged = merge_windows(parts)
+        np.testing.assert_array_equal(
+            merged.series, np.concatenate([run.matrix for run in runs]))
+        assert merged.starts.tolist() == parts[0].starts.tolist() + (
+            parts[1].starts + 60).tolist()
+        np.testing.assert_array_equal(
+            merged.windows, np.concatenate([p.windows for p in parts]))
+
+    def test_windows_that_continue_are_joined_once(self):
+        series = make_rng(25).normal(size=(70, 3))
+        windows = series[np.arange(0, 31, 10)[:, None] + np.arange(40)]
+        ds = WindowedDataset(windows, np.zeros(4, dtype=int), 40, 10)
+        np.testing.assert_array_equal(ds.series, series)
+        assert ds.starts.tolist() == [0, 10, 20, 30]
+        np.testing.assert_array_equal(ds.windows, windows)
+
+    @pytest.mark.parametrize("stride", [8, 3])
+    def test_windows_sharing_no_rows_keep_their_array(self, stride):
+        # with stride 3 they could share rows, but do not
+        windows = make_rng(26).normal(size=(5, 8, 3))
+        ds = WindowedDataset(windows, np.zeros(5, dtype=int), 8, stride)
+        assert np.shares_memory(ds.series, windows)
+        assert ds.starts.tolist() == [0, 8, 16, 24, 32]
+        np.testing.assert_array_equal(ds.windows, windows)
+
+    def test_edited_and_nan_windows_keep_rows_of_their_own(self):
+        series = make_rng(27).normal(size=(80, 3))
+        windows = series[np.arange(0, 41, 5)[:, None] + np.arange(40)]
+        windows[2, -1, 0] += 1.0  # window 3 no longer continues window 2
+        windows[5, 15, 1] = np.nan  # window 5 neither continues nor is
+        ds = WindowedDataset(windows, np.zeros(9, dtype=int), 40, 5)
+        assert ds.starts.tolist() == [0, 5, 10, 50, 55, 95, 135, 140, 145]
+        assert len(ds.series) == 185
+        np.testing.assert_array_equal(ds.windows, windows)
+
+    @pytest.mark.parametrize("stride", [0, -3])
+    def test_stride_below_1_rejected(self, stride):
+        with pytest.raises(ValueError,
+                           match=f"stride must be >= 1, got {stride}"):
+            WindowedDataset(np.zeros((2, 5, 3)), np.zeros(2), 5, stride)
+
+
 def per_window_make_windows(run, win_len, stride):
     """Windowing as it cut one window at a time: the oracle of the
     single index."""
@@ -574,6 +643,20 @@ class TestWindowsCsv:
         path = tmp_path / "bad.csv"
         path.write_text("label,v0\n0,1.0\n")
         with pytest.raises(ValueError, match="shape comment"):
+            load_windows_csv(path)
+
+    @pytest.mark.parametrize("text, line", [
+        ("# win_len=1 channels=2\nlabel,v0,v1\n0,1.0,2.0\n", 1),
+        ("# win_len=1 channels=2 stride=0\nlabel,v0,v1\n", 1),
+        ("# win_len=1 channels=2 stride=1\nlabel,v0,v1\n0,1.0,2.0\n"
+         "1,3.0\n", 4),
+        ("# win_len=1 channels=2 stride=1\nlabel,v0,v1\n0,1.0,x\n", 3)])
+    def test_malformed_cache_names_path_and_line(self, tmp_path, text,
+                                                 line):
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError,
+                           match=f"^{re.escape(str(path))}: line {line}: "):
             load_windows_csv(path)
 
     def test_row_major_flattening(self, tmp_path):

@@ -601,7 +601,7 @@ class TestChunkedPasses:
               "out_channels": 2, "activation": "tanh"}], seed=26))
         field = k_0 + (k_1 - 1) * stride_t  # input rows of one output row
         dense = stride % stride_t == 0  # else every window runs on its own
-        chunks = training._eval_chunks(ds.windows, ds.stride)
+        chunks = training._eval_chunks(ds.starts, ds.stride, win_len)
         assert [c[0] for c in chunks] == [0] + [c[1] for c in chunks[:-1]]
         assert chunks[-1][1] == len(ds)
         blocks = []
@@ -707,6 +707,30 @@ class TestChunkedPasses:
         assert len(out_rows) == 3 * 7
         assert sum(out_rows) == 3 * (158 + 798) == 2868
 
+    @pytest.mark.parametrize("cut", ("dense", "apart"))
+    def test_passes_read_slices_of_the_series(self, monkeypatch, cut):
+        # a dense block's input rows, and a stacked chunk of windows that
+        # lie back to back, are views of the series, not gathers
+        net = build_network((40, 52), 4,
+                            [{"variant": "elementwise", "k_h": 3, "k_w": 3,
+                              "out_channels": 8}], seed=12)
+        if cut == "dense":  # one test run: two groups, seven blocks
+            ds, tasks = plant_test_set(n_runs=1), 7
+        else:  # windows said to share no rows: six chunks
+            rng = make_rng(28)
+            ds = WindowedDataset(rng.normal(size=(22, 40, 52)),
+                                 rng.integers(0, 4, size=22), 40, 40)
+            tasks = 6
+        views = []
+        original = training._run_stack
+
+        def spy(x, layers, ops, caches=None):
+            views.append(np.shares_memory(x, ds.series))
+            return original(x, layers, ops, caches)
+        monkeypatch.setattr(training, "_run_stack", spy)
+        evaluate(net, ds)
+        assert views == [True] * tasks
+
     @staticmethod
     def exponentials(monkeypatch) -> list:
         """M * n * N, the exponentials of every later ``layer_forward``:
@@ -788,7 +812,10 @@ class TestChunkedPasses:
                 return network_loss_grads(net, windows[:n], labels[:n])
             if pass_name == "forward":
                 return forward_network(net, windows[:n])
-            return forward_network(net, dense.windows[:n], dense.stride)
+            # the form ``evaluate`` passes: the dataset's first n windows
+            return forward_network(net, WindowedDataset.from_series(
+                dense.series, dense.starts[:n], dense.labels[:n], 40, 10),
+                dense.stride)
         run(8)  # warm up lazy set-up outside the measurement
         if pass_name == "step":  # serial: its chunks run one after another
             small = self.traced_peak(lambda: run(8))
@@ -921,6 +948,22 @@ class TestEvalHelper:
 
 
 class TestTrainLoop:
+    def test_train_and_evaluate_read_the_series(self, monkeypatch):
+        # neither gathers a dataset's window array: a batch is gathered
+        # from the series, and evaluation reads slices of it
+        train_set, test_set = plant_test_set(n_runs=2), plant_test_set()
+        net = build_network((40, 52), 4,
+                            [{"variant": "elementwise", "k_h": 3, "k_w": 3}],
+                            seed=12)
+        reads = []
+        monkeypatch.setattr(WindowedDataset, "windows",
+                            property(lambda ds: reads.append(len(ds))))
+        config = TrainConfig(epochs=1, batch_size=32, seed=3, augments=(
+            AugmentSpec("flip_lr", probability=0.5),))
+        train(net, train_set, config, eval_dataset=test_set)
+        evaluate(net, test_set)
+        assert reads == []
+
     def test_zero_epochs_is_a_no_op(self):
         net = tiny_net(seed=20)
         before = params_bytes(net)

@@ -166,29 +166,36 @@ def window_rows(series: np.ndarray, starts, win_len: int) -> np.ndarray:
     return series[starts[:, None] + np.arange(win_len)]
 
 
+def continued_windows(windows: np.ndarray, stride: int) -> np.ndarray:
+    """continued[j]: window j of ``windows`` (n, win_len, channels)
+    continues window j - 1, its first win_len - stride rows equal to the
+    last rows of that window (never for window 0, nor unless 0 < stride <
+    win_len). The rows are compared as values, win_len windows at a time,
+    so NaN equals nothing and -0.0 equals 0.0."""
+    n, win_len = windows.shape[:2]
+    continued = np.zeros(n, dtype=bool)
+    if not 0 < stride < win_len:
+        return continued
+    for j in range(1, n, win_len):
+        k = min(j + win_len, n)
+        continued[j:k] = (windows[j:k, :win_len - stride]
+                          == windows[j - 1:k - 1, stride:]).all(axis=(1, 2))
+    return continued
+
+
 def join_windows(windows: np.ndarray, stride: int) -> tuple:
     """(series, starts) holding the windows (n, win_len, channels).
 
-    With 0 < stride < win_len, a window whose first win_len - stride rows
-    equal the last rows of the window before it starts ``stride`` rows
-    after it, and only its last ``stride`` rows are added to the series;
-    the rows are compared as values, win_len windows at a time, so NaN
-    equals nothing and a shared row keeps the first window's bits (-0.0
-    equals 0.0). When no window is joined, the series is the window array
-    itself, reshaped.
+    A window that continues the one before it (``continued_windows``)
+    starts ``stride`` rows after it, and only its last ``stride`` rows are
+    added to the series, so a shared row keeps the first window's bits.
+    When no window is joined, the series is the window array itself,
+    reshaped.
     """
     n, win_len, channels = windows.shape
-    series, starts = windows.reshape(n * win_len, channels), \
-        np.arange(n) * win_len
-    if not 0 < stride < win_len or n < 2:
-        return series, starts
-    joined = np.zeros(n, dtype=bool)  # joined[j]: window j continues j - 1
-    for j in range(1, n, win_len):
-        k = min(j + win_len, n)
-        joined[j:k] = (windows[j:k, :win_len - stride]
-                       == windows[j - 1:k - 1, stride:]).all(axis=(1, 2))
+    joined = continued_windows(windows, stride)
     if not joined.any():
-        return series, starts
+        return windows.reshape(n * win_len, channels), np.arange(n) * win_len
     counts = np.where(joined, stride, win_len)  # rows each window adds
     ends = np.cumsum(counts)
     rows = np.arange(ends[-1]) - np.repeat(ends - win_len, counts)

@@ -53,7 +53,7 @@ from .constraints import (
     payload_arrays,
     stored_grad,
 )
-from .dataset import WindowedDataset, join_windows, window_rows
+from .dataset import WindowedDataset, continued_windows, window_rows
 from .gradients import layer_backward
 from .layers import (
     VARIANT_TYPES,
@@ -198,13 +198,19 @@ def _eval_helper() -> ThreadPoolExecutor:
                               thread_name_prefix="expconv-eval")
 
 
+def _check_batch_shape(net: Network, shape: tuple) -> None:
+    """Raise unless ``shape`` is that of a batch (n, T, C) of the
+    network's input windows."""
+    if len(shape) != 3 or tuple(shape[1:]) != tuple(net.input_shape):
+        raise ValueError(
+            f"window shape {tuple(shape[1:])} does not match declared "
+            f"input {tuple(net.input_shape)} (batch shape {tuple(shape)})")
+
+
 def _checked_windows(net: Network, windows: np.ndarray) -> np.ndarray:
     """A batch (n, T, C) of the network's input windows, as float64."""
     windows = np.asarray(windows, dtype=np.float64)
-    if windows.ndim != 3 or windows.shape[1:] != tuple(net.input_shape):
-        raise ValueError(
-            f"window shape {windows.shape[1:]} does not match declared "
-            f"input {tuple(net.input_shape)} (batch shape {windows.shape})")
+    _check_batch_shape(net, windows.shape)
     return windows
 
 
@@ -273,22 +279,19 @@ def _head_shares(net: Network, maps: np.ndarray, starts: slice,
         r_w, rows.shape[1], -1)).sum(axis=0)
 
 
-def _eval_chunks(starts, stride: int, win_len: int = 0) -> list:
-    """``forward_network``'s chunks and dense groups of the windows at
-    ``starts`` in their series, as (first, stop, stride) window ranges.
+def _eval_chunks(continued: np.ndarray, stride: int) -> list:
+    """``forward_network``'s chunks and dense groups of n windows, as
+    (first, stop, stride) window ranges; ``continued[j]`` (n of them) is
+    whether window j continues window j - 1, ``stride`` rows after it.
 
-    With 0 < stride < win_len, two or more consecutive windows whose
-    starts are ``stride`` apart form a dense group. The other windows form
-    chunks of up to EVAL_CHUNK consecutive windows, with stride 0; for
-    stride 0 only the count of ``starts`` is read, so a step passes its
-    batch.
+    A window and the windows after it that each continue the one before
+    form a dense group. The other windows form chunks of up to
+    EVAL_CHUNK consecutive windows, with stride 0; a step, whose windows
+    continue nothing, passes n zeros.
     """
-    n = len(starts)
-    if not 0 < stride < win_len:
-        return [(first, min(first + EVAL_CHUNK, n), 0)
-                for first in range(0, n, EVAL_CHUNK)]
-    # continues[j]: window j + 1 starts ``stride`` rows after window j
-    continues = (np.diff(starts) == stride).tolist() + [False]
+    n = len(continued)
+    # continues[j]: window j + 1 continues window j
+    continues = np.asarray(continued[1:], dtype=bool).tolist() + [False]
     chunks = []
     first = 0
     while first < n:
@@ -325,20 +328,21 @@ def forward_network(net: Network, windows,
     """Class probabilities for a batch of windows (n, T, C), one window
     (T, C) or a ``WindowedDataset``.
 
-    The windows are read from one series (``WindowedDataset.series``); a
-    window array is first joined into one (``join_windows``): each window
-    whose first T - stride rows equal the last rows of the window before
-    it adds only its last ``stride`` rows, so shuffled, filtered or edited
-    windows, and any window holding a NaN, keep rows of their own.
     ``stride`` is how many rows apart the windows were cut
     (``WindowedDataset.stride``); 0 evaluates every window on its own.
     With 0 < stride < T, stride a multiple of the product ``unit`` of the
-    layers' ``stride_t``, consecutive windows whose starts in the series
-    are ``stride`` rows apart form a dense group (``_eval_chunks``). A
-    group has one last feature map, the network's output on the union of
-    its rows, a slice of the series, and each window's features are its
-    slice of that map. The map is computed once, in fixed blocks of
-    ``size`` output rows counted from the group's first row, each from at
+    layers' ``stride_t``, a window that continues the one before it
+    ``stride`` rows later joins its dense group (``_eval_chunks``). In a
+    dataset, a window continues the one before it when its start in the
+    series is ``stride`` rows later. In a window array, it does when its
+    first T - stride rows equal the last rows of the window before it
+    (``continued_windows``), so shuffled, filtered or edited windows, and
+    any window holding a NaN, stand alone; a group's rows are read from
+    the first window that holds each, never joined into a whole series.
+    A group has one last feature map, the network's output on the union
+    of its rows, and each window's features are its slice of that map.
+    The map is computed once, in fixed blocks of ``size`` output rows
+    counted from the group's first row, each from at
     most EVAL_CHUNK * T input rows (``_dense_blocks``); adjacent blocks
     share input rows, never an output row. The blocks are fixed because a
     row's last bit can depend on the extent it is computed in, so they
@@ -346,8 +350,10 @@ def forward_network(net: Network, windows,
     each block adds the head product of the map rows it holds to every
     window that reads any of them (``_head_shares``), and nothing passes
     from one block to the next. Other windows run in chunks of up to
-    EVAL_CHUNK windows, through the whole head; a chunk whose windows lie
-    back to back in the series is a view of it (``window_rows``).
+    EVAL_CHUNK windows, through the whole head. A chunk of a window array
+    is a view of it, and so is a chunk of a dataset's windows that lie
+    back to back in its series (``window_rows``), or a dense block's
+    input rows there.
     Either way each window's probabilities are those of the network run on
     it alone, up to summation order.
 
@@ -360,18 +366,6 @@ def forward_network(net: Network, windows,
     on which thread ran which task. With EVAL_WORKERS = 2 the tasks are
     shared with one helper thread (``_share_with_helper``).
     """
-    single = False
-    if isinstance(windows, WindowedDataset):
-        shape = (windows.win_len, windows.channels)
-        if shape != tuple(net.input_shape):
-            raise ValueError(f"window shape {shape} does not match declared "
-                             f"input {tuple(net.input_shape)}")
-        series, starts = windows.series, windows.starts
-    else:
-        windows = np.asarray(windows, dtype=np.float64)
-        single = windows.ndim == 2
-        windows = _checked_windows(net, windows[None] if single else windows)
-        series, starts = join_windows(windows, stride)
     win_len = net.input_shape[0]
     layers, ops = _effective_layers(net)
     field, unit = 1, 1  # input rows one output row reads, and between two
@@ -380,30 +374,59 @@ def forward_network(net: Network, windows,
         unit *= layer.stride_t
     r_w = (win_len - field) // unit + 1  # rows of a window's last map
     size = (EVAL_CHUNK * win_len - field) // unit + 1  # rows of a block
+    if not (0 < stride < win_len and stride % unit == 0):
+        stride = 0  # no dense group
+    single = False
+    if isinstance(windows, WindowedDataset):
+        _check_batch_shape(net, (len(windows), windows.win_len,
+                                 windows.channels))
+        series, starts = windows.series, windows.starts
+        # window 0's difference is 0: it continues nothing, nor any window
+        # when stride is 0
+        continued = ((np.diff(starts, prepend=starts[:1]) == stride)
+                     & (stride > 0))
+
+        def group_rows(origin, first_row, stop_row):
+            return series[starts[origin] + first_row:
+                          starts[origin] + stop_row]
+
+        def stacked(first, stop):
+            return window_rows(series, starts[first:stop], win_len)
+    else:
+        windows = np.asarray(windows, dtype=np.float64)
+        single = windows.ndim == 2
+        windows = _checked_windows(net, windows[None] if single else windows)
+        continued = continued_windows(windows, stride)
+
+        def group_rows(origin, first_row, stop_row):
+            # each row read from the first window of the group holding it
+            rows = np.arange(first_row, stop_row)
+            w = np.maximum((rows - win_len) // stride + 1, 0)
+            return windows[origin + w, rows - w * stride]
+
+        def stacked(first, stop):
+            return windows[first:stop]
     tasks = []  # (origin, step, first, stop, lo, hi); see _dense_blocks
-    for origin, stop, step in _eval_chunks(
-            starts, stride if stride % unit == 0 else 0, win_len):
+    for origin, stop, step in _eval_chunks(continued, stride):
         blocks = (_dense_blocks(stop - origin, step // unit, r_w, size)
                   if step else [(0, stop - origin, 0, 0)])
         tasks += [(origin, step, *block) for block in blocks]
-    shares = np.zeros((2, len(starts), net.n_classes))
+    shares = np.zeros((2, len(continued), net.n_classes))
 
     def run_task(k):
         origin, step, first, stop, lo, hi = tasks[k]
         if step:
-            # rows [lo, hi) of the group's map, from a slice of the series
-            row = starts[origin] + lo * unit
-            _, outputs = _run_stack(
-                series[row:row + (hi - 1 - lo) * unit + field][None],
+            # rows [lo, hi) of the group's map
+            _, outputs = _run_stack(group_rows(
+                origin, lo * unit, (hi - 1) * unit + field)[None],
                 layers, ops)
             shift = step // unit
             part = _head_shares(net, outputs[-1][0], slice(
                 first * shift - lo + r_w - 1, stop * shift - lo + r_w - 1,
                 shift), r_w)
         else:
-            _, outputs = _run_stack(window_rows(
-                series, starts[origin + first:origin + stop], win_len),
-                layers, ops)
+            _, outputs = _run_stack(
+                stacked(origin + first, origin + stop), layers, ops)
             part = outputs[-1].reshape(stop - first, -1) @ net.head_w
         shares[lo // size % 2, origin + first:origin + stop] = part
 
@@ -501,7 +524,8 @@ def network_loss_grads(net: Network, windows: np.ndarray,
     Each window's loss and upstream gradients depend on that window alone,
     so the network runs forward, through the head and backward on one
     chunk of windows at a time, the chunks ``_eval_chunks`` gives for
-    stride 0, and holds one chunk's layer caches, whatever the batch size.
+    windows that continue nothing, and holds one chunk's layer caches,
+    whatever the batch size.
     Each layer's operator is built once for all chunks. The chunks'
     parameter gradients are summed, stacked array by stacked array
     (``_tensors``), and their input gradients joined into full-batch
@@ -514,7 +538,7 @@ def network_loss_grads(net: Network, windows: np.ndarray,
     labels = _checked_labels(labels, n, net.n_classes)
     evaluated, ops = _effective_layers(net)
     loss, grads, d_inputs = 0.0, None, []
-    for first, stop, _ in _eval_chunks(windows, 0):
+    for first, stop, _ in _eval_chunks(np.zeros(n, dtype=bool), 0):
         rows = slice(first, stop)
         y = labels[rows]
         caches = [LayerCache() for _ in evaluated]

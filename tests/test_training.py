@@ -33,6 +33,7 @@ from expconv.dataset import (
     TEST_ROWS,
     RawRun,
     WindowedDataset,
+    continued_windows,
     gen_synthetic,
     load_windows_csv,
     make_windows,
@@ -395,7 +396,8 @@ class TestChunkedPasses:
 
     def test_a_step_runs_the_chunks_of_eval_chunks(self, monkeypatch):
         # the chunk rule has one owner: a step asks ``_eval_chunks`` once,
-        # with stride 0, and runs the chunks it returns, here uneven ones
+        # for windows that continue nothing, and runs the chunks it
+        # returns, here uneven ones
         net = self.two_layer_net("elementwise", "clip")
         rng = make_rng(25)
         windows = rng.normal(size=(19, 8, 6))
@@ -404,8 +406,8 @@ class TestChunkedPasses:
         chunks = [(0, 7, 0), (7, 8, 0), (8, 19, 0)]
         asked, ran = [], []
 
-        def eval_chunks(w, stride):
-            asked.append((w, stride))
+        def eval_chunks(continued, stride):
+            asked.append((continued, stride))
             return chunks
 
         def forward(x, layer, **kwargs):
@@ -416,7 +418,7 @@ class TestChunkedPasses:
         monkeypatch.setattr(training, "layer_forward", forward)
         chunked_loss, grads = network_loss_grads(net, windows, labels)
         assert len(asked) == 1 and asked[0][1] == 0
-        np.testing.assert_array_equal(asked[0][0], windows)
+        np.testing.assert_array_equal(asked[0][0], np.zeros(19, dtype=bool))
         assert len(ran) == len(chunks)
         for x, (first, stop, _) in zip(ran, chunks):
             np.testing.assert_array_equal(x, windows[first:stop])
@@ -601,7 +603,11 @@ class TestChunkedPasses:
               "out_channels": 2, "activation": "tanh"}], seed=26))
         field = k_0 + (k_1 - 1) * stride_t  # input rows of one output row
         dense = stride % stride_t == 0  # else every window runs on its own
-        chunks = training._eval_chunks(ds.starts, ds.stride, win_len)
+        # the rows compared as values say what the starts say
+        continued = continued_windows(ds.windows, stride)
+        np.testing.assert_array_equal(continued, (np.diff(
+            ds.starts, prepend=ds.starts[:1]) == stride) & (stride < win_len))
+        chunks = training._eval_chunks(continued, stride)
         assert [c[0] for c in chunks] == [0] + [c[1] for c in chunks[:-1]]
         assert chunks[-1][1] == len(ds)
         blocks = []
@@ -642,6 +648,9 @@ class TestChunkedPasses:
                 mock.patch.object(training, "_run_stack", spy):
             probs = forward_network(net, ds.windows, ds.stride)
         self.assert_same_predictions(probs, window_by_window)
+        # the dataset's series gives the window array's every bit
+        np.testing.assert_array_equal(forward_network(net, ds, ds.stride),
+                                      probs)
         # each block's input runs exactly once, wherever the workers split
         runs, want = Counter(ran), Counter(b.tobytes() for b in blocks)
         assert all(runs[key] == want[key] for key in want)
@@ -790,7 +799,8 @@ class TestChunkedPasses:
             tracemalloc.stop()
 
     @pytest.mark.parametrize("pass_name",
-                             ("step", "forward", "dense", "long_group"))
+                             ("step", "forward", "dense", "long_group",
+                              "dense_dataset", "long_group_dataset"))
     def test_memory_does_not_grow_with_the_batch(self, monkeypatch,
                                                  pass_name):
         # the plant workload's layer: elementwise 3x3x8 on 40x52 windows
@@ -800,11 +810,12 @@ class TestChunkedPasses:
         rng = make_rng(13)
         windows = rng.normal(size=(64, 40, 52))
         labels = rng.integers(0, 3, size=64)
-        if pass_name == "long_group":  # one group of 397 windows
+        if pass_name.startswith("long_group"):  # one group of 397 windows
             dense = make_windows(RawRun(rng.normal(size=(4000, 52)), 0,
                                         "train"), 40, 10)
         else:
             dense = plant_test_set()
+        dense_windows = dense.windows  # gathered outside the measurement
         monkeypatch.setattr(training, "EVAL_WORKERS", 2)
 
         def run(n):
@@ -812,10 +823,11 @@ class TestChunkedPasses:
                 return network_loss_grads(net, windows[:n], labels[:n])
             if pass_name == "forward":
                 return forward_network(net, windows[:n])
-            # the form ``evaluate`` passes: the dataset's first n windows
-            return forward_network(net, WindowedDataset.from_series(
-                dense.series, dense.starts[:n], dense.labels[:n], 40, 10),
-                dense.stride)
+            if pass_name.endswith("dataset"):  # the form ``evaluate`` passes
+                return forward_network(net, WindowedDataset.from_series(
+                    dense.series, dense.starts[:n], dense.labels[:n], 40,
+                    10), dense.stride)
+            return forward_network(net, dense_windows[:n], dense.stride)
         run(8)  # warm up lazy set-up outside the measurement
         if pass_name == "step":  # serial: its chunks run one after another
             small = self.traced_peak(lambda: run(8))

@@ -39,12 +39,12 @@ from .dataset import (
     FAULT_ONSET,
     N_VARIABLES,
     WindowedDataset,
-    apply_normalize,
     fit_normalize,
     gen_synthetic,
     load_run,
     make_windows,
     merge_windows,
+    normalize_into,
     run_filename,
     save_windows_csv,
 )
@@ -291,10 +291,14 @@ def _synthetic_task(s: dict):
 
 def _class_windows(runs: list, stats, fault_ids: list, win_len: int,
                    stride: int) -> WindowedDataset:
-    """Normalized windows of every run, merged, with fault ids remapped to
-    class indices (positions in the sorted ``fault_ids``)."""
-    ds = merge_windows(make_windows(apply_normalize(run, stats), win_len,
-                                    stride) for run in runs)
+    """The windows of every run, merged, with fault ids remapped to class
+    indices (positions in the sorted ``fault_ids``). Each run is
+    normalized into its slice of the merged series, so no normalized copy
+    of a run is held beside it."""
+    ds = merge_windows(make_windows(run, win_len, stride) for run in runs)
+    slices = np.split(ds.series, np.cumsum([run.rows for run in runs])[:-1])
+    for run, rows in zip(runs, slices):  # views of the series
+        normalize_into(run, stats, rows)
     ds.labels = np.searchsorted(fault_ids, ds.labels)
     return ds
 
@@ -330,6 +334,7 @@ def build_datasets(cfg: dict):
                            fid, "train") for fid in fault_ids]
     stats = fit_normalize(train_runs)
     train_ds = _class_windows(train_runs, stats, fault_ids, win_len, stride)
+    del train_runs  # their rows are normalized into train_ds.series
     test_paths = [(fid, os.path.join(root, run_filename(fid, "test")))
                   for fid in fault_ids]
     test_runs = [load_run(path, fid, "test") for fid, path in test_paths

@@ -17,10 +17,9 @@ data.
 
 from __future__ import annotations
 
-import csv
 import warnings
 from dataclasses import dataclass, field
-from itertools import repeat
+from itertools import islice, repeat
 
 import numpy as np
 
@@ -83,15 +82,14 @@ class WindowedDataset:
     A dataset holds each row once: ``series`` (R, channels) holds the
     rows, and window i is ``series[starts[i]:starts[i] + win_len]``.
     Plant ingest (``make_windows``, ``merge_windows``) keeps the runs'
-    rows as the series and never copies a window. Built from a window
-    array (n, win_len, channels), a dataset keeps that array as its
-    series when its windows share no rows; otherwise each window whose
-    first win_len - stride rows equal the last rows of the window before
-    it is joined to it, its last ``stride`` rows appended once
-    (``join_windows``). A NaN equals nothing, so a window holding one is
-    never joined. ``windows`` gathers the window array for callers that
-    need it; training and evaluation read the series. A ``stride`` below
-    1 is a ValueError.
+    rows as the series and never copies a window, and so does a version-2
+    CSV cache (``load_windows_csv``). Built from a window array (n,
+    win_len, channels), a dataset keeps that array as its series, the
+    windows back to back (starts ``arange(n) * win_len``). The starts are
+    the one record of which windows continue each other: evaluation joins
+    windows whose starts lie ``stride`` rows apart. ``windows`` gathers
+    the window array for callers that need it; training and evaluation
+    read the series. A ``stride`` below 1 is a ValueError.
     """
 
     def __init__(self, windows, labels, win_len: int, stride: int):
@@ -101,7 +99,9 @@ class WindowedDataset:
         if windows.shape[0] and windows.shape[1] != win_len:
             raise ValueError("window length mismatch")
         _check_stride(stride)
-        self._hold(*join_windows(windows, stride), labels, win_len, stride)
+        n, rows, channels = windows.shape
+        self._hold(windows.reshape(n * rows, channels),
+                   np.arange(n) * win_len, labels, win_len, stride)
 
     @classmethod
     def from_series(cls, series, starts, labels, win_len: int,
@@ -164,42 +164,6 @@ def window_rows(series: np.ndarray, starts, win_len: int) -> np.ndarray:
         return series[first:first + len(starts) * win_len].reshape(
             len(starts), win_len, series.shape[1])
     return series[starts[:, None] + np.arange(win_len)]
-
-
-def continued_windows(windows: np.ndarray, stride: int) -> np.ndarray:
-    """continued[j]: window j of ``windows`` (n, win_len, channels)
-    continues window j - 1, its first win_len - stride rows equal to the
-    last rows of that window (never for window 0, nor unless 0 < stride <
-    win_len). The rows are compared as values, win_len windows at a time,
-    so NaN equals nothing and -0.0 equals 0.0."""
-    n, win_len = windows.shape[:2]
-    continued = np.zeros(n, dtype=bool)
-    if not 0 < stride < win_len:
-        return continued
-    for j in range(1, n, win_len):
-        k = min(j + win_len, n)
-        continued[j:k] = (windows[j:k, :win_len - stride]
-                          == windows[j - 1:k - 1, stride:]).all(axis=(1, 2))
-    return continued
-
-
-def join_windows(windows: np.ndarray, stride: int) -> tuple:
-    """(series, starts) holding the windows (n, win_len, channels).
-
-    A window that continues the one before it (``continued_windows``)
-    starts ``stride`` rows after it, and only its last ``stride`` rows are
-    added to the series, so a shared row keeps the first window's bits.
-    When no window is joined, the series is the window array itself,
-    reshaped.
-    """
-    n, win_len, channels = windows.shape
-    joined = continued_windows(windows, stride)
-    if not joined.any():
-        return windows.reshape(n * win_len, channels), np.arange(n) * win_len
-    counts = np.where(joined, stride, win_len)  # rows each window adds
-    ends = np.cumsum(counts)
-    rows = np.arange(ends[-1]) - np.repeat(ends - win_len, counts)
-    return windows[np.repeat(np.arange(n), counts), rows], ends - win_len
 
 
 @dataclass
@@ -318,20 +282,29 @@ def fit_normalize(runs) -> NormStats:
     return NormStats(mean, std)
 
 
-@np.errstate(over="ignore", invalid="ignore")  # overflow raises below
 def apply_normalize(run: RawRun, stats: NormStats) -> RawRun:
-    """The run standardized by ``stats``; a value that is not finite once
-    normalized is a ValueError naming its row and column (from 1)."""
+    """The run standardized by ``stats`` (``normalize_into``)."""
+    matrix = normalize_into(run, stats, np.empty(run.matrix.shape))
+    return RawRun(matrix, fault_id=run.fault_id, split=run.split)
+
+
+@np.errstate(over="ignore", invalid="ignore")  # overflow raises below
+def normalize_into(run: RawRun, stats: NormStats,
+                   out: np.ndarray) -> np.ndarray:
+    """Write the run standardized by ``stats`` into ``out``, an array of
+    the run's shape that is not its matrix, and return ``out``. A value
+    that is not finite once normalized is a ValueError naming the run and
+    the value's row and column (from 1)."""
     if stats.mean.shape[0] != run.matrix.shape[1]:
         raise ValueError("normalization stats do not match run width")
-    matrix = (run.matrix - stats.mean) / stats.std
-    if not np.isfinite(matrix).all():
-        row, col = np.argwhere(~np.isfinite(matrix))[0]
+    np.divide(np.subtract(run.matrix, stats.mean, out=out), stats.std, out=out)
+    if not np.isfinite(out).all():
+        row, col = np.argwhere(~np.isfinite(out))[0]
         raise ValueError(
             f"{run.split} run of fault {run.fault_id}: value "
             f"{run.matrix[row, col]} at row {row + 1}, column {col + 1} "
             "is not finite once normalized")
-    return RawRun(matrix, fault_id=run.fault_id, split=run.split)
+    return out
 
 
 # --------------------------------------------------------------------------
@@ -513,58 +486,94 @@ def gen_synthetic(win_len: int = 8, channels: int = 4, exponent: float = 2.0,
 # CSV cache for windowed datasets
 
 def save_windows_csv(dataset: WindowedDataset, path) -> None:
-    """Cache a windowed dataset: shape comment, header, one window per row."""
-    windows = dataset.windows
-    n, win_len, channels = windows.shape
-    with open(path, "w", newline="") as fh:
-        fh.write(f"# win_len={win_len} channels={channels} "
-                 f"stride={dataset.stride}\n")
-        writer = csv.writer(fh)
-        names = [f"v{i}" for i in range(win_len * channels)]
-        writer.writerow(["label"] + names)
-        for i in range(n):
-            flat = windows[i].reshape(-1)
-            writer.writerow([int(dataset.labels[i])]
-                            + [repr(float(v)) for v in flat])
+    """Cache a windowed dataset, version 2: a shape comment, the series
+    under a header of channel names (one row a line), then one
+    ``start,label`` line per window, so each row is written once."""
+    with open(path, "w") as fh:
+        fh.write(f"# version=2 win_len={dataset.win_len} "
+                 f"channels={dataset.channels} stride={dataset.stride} "
+                 f"rows={len(dataset.series)} windows={len(dataset)}\n")
+        fh.write(",".join(f"c{j}" for j in range(dataset.channels)) + "\n")
+        for row in dataset.series:
+            fh.write(",".join(map(repr, row.tolist())) + "\n")
+        fh.write("start,label\n")
+        fh.writelines(f"{start},{label}\n" for start, label in
+                      zip(dataset.starts.tolist(), dataset.labels.tolist()))
 
 
 def load_windows_csv(path) -> WindowedDataset:
-    """Read a cache written by ``save_windows_csv``. A malformed shape
-    line, header or row is a ValueError naming the path and the line."""
-    with open(path, newline="") as fh:
-        shape_line = fh.readline()
+    """Read a cache written by ``save_windows_csv``. A version-2 cache
+    gives back the dataset's series, starts, labels and stride. A
+    version-1 cache (no ``version`` on its shape line; under a header, a
+    label and a window's values, row by row, on each line) loads as
+    back-to-back windows. A malformed shape line, header or line is a
+    ValueError naming the path and the line."""
+    with open(path) as fh:
+        shape_line = fh.readline().rstrip("\n")
         if not shape_line.startswith("#"):
             raise ValueError(f"{path}: missing shape comment line")
         try:
             fields = dict(part.split("=") for part in shape_line[1:].split())
-            win_len, channels, stride = (int(fields[key]) for key in
-                                         ("win_len", "channels", "stride"))
-            if min(win_len, channels, stride) < 1:
-                raise ValueError("a size below 1")
+            version = int(fields.get("version", 1))
+            if version not in (1, 2):
+                raise ValueError(f"unknown version {version}")
+            keys = ("win_len", "channels", "stride", "rows", "windows")
+            sizes = [int(fields[key]) for key in keys[:2 * version + 1]]
+            if min(sizes[:3]) < 1 or min(sizes) < 0:
+                raise ValueError("a size below 1 or a count below 0")
         except (KeyError, ValueError) as exc:
             raise ValueError(
-                f"{path}: line 1: shape comment {shape_line.strip()!r} is "
-                "not '# win_len=W channels=C stride=S' with sizes >= 1 "
-                f"({type(exc).__name__}: {exc})") from None
-        reader = csv.reader(fh)
-        header = next(reader, [])
-        if header[:1] != ["label"] or len(header) != 1 + win_len * channels:
-            raise ValueError(f"{path}: header does not match shape line")
-        labels = []
-        rows = []
-        for row in reader:
-            where = f"{path}: line {reader.line_num + 1}"
-            if len(row) != 1 + win_len * channels:
-                raise ValueError(f"{where}: {len(row)} fields, expected a "
-                                 f"label and {win_len * channels} values")
-            try:
-                labels.append(int(row[0]))
-                rows.append(np.array([float(v) for v in row[1:]]))
-            except ValueError as exc:
-                raise ValueError(f"{where}: {exc}") from None
-    if rows:
-        windows = np.stack(rows).reshape(len(rows), win_len, channels)
-    else:
-        windows = np.zeros((0, win_len, channels))
-    return WindowedDataset(windows, np.asarray(labels, dtype=np.int64),
-                           win_len=win_len, stride=stride)
+                f"{path}: line 1: shape comment {shape_line!r} is not '# "
+                "version=2 win_len=W channels=C stride=S rows=R windows=N' "
+                "or '# win_len=W channels=C stride=S' with sizes >= 1 "
+                f"({exc!r})") from None
+        win_len, channels, stride = sizes[:3]
+        if version == 1:
+            labels, values = _read_table(path, fh, 2, ["label"] + [
+                f"v{i}" for i in range(win_len * channels)], 1)
+            return WindowedDataset(values.reshape(-1, win_len, channels),
+                                   labels[:, 0], win_len, stride)
+        rows, n = sizes[3:]
+        series = _read_table(path, fh, 2, [f"c{j}" for j in
+                                           range(channels)], 0, rows)[1]
+        ints = _read_table(path, fh, rows + 3, ["start", "label"], 2, n)[0]
+        if next(fh, None) is not None:
+            raise ValueError(f"{path}: line {rows + n + 4}: more than the "
+                             f"{n} windows the shape line gives")
+    starts, labels = ints.T
+    outside = np.flatnonzero((starts < 0) | (starts > rows - win_len))
+    if outside.size:
+        raise ValueError(
+            f"{path}: line {rows + 4 + outside[0]}: start "
+            f"{starts[outside[0]]} puts a window outside the {rows} rows")
+    return WindowedDataset.from_series(series, starts, labels, win_len,
+                                       stride)
+
+
+def _read_table(path, lines, first: int, header: list, ints: int,
+                count: int | None = None) -> tuple:
+    """The table whose header is the next of a cache's ``lines``, line
+    ``first`` of the file: ``count`` lines below it (every line left when
+    None) of comma-separated fields, as an int64 array of their first
+    ``ints`` fields and a float64 array of the rest. Another header, a
+    line of another length, a field that is not a number or a file that
+    ends early is a ValueError naming the path and the line."""
+    if next(lines, "").rstrip("\n") != ",".join(header):
+        raise ValueError(f"{path}: line {first}: header does not match "
+                         f"the shape line's {len(header)} fields")
+    whole, values = [], []
+    for line, text in enumerate(islice(lines, count), start=first + 1):
+        row = text.rstrip("\n").split(",")
+        if len(row) != len(header):
+            raise ValueError(f"{path}: line {line}: {len(row)} fields, "
+                             f"expected {len(header)}")
+        try:
+            whole.append([int(v) for v in row[:ints]])
+            values.append(np.array([float(v) for v in row[ints:]]))
+        except ValueError as exc:
+            raise ValueError(f"{path}: line {line}: {exc}") from None
+    if count is not None and len(whole) < count:
+        raise ValueError(f"{path}: line {first + 1 + len(whole)}: the file "
+                         f"ends after {len(whole)} of {count} lines")
+    return (np.array(whole, dtype=np.int64).reshape(len(whole), ints),
+            np.array(values).reshape(len(whole), len(header) - ints))

@@ -53,7 +53,7 @@ from .constraints import (
     payload_arrays,
     stored_grad,
 )
-from .dataset import WindowedDataset, continued_windows, window_rows
+from .dataset import WindowedDataset, window_rows
 from .gradients import layer_backward
 from .layers import (
     VARIANT_TYPES,
@@ -207,13 +207,6 @@ def _check_batch_shape(net: Network, shape: tuple) -> None:
             f"input {tuple(net.input_shape)} (batch shape {tuple(shape)})")
 
 
-def _checked_windows(net: Network, windows: np.ndarray) -> np.ndarray:
-    """A batch (n, T, C) of the network's input windows, as float64."""
-    windows = np.asarray(windows, dtype=np.float64)
-    _check_batch_shape(net, windows.shape)
-    return windows
-
-
 def _effective_layers(net: Network) -> tuple[list, list]:
     """The effective layers of a pass and their operators
     (``layer_operator``), built once per pass and shared by its chunks."""
@@ -323,39 +316,31 @@ def _dense_blocks(n: int, shift: int, r_w: int, size: int) -> list:
             for first, stop, lo in zip(firsts, stops, los.tolist())]
 
 
-def forward_network(net: Network, windows,
-                    stride: int = 0) -> np.ndarray:
-    """Class probabilities for a batch of windows (n, T, C), one window
-    (T, C) or a ``WindowedDataset``.
+def forward_network(net: Network, windows) -> np.ndarray:
+    """Class probabilities for a ``WindowedDataset``, a batch of windows
+    (n, T, C) or one window (T, C).
 
-    ``stride`` is how many rows apart the windows were cut
-    (``WindowedDataset.stride``); 0 evaluates every window on its own.
-    With 0 < stride < T, stride a multiple of the product ``unit`` of the
-    layers' ``stride_t``, a window that continues the one before it
-    ``stride`` rows later joins its dense group (``_eval_chunks``). In a
-    dataset, a window continues the one before it when its start in the
-    series is ``stride`` rows later. In a window array, it does when its
-    first T - stride rows equal the last rows of the window before it
-    (``continued_windows``), so shuffled, filtered or edited windows, and
-    any window holding a NaN, stand alone; a group's rows are read from
-    the first window that holds each, never joined into a whole series.
-    A group has one last feature map, the network's output on the union
-    of its rows, and each window's features are its slice of that map.
-    The map is computed once, in fixed blocks of ``size`` output rows
-    counted from the group's first row, each from at
-    most EVAL_CHUNK * T input rows (``_dense_blocks``); adjacent blocks
-    share input rows, never an output row. The blocks are fixed because a
-    row's last bit can depend on the extent it is computed in, so they
-    must not depend on how the tasks are split. The head is linear, so
-    each block adds the head product of the map rows it holds to every
-    window that reads any of them (``_head_shares``), and nothing passes
-    from one block to the next. Other windows run in chunks of up to
-    EVAL_CHUNK windows, through the whole head. A chunk of a window array
-    is a view of it, and so is a chunk of a dataset's windows that lie
-    back to back in its series (``window_rows``), or a dense block's
-    input rows there.
-    Either way each window's probabilities are those of the network run on
-    it alone, up to summation order.
+    In a dataset, a window continues the one before it when its start in
+    the series is ``stride`` rows later (``WindowedDataset.stride``), with
+    0 < stride < T a multiple of the product ``unit`` of the layers'
+    ``stride_t``; such a run of windows is a dense group
+    (``_eval_chunks``). A window array, or one window, is held as a series
+    of back-to-back windows and continues nothing. A group has one last
+    feature map, the network's output on the union of its rows, and each
+    window's features are its slice of that map. The map is computed once,
+    in fixed blocks of ``size`` output rows counted from the group's first
+    row, each from at most EVAL_CHUNK * T input rows (``_dense_blocks``);
+    adjacent blocks share input rows, never an output row. The blocks are
+    fixed because a row's last bit can depend on the extent it is computed
+    in, so they must not depend on how the tasks are split. The head is
+    linear, so each block adds the head product of the map rows it holds
+    to every window that reads any of them (``_head_shares``), and nothing
+    passes from one block to the next. Other windows run in chunks of up
+    to EVAL_CHUNK windows, through the whole head. A dense block's input
+    rows are a slice of the series, and a chunk of windows that lie back
+    to back in it is a view (``window_rows``). Either way each window's
+    probabilities are those of the network run on it alone, up to
+    summation order.
 
     Each block or chunk is a task that writes its windows' shares of the
     head product into ``shares``, in the slot of its block's parity: a
@@ -374,38 +359,28 @@ def forward_network(net: Network, windows,
         unit *= layer.stride_t
     r_w = (win_len - field) // unit + 1  # rows of a window's last map
     size = (EVAL_CHUNK * win_len - field) // unit + 1  # rows of a block
-    if not (0 < stride < win_len and stride % unit == 0):
-        stride = 0  # no dense group
     single = False
     if isinstance(windows, WindowedDataset):
         _check_batch_shape(net, (len(windows), windows.win_len,
                                  windows.channels))
-        series, starts = windows.series, windows.starts
-        # window 0's difference is 0: it continues nothing, nor any window
-        # when stride is 0
-        continued = ((np.diff(starts, prepend=starts[:1]) == stride)
-                     & (stride > 0))
-
-        def group_rows(origin, first_row, stop_row):
-            return series[starts[origin] + first_row:
-                          starts[origin] + stop_row]
-
-        def stacked(first, stop):
-            return window_rows(series, starts[first:stop], win_len)
+        series, starts, stride = windows.series, windows.starts, windows.stride
     else:
         windows = np.asarray(windows, dtype=np.float64)
         single = windows.ndim == 2
-        windows = _checked_windows(net, windows[None] if single else windows)
-        continued = continued_windows(windows, stride)
+        windows = windows[None] if single else windows
+        _check_batch_shape(net, windows.shape)
+        series = windows.reshape(-1, windows.shape[2])
+        starts, stride = np.arange(len(windows)) * win_len, 0
+    dense = 0 < stride < win_len and stride % unit == 0
+    # window 0's difference is 0: it continues nothing
+    continued = dense & (np.diff(starts, prepend=starts[:1]) == stride)
 
-        def group_rows(origin, first_row, stop_row):
-            # each row read from the first window of the group holding it
-            rows = np.arange(first_row, stop_row)
-            w = np.maximum((rows - win_len) // stride + 1, 0)
-            return windows[origin + w, rows - w * stride]
+    def group_rows(origin, first_row, stop_row):
+        return series[starts[origin] + first_row:starts[origin] + stop_row]
 
-        def stacked(first, stop):
-            return windows[first:stop]
+    def stacked(first, stop):
+        return window_rows(series, starts[first:stop], win_len)
+
     tasks = []  # (origin, step, first, stop, lo, hi); see _dense_blocks
     for origin, stop, step in _eval_chunks(continued, stride):
         blocks = (_dense_blocks(stop - origin, step // unit, r_w, size)
@@ -533,7 +508,8 @@ def network_loss_grads(net: Network, windows: np.ndarray,
     layer 0, whose input is the windows, skips it: its bundle carries an
     empty ``d_input``.
     """
-    windows = _checked_windows(net, windows)
+    windows = np.asarray(windows, dtype=np.float64)
+    _check_batch_shape(net, windows.shape)
     n = len(windows)
     labels = _checked_labels(labels, n, net.n_classes)
     evaluated, ops = _effective_layers(net)
@@ -694,14 +670,13 @@ def predict(net: Network, windows: np.ndarray) -> np.ndarray:
 
 def evaluate(net: Network, dataset: WindowedDataset) -> Metrics:
     """The metrics of the network's predictions on the dataset. The
-    dataset and its stride are passed to ``forward_network``, which reads
-    its series, so the rows that consecutive windows share are run once.
-    A label outside [0, n_classes) is a ValueError."""
+    dataset is passed to ``forward_network``, which reads its series, so
+    the rows that windows whose starts lie ``stride`` apart share are run
+    once. A label outside [0, n_classes) is a ValueError."""
     if len(dataset) == 0:
         raise ValueError("cannot evaluate on an empty dataset")
     true = _checked_labels(dataset.labels, len(dataset), net.n_classes)
-    preds = np.argmax(forward_network(net, dataset, dataset.stride),
-                      axis=-1)
+    preds = np.argmax(forward_network(net, dataset), axis=-1)
     k = net.n_classes
     confusion = np.zeros((k, k), dtype=np.int64)
     np.add.at(confusion, (true, preds), 1)

@@ -13,9 +13,9 @@ gradient checks.
   ``make_check_instance`` output (every variant x ``CHECK_KERNELS`` x
   seeds 0-49, 900 instances).
 * ``evaluate``: the ``forward_network`` probabilities of the 24 trained
-  networks on windows of 8 rows every 2 rows of one seeded 120 x 5
-  series, given with their stride, so consecutive windows are evaluated
-  over the rows they share.
+  networks on a ``WindowedDataset`` of windows of 8 rows every 2 rows of
+  one seeded 120 x 5 series (``WindowedDataset.from_series`` with stride
+  2), so consecutive windows are evaluated over the rows they share.
 * ``synthetic``: the windows, labels, threshold and margin of two
   ``gen_synthetic`` tasks, 240 windows of 40 x 52 (seed 5) and the task
   of ``configs/tiny_synth.json``.
@@ -43,6 +43,7 @@ from expconv.constraints import ConstraintPolicy
 from expconv.dataset import (
     N_VARIABLES,
     RawRun,
+    WindowedDataset,
     gen_synthetic,
     run_filename,
     save_run_text,
@@ -110,10 +111,12 @@ def gradcheck_digest() -> str:
 def evaluate_digest(nets) -> str:
     series = make_rng(13).normal(size=(120, INPUT_SHAPE[1]))
     starts = np.arange(0, len(series) - INPUT_SHAPE[0] + 1, 2)
-    windows = series[starts[:, None] + np.arange(INPUT_SHAPE[0])]
+    labels = np.zeros(len(starts), dtype=np.int64)
+    dataset = WindowedDataset.from_series(series, starts, labels,
+                                          INPUT_SHAPE[0], 2)
     digest = hashlib.sha256()
     for net in nets:
-        digest.update(forward_network(net, windows, 2).tobytes())
+        digest.update(forward_network(net, dataset).tobytes())
     return digest.hexdigest()
 
 

@@ -763,7 +763,8 @@ class TestPlantDatasets:
 
     def test_set_up_peak_stays_near_the_run_rows(self, tmp_path):
         # windows of 40 rows every 10 held each row four times: a traced
-        # peak of 16.6 MiB for 2.3 MiB of run rows
+        # peak of 16.6 MiB for 2.3 MiB of run rows; with each run
+        # normalized into its slice of the merged series, 3.9 MiB
         runs, cfg = write_four_runs(tmp_path)
         cli.build_datasets(cfg)  # warm up lazy set-up outside the measurement
         tracemalloc.start()
@@ -773,7 +774,7 @@ class TestPlantDatasets:
         finally:
             tracemalloc.stop()
         run_bytes = sum(run.matrix.nbytes for run in runs)
-        assert peak < 3.5 * run_bytes, (peak, run_bytes)
+        assert peak < 2.0 * run_bytes, (peak, run_bytes)
 
 
 class TestEvalCommand:
@@ -1013,7 +1014,8 @@ class TestSynthCommand:
         assert cli.main(["synth", "--config", str(path),
                          "--out", str(tmp_path / "a")]) == 0
         text = (tmp_path / "a" / "dataset.csv").read_text()
-        assert text.startswith("# win_len=12 channels=5 stride=12\n")
+        assert text.startswith("# version=2 win_len=12 channels=5 stride=12 "
+                               "rows=0 windows=0\n")
         ds = load_windows_csv(tmp_path / "a" / "dataset.csv")
         assert ds.windows.shape == (0, 12, 5) and ds.stride == 12
 
@@ -1073,7 +1075,8 @@ class TestAugmentCommand:
         np.testing.assert_array_equal(out.labels, train_ds.labels)
 
     def test_output_evaluates_as_window_by_window(self, tmp_path):
-        # the input windows share rows; the flipped ones no longer do
+        # the input windows share rows; the flipped ones are held back to
+        # back, so each runs on its own
         make_plant_fixtures(tmp_path)
         path = write_config(
             tmp_path,
@@ -1086,9 +1089,11 @@ class TestAugmentCommand:
         net = build_network(out.windows.shape[1:], 2,
                             [{"variant": "elementwise", "k_h": 3, "k_w": 3,
                               "activation": "tanh"}], seed=3)
+        assert out.starts.tolist() == list(range(0, 40 * len(out), 40))
         np.testing.assert_allclose(
-            forward_network(net, out.windows, out.stride),
-            forward_network(net, out.windows), rtol=1e-12, atol=0)
+            forward_network(net, out),
+            np.stack([forward_network(net, w) for w in out.windows]),
+            rtol=1e-12, atol=0)
 
     def test_echoed_config_reproduces_seeded_run(self, tmp_path):
         path = write_config(

@@ -321,12 +321,14 @@ class TestSeries:
         np.testing.assert_array_equal(
             merged.windows, np.concatenate([p.windows for p in parts]))
 
-    def test_windows_that_continue_are_joined_once(self):
+    def test_continuing_windows_are_held_back_to_back(self):
+        # a window array says nothing of where its windows were cut, so
+        # windows that share rows are held as they are given
         series = make_rng(25).normal(size=(70, 3))
         windows = series[np.arange(0, 31, 10)[:, None] + np.arange(40)]
         ds = WindowedDataset(windows, np.zeros(4, dtype=int), 40, 10)
-        np.testing.assert_array_equal(ds.series, series)
-        assert ds.starts.tolist() == [0, 10, 20, 30]
+        np.testing.assert_array_equal(ds.series, windows.reshape(160, 3))
+        assert ds.starts.tolist() == [0, 40, 80, 120]
         np.testing.assert_array_equal(ds.windows, windows)
 
     @pytest.mark.parametrize("stride", [8, 3])
@@ -344,8 +346,8 @@ class TestSeries:
         windows[2, -1, 0] += 1.0  # window 3 no longer continues window 2
         windows[5, 15, 1] = np.nan  # window 5 neither continues nor is
         ds = WindowedDataset(windows, np.zeros(9, dtype=int), 40, 5)
-        assert ds.starts.tolist() == [0, 5, 10, 50, 55, 95, 135, 140, 145]
-        assert len(ds.series) == 185
+        assert ds.starts.tolist() == list(range(0, 360, 40))
+        assert len(ds.series) == 360
         np.testing.assert_array_equal(ds.windows, windows)
 
     @pytest.mark.parametrize("stride", [0, -3])
@@ -619,6 +621,11 @@ class TestBlockDraws:
         assert peak <= 2 * task.windows.nbytes + 2 * 2**20
 
 
+# the shape line and series header of a version-2 cache of three rows of
+# two channels and two windows of two rows
+V2 = "# version=2 win_len=2 channels=2 stride=1 rows=3 windows=2\nc0,c1\n"
+
+
 class TestWindowsCsv:
     def test_round_trip_bit_exact(self, tmp_path):
         task = gen_synthetic(win_len=4, channels=3, count=12, seed=30)
@@ -631,13 +638,30 @@ class TestWindowsCsv:
         assert (back.win_len, back.stride) == (ds.win_len, ds.stride)
 
     def test_header_layout(self, tmp_path):
-        ds = make_windows(fake_run(31, 60, fault_id=1), win_len=20, stride=20)
+        # the series once, then a start and a label per window
+        ds = make_windows(fake_run(31, 60, fault_id=1), win_len=20, stride=10)
         path = tmp_path / "cache.csv"
         save_windows_csv(ds, path)
         lines = path.read_text().splitlines()
-        assert lines[0] == "# win_len=20 channels=52 stride=20"
-        assert lines[1].startswith("label,v0,v1,")
-        assert len(lines) == 2 + len(ds)
+        assert lines[0] == ("# version=2 win_len=20 channels=52 stride=10 "
+                            "rows=60 windows=5")
+        assert lines[1] == ",".join(f"c{j}" for j in range(52))
+        assert lines[62] == "start,label"
+        assert lines[63:] == [f"{s},1" for s in range(0, 41, 10)]
+
+    def test_plant_round_trip_gives_back_the_dataset(self, tmp_path):
+        runs = [fake_run(34, TEST_ROWS, fault_id=2, split="test"),
+                fake_run(35, 250), fake_run(36, 480, fault_id=3)]
+        ds = merge_windows(make_windows(run, win_len=40, stride=10)
+                           for run in runs)
+        path = tmp_path / "cache.csv"
+        save_windows_csv(ds, path)
+        back = load_windows_csv(path)
+        for name in ("series", "starts", "labels"):
+            want, got = getattr(ds, name), getattr(back, name)
+            assert (got.dtype, got.shape) == (want.dtype, want.shape)
+            assert got.tobytes() == want.tobytes()
+        assert (back.win_len, back.stride) == (40, 10)
 
     def test_missing_shape_line_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -650,7 +674,19 @@ class TestWindowsCsv:
         ("# win_len=1 channels=2 stride=0\nlabel,v0,v1\n", 1),
         ("# win_len=1 channels=2 stride=1\nlabel,v0,v1\n0,1.0,2.0\n"
          "1,3.0\n", 4),
-        ("# win_len=1 channels=2 stride=1\nlabel,v0,v1\n0,1.0,x\n", 3)])
+        ("# win_len=1 channels=2 stride=1\nlabel,v0,v1\n0,1.0,x\n", 3),
+        ("# win_len=1 channels=2 stride=1\nlabel,v0\n0,1.0,2.0\n", 2),
+        ("# version=3 win_len=1 channels=2 stride=1 rows=0 windows=0\n", 1),
+        (V2 + "0.0,1.0\n1.0,2.0\n2.0\nstart,label\n", 5),
+        (V2 + "0.0,1.0\n1.0,2.0\nstart,label\n", 5),
+        (V2 + "0.0,1.0\n1.0,2.0\n2.0,3.0\nlabel,start\n", 6),
+        (V2 + "0.0,1.0\n1.0,2.0\n2.0,3.0\nstart,label\n-1,1\n1,0\n", 7),
+        (V2 + "0.0,1.0\n1.0,2.0\n2.0,3.0\nstart,label\n0,1\n1\n", 8),
+        (V2 + "0.0,1.0\n1.0,2.0\n2.0,3.0\nstart,label\n0,1\n1.5,1\n", 8),
+        (V2 + "0.0,1.0\n1.0,2.0\n2.0,3.0\nstart,label\n0,1\n2,0\n", 8),
+        (V2 + "0.0,1.0\n1.0,2.0\n2.0,3.0\nstart,label\n0,1\n", 8),
+        (V2 + "0.0,1.0\n1.0,2.0\n2.0,3.0\nstart,label\n0,1\n1,0\n"
+         "1,1\n", 9)])
     def test_malformed_cache_names_path_and_line(self, tmp_path, text,
                                                  line):
         path = tmp_path / "bad.csv"
@@ -660,12 +696,13 @@ class TestWindowsCsv:
             load_windows_csv(path)
 
     def test_row_major_flattening(self, tmp_path):
+        # a series line is a row of the window, its channels in order
         windows = np.arange(12.0).reshape(1, 3, 4)
         ds = WindowedDataset(windows, np.array([1]), win_len=3, stride=3)
         path = tmp_path / "cache.csv"
         save_windows_csv(ds, path)
         data_line = path.read_text().splitlines()[2]
-        assert data_line.split(",")[1:4] == ["0.0", "1.0", "2.0"]
+        assert data_line.split(",") == ["0.0", "1.0", "2.0", "3.0"]
         back = load_windows_csv(path)
         np.testing.assert_array_equal(back.windows, windows)
 

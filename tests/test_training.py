@@ -33,7 +33,6 @@ from expconv.dataset import (
     TEST_ROWS,
     RawRun,
     WindowedDataset,
-    continued_windows,
     gen_synthetic,
     load_windows_csv,
     make_windows,
@@ -83,13 +82,14 @@ def labeled_windows(seed, n=12, shape=(4, 3), n_classes=2):
     return WindowedDataset(windows, labels, win_len=shape[0], stride=shape[0])
 
 
-def series_windows(seed, n, step, shape=(8, 6)):
-    """n windows of shape[0] rows every ``step`` rows of one seeded
-    series."""
-    starts = step * np.arange(n)
+def series_set(seed, n, step, shape=(8, 6)):
+    """A dataset of n windows of shape[0] rows every ``step`` rows of one
+    seeded series."""
     series = make_rng(seed).normal(
         size=(step * max(n - 1, 0) + shape[0], shape[1]))
-    return series[starts[:, None] + np.arange(shape[0])]
+    return WindowedDataset.from_series(series, step * np.arange(n),
+                                       np.zeros(n, dtype=np.int64),
+                                       shape[0], step)
 
 
 def plant_test_set(n_runs=4):
@@ -446,11 +446,11 @@ class TestChunkedPasses:
         rng = make_rng(22)
         windows = rng.normal(size=(19, 8, 6))
         labels = rng.integers(0, 3, size=19)
-        dense = series_windows(23, 19, 2)
+        dense = series_set(23, 19, 2)
         built = self.built_operators(monkeypatch)
         # five chunks of windows, two dense chunks, a step of five chunks
         for run in (lambda: forward_network(net, windows),
-                    lambda: forward_network(net, dense, 2),
+                    lambda: forward_network(net, dense),
                     lambda: network_loss_grads(net, windows, labels)):
             built.clear()
             run()
@@ -518,7 +518,7 @@ class TestChunkedPasses:
         ds = self.cut_runs(8, 2)
         window_by_window = forward_network(net, ds.windows)
         shapes = self.layer_inputs(monkeypatch)
-        probs = forward_network(net, ds.windows, ds.stride)
+        probs = forward_network(net, ds)
         self.assert_same_predictions(probs, window_by_window)
         # 13 windows every 2 rows fill a chunk's 4 x 8 rows
         assert (1, training.EVAL_CHUNK * 8, N_VARIABLES) in shapes
@@ -537,37 +537,24 @@ class TestChunkedPasses:
         ds = self.cut_runs(24, 10)
         window_by_window = forward_network(net, ds.windows)
         shapes = self.layer_inputs(monkeypatch)
-        probs = forward_network(net, ds.windows, ds.stride)
+        probs = forward_network(net, ds)
         self.assert_same_predictions(probs, window_by_window)
         assert any(shape[-2] > 24 for shape in shapes) == dense
 
-    def test_a_row_differing_late_in_the_overlap_splits_the_union(
-            self, monkeypatch):
-        # windows 3 and 4 agree on the first row they share, but not on
-        # window 3's last row, so no union may hold both
-        net = self.two_layer_net("elementwise", "clip",
-                                 input_shape=(40, N_VARIABLES))
-        windows = series_windows(18, 17, 10, shape=(40, N_VARIABLES))
-        windows[3, -1] += 5.0
-        shapes = self.layer_inputs(monkeypatch)
-        probs = forward_network(net, windows, 10)
-        monkeypatch.undo()
-        self.assert_same_predictions(probs, forward_network(net, windows))
-        # windows 0-3 and 4-16 run as unions of 70 and 160 rows, on either
-        # thread
-        assert sorted(s for s in shapes if s[-1] == N_VARIABLES) == [
-            (1, 70, N_VARIABLES), (1, 160, N_VARIABLES)]
-
     def test_reordered_windows_run_on_their_own(self, monkeypatch):
+        # shuffled starts: a window joins the one before it only where its
+        # start is the stride after that one's
         net = self.two_layer_net("elementwise", "clip")
-        windows = series_windows(19, 12, 2)
-        order = make_rng(20).permutation(len(windows))
-        reversed_ = windows[::-1]
-        for batch in (windows[order], reversed_):
-            self.assert_same_predictions(forward_network(net, batch, 2),
-                                         forward_network(net, batch))
+        ds = series_set(19, 12, 2)
+        order = make_rng(20).permutation(len(ds))
+        shuffled, reversed_ = (WindowedDataset.from_series(
+            ds.series, ds.starts[idx], ds.labels[idx], 8, 2)
+            for idx in (order, np.arange(len(ds))[::-1]))
+        for batch in (shuffled, reversed_):
+            self.assert_same_predictions(forward_network(net, batch),
+                                         forward_network(net, batch.windows))
         shapes = self.layer_inputs(monkeypatch)
-        forward_network(net, reversed_, 2)
+        forward_network(net, reversed_)
         assert {shape[0] for shape in shapes} == {training.EVAL_CHUNK}
 
     @staticmethod
@@ -603,10 +590,10 @@ class TestChunkedPasses:
               "out_channels": 2, "activation": "tanh"}], seed=26))
         field = k_0 + (k_1 - 1) * stride_t  # input rows of one output row
         dense = stride % stride_t == 0  # else every window runs on its own
-        # the rows compared as values say what the starts say
-        continued = continued_windows(ds.windows, stride)
-        np.testing.assert_array_equal(continued, (np.diff(
-            ds.starts, prepend=ds.starts[:1]) == stride) & (stride < win_len))
+        # a window continues the one before it where its start is the
+        # stride after that one's, as ``forward_network`` reads the starts
+        continued = (np.diff(ds.starts, prepend=ds.starts[:1]) == stride) \
+            & (stride < win_len)
         chunks = training._eval_chunks(continued, stride)
         assert [c[0] for c in chunks] == [0] + [c[1] for c in chunks[:-1]]
         assert chunks[-1][1] == len(ds)
@@ -646,11 +633,8 @@ class TestChunkedPasses:
             return original(x, layers, ops, caches)
         with mock.patch.object(training, "EVAL_WORKERS", 2), \
                 mock.patch.object(training, "_run_stack", spy):
-            probs = forward_network(net, ds.windows, ds.stride)
+            probs = forward_network(net, ds)
         self.assert_same_predictions(probs, window_by_window)
-        # the dataset's series gives the window array's every bit
-        np.testing.assert_array_equal(forward_network(net, ds, ds.stride),
-                                      probs)
         # each block's input runs exactly once, wherever the workers split
         runs, want = Counter(ran), Counter(b.tobytes() for b in blocks)
         assert all(runs[key] == want[key] for key in want)
@@ -662,9 +646,8 @@ class TestChunkedPasses:
                            "out_channels": 8, "activation": "tanh"}],
             seed=17))
         ds = plant_test_set()
-        self.assert_same_predictions(
-            forward_network(net, ds.windows, ds.stride),
-            forward_network(net, ds.windows))
+        self.assert_same_predictions(forward_network(net, ds),
+                                     forward_network(net, ds.windows))
 
     def test_evaluate_runs_layer_0_once_per_input_row(self, monkeypatch,
                                                       tmp_path):
@@ -693,6 +676,29 @@ class TestChunkedPasses:
         out_rows.clear()  # windows said to share no rows: one by one
         evaluate(net, WindowedDataset(ds.windows, ds.labels, 40, 40))
         assert sum(out_rows) == len(ds) * 38 == 13680
+
+    def test_a_version_1_cache_evaluates_window_by_window(self, tmp_path):
+        # a cache of one window a line, as the CSV writer wrote them, the
+        # windows cut every 2 rows: they load back to back, so each runs
+        # on its own
+        net = self.two_layer_net("full_matrix", "clip")
+        ds = series_set(29, 11, 2)
+        lines = ["# win_len=8 channels=6 stride=2",
+                 ",".join(["label"] + [f"v{i}" for i in range(8 * 6)])]
+        lines += [",".join([str(k % 3)] + list(map(repr, w.ravel().tolist())))
+                  for k, w in enumerate(ds.windows)]
+        path = tmp_path / "v1.csv"
+        path.write_text("\r\n".join(lines) + "\r\n")
+        back = load_windows_csv(path)
+        np.testing.assert_array_equal(back.windows, ds.windows)
+        assert back.starts.tolist() == list(range(0, 11 * 8, 8))
+        assert back.stride == 2
+        window_by_window = np.stack([forward_network(net, w)
+                                     for w in ds.windows])
+        self.assert_same_predictions(forward_network(net, back),
+                                     window_by_window)
+        assert evaluate(net, back).accuracy == np.mean(
+            window_by_window.argmax(axis=1) == back.labels)
 
     def test_a_split_inside_a_group_runs_no_block_twice(self, monkeypatch):
         # three runs make 21 tasks, seven a run: the caller runs tasks 0-10
@@ -803,6 +809,8 @@ class TestChunkedPasses:
                               "dense_dataset", "long_group_dataset"))
     def test_memory_does_not_grow_with_the_batch(self, monkeypatch,
                                                  pass_name):
+        # dense and long_group pass the first n windows of a dataset to
+        # ``forward_network``, the *_dataset cases to ``evaluate``
         # the plant workload's layer: elementwise 3x3x8 on 40x52 windows
         net = build_network((40, 52), 3,
                             [{"variant": "elementwise", "k_h": 3, "k_w": 3,
@@ -815,7 +823,7 @@ class TestChunkedPasses:
                                         "train"), 40, 10)
         else:
             dense = plant_test_set()
-        dense_windows = dense.windows  # gathered outside the measurement
+        dense.labels %= 3  # classes of the network
         monkeypatch.setattr(training, "EVAL_WORKERS", 2)
 
         def run(n):
@@ -823,11 +831,11 @@ class TestChunkedPasses:
                 return network_loss_grads(net, windows[:n], labels[:n])
             if pass_name == "forward":
                 return forward_network(net, windows[:n])
-            if pass_name.endswith("dataset"):  # the form ``evaluate`` passes
-                return forward_network(net, WindowedDataset.from_series(
-                    dense.series, dense.starts[:n], dense.labels[:n], 40,
-                    10), dense.stride)
-            return forward_network(net, dense_windows[:n], dense.stride)
+            first = WindowedDataset.from_series(
+                dense.series, dense.starts[:n], dense.labels[:n], 40, 10)
+            if pass_name.endswith("dataset"):
+                return evaluate(net, first)
+            return forward_network(net, first)
         run(8)  # warm up lazy set-up outside the measurement
         if pass_name == "step":  # serial: its chunks run one after another
             small = self.traced_peak(lambda: run(8))
@@ -849,13 +857,13 @@ class TestChunkedPasses:
                                                   n, dense):
         net = self.two_layer_net(variant, "clip")
         if dense:  # windows every 3 rows: dense chunks of 9 windows
-            windows, stride = series_windows(14, n, 3), 3
+            windows = series_set(14, n, 3)
         else:
-            windows, stride = make_rng(14).normal(size=(n, 8, 6)), 0
+            windows = make_rng(14).normal(size=(n, 8, 6))
         probs = []
         for workers in (1, 2):
             monkeypatch.setattr(training, "EVAL_WORKERS", workers)
-            probs.append(forward_network(net, windows, stride))
+            probs.append(forward_network(net, windows))
         assert probs[0].shape == (n, 3)
         np.testing.assert_array_equal(*probs)
 
@@ -890,12 +898,20 @@ class TestEvalHelper:
 
     @staticmethod
     def chunked_windows(n_chunks, dense):
-        """The windows of ``n_chunks`` chunks and the stride to evaluate
-        them with: a chunk's windows hold its number k in every row, so,
-        cut one row apart, they continue one another, and chunks do not."""
-        k = np.arange(n_chunks * training.EVAL_CHUNK) // training.EVAL_CHUNK
-        windows = np.broadcast_to(k[:, None, None], (len(k), 4, 3))
-        return windows.astype(float), 1 if dense else 0
+        """The windows of ``n_chunks`` chunks, whose every row holds their
+        chunk number k: an array, or, ``dense``, a dataset whose chunks are
+        runs of windows one row apart, so they continue one another, and
+        chunks do not."""
+        n = n_chunks * training.EVAL_CHUNK
+        if not dense:
+            k = np.arange(n) // training.EVAL_CHUNK
+            return np.broadcast_to(k[:, None, None], (n, 4, 3)).astype(float)
+        rows = 3 + training.EVAL_CHUNK  # of a chunk's union
+        series = np.repeat(np.arange(n_chunks, dtype=float), rows)
+        starts = np.arange(n) + np.arange(n) // training.EVAL_CHUNK * 3
+        return WindowedDataset.from_series(
+            np.broadcast_to(series[:, None], (len(series), 3)), starts,
+            np.zeros(n, dtype=np.int64), 4, 1)
 
     @staticmethod
     def assert_chunk_shapes(chunks, dense):
@@ -921,7 +937,7 @@ class TestEvalHelper:
         sys.setswitchinterval(1e-6)
         try:
             with pytest.raises(FloatingPointError, match=f"^chunk {raised}$"):
-                forward_network(tiny_net(), *self.chunked_windows(6, dense))
+                forward_network(tiny_net(), self.chunked_windows(6, dense))
         finally:
             sys.setswitchinterval(interval)
         self.assert_chunk_shapes(chunks, dense)
@@ -943,7 +959,7 @@ class TestEvalHelper:
             time.sleep(0.05)
         chunks.body = body
         with pytest.raises(error, match="chunk 0"):
-            forward_network(tiny_net(), *self.chunked_windows(6, dense))
+            forward_network(tiny_net(), self.chunked_windows(6, dense))
         self.assert_chunk_shapes(chunks, dense)
         # chunk 3 finished before the call returned; no other chunk ran
         assert sorted(chunks.started) == sorted(chunks.finished) == [0, 3]

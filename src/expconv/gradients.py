@@ -30,11 +30,15 @@ to fill one, so training and checking share one code path. Every
 contraction over patches is a matrix product. A cache holds every
 channel's powered values for the windows of one call, so training calls
 it on a few windows at a time and sums their parameter gradients
-(``training.network_loss_grads``). The input gradient is the larger part
-of that work and only a later layer reads it, so a caller passes
-``input_grad=False`` where none does (a training step's layer 0); the
-bundle then carries an empty ``d_input`` and the parameter gradients are
-unchanged bit for bit.
+(``training.network_loss_grads``). The activation gradient, the patch
+gradients and the input gradient are written into the caller's
+workspace (``LayerCache.buffer``), as in ``layer_forward``, so the
+returned ``d_input`` of such a call lasts until the caller's next call
+with it; the parameter gradients are always new arrays. The input
+gradient is the larger part of that work and only a later layer reads
+it, so a caller passes ``input_grad=False`` where none does (a training
+step's layer 0); the bundle then carries an empty ``d_input`` and the
+parameter gradients are unchanged bit for bit.
 """
 
 from __future__ import annotations
@@ -105,7 +109,8 @@ def unit_backward(x: np.ndarray, weights: np.ndarray, bias: float,
 def layer_backward(x: np.ndarray, params: LayerParams, upstream: np.ndarray,
                    cache: LayerCache | None = None,
                    input_grad: bool = True,
-                   op=BUILD_OPERATOR) -> GradBundle:
+                   op=BUILD_OPERATOR,
+                   workspace: LayerCache | None = None) -> GradBundle:
     """Backward through one layer (activation included).
 
     ``upstream`` is d(loss)/d(feature map), shaped like the layer output
@@ -116,27 +121,35 @@ def layer_backward(x: np.ndarray, params: LayerParams, upstream: np.ndarray,
     by x are skipped and ``d_input`` is an empty array; the parameter
     gradients come from the same operations either way. ``op`` is
     ``layer_operator(params)``, built here when not given, as in
-    ``layer_forward``. A non-finite exponent gradient raises
-    FloatingPointError.
+    ``layer_forward``. The activation gradient, the patch gradients and
+    ``d_input`` are written into the ``workspace``'s arrays
+    (``LayerCache.buffer``), a fresh one when not given, so with a
+    workspace passed to many calls ``d_input`` holds until the next call;
+    the parameter gradients are new arrays. A non-finite exponent
+    gradient raises FloatingPointError.
     """
     x = np.asarray(x, dtype=np.float64)
     if op is BUILD_OPERATOR:
         op = layer_operator(params)
+    if workspace is None:
+        workspace = LayerCache()
     if cache is None:
         cache = LayerCache()
-        layer_forward(x, params, cache, op)
-    g = activation_grad(cache.output, params.activation)
-    g *= upstream
+        layer_forward(x, params, cache, op, workspace)
     out_ch = params.out_channels
-    # channel-major (M, N), a view when g keeps the output's memory order
-    g = np.moveaxis(g, -1, 0).reshape(out_ch, -1)
+    # channel-major (M, N), the memory order of the output
+    g = workspace.buffer("g", (out_ch, cache.output.size // out_ch))
+    g_out = np.moveaxis(g.reshape(out_ch, *cache.output.shape[:-1]), 0, -1)
+    activation_grad(cache.output, params.activation, out=g_out)
+    g_out *= upstream
     weights = params.weights.reshape(out_ch, -1)
     d_biases = g.sum(axis=1)
     if op is None:
         d_weights = (g @ cache.patches.T).reshape(params.weights.shape)
         d_payload = Standard()
         if input_grad:
-            d_patches = weights.T @ g
+            d_patches = np.matmul(weights.T, g, out=workspace.buffer(
+                "d_patches", cache.patches.shape))
     else:
         log_mag, powered = cache.log_mag, cache.powered
         # d_mixed = w * (P * g), so the filter folds into the operator for
@@ -147,8 +160,11 @@ def layer_backward(x: np.ndarray, params: LayerParams, upstream: np.ndarray,
         d_op = np.empty_like(op)
         if input_grad:
             scaled_op = weights * op if diag else weights[:, :, None] * op
-            d_patches = np.zeros_like(log_mag)  # d L, turned into d x below
-        gp = np.empty_like(log_mag)  # P * g of one channel
+            d_patches = workspace.buffer("d_patches", log_mag.shape)
+            d_patches.fill(0.0)  # d L, turned into d x below
+            if not diag:
+                mixed = workspace.buffer("mixed", log_mag.shape)
+        gp = workspace.buffer("gp", log_mag.shape)  # P * g of one channel
         for m in range(out_ch):
             np.multiply(powered[m], g[m], out=gp)
             if diag:
@@ -159,18 +175,18 @@ def layer_backward(x: np.ndarray, params: LayerParams, upstream: np.ndarray,
             else:
                 d_op[m] = gp @ log_mag.T
                 if input_grad:
-                    d_patches += scaled_op[m].T @ gp
+                    d_patches += np.matmul(scaled_op[m].T, gp, out=mixed)
         d_op *= weights if diag else weights[:, :, None]
         if not np.isfinite(d_op).all():
             raise FloatingPointError(
                 "exponent gradient contains non-finite values")
         d_payload = params.payload.operator_grad(d_op, params.k_h, params.k_w)
-        del gp  # freed before the scatter allocates d_input, if it runs
     if not input_grad:
         return GradBundle(d_weights, d_biases, d_payload, np.empty(0))
     d_input = scatter_patch_grads(
         d_patches.reshape((params.k_h, params.k_w) + cache.output.shape[:-1]),
-        x.shape, params.stride_t, params.stride_c)
+        x.shape, params.stride_t, params.stride_c,
+        out=workspace.buffer("d_input", x.shape))
     if op is not None:
         # d L summed per input entry; d log|x| / dx = 1/x
         outside = np.abs(x) > DEFAULT_EPS

@@ -42,23 +42,30 @@ so row_mix @ L @ col_mix is one matrix product over all patches), with the
 sign applied by a multiply, and its pre-activation is one vector-matrix
 product with its filter.
 
-``layer_forward(x, params, cache, op)`` keeps the log-magnitudes, every
-channel's powered values and the output in a ``LayerCache`` when one is
-passed, and ``layer_backward`` reads it, so the exponent stage runs once
-per training step. The operator (``layer_operator``) depends on the
-parameters alone: a pass over many chunks builds it once per layer and
-passes it as ``op`` to every kernel call, and a call without ``op``
-builds its own. The powered values alone are M * n * N floats for N
-patches, so a cache grows with the number of windows it is given;
-training passes a few windows at a time (``training.EVAL_CHUNK``).
-Without a cache, the channels share one (n, N) scratch matrix for their
-powered values. The single-receptive-field
+``layer_forward(x, params, cache, op, workspace)`` keeps the
+log-magnitudes, every channel's powered values and the output in a
+``LayerCache`` when one is passed, and ``layer_backward`` reads it, so the
+exponent stage runs once per training step. The operator
+(``layer_operator``) depends on the parameters alone: a pass over many
+chunks builds it once per layer and passes it as ``op`` to every kernel
+call, and a call without ``op`` builds its own. The powered values alone
+are M * n * N floats for N patches, so a cache grows with the number of
+windows it is given; training passes a few windows at a time
+(``training.EVAL_CHUNK``). Without a cache, the channels share one (n, N)
+scratch matrix for their powered values. The kernels write their large
+arrays through NumPy's ``out=`` arguments into a workspace, a
+``LayerCache`` holding one array per role (``LayerCache.buffer``); the
+owner of a pass passes one per layer to all of its chunks, so they reuse
+one set of memory, and a call without one makes a fresh one. A map
+returned to a caller that passed a workspace is a view of it, valid
+until that caller's next call with it. The single-receptive-field
 ``unit_*`` functions are separate direct implementations and serve as the
 oracle for the layer kernel.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -68,6 +75,7 @@ from .numerics import (
     extract_patches,
     log_magnitude,
     patch_grid,
+    patch_shape,
     signed_pow,
     vec,
 )
@@ -410,7 +418,8 @@ def unit_forward(x: np.ndarray, weights: np.ndarray, bias: float,
 
 @dataclass
 class LayerCache:
-    """What ``layer_forward`` keeps of its input for ``layer_backward``.
+    """What ``layer_forward`` keeps of its input for ``layer_backward``,
+    and the workspace the layer kernels write their large arrays into.
 
     patches  (n, N) patch matrix of a standard layer's input;
              None for exponent layers, whose backward divides by the
@@ -419,12 +428,26 @@ class LayerCache:
     powered  (M, n, N) signed powered values of every channel; None for
              standard layers
     output   the feature map, (..., grid_t, grid_c, M)
+    buffers  one array per role (``buffer``), kept from call to call
     """
 
     patches: np.ndarray | None = None
     log_mag: np.ndarray | None = None
     powered: np.ndarray | None = None
     output: np.ndarray | None = None
+    buffers: dict = field(default_factory=dict, repr=False)
+
+    def buffer(self, role: str, shape: tuple) -> np.ndarray:
+        """The array held for ``role``, of exactly ``shape`` and with
+        whatever it last held: the one held already when its shape
+        matches, else a new one that replaces it. A larger array is never
+        sliced, since a strided view could take BLAS down another path
+        and change the bits."""
+        shape = tuple(shape)
+        if role not in self.buffers or self.buffers[role].shape != shape:
+            self.buffers.pop(role, None)  # freed before its replacement
+            self.buffers[role] = np.empty(shape)
+        return self.buffers[role]
 
 
 def channel_preact(patches: np.ndarray, weights: np.ndarray, bias: float,
@@ -450,15 +473,21 @@ def apply_activation(preact: np.ndarray, activation: str,
     raise ValueError(f"unknown activation {activation!r}")
 
 
-def activation_grad(output: np.ndarray, activation: str) -> np.ndarray:
-    """Derivative of the activation, written in terms of its output."""
+def activation_grad(output: np.ndarray, activation: str,
+                    out: np.ndarray | None = None) -> np.ndarray:
+    """Derivative of the activation, written in terms of its output; into
+    ``out``, an array of the output's shape, when given, else into a new
+    array of the output's memory order."""
+    if activation not in ACTIVATIONS:
+        raise ValueError(f"unknown activation {activation!r}")
+    if out is None:
+        out = np.empty_like(output)
     if activation == "relu":
-        return (output > 0.0).astype(np.float64)
+        return np.greater(output, 0.0, out=out)
     if activation == "tanh":
-        return 1.0 - output * output
-    if activation == "identity":
-        return np.ones_like(output)
-    raise ValueError(f"unknown activation {activation!r}")
+        return np.subtract(1.0, np.multiply(output, output, out=out), out=out)
+    out.fill(1.0)
+    return out
 
 
 # ``op`` default of the layer kernels: build the operator from the payload
@@ -473,7 +502,8 @@ def layer_operator(params: LayerParams) -> np.ndarray | None:
 
 def layer_forward(x: np.ndarray, params: LayerParams,
                   cache: LayerCache | None = None,
-                  op=BUILD_OPERATOR) -> np.ndarray:
+                  op=BUILD_OPERATOR,
+                  workspace: LayerCache | None = None) -> np.ndarray:
     """Slide every channel's unit over the input and apply the activation.
 
     Accepts a (T, C) input or a batch (..., T, C); the feature map has
@@ -483,8 +513,13 @@ def layer_forward(x: np.ndarray, params: LayerParams,
     patches. Without one, the channels share one scratch matrix for their
     powered values. ``op`` is ``layer_operator(params)``, built here when
     not given: a pass that runs the layer on many chunks builds it once
-    and hands it to every call. A non-finite pre-activation (an
-    overflowing power or filter product) raises FloatingPointError.
+    and hands it to every call. The patch matrices, the powered values
+    and the pre-activations are written into the ``workspace``'s arrays
+    (``LayerCache.buffer``), a fresh one when not given; the feature map
+    is a view of its pre-activations, so a caller that passes one
+    workspace to many calls reads each map before the next call. A
+    non-finite pre-activation (an overflowing power or filter product)
+    raises FloatingPointError.
     """
     x = np.asarray(x, dtype=np.float64)
     n = params.k_h * params.k_w
@@ -492,28 +527,35 @@ def layer_forward(x: np.ndarray, params: LayerParams,
     weights = params.weights.reshape(out_ch, -1)
     if op is BUILD_OPERATOR:
         op = layer_operator(params)
+    if workspace is None:
+        workspace = LayerCache()
+    shape = patch_shape(x.shape, params.k_h, params.k_w, params.stride_t,
+                        params.stride_c)
+    lead = shape[2:]  # the patch grid, batch axes first
 
-    def patch_matrix(a):
-        p = extract_patches(a, params.k_h, params.k_w,
-                            params.stride_t, params.stride_c)
-        return p.reshape(n, -1), p.shape[2:]  # (n, N), a view
+    def patch_matrix(a, role):  # (n, N), a view of the role's array
+        return extract_patches(a, params.k_h, params.k_w, params.stride_t,
+                               params.stride_c, workspace.buffer(role, shape)
+                               ).reshape(n, -1)
 
+    preact = workspace.buffer("preact", (out_ch, math.prod(lead)))
     with np.errstate(over="ignore", invalid="ignore"):  # reported below
         if op is None:
-            patches, lead = patch_matrix(x)
-            preact = weights @ patches
+            patches = patch_matrix(x, "patches")
+            np.matmul(weights, patches, out=preact)
             if cache is not None:
                 cache.patches = patches
         else:
+            per_entry = workspace.buffer("per_entry", x.shape)
             # + 0.0 gives sign(0) = +1, as signed_pow
-            sign, lead = patch_matrix(np.copysign(1.0, x + 0.0))
-            log_mag, _ = patch_matrix(log_magnitude(x))
+            sign = patch_matrix(np.copysign(
+                1.0, np.add(x, 0.0, out=per_entry), out=per_entry), "sign")
+            log_mag = patch_matrix(log_magnitude(x, out=per_entry), "log_mag")
             if cache is None:
-                powered = [np.empty_like(log_mag)] * out_ch
+                powered = [workspace.buffer("powered", log_mag.shape)] * out_ch
             else:
-                powered = np.empty((out_ch, *log_mag.shape))
+                powered = workspace.buffer("powered", (out_ch, *log_mag.shape))
                 cache.log_mag, cache.powered = log_mag, powered
-            preact = np.empty((out_ch, log_mag.shape[1]))
             for m, z in enumerate(powered):
                 if op.ndim == 2:
                     np.multiply(log_mag, op[m][:, None], out=z)

@@ -43,10 +43,12 @@ def signed_pow(x, w):
     return out
 
 
-def log_magnitude(x):
-    """Clamped log: log(max(|x|, DEFAULT_EPS)). Companion of signed_pow."""
-    return np.log(np.maximum(np.abs(np.asarray(x, dtype=np.float64)),
-                             DEFAULT_EPS))
+def log_magnitude(x, out=None):
+    """Clamped log: log(max(|x|, DEFAULT_EPS)). Companion of signed_pow.
+    With ``out``, an array of x's shape, every step is written there."""
+    x = np.asarray(x, dtype=np.float64)
+    return np.log(np.maximum(np.abs(x, out=out), DEFAULT_EPS, out=out),
+                  out=out)
 
 
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -77,8 +79,19 @@ def patch_grid(rows: int, cols: int, k_h: int, k_w: int,
     return (rows - k_h) // stride_t + 1, (cols - k_w) // stride_c + 1
 
 
+def patch_shape(input_shape: tuple, k_h: int, k_w: int,
+                stride_t: int = 1, stride_c: int = 1) -> tuple:
+    """The shape (k_h, k_w, ..., grid_t, grid_c) of ``extract_patches`` on
+    an input of ``input_shape``, (..., T, C)."""
+    if len(input_shape) < 2:
+        raise ValueError("input must be at least 2-D (time x channels)")
+    grid = patch_grid(*input_shape[-2:], k_h, k_w, stride_t, stride_c)
+    return (k_h, k_w, *input_shape[:-2], *grid)
+
+
 def extract_patches(x: np.ndarray, k_h: int, k_w: int,
-                    stride_t: int = 1, stride_c: int = 1) -> np.ndarray:
+                    stride_t: int = 1, stride_c: int = 1,
+                    out: np.ndarray | None = None) -> np.ndarray:
     """All valid receptive fields of a T x C input (or a batch of them),
     laid out position-major.
 
@@ -90,14 +103,16 @@ def extract_patches(x: np.ndarray, k_h: int, k_w: int,
     im2col layout of Chellapilla et al. (2006), "High Performance
     Convolutional Neural Networks for Document Processing", transposed.
     It is filled by one strided slice copy per kernel position, the loop
-    of its adjoint ``scatter_patch_grads`` with ``=`` for ``+=``.
+    of its adjoint ``scatter_patch_grads`` with ``=`` for ``+=``. With
+    ``out``, a C-contiguous array of exactly that shape, the patches are
+    written there and ``out`` is returned.
     """
     x = np.asarray(x, dtype=np.float64)
-    if x.ndim < 2:
-        raise ValueError("input must be at least 2-D (time x channels)")
-    grid_t, grid_c = patch_grid(x.shape[-2], x.shape[-1], k_h, k_w,
-                                stride_t, stride_c)
-    patches = np.empty((k_h, k_w, *x.shape[:-2], grid_t, grid_c))
+    shape = patch_shape(x.shape, k_h, k_w, stride_t, stride_c)
+    grid_t, grid_c = shape[-2:]
+    if out is not None and out.shape != shape:
+        raise ValueError(f"out has shape {out.shape}, patches {shape}")
+    patches = np.empty(shape) if out is None else out
     for ky in range(k_h):
         t_stop = ky + stride_t * grid_t
         for kx in range(k_w):
@@ -107,12 +122,15 @@ def extract_patches(x: np.ndarray, k_h: int, k_w: int,
 
 
 def scatter_patch_grads(d_patches: np.ndarray, input_shape: tuple,
-                        stride_t: int, stride_c: int) -> np.ndarray:
+                        stride_t: int, stride_c: int,
+                        out: np.ndarray | None = None) -> np.ndarray:
     """Adjoint of ``extract_patches``: sum gradients laid out as its
     patches, (k_h, k_w, ..., grid_t, grid_c), back onto an input of
-    ``input_shape``; overlapping patches add."""
+    ``input_shape``; overlapping patches add. The sum starts from zeros,
+    in ``out`` (an array of ``input_shape``, zeroed here) when given."""
     k_h, k_w, *lead, grid_t, grid_c = d_patches.shape
-    d_input = np.zeros(input_shape, dtype=np.float64)
+    d_input = np.empty(input_shape) if out is None else out
+    d_input.fill(0.0)
     for ky in range(k_h):
         t_stop = ky + stride_t * grid_t
         for kx in range(k_w):

@@ -5,7 +5,14 @@ softmax classifier over the flattened last feature map. Layers between
 the input and the last convolution must emit a single channel so their
 output is again a (time, channel) matrix.
 
-Passes run the network on chunks of a few windows (``EVAL_CHUNK``).
+Passes run the network on chunks of a few windows (``EVAL_CHUNK``), and
+the chunks of a pass write their large arrays into one workspace
+(``new_workspace``: one ``LayerCache`` per layer, one array per role), so
+they reuse one set of memory rather than allocating and freeing it chunk
+after chunk. ``train`` holds one workspace for the steps of an epoch and
+drops it before the end-of-epoch evaluation; ``forward_network`` gives
+the calling thread and its helper one each for the length of the call.
+No array a pass returns lies in a workspace.
 Evaluation reads the windows from their series (``WindowedDataset``) and
 how many rows apart they were cut (``WindowedDataset.stride``): a run of
 consecutive windows whose starts are that many rows apart is a dense
@@ -215,26 +222,42 @@ def _effective_layers(net: Network) -> tuple[list, list]:
     return layers, [layer_operator(layer) for layer in layers]
 
 
-def _run_stack(x: np.ndarray, layers: list, ops: list,
-               caches: list | None = None):
+def new_workspace(net: Network) -> list:
+    """A pass's workspace: one ``LayerCache`` per layer, whose buffers the
+    layer kernels write their large arrays into, one array per role
+    (``LayerCache.buffer``); the last also holds the classifier head's.
+    Chunks run with one workspace reuse one set of memory."""
+    return [LayerCache() for _ in net.layers]
+
+
+def _run_stack(x: np.ndarray, layers: list, ops: list, workspace: list,
+               keep: bool = False):
     """Run the conv stack on ``x``, keeping per-layer inputs and raw
-    outputs; ``ops`` are the layers' operators. With ``caches``, one
-    LayerCache per layer, each layer's forward state is kept for the
+    outputs; ``ops`` are the layers' operators and ``workspace`` holds one
+    LayerCache per layer for their arrays (``new_workspace``). With
+    ``keep``, each layer's forward state is kept in its LayerCache for the
     backward pass."""
     inputs = []
     outputs = []
     cur = np.asarray(x, dtype=np.float64)
-    for i, (layer, op) in enumerate(zip(layers, ops)):
+    for i, (layer, op, space) in enumerate(zip(layers, ops, workspace)):
         inputs.append(cur)
         try:
-            out = layer_forward(cur, layer,
-                                cache=None if caches is None else caches[i],
-                                op=op)
+            out = layer_forward(cur, layer, cache=space if keep else None,
+                                op=op, workspace=space)
         except FloatingPointError as exc:
             raise FloatingPointError(f"layer {i}: {exc}") from exc
         outputs.append(out)
         cur = out[..., 0]  # single channel between layers
     return inputs, outputs
+
+
+def _features(maps: np.ndarray, space: LayerCache) -> np.ndarray:
+    """The last feature maps (n, rows, cols, channels) flattened per window,
+    the head's input: a copy in ``space``'s ``feats`` array."""
+    feats = space.buffer("feats", (len(maps), maps[0].size))
+    feats.reshape(maps.shape)[...] = maps
+    return feats
 
 
 def _forward_trace(net: Network, x: np.ndarray, layers: list | None = None,
@@ -244,28 +267,35 @@ def _forward_trace(net: Network, x: np.ndarray, layers: list | None = None,
     ``layers`` are the effective layers and ``ops`` their operators (both
     built here when ``layers`` is omitted); with ``caches``, one
     LayerCache per layer, each layer's forward state is kept for the
-    backward pass.
+    backward pass and the caches are the workspace the arrays are written
+    into (``new_workspace``), else a fresh one is.
     """
     if layers is None:
         layers, ops = _effective_layers(net)
-    inputs, outputs = _run_stack(x, layers, ops, caches)
-    feats = outputs[-1].reshape(x.shape[0], -1)
+    workspace = new_workspace(net) if caches is None else caches
+    inputs, outputs = _run_stack(x, layers, ops, workspace,
+                                 keep=caches is not None)
+    feats = _features(outputs[-1], workspace[-1])
     logits = feats @ net.head_w + net.head_b
     return inputs, outputs, feats, logits
 
 
 def _head_shares(net: Network, maps: np.ndarray, starts: slice,
-                 r_w: int) -> np.ndarray:
+                 r_w: int, space: LayerCache) -> np.ndarray:
     """Each window's share of the head product (its logits less
     ``head_b``) over the rows of ``maps`` (rows, cols, channels), a block
     of a dense group's last feature map. The windows' ``r_w``-row maps
     begin at the rows ``starts`` of ``maps`` padded with r_w - 1 zero rows
     on each side, so a window may begin before the block or end after it;
-    its rows outside the block add nothing."""
-    flat = maps.reshape(len(maps), -1)
-    pad = np.zeros((r_w - 1, flat.shape[1]))  # np.pad takes 3x as long
-    rows = np.lib.stride_tricks.sliding_window_view(
-        np.concatenate([pad, flat, pad]), r_w, axis=0)[starts]
+    its rows outside the block add nothing. The padded map is ``space``'s
+    ``maps`` array."""
+    pad = r_w - 1
+    padded = space.buffer("maps", (len(maps) + 2 * pad, maps[0].size))
+    padded[:pad] = 0.0
+    padded[pad + len(maps):] = 0.0
+    padded[pad:pad + len(maps)].reshape(maps.shape)[...] = maps
+    rows = np.lib.stride_tricks.sliding_window_view(padded, r_w,
+                                                    axis=0)[starts]
     # row r of every window times the head's rows for row r, summed over
     # r: strided views, so no map row is copied once per window reading it
     return np.matmul(rows.transpose(2, 0, 1), net.head_w.reshape(
@@ -387,27 +417,29 @@ def forward_network(net: Network, windows) -> np.ndarray:
                   if step else [(0, stop - origin, 0, 0)])
         tasks += [(origin, step, *block) for block in blocks]
     shares = np.zeros((2, len(continued), net.n_classes))
+    workspaces = (new_workspace(net), new_workspace(net))  # one per thread
 
-    def run_task(k):
+    def run_task(k, worker):
         origin, step, first, stop, lo, hi = tasks[k]
+        space = workspaces[worker]
         if step:
             # rows [lo, hi) of the group's map
             _, outputs = _run_stack(group_rows(
                 origin, lo * unit, (hi - 1) * unit + field)[None],
-                layers, ops)
+                layers, ops, space)
             shift = step // unit
             part = _head_shares(net, outputs[-1][0], slice(
                 first * shift - lo + r_w - 1, stop * shift - lo + r_w - 1,
-                shift), r_w)
+                shift), r_w, space[-1])
         else:
             _, outputs = _run_stack(
-                stacked(origin + first, origin + stop), layers, ops)
-            part = outputs[-1].reshape(stop - first, -1) @ net.head_w
+                stacked(origin + first, origin + stop), layers, ops, space)
+            part = _features(outputs[-1], space[-1]) @ net.head_w
         shares[lo // size % 2, origin + first:origin + stop] = part
 
     if EVAL_WORKERS < 2 or len(tasks) < 2:
         for k in range(len(tasks)):
-            run_task(k)
+            run_task(k, 0)
     else:
         _share_with_helper(run_task, len(tasks))
     probs = softmax(shares[0] + shares[1] + net.head_b)
@@ -418,8 +450,10 @@ def _share_with_helper(run_task, n_tasks: int) -> None:
     """Run tasks [0, half) of n_tasks on this thread and [half, n_tasks)
     on the helper, in a copy of this thread's context, so its
     ``np.errstate`` holds in both, and raise what a serial loop would
-    raise. ``run_task(k)`` runs task k; tasks keep no state between them,
-    so either thread may run any of them.
+    raise. ``run_task(k, worker)`` runs task k on worker 0 (this thread)
+    or 1 (the helper), so each thread can write into its own workspace;
+    tasks keep no state between them, so either thread may run any of
+    them.
 
     Every task of this thread comes before every task of the helper, so
     a failure here is the earliest: it sets ``stop``, which the helper
@@ -433,13 +467,13 @@ def _share_with_helper(run_task, n_tasks: int) -> None:
     def run_second_half():
         for k in range(half, n_tasks):
             if not stop:
-                run_task(k)
+                run_task(k, 1)
 
     helper = _eval_helper().submit(contextvars.copy_context().run,
                                    run_second_half)
     try:
         for k in range(half):
-            run_task(k)
+            run_task(k, 0)
     except BaseException:  # interrupts too: the helper ends its task
         stop = True
         wait([helper])
@@ -493,60 +527,74 @@ def _grad_tensors(grads: NetGrads) -> list:
 
 
 def network_loss_grads(net: Network, windows: np.ndarray,
-                       labels: np.ndarray):
+                       labels: np.ndarray, workspace: list | None = None):
     """Mean cross-entropy over the batch and gradients for every tensor.
 
     Each window's loss and upstream gradients depend on that window alone,
     so the network runs forward, through the head and backward on one
     chunk of windows at a time, the chunks ``_eval_chunks`` gives for
     windows that continue nothing, and holds one chunk's layer caches,
-    whatever the batch size.
-    Each layer's operator is built once for all chunks. The chunks'
-    parameter gradients are summed, stacked array by stacked array
-    (``_tensors``), and their input gradients joined into full-batch
-    arrays. Only a later layer reads an input gradient, so
-    layer 0, whose input is the windows, skips it: its bundle carries an
-    empty ``d_input``.
+    whatever the batch size. The chunks write their large arrays into
+    ``workspace`` (``new_workspace``), a fresh one when not given, so they
+    reuse one set of memory; ``train`` passes one to every step of an
+    epoch. Each layer's operator is built once for all chunks. The
+    chunks' parameter gradients are summed, stacked array by stacked
+    array (``_tensors``), and their input gradients copied into
+    full-batch arrays, so no returned array lies in the workspace. Only a
+    later layer reads an input gradient, so layer 0, whose input is the
+    windows, skips it: its bundle carries an empty ``d_input``.
     """
     windows = np.asarray(windows, dtype=np.float64)
     _check_batch_shape(net, windows.shape)
     n = len(windows)
     labels = _checked_labels(labels, n, net.n_classes)
     evaluated, ops = _effective_layers(net)
-    loss, grads, d_inputs = 0.0, None, []
+    if workspace is None:
+        workspace = new_workspace(net)
+    head = workspace[-1]
+    loss, grads, d_inputs = 0.0, None, None
     for first, stop, _ in _eval_chunks(np.zeros(n, dtype=bool), 0):
         rows = slice(first, stop)
         y = labels[rows]
-        caches = [LayerCache() for _ in evaluated]
         inputs, outputs, feats, logits = _forward_trace(
-            net, windows[rows], evaluated, ops, caches)
+            net, windows[rows], evaluated, ops, workspace)
         loss += cross_entropy(logits, y) * len(y)
         if not np.isfinite(loss):
             raise FloatingPointError("non-finite loss")
         d_logits = softmax(logits)
         d_logits[np.arange(len(y)), y] -= 1.0
         d_logits /= n
-        upstream = (d_logits @ net.head_w.T).reshape(outputs[-1].shape)
+        upstream = np.matmul(d_logits, net.head_w.T, out=head.buffer(
+            "upstream", feats.shape)).reshape(outputs[-1].shape)
         bundles = [None] * len(evaluated)
         for i in reversed(range(len(evaluated))):
             try:
                 bundles[i] = layer_backward(inputs[i], evaluated[i],
-                                            upstream, cache=caches[i],
-                                            input_grad=i > 0, op=ops[i])
+                                            upstream, cache=workspace[i],
+                                            input_grad=i > 0, op=ops[i],
+                                            workspace=workspace[i])
             except FloatingPointError as exc:
                 raise FloatingPointError(f"layer {i}: {exc}") from exc
             upstream = bundles[i].d_input[..., None]
-        d_inputs.append([b.d_input for b in bundles])
-        chunk = NetGrads(bundles, feats.T @ d_logits, d_logits.sum(axis=0))
+        if d_inputs is None:  # layer 0's stays the empty array
+            d_inputs = [b.d_input if i == 0 else
+                        np.empty((n, *b.d_input.shape[1:]))
+                        for i, b in enumerate(bundles)]
+        for bundle, d_input in zip(bundles[1:], d_inputs[1:]):
+            d_input[rows] = bundle.d_input
+        # the first chunk's gradients become the sums: new arrays
+        d_head_w = (feats.T @ d_logits if grads is None else np.matmul(
+            feats.T, d_logits, out=head.buffer("d_head_w", net.head_w.shape)))
+        chunk = NetGrads(bundles, d_head_w, d_logits.sum(axis=0))
         if grads is None:
             grads = chunk
         else:
             for total, part in zip(_grad_tensors(grads),
                                    _grad_tensors(chunk)):
                 total += part
-    for bundle, layer, policy, parts in zip(grads.layers, net.layers,
-                                            net.policies, zip(*d_inputs)):
-        bundle.d_input = np.concatenate(parts)
+    for bundle, layer, policy, d_input in zip(grads.layers, net.layers,
+                                              net.policies, d_inputs):
+        bundle.d_input = d_input
         stored_grad(bundle.d_payload, layer.payload, policy)
     return loss / n, grads
 
@@ -603,13 +651,19 @@ def _param_grad_pairs(net: Network, grads: NetGrads):
     return list(zip(params, _grad_tensors(grads), strict=True))
 
 
+# The optimizers hold scratch arrays shaped like the tensors, created on
+# the first step, and write every temporary of a step into them.
+
 class _Sgd:
     def __init__(self, lr: float):
         self.lr = lr
+        self.scratch = None
 
     def step(self, pairs):
-        for param, grad in pairs:
-            param -= self.lr * grad
+        if self.scratch is None:
+            self.scratch = [np.empty_like(p) for p, _ in pairs]
+        for (param, grad), s in zip(pairs, self.scratch):
+            param -= np.multiply(self.lr, grad, out=s)
 
 
 class _Adam:
@@ -618,21 +672,28 @@ class _Adam:
         self.t = 0
         self.m = None
         self.v = None
+        self.scratch = None
 
     def step(self, pairs):
         if self.m is None:
             self.m = [np.zeros_like(p) for p, _ in pairs]
             self.v = [np.zeros_like(p) for p, _ in pairs]
+            self.scratch = [(np.empty_like(p), np.empty_like(p))
+                            for p, _ in pairs]
         self.t += 1
         b1, b2 = self.beta1, self.beta2
         bc1 = 1.0 - b1 ** self.t
         bc2 = 1.0 - b2 ** self.t
-        for (param, grad), m, v in zip(pairs, self.m, self.v):
+        for (param, grad), m, v, (a, b) in zip(pairs, self.m, self.v,
+                                               self.scratch):
             m *= b1
-            m += (1.0 - b1) * grad
+            m += np.multiply(1.0 - b1, grad, out=a)
             v *= b2
-            v += (1.0 - b2) * grad * grad
-            param -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+            v += np.multiply(np.multiply(1.0 - b2, grad, out=a), grad, out=a)
+            # param -= lr * (m / bc1) / (sqrt(v / bc2) + eps)
+            np.multiply(self.lr, np.divide(m, bc1, out=a), out=a)
+            np.add(np.sqrt(np.divide(v, bc2, out=b), out=b), self.eps, out=b)
+            param -= np.divide(a, b, out=a)
 
 
 def make_optimizer(config: TrainConfig):
@@ -720,6 +781,7 @@ def train(net: Network, dataset: WindowedDataset, config: TrainConfig,
     for epoch in range(config.epochs):
         order = shuffle_rng.permutation(len(dataset))
         batch_losses = []
+        workspace = new_workspace(net)  # the arrays of the epoch's steps
         for start in range(0, len(order), config.batch_size):
             idx = order[start:start + config.batch_size]
             xb = window_rows(dataset.series, dataset.starts[idx],
@@ -729,7 +791,8 @@ def train(net: Network, dataset: WindowedDataset, config: TrainConfig,
                 if config.augments:
                     xb = np.stack([apply_pipeline(w, config.augments, aug_rng,
                                                   streams) for w in xb])
-                loss, grads = network_loss_grads(net, xb, yb)
+                loss, grads = network_loss_grads(net, xb, yb,
+                                                 workspace=workspace)
                 pairs = _param_grad_pairs(net, grads)
                 with np.errstate(over="ignore", invalid="ignore"):
                     optimizer.step(pairs)
@@ -742,6 +805,7 @@ def train(net: Network, dataset: WindowedDataset, config: TrainConfig,
                     f"{exc} at epoch {epoch}, "
                     f"batch {start // config.batch_size}") from exc
             batch_losses.append(loss)
+        del workspace  # freed before an evaluation allocates its own
         record = {"epoch": epoch, "loss": float(np.mean(batch_losses))}
         last = epoch == config.epochs - 1
         if (epoch + 1) % config.eval_every == 0 or last:

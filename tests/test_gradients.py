@@ -278,6 +278,46 @@ class TestLayerCache:
         for a, b in pairs:
             np.testing.assert_allclose(a, b, rtol=0, atol=1e-12)
 
+    def test_a_reused_workspace_changes_no_bit(self, variant, activation,
+                                              stride):
+        params, x, rng = self.instance(variant, activation, stride)
+        upstream = rng.normal(size=layer_forward(x, params).shape)
+        workspace = LayerCache()
+        # one window, then two: every role changes shape and comes back
+        for rows in (slice(0, 1), slice(0, 2), slice(1, 2)):
+            cache = LayerCache()
+            out = layer_forward(x[rows], params, cache, workspace=workspace)
+            np.testing.assert_array_equal(
+                out.view(np.uint64),
+                layer_forward(x[rows], params).view(np.uint64))
+            got = layer_backward(x[rows], params, upstream[rows], cache=cache,
+                                 workspace=workspace)
+            want = layer_backward(x[rows], params, upstream[rows])
+            pairs = [(got.d_weights, want.d_weights),
+                     (got.d_biases, want.d_biases),
+                     (got.d_input, want.d_input)]
+            pairs += zip(payload_arrays(got.d_payload),
+                         payload_arrays(want.d_payload), strict=True)
+            for a, b in pairs:
+                np.testing.assert_array_equal(a.view(np.uint64),
+                                              b.view(np.uint64))
+            # every role must be written, or zeroed, before it is read
+            for buf in workspace.buffers.values():
+                buf.fill(np.nan)
+
+    def test_a_role_holds_one_array_of_the_last_shape(self, variant,
+                                                      activation, stride):
+        params, x, _ = self.instance(variant, activation, stride)
+        workspace = LayerCache()
+        layer_forward(x, params, workspace=workspace)
+        held = dict(workspace.buffers)
+        layer_forward(x, params, workspace=workspace)
+        assert all(workspace.buffers[r] is a for r, a in held.items())
+        layer_forward(x[:1], params, workspace=workspace)
+        assert workspace.buffers.keys() == held.keys()
+        assert all(workspace.buffers[r].shape != a.shape
+                   for r, a in held.items())
+
     def test_skipping_the_input_gradient_keeps_the_rest(self, variant,
                                                         activation, stride):
         params, x, rng = self.instance(variant, activation, stride)

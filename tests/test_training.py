@@ -55,6 +55,7 @@ from expconv.training import (
     load_model,
     network_loss_grads,
     network_param_arrays,
+    new_workspace,
     predict,
     save_model,
     train,
@@ -99,6 +100,14 @@ def plant_test_set(n_runs=4):
     runs = [RawRun(make_rng(60 + k).normal(size=(TEST_ROWS, N_VARIABLES)), k,
                    "test") for k in range(n_runs)]
     return merge_windows([make_windows(run, 40, 10) for run in runs])
+
+
+def plant_net(variant="elementwise"):
+    """The plant workloads' network: one 3x3x8 layer on 40x52 windows,
+    three classes."""
+    return build_network((40, 52), 3, [{"variant": variant, "k_h": 3,
+                                        "k_w": 3, "out_channels": 8}],
+                         seed=12)
 
 
 def params_bytes(net):
@@ -497,9 +506,10 @@ class TestChunkedPasses:
         shapes = []
         original = training.layer_forward
 
-        def spy(x, params, cache, op):
+        def spy(x, params, cache, op, workspace):
             shapes.append(x.shape)
-            return original(x, params, cache=cache, op=op)
+            return original(x, params, cache=cache, op=op,
+                            workspace=workspace)
         monkeypatch.setattr(training, "layer_forward", spy)
         return shapes
 
@@ -658,8 +668,9 @@ class TestChunkedPasses:
         out_rows = []
         original = training.layer_forward
 
-        def counting(x, params, cache, op):
-            out = original(x, params, cache=cache, op=op)
+        def counting(x, params, cache, op, workspace):
+            out = original(x, params, cache=cache, op=op,
+                           workspace=workspace)
             out_rows.append(out.shape[0] * out.shape[1])
             return out
         monkeypatch.setattr(training, "layer_forward", counting)
@@ -713,8 +724,9 @@ class TestChunkedPasses:
         out_rows = []
         original = training.layer_forward
 
-        def counting(x, params, cache, op):
-            out = original(x, params, cache=cache, op=op)
+        def counting(x, params, cache, op, workspace):
+            out = original(x, params, cache=cache, op=op,
+                           workspace=workspace)
             out_rows.append(out.shape[0] * out.shape[1])
             return out
         monkeypatch.setattr(training, "layer_forward", counting)
@@ -753,8 +765,9 @@ class TestChunkedPasses:
         exps = []
         original = training.layer_forward
 
-        def counting(x, params, cache, op):
-            out = original(x, params, cache=cache, op=op)
+        def counting(x, params, cache, op, workspace):
+            out = original(x, params, cache=cache, op=op,
+                           workspace=workspace)
             exps.append(out.size * params.k_h * params.k_w)
             return out
         monkeypatch.setattr(training, "layer_forward", counting)
@@ -866,6 +879,177 @@ class TestChunkedPasses:
             probs.append(forward_network(net, windows))
         assert probs[0].shape == (n, 3)
         np.testing.assert_array_equal(*probs)
+
+
+class TestWorkspace:
+    """A pass writes its large arrays into a workspace, one array per
+    (layer, role); reusing one must change no bit and leak no array."""
+
+    @staticmethod
+    def net(kind):
+        if kind == "synth_stack":  # layer 1's input gradient is read
+            return build_network(
+                (16, 12), 3,
+                [{"variant": "bilinear", "k_h": 3, "k_w": 3},
+                 {"variant": "full_matrix", "k_h": 2, "k_w": 2,
+                  "out_channels": 4}],
+                policy=ConstraintPolicy(mode="reparam", kind="sigmoid"),
+                seed=12)
+        return TestChunkedPasses.two_layer_net(kind, "clip", (16, 12))
+
+    @staticmethod
+    def grad_arrays(net, grads):
+        return ([g for _, g in _param_grad_pairs(net, grads)]
+                + [b.d_input for b in grads.layers])
+
+    @staticmethod
+    def buffers(workspace):
+        return [a for cache in workspace for a in cache.buffers.values()]
+
+    @pytest.mark.parametrize("kind",
+                             sorted(VARIANT_TYPES) + ["synth_stack"])
+    def test_a_held_workspace_changes_no_bit(self, kind):
+        net = self.net(kind)
+        rng = make_rng(31)
+        workspace = new_workspace(net)
+        # the 30-window batch ends in a 2-window chunk: shapes change and
+        # come back
+        for n in (32, 30, 32):
+            windows = rng.normal(size=(n, 16, 12))
+            labels = rng.integers(0, 3, size=n)
+            loss, grads = network_loss_grads(net, windows, labels,
+                                             workspace=workspace)
+            fresh_loss, fresh = network_loss_grads(net, windows, labels)
+            assert loss == fresh_loss
+            got, want = (self.grad_arrays(net, g) for g in (grads, fresh))
+            for a, b in zip(got, want, strict=True):
+                assert a.shape == b.shape
+                np.testing.assert_array_equal(a.view(np.uint64),
+                                              b.view(np.uint64))
+            # every role must be written, or zeroed, before it is read
+            for buf in self.buffers(workspace):
+                buf.fill(np.nan)
+        held = {id(buf) for buf in self.buffers(workspace)}
+        network_loss_grads(net, windows, labels, workspace=workspace)
+        assert {id(buf) for buf in self.buffers(workspace)} == held
+
+    def test_no_result_lies_in_a_workspace(self, monkeypatch):
+        net = self.net("synth_stack")
+        rng = make_rng(32)
+        # whole chunks only, so every role keeps its first chunk's array
+        windows = rng.normal(size=(2 * training.EVAL_CHUNK, 16, 12))
+        labels = rng.integers(0, 3, size=len(windows))
+        workspace = new_workspace(net)
+        _, grads = network_loss_grads(net, windows, labels,
+                                      workspace=workspace)
+        held = self.buffers(workspace)
+        assert grads.layers[1].d_input.shape == (len(windows), 14, 10)
+        arrays = self.grad_arrays(net, grads)
+        layer = effective_layer(net.layers[0], net.policies[0])
+        first = layer_forward(windows, layer)
+        arrays += [first, layer_forward(windows[:4], layer)]
+        made = []
+
+        def spy(net):
+            made.append(new_workspace(net))
+            return made[-1]
+        monkeypatch.setattr(training, "new_workspace", spy)
+        monkeypatch.setattr(training, "EVAL_WORKERS", 2)
+        arrays += [forward_network(net, windows),
+                   forward_network(net, series_set(33, 30, 2, (16, 12)))]
+        held += [a for w in made for a in self.buffers(w)]
+        assert len(held) > len(self.buffers(workspace))
+        for a in arrays:
+            assert not any(np.shares_memory(a, buf) for buf in held)
+        assert not np.shares_memory(arrays[-4], arrays[-3])
+
+    def test_a_warm_step_allocates_little(self):
+        # the plant step, counted from its second call: 7.78 MiB traced
+        # when every chunk allocated its own arrays
+        net = plant_net()
+        rng = make_rng(13)
+        windows = rng.normal(size=(32, 40, 52))
+        labels = rng.integers(0, 3, size=32)
+        workspace = new_workspace(net)
+        tracemalloc.start()
+        try:
+            network_loss_grads(net, windows, labels, workspace=workspace)
+            start = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            network_loss_grads(net, windows, labels, workspace=workspace)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - start <= 4 * 2**20, (start, peak)
+
+    def test_evaluation_holds_one_array_per_role(self, monkeypatch):
+        # plant_test_set runs 158-row blocks and, once a run, an 8-row one;
+        # the 8-row block's arrays (0.36 MiB) must replace the 158-row
+        # ones, not join them
+        monkeypatch.setattr(training, "EVAL_WORKERS", 1)
+        net = plant_net()
+        ds = plant_test_set()
+        ds.labels %= 3
+        evaluate(net, ds)
+        peak = TestChunkedPasses.traced_peak(lambda: evaluate(net, ds))
+        n, patches, rows, features = 9, 158 * 50, 158 + 2 * 37, 50 * 8
+        block = 8 * (160 * 52  # the block's input rows
+                     + 3 * n * patches  # sign, log|x|, powered values
+                     + 8 * patches  # pre-activations
+                     + rows * features)  # the head's padded map
+        assert peak <= block + 2**18, (block, peak)
+
+    @pytest.mark.parametrize("variant", ("elementwise", "full_matrix"))
+    def test_worker_count_keeps_the_plant_probabilities(self, monkeypatch,
+                                                        variant):
+        net = TestChunkedPasses.perturbed(plant_net(variant))
+        ds = plant_test_set()
+        probs = []
+        for workers in (1, 2):
+            monkeypatch.setattr(training, "EVAL_WORKERS", workers)
+            probs.append(forward_network(net, ds))
+        np.testing.assert_array_equal(probs[0].view(np.uint64),
+                                      probs[1].view(np.uint64))
+
+
+class TestOptimizers:
+    @staticmethod
+    def pairs(seed):
+        rng = make_rng(seed)  # the plant head's shape, and a small tensor
+        params = [rng.normal(size=(15200, 3)), rng.normal(size=8)]
+        return [(p, rng.normal(size=p.shape)) for p in params]
+
+    @pytest.mark.parametrize("optimizer", training.OPTIMIZERS)
+    def test_a_step_matches_the_formula_bit_for_bit(self, optimizer):
+        config = TrainConfig(optimizer=optimizer, learning_rate=0.003)
+        opt = training.make_optimizer(config)
+        pairs = self.pairs(40)
+        want = [p.copy() for p, _ in pairs]
+        m = [np.zeros_like(p) for p in want]
+        v = [np.zeros_like(p) for p in want]
+        lr, b1, b2, eps = (config.learning_rate, config.beta1, config.beta2,
+                           config.adam_eps)
+        for t in range(1, 4):
+            opt.step(pairs)
+            for k, (_, grad) in enumerate(pairs):
+                if optimizer == "sgd":
+                    want[k] -= lr * grad
+                    continue
+                m[k] = b1 * m[k] + (1.0 - b1) * grad
+                v[k] = b2 * v[k] + (1.0 - b2) * grad * grad
+                want[k] -= lr * (m[k] / (1.0 - b1 ** t)) / (
+                    np.sqrt(v[k] / (1.0 - b2 ** t)) + eps)
+            for (param, _), w in zip(pairs, want):
+                np.testing.assert_array_equal(param.view(np.uint64),
+                                              w.view(np.uint64))
+
+    @pytest.mark.parametrize("optimizer", training.OPTIMIZERS)
+    def test_a_later_step_allocates_no_tensor(self, optimizer):
+        opt = training.make_optimizer(TrainConfig(optimizer=optimizer))
+        pairs = self.pairs(41)
+        opt.step(pairs)
+        peak = TestChunkedPasses.traced_peak(lambda: opt.step(pairs))
+        assert peak < pairs[0][0].nbytes // 8, peak
 
 
 class TestEvalHelper:

@@ -19,26 +19,26 @@ the clamp boundary.
 ``layer_backward`` works on the layer kernel's patch matrix (the layout
 of ``numerics.extract_patches``) for all channels at once and reads the
 log-magnitudes and powered values from the ``LayerCache`` that
-``layer_forward`` filled; it never evaluates the exponent stage again.
-It takes the layer's operator as ``op`` from a caller that built it for
-the whole pass, as ``layer_forward`` does, and builds it otherwise. Its
-gradient with respect to log|x| is summed onto the input grid first
-(``numerics.scatter_patch_grads``) and divided by x there, once per input
-entry, since every patch entry of one input shares its x. Called without
-a cache (gradient checks, single calls), it first runs ``layer_forward``
-to fill one, so training and checking share one code path. Every
-contraction over patches is a matrix product. A cache holds every
-channel's powered values for the windows of one call, so training calls
-it on a few windows at a time and sums their parameter gradients
-(``training.network_loss_grads``). The activation gradient, the patch
-gradients and the input gradient are written into the caller's
-workspace (``LayerCache.buffer``), as in ``layer_forward``, so the
-returned ``d_input`` of such a call lasts until the caller's next call
-with it; the parameter gradients are always new arrays. The input
-gradient is the larger part of that work and only a later layer reads
-it, so a caller passes ``input_grad=False`` where none does (a training
-step's layer 0); the bundle then carries an empty ``d_input`` and the
-parameter gradients are unchanged bit for bit.
+``layer_forward`` filled with ``keep=True``; it never evaluates the
+exponent stage again. It takes the layer's operator as ``op`` from a
+caller that built it for the whole pass, as ``layer_forward`` does, and
+builds it otherwise. Its gradient with respect to log|x| is summed onto
+the input grid first (``numerics.scatter_patch_grads``) and divided by x
+there, once per input entry, since every patch entry of one input shares
+its x. Called without a cache (gradient checks, single calls), it first
+runs ``layer_forward`` to fill a fresh one, so training and checking
+share one code path. Every contraction over patches is a matrix product.
+A cache holds every channel's powered values for the windows of one
+call, so training calls it on a few windows at a time and sums their
+parameter gradients (``training.network_loss_grads``). The activation
+gradient, the patch gradients and the input gradient are written into
+the cache's arrays (``LayerCache.buffer``), beside the forward's, so the
+returned ``d_input`` of a call given a cache lasts until the caller's
+next call with it; the parameter gradients are always new arrays. The
+input gradient is the larger part of that work and only a later layer
+reads it, so a caller passes ``input_grad=False`` where none does (a
+training step's layer 0); the bundle then carries an empty ``d_input``
+and the parameter gradients are unchanged bit for bit.
 """
 
 from __future__ import annotations
@@ -109,36 +109,36 @@ def unit_backward(x: np.ndarray, weights: np.ndarray, bias: float,
 def layer_backward(x: np.ndarray, params: LayerParams, upstream: np.ndarray,
                    cache: LayerCache | None = None,
                    input_grad: bool = True,
-                   op=BUILD_OPERATOR,
-                   workspace: LayerCache | None = None) -> GradBundle:
+                   op=BUILD_OPERATOR) -> GradBundle:
     """Backward through one layer (activation included).
 
     ``upstream`` is d(loss)/d(feature map), shaped like the layer output
     (..., grid_t, grid_c, out_channels). ``cache`` is the one
-    ``layer_forward`` filled for this input and these parameters; without
-    one, the forward kernel runs here to fill a fresh cache. With
+    ``layer_forward`` filled with ``keep=True`` for this input and these
+    parameters, a ValueError when it holds no such forward; without one,
+    the forward kernel runs here to fill a fresh cache. With
     ``input_grad=False`` the d L accumulation, the scatter and the divide
     by x are skipped and ``d_input`` is an empty array; the parameter
     gradients come from the same operations either way. ``op`` is
     ``layer_operator(params)``, built here when not given, as in
     ``layer_forward``. The activation gradient, the patch gradients and
-    ``d_input`` are written into the ``workspace``'s arrays
-    (``LayerCache.buffer``), a fresh one when not given, so with a
-    workspace passed to many calls ``d_input`` holds until the next call;
-    the parameter gradients are new arrays. A non-finite exponent
-    gradient raises FloatingPointError.
+    ``d_input`` are written into the cache's arrays
+    (``LayerCache.buffer``), so with a cache passed to many calls
+    ``d_input`` holds until the next call; the parameter gradients are
+    new arrays. A non-finite exponent gradient raises FloatingPointError.
     """
     x = np.asarray(x, dtype=np.float64)
     if op is BUILD_OPERATOR:
         op = layer_operator(params)
-    if workspace is None:
-        workspace = LayerCache()
     if cache is None:
         cache = LayerCache()
-        layer_forward(x, params, cache, op, workspace)
+        layer_forward(x, params, cache, op, keep=True)
+    elif cache.output is None or (op is not None and cache.powered is None):
+        raise ValueError("layer_backward needs the cache of a "
+                         "layer_forward(..., keep=True) call")
     out_ch = params.out_channels
     # channel-major (M, N), the memory order of the output
-    g = workspace.buffer("g", (out_ch, cache.output.size // out_ch))
+    g = cache.buffer("g", (out_ch, cache.output.size // out_ch))
     g_out = np.moveaxis(g.reshape(out_ch, *cache.output.shape[:-1]), 0, -1)
     activation_grad(cache.output, params.activation, out=g_out)
     g_out *= upstream
@@ -148,7 +148,7 @@ def layer_backward(x: np.ndarray, params: LayerParams, upstream: np.ndarray,
         d_weights = (g @ cache.patches.T).reshape(params.weights.shape)
         d_payload = Standard()
         if input_grad:
-            d_patches = np.matmul(weights.T, g, out=workspace.buffer(
+            d_patches = np.matmul(weights.T, g, out=cache.buffer(
                 "d_patches", cache.patches.shape))
     else:
         log_mag, powered = cache.log_mag, cache.powered
@@ -160,11 +160,11 @@ def layer_backward(x: np.ndarray, params: LayerParams, upstream: np.ndarray,
         d_op = np.empty_like(op)
         if input_grad:
             scaled_op = weights * op if diag else weights[:, :, None] * op
-            d_patches = workspace.buffer("d_patches", log_mag.shape)
+            d_patches = cache.buffer("d_patches", log_mag.shape)
             d_patches.fill(0.0)  # d L, turned into d x below
             if not diag:
-                mixed = workspace.buffer("mixed", log_mag.shape)
-        gp = workspace.buffer("gp", log_mag.shape)  # P * g of one channel
+                mixed = cache.buffer("mixed", log_mag.shape)
+        gp = cache.buffer("gp", log_mag.shape)  # P * g of one channel
         for m in range(out_ch):
             np.multiply(powered[m], g[m], out=gp)
             if diag:
@@ -186,7 +186,7 @@ def layer_backward(x: np.ndarray, params: LayerParams, upstream: np.ndarray,
     d_input = scatter_patch_grads(
         d_patches.reshape((params.k_h, params.k_w) + cache.output.shape[:-1]),
         x.shape, params.stride_t, params.stride_c,
-        out=workspace.buffer("d_input", x.shape))
+        out=cache.buffer("d_input", x.shape))
     if op is not None:
         # d L summed per input entry; d log|x| / dx = 1/x
         outside = np.abs(x) > DEFAULT_EPS

@@ -42,25 +42,25 @@ so row_mix @ L @ col_mix is one matrix product over all patches), with the
 sign applied by a multiply, and its pre-activation is one vector-matrix
 product with its filter.
 
-``layer_forward(x, params, cache, op, workspace)`` keeps the
-log-magnitudes, every channel's powered values and the output in a
-``LayerCache`` when one is passed, and ``layer_backward`` reads it, so the
-exponent stage runs once per training step. The operator
+A layer call takes one ``LayerCache``, the pass's object for that layer:
+``layer_forward`` writes its large arrays through NumPy's ``out=``
+arguments into the cache's arrays, one per role (``LayerCache.buffer``),
+and records there the views its backward pass reads, and
+``layer_backward`` reads them and writes its own arrays beside them, so
+the exponent stage runs once per training step. The owner of a pass
+passes one cache per layer to all of its chunks, so they reuse one set
+of memory; a call without one makes a fresh one. A map returned to a
+caller that passed a cache is a view of it, valid until that caller's
+next call with it. The powered values alone are M * n * N floats for N
+patches, so the forward keeps every channel's only when asked to
+(``keep=True``, what a backward pass needs), and training passes a few
+windows at a time (``training.EVAL_CHUNK``); otherwise the channels
+share one (n, N) scratch matrix for them. The operator
 (``layer_operator``) depends on the parameters alone: a pass over many
 chunks builds it once per layer and passes it as ``op`` to every kernel
-call, and a call without ``op`` builds its own. The powered values alone
-are M * n * N floats for N patches, so a cache grows with the number of
-windows it is given; training passes a few windows at a time
-(``training.EVAL_CHUNK``). Without a cache, the channels share one (n, N)
-scratch matrix for their powered values. The kernels write their large
-arrays through NumPy's ``out=`` arguments into a workspace, a
-``LayerCache`` holding one array per role (``LayerCache.buffer``); the
-owner of a pass passes one per layer to all of its chunks, so they reuse
-one set of memory, and a call without one makes a fresh one. A map
-returned to a caller that passed a workspace is a view of it, valid
-until that caller's next call with it. The single-receptive-field
-``unit_*`` functions are separate direct implementations and serve as the
-oracle for the layer kernel.
+call, and a call without ``op`` builds its own. The
+single-receptive-field ``unit_*`` functions are separate direct
+implementations and serve as the oracle for the layer kernel.
 """
 
 from __future__ import annotations
@@ -418,17 +418,18 @@ def unit_forward(x: np.ndarray, weights: np.ndarray, bias: float,
 
 @dataclass
 class LayerCache:
-    """What ``layer_forward`` keeps of its input for ``layer_backward``,
-    and the workspace the layer kernels write their large arrays into.
+    """One layer's arrays in a pass, one per role (``buffer``), and the
+    views of them that the last ``layer_forward`` recorded for
+    ``layer_backward``:
 
     patches  (n, N) patch matrix of a standard layer's input;
              None for exponent layers, whose backward divides by the
              layer input itself
     log_mag  (n, N) clamped log-magnitudes; None for standard layers
-    powered  (M, n, N) signed powered values of every channel; None for
-             standard layers
+    powered  (M, n, N) signed powered values of every channel, kept only
+             by a forward with ``keep=True``; None otherwise
     output   the feature map, (..., grid_t, grid_c, M)
-    buffers  one array per role (``buffer``), kept from call to call
+    buffers  one array per role, kept from call to call
     """
 
     patches: np.ndarray | None = None
@@ -502,24 +503,24 @@ def layer_operator(params: LayerParams) -> np.ndarray | None:
 
 def layer_forward(x: np.ndarray, params: LayerParams,
                   cache: LayerCache | None = None,
-                  op=BUILD_OPERATOR,
-                  workspace: LayerCache | None = None) -> np.ndarray:
+                  op=BUILD_OPERATOR, keep: bool = False) -> np.ndarray:
     """Slide every channel's unit over the input and apply the activation.
 
     Accepts a (T, C) input or a batch (..., T, C); the feature map has
     shape (..., grid_t, grid_c, out_channels). Parameters are not mutated.
-    A cache, when given, is filled for ``layer_backward``; it holds every
-    channel's powered values, so its memory grows with the number of
-    patches. Without one, the channels share one scratch matrix for their
-    powered values. ``op`` is ``layer_operator(params)``, built here when
-    not given: a pass that runs the layer on many chunks builds it once
-    and hands it to every call. The patch matrices, the powered values
-    and the pre-activations are written into the ``workspace``'s arrays
-    (``LayerCache.buffer``), a fresh one when not given; the feature map
-    is a view of its pre-activations, so a caller that passes one
-    workspace to many calls reads each map before the next call. A
-    non-finite pre-activation (an overflowing power or filter product)
-    raises FloatingPointError.
+    The patch matrices, the powered values and the pre-activations are
+    written into the ``cache``'s arrays (``LayerCache.buffer``), a fresh
+    one when not given, and the cache records the patch matrix or the
+    log-magnitudes and the feature map for ``layer_backward``. The feature
+    map is a view of the pre-activations, so a caller that passes one
+    cache to many calls reads each map before the next call. With
+    ``keep``, the cache also holds every channel's powered values, which
+    the backward pass reads, so its memory grows with the number of
+    patches; without it, the channels share one scratch matrix for them.
+    ``op`` is ``layer_operator(params)``, built here when not given: a
+    pass that runs the layer on many chunks builds it once and hands it to
+    every call. A non-finite pre-activation (an overflowing power or
+    filter product) raises FloatingPointError.
     """
     x = np.asarray(x, dtype=np.float64)
     n = params.k_h * params.k_w
@@ -527,35 +528,35 @@ def layer_forward(x: np.ndarray, params: LayerParams,
     weights = params.weights.reshape(out_ch, -1)
     if op is BUILD_OPERATOR:
         op = layer_operator(params)
-    if workspace is None:
-        workspace = LayerCache()
+    if cache is None:
+        cache = LayerCache()
     shape = patch_shape(x.shape, params.k_h, params.k_w, params.stride_t,
                         params.stride_c)
     lead = shape[2:]  # the patch grid, batch axes first
 
     def patch_matrix(a, role):  # (n, N), a view of the role's array
         return extract_patches(a, params.k_h, params.k_w, params.stride_t,
-                               params.stride_c, workspace.buffer(role, shape)
+                               params.stride_c, cache.buffer(role, shape)
                                ).reshape(n, -1)
 
-    preact = workspace.buffer("preact", (out_ch, math.prod(lead)))
+    preact = cache.buffer("preact", (out_ch, math.prod(lead)))
+    cache.patches = cache.log_mag = cache.powered = None
     with np.errstate(over="ignore", invalid="ignore"):  # reported below
         if op is None:
-            patches = patch_matrix(x, "patches")
-            np.matmul(weights, patches, out=preact)
-            if cache is not None:
-                cache.patches = patches
+            cache.patches = patch_matrix(x, "patches")
+            np.matmul(weights, cache.patches, out=preact)
         else:
-            per_entry = workspace.buffer("per_entry", x.shape)
+            per_entry = cache.buffer("per_entry", x.shape)
             # + 0.0 gives sign(0) = +1, as signed_pow
             sign = patch_matrix(np.copysign(
                 1.0, np.add(x, 0.0, out=per_entry), out=per_entry), "sign")
-            log_mag = patch_matrix(log_magnitude(x, out=per_entry), "log_mag")
-            if cache is None:
-                powered = [workspace.buffer("powered", log_mag.shape)] * out_ch
+            log_mag = cache.log_mag = patch_matrix(
+                log_magnitude(x, out=per_entry), "log_mag")
+            if keep:
+                powered = cache.powered = cache.buffer(
+                    "powered", (out_ch, *log_mag.shape))
             else:
-                powered = workspace.buffer("powered", (out_ch, *log_mag.shape))
-                cache.log_mag, cache.powered = log_mag, powered
+                powered = [cache.buffer("powered", log_mag.shape)] * out_ch
             for m, z in enumerate(powered):
                 if op.ndim == 2:
                     np.multiply(log_mag, op[m][:, None], out=z)
@@ -569,10 +570,8 @@ def layer_forward(x: np.ndarray, params: LayerParams,
         raise FloatingPointError("feature map contains non-finite values")
     apply_activation(preact, params.activation, inplace=True)
     # channel-last view of the channel-major (M, N) pre-activations
-    out = preact.T.reshape(*lead, out_ch)
-    if cache is not None:
-        cache.output = out
-    return out
+    cache.output = preact.T.reshape(*lead, out_ch)
+    return cache.output
 
 
 def output_grid(params: LayerParams, rows: int, cols: int) -> tuple[int, int]:

@@ -5,14 +5,16 @@ softmax classifier over the flattened last feature map. Layers between
 the input and the last convolution must emit a single channel so their
 output is again a (time, channel) matrix.
 
-Passes run the network on chunks of a few windows (``EVAL_CHUNK``), and
-the chunks of a pass write their large arrays into one workspace
-(``new_workspace``: one ``LayerCache`` per layer, one array per role), so
-they reuse one set of memory rather than allocating and freeing it chunk
-after chunk. ``train`` holds one workspace for the steps of an epoch and
-drops it before the end-of-epoch evaluation; ``forward_network`` gives
-the calling thread and its helper one each for the length of the call.
-No array a pass returns lies in a workspace.
+Passes run the network on chunks of a few windows (``EVAL_CHUNK``) with
+one workspace (``new_workspace``): one ``LayerCache`` per layer, the one
+object every kernel call on that layer takes, holding its arrays, one per
+role, and the record of its last forward call. The chunks of a pass so
+reuse one set of memory rather than allocating and freeing it chunk
+after chunk, and layer i's feature map is its cache's ``output``.
+``train`` holds one workspace for the steps of an epoch and drops it
+before the end-of-epoch evaluation; ``forward_network`` gives the calling
+thread and its helper one each for the length of the call. No array a
+pass returns lies in a workspace.
 Evaluation reads the windows from their series (``WindowedDataset``) and
 how many rows apart they were cut (``WindowedDataset.stride``): a run of
 consecutive windows whose starts are that many rows apart is a dense
@@ -223,33 +225,29 @@ def _effective_layers(net: Network) -> tuple[list, list]:
 
 
 def new_workspace(net: Network) -> list:
-    """A pass's workspace: one ``LayerCache`` per layer, whose buffers the
-    layer kernels write their large arrays into, one array per role
-    (``LayerCache.buffer``); the last also holds the classifier head's.
-    Chunks run with one workspace reuse one set of memory."""
+    """A pass's workspace: one ``LayerCache`` per layer, which every kernel
+    call on that layer takes, for its arrays, one per role
+    (``LayerCache.buffer``), and its forward record; the last also holds
+    the classifier head's arrays. Chunks run with one workspace reuse one
+    set of memory."""
     return [LayerCache() for _ in net.layers]
 
 
 def _run_stack(x: np.ndarray, layers: list, ops: list, workspace: list,
-               keep: bool = False):
-    """Run the conv stack on ``x``, keeping per-layer inputs and raw
-    outputs; ``ops`` are the layers' operators and ``workspace`` holds one
-    LayerCache per layer for their arrays (``new_workspace``). With
-    ``keep``, each layer's forward state is kept in its LayerCache for the
-    backward pass."""
-    inputs = []
-    outputs = []
-    cur = np.asarray(x, dtype=np.float64)
-    for i, (layer, op, space) in enumerate(zip(layers, ops, workspace)):
-        inputs.append(cur)
+               keep: bool = False) -> np.ndarray:
+    """Run the conv stack on ``x`` and return the last feature map.
+    ``ops`` are the layers' operators and ``workspace`` holds one
+    LayerCache per layer for their arrays (``new_workspace``): layer i's
+    map is ``workspace[i].output``, and each layer after the first reads
+    the map of the one before it. With ``keep``, each layer's cache also
+    keeps what the backward pass reads (``layer_forward``)."""
+    for i, (layer, op, cache) in enumerate(zip(layers, ops, workspace)):
         try:
-            out = layer_forward(cur, layer, cache=space if keep else None,
-                                op=op, workspace=space)
+            out = layer_forward(x, layer, cache, op, keep)
         except FloatingPointError as exc:
             raise FloatingPointError(f"layer {i}: {exc}") from exc
-        outputs.append(out)
-        cur = out[..., 0]  # single channel between layers
-    return inputs, outputs
+        x = out[..., 0]  # single channel between layers
+    return out
 
 
 def _features(maps: np.ndarray, space: LayerCache) -> np.ndarray:
@@ -258,26 +256,6 @@ def _features(maps: np.ndarray, space: LayerCache) -> np.ndarray:
     feats = space.buffer("feats", (len(maps), maps[0].size))
     feats.reshape(maps.shape)[...] = maps
     return feats
-
-
-def _forward_trace(net: Network, x: np.ndarray, layers: list | None = None,
-                   ops: list | None = None, caches: list | None = None):
-    """Run the conv stack, keeping per-layer inputs and raw outputs.
-
-    ``layers`` are the effective layers and ``ops`` their operators (both
-    built here when ``layers`` is omitted); with ``caches``, one
-    LayerCache per layer, each layer's forward state is kept for the
-    backward pass and the caches are the workspace the arrays are written
-    into (``new_workspace``), else a fresh one is.
-    """
-    if layers is None:
-        layers, ops = _effective_layers(net)
-    workspace = new_workspace(net) if caches is None else caches
-    inputs, outputs = _run_stack(x, layers, ops, workspace,
-                                 keep=caches is not None)
-    feats = _features(outputs[-1], workspace[-1])
-    logits = feats @ net.head_w + net.head_b
-    return inputs, outputs, feats, logits
 
 
 def _head_shares(net: Network, maps: np.ndarray, starts: slice,
@@ -424,17 +402,17 @@ def forward_network(net: Network, windows) -> np.ndarray:
         space = workspaces[worker]
         if step:
             # rows [lo, hi) of the group's map
-            _, outputs = _run_stack(group_rows(
+            maps = _run_stack(group_rows(
                 origin, lo * unit, (hi - 1) * unit + field)[None],
                 layers, ops, space)
             shift = step // unit
-            part = _head_shares(net, outputs[-1][0], slice(
+            part = _head_shares(net, maps[0], slice(
                 first * shift - lo + r_w - 1, stop * shift - lo + r_w - 1,
                 shift), r_w, space[-1])
         else:
-            _, outputs = _run_stack(
+            maps = _run_stack(
                 stacked(origin + first, origin + stop), layers, ops, space)
-            part = _features(outputs[-1], space[-1]) @ net.head_w
+            part = _features(maps, space[-1]) @ net.head_w
         shares[lo // size % 2, origin + first:origin + stop] = part
 
     if EVAL_WORKERS < 2 or len(tasks) < 2:
@@ -534,11 +512,13 @@ def network_loss_grads(net: Network, windows: np.ndarray,
     so the network runs forward, through the head and backward on one
     chunk of windows at a time, the chunks ``_eval_chunks`` gives for
     windows that continue nothing, and holds one chunk's layer caches,
-    whatever the batch size. The chunks write their large arrays into
-    ``workspace`` (``new_workspace``), a fresh one when not given, so they
-    reuse one set of memory; ``train`` passes one to every step of an
-    epoch. Each layer's operator is built once for all chunks. The
-    chunks' parameter gradients are summed, stacked array by stacked
+    whatever the batch size: ``workspace`` (``new_workspace``), a fresh
+    one when not given, whose cache for a layer its forward fills with
+    ``keep=True`` and its backward reads, so every chunk reuses one set of
+    memory; ``train`` passes one to every step of an epoch. A layer's
+    input in the backward pass is the windows or the ``output`` of the
+    layer before it. Each layer's operator is built once for all chunks.
+    The chunks' parameter gradients are summed, stacked array by stacked
     array (``_tensors``), and their input gradients copied into
     full-batch arrays, so no returned array lies in the workspace. Only a
     later layer reads an input gradient, so layer 0, whose input is the
@@ -556,8 +536,9 @@ def network_loss_grads(net: Network, windows: np.ndarray,
     for first, stop, _ in _eval_chunks(np.zeros(n, dtype=bool), 0):
         rows = slice(first, stop)
         y = labels[rows]
-        inputs, outputs, feats, logits = _forward_trace(
-            net, windows[rows], evaluated, ops, workspace)
+        maps = _run_stack(windows[rows], evaluated, ops, workspace, keep=True)
+        feats = _features(maps, head)
+        logits = feats @ net.head_w + net.head_b
         loss += cross_entropy(logits, y) * len(y)
         if not np.isfinite(loss):
             raise FloatingPointError("non-finite loss")
@@ -565,14 +546,14 @@ def network_loss_grads(net: Network, windows: np.ndarray,
         d_logits[np.arange(len(y)), y] -= 1.0
         d_logits /= n
         upstream = np.matmul(d_logits, net.head_w.T, out=head.buffer(
-            "upstream", feats.shape)).reshape(outputs[-1].shape)
+            "upstream", feats.shape)).reshape(maps.shape)
         bundles = [None] * len(evaluated)
         for i in reversed(range(len(evaluated))):
+            x = workspace[i - 1].output[..., 0] if i else windows[rows]
             try:
-                bundles[i] = layer_backward(inputs[i], evaluated[i],
-                                            upstream, cache=workspace[i],
-                                            input_grad=i > 0, op=ops[i],
-                                            workspace=workspace[i])
+                bundles[i] = layer_backward(x, evaluated[i], upstream,
+                                            cache=workspace[i],
+                                            input_grad=i > 0, op=ops[i])
             except FloatingPointError as exc:
                 raise FloatingPointError(f"layer {i}: {exc}") from exc
             upstream = bundles[i].d_input[..., None]

@@ -259,8 +259,8 @@ class TestLayerCache:
                                               stride):
         params, x, rng = self.instance(variant, activation, stride)
         cache = LayerCache()
-        out = layer_forward(x, params, cache=cache)
-        # the uncached forward, with its one scratch matrix, bit for bit
+        out = layer_forward(x, params, cache=cache, keep=True)
+        # the forward without kept state, its one scratch matrix, bit for bit
         np.testing.assert_array_equal(
             out.view(np.uint64), layer_forward(x, params).view(np.uint64))
         upstream = rng.normal(size=out.shape)
@@ -282,16 +282,14 @@ class TestLayerCache:
                                               stride):
         params, x, rng = self.instance(variant, activation, stride)
         upstream = rng.normal(size=layer_forward(x, params).shape)
-        workspace = LayerCache()
+        cache = LayerCache()
         # one window, then two: every role changes shape and comes back
         for rows in (slice(0, 1), slice(0, 2), slice(1, 2)):
-            cache = LayerCache()
-            out = layer_forward(x[rows], params, cache, workspace=workspace)
+            out = layer_forward(x[rows], params, cache, keep=True)
             np.testing.assert_array_equal(
                 out.view(np.uint64),
                 layer_forward(x[rows], params).view(np.uint64))
-            got = layer_backward(x[rows], params, upstream[rows], cache=cache,
-                                 workspace=workspace)
+            got = layer_backward(x[rows], params, upstream[rows], cache=cache)
             want = layer_backward(x[rows], params, upstream[rows])
             pairs = [(got.d_weights, want.d_weights),
                      (got.d_biases, want.d_biases),
@@ -302,27 +300,44 @@ class TestLayerCache:
                 np.testing.assert_array_equal(a.view(np.uint64),
                                               b.view(np.uint64))
             # every role must be written, or zeroed, before it is read
-            for buf in workspace.buffers.values():
+            for buf in cache.buffers.values():
                 buf.fill(np.nan)
+
+    def test_a_cache_without_kept_state_is_refused(self, variant, activation,
+                                                  stride):
+        params, x, rng = self.instance(variant, activation, stride)
+        upstream = rng.normal(size=layer_forward(x, params).shape)
+        with pytest.raises(ValueError, match=r"keep=True"):
+            layer_backward(x, params, upstream, cache=LayerCache())
+        cache = LayerCache()
+        layer_forward(x, params, cache)
+        if variant == "standard":  # its patch matrix is all it reads
+            np.testing.assert_array_equal(
+                layer_backward(x, params, upstream, cache=cache).d_weights,
+                layer_backward(x, params, upstream).d_weights)
+        else:  # every channel's powered values were not kept
+            with pytest.raises(ValueError, match=r"keep=True"):
+                layer_backward(x, params, upstream, cache=cache)
 
     def test_a_role_holds_one_array_of_the_last_shape(self, variant,
                                                       activation, stride):
         params, x, _ = self.instance(variant, activation, stride)
-        workspace = LayerCache()
-        layer_forward(x, params, workspace=workspace)
-        held = dict(workspace.buffers)
-        layer_forward(x, params, workspace=workspace)
-        assert all(workspace.buffers[r] is a for r, a in held.items())
-        layer_forward(x[:1], params, workspace=workspace)
-        assert workspace.buffers.keys() == held.keys()
-        assert all(workspace.buffers[r].shape != a.shape
+        cache = LayerCache()
+        layer_forward(x, params, cache)
+        held = dict(cache.buffers)
+        layer_forward(x, params, cache)
+        assert all(cache.buffers[r] is a for r, a in held.items())
+        layer_forward(x[:1], params, cache)
+        assert cache.buffers.keys() == held.keys()
+        assert all(cache.buffers[r].shape != a.shape
                    for r, a in held.items())
 
     def test_skipping_the_input_gradient_keeps_the_rest(self, variant,
                                                         activation, stride):
         params, x, rng = self.instance(variant, activation, stride)
         cache = LayerCache()
-        upstream = rng.normal(size=layer_forward(x, params, cache=cache).shape)
+        upstream = rng.normal(size=layer_forward(x, params, cache=cache,
+                                                 keep=True).shape)
         full = layer_backward(x, params, upstream, cache=cache)
         skipped = layer_backward(x, params, upstream, cache=cache,
                                  input_grad=False)

@@ -3,6 +3,7 @@ optimizers, the training loop with constraint enforcement, evaluation
 metrics, and the binary model format."""
 
 import json
+import math
 import re
 import shutil
 import struct
@@ -45,7 +46,6 @@ from expconv.numerics import extract_patches, make_rng
 from expconv.training import (
     Network,
     TrainConfig,
-    _forward_trace,
     _param_grad_pairs,
     _Sgd,
     build_network,
@@ -108,6 +108,14 @@ def plant_net(variant="elementwise"):
     return build_network((40, 52), 3, [{"variant": variant, "k_h": 3,
                                         "k_w": 3, "out_channels": 8}],
                          seed=12)
+
+
+def stack_logits(net, x):
+    """The logits of ``net`` on the windows ``x``, run through the conv
+    stack and the head in one piece."""
+    layers, ops = training._effective_layers(net)
+    maps = training._run_stack(x, layers, ops, new_workspace(net))
+    return maps.reshape(len(x), -1) @ net.head_w + net.head_b
 
 
 def params_bytes(net):
@@ -173,7 +181,7 @@ class TestForward:
                       np.array([0.2, -0.1]), policies=[ConstraintPolicy()],
                       input_shape=(3, 2), n_classes=2)
         x = np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
-        _, _, _, logits = _forward_trace(net, x[None])
+        logits = stack_logits(net, x[None])
         np.testing.assert_allclose(logits[0], [1.85, -0.925], atol=1e-12)
         probs = forward_network(net, x)
         want = np.exp([1.85, -0.925])
@@ -206,8 +214,8 @@ class TestForward:
         base = tiny_net("standard", seed=7, activation="tanh")
         other = tiny_net(variant, seed=7, activation="tanh")
         x = labeled_windows(2, n=6).windows
-        _, _, _, logits_a = _forward_trace(base, x)
-        _, _, _, logits_b = _forward_trace(other, x)
+        logits_a = stack_logits(base, x)
+        logits_b = stack_logits(other, x)
         assert np.max(np.abs(logits_a - logits_b)) <= 1e-10
 
 
@@ -289,8 +297,9 @@ class TestNetworkGradients:
         ds = labeled_windows(19, n=5, shape=(6, 5), n_classes=3)
         loss, grads = network_loss_grads(net, ds.windows, ds.labels)
         assert grads.layers[0].d_input.size == 0
-        hidden = _forward_trace(net, ds.windows)[0][1]  # layer 1's input
-        layer_1 = effective_layer(net.layers[1], net.policies[1])
+        layer_0, layer_1 = (effective_layer(layer, policy) for layer, policy
+                            in zip(net.layers, net.policies))
+        hidden = layer_forward(ds.windows, layer_0)[..., 0]  # layer 1's input
 
         def loss_from(a):
             feats = layer_forward(a, layer_1).reshape(len(a), -1)
@@ -413,19 +422,16 @@ class TestChunkedPasses:
         labels = rng.integers(0, 3, size=19)
         loss, arrays, _ = self.step(net, windows, labels)
         chunks = [(0, 7, 0), (7, 8, 0), (8, 19, 0)]
-        asked, ran = [], []
+        asked = []
 
         def eval_chunks(continued, stride):
             asked.append((continued, stride))
             return chunks
-
-        def forward(x, layer, **kwargs):
-            if x.shape[1:] == windows.shape[1:]:  # layer 0's input
-                ran.append(x)
-            return layer_forward(x, layer, **kwargs)
         monkeypatch.setattr(training, "_eval_chunks", eval_chunks)
-        monkeypatch.setattr(training, "layer_forward", forward)
+        spied = self.kernel_calls(monkeypatch)
         chunked_loss, grads = network_loss_grads(net, windows, labels)
+        ran = [x for x, _, _ in spied.forward
+               if x.shape[1:] == windows.shape[1:]]  # layer 0's inputs
         assert len(asked) == 1 and asked[0][1] == 0
         np.testing.assert_array_equal(asked[0][0], np.zeros(19, dtype=bool))
         assert len(ran) == len(chunks)
@@ -475,13 +481,7 @@ class TestChunkedPasses:
         rng = make_rng(24)
         windows = rng.normal(size=(19, 8, 6))
         labels = rng.integers(0, 3, size=19)
-        calls = []
-
-        def counting(*args):
-            calls.append(args)
-            return extract_patches(*args)
-        # the layer kernels call it through their module's global
-        monkeypatch.setattr("expconv.layers.extract_patches", counting)
+        calls = self.kernel_calls(monkeypatch).patches
         per_chunk = 2 * (1 if variant == "standard" else 2)
         n_chunks = -(-len(windows) // training.EVAL_CHUNK)
         forward_network(net, windows)
@@ -501,17 +501,43 @@ class TestChunkedPasses:
                               for run in runs])
 
     @staticmethod
-    def layer_inputs(monkeypatch) -> list:
-        """The shapes of the inputs of every later ``layer_forward``."""
-        shapes = []
-        original = training.layer_forward
+    def kernel_calls(monkeypatch) -> SimpleNamespace:
+        """Spy on every later call of the layer kernels, each passed its
+        arguments as given. ``forward`` and ``backward`` list the calls of
+        ``training.layer_forward`` and ``training.layer_backward`` as
+        (input, params, shape of the feature map or of the input
+        gradient), ``read`` the size of each backward call's upstream
+        gradient, and ``patches`` each ``layers.extract_patches`` result
+        as (k_h, k_w, nbytes). An input past layer 0 lies in a workspace
+        that later calls overwrite: read its shape only."""
+        spied = SimpleNamespace(forward=[], backward=[], read=[], patches=[])
+        forward, backward = training.layer_forward, training.layer_backward
 
-        def spy(x, params, cache, op, workspace):
-            shapes.append(x.shape)
-            return original(x, params, cache=cache, op=op,
-                            workspace=workspace)
-        monkeypatch.setattr(training, "layer_forward", spy)
-        return shapes
+        def spy_forward(*args, **kwargs):
+            out = forward(*args, **kwargs)
+            spied.forward.append((args[0], args[1], out.shape))
+            return out
+
+        def spy_backward(*args, **kwargs):
+            bundle = backward(*args, **kwargs)
+            spied.backward.append((args[0], args[1], bundle.d_input.shape))
+            spied.read.append(np.size(args[2]))
+            return bundle
+
+        def spy_patches(*args, **kwargs):
+            out = extract_patches(*args, **kwargs)
+            spied.patches.append((args[1], args[2], out.nbytes))
+            return out
+        monkeypatch.setattr(training, "layer_forward", spy_forward)
+        monkeypatch.setattr(training, "layer_backward", spy_backward)
+        # the layer kernels call it through their module's global
+        monkeypatch.setattr("expconv.layers.extract_patches", spy_patches)
+        return spied
+
+    @staticmethod
+    def input_shapes(spied) -> list:
+        """The input shape of every ``layer_forward`` call ``spied``."""
+        return [x.shape for x, _, _ in spied.forward]
 
     @staticmethod
     def assert_same_predictions(probs, window_by_window):
@@ -527,11 +553,12 @@ class TestChunkedPasses:
         net = self.two_layer_net(variant, mode, input_shape=(8, N_VARIABLES))
         ds = self.cut_runs(8, 2)
         window_by_window = forward_network(net, ds.windows)
-        shapes = self.layer_inputs(monkeypatch)
+        spied = self.kernel_calls(monkeypatch)
         probs = forward_network(net, ds)
         self.assert_same_predictions(probs, window_by_window)
         # 13 windows every 2 rows fill a chunk's 4 x 8 rows
-        assert (1, training.EVAL_CHUNK * 8, N_VARIABLES) in shapes
+        assert (1, training.EVAL_CHUNK * 8,
+                N_VARIABLES) in self.input_shapes(spied)
 
     @pytest.mark.parametrize("stride_t, dense", [(2, True), (3, False)])
     def test_strides_must_divide_the_step(self, monkeypatch, stride_t,
@@ -546,10 +573,11 @@ class TestChunkedPasses:
               "out_channels": 2, "activation": "tanh"}], seed=16))
         ds = self.cut_runs(24, 10)
         window_by_window = forward_network(net, ds.windows)
-        shapes = self.layer_inputs(monkeypatch)
+        spied = self.kernel_calls(monkeypatch)
         probs = forward_network(net, ds)
         self.assert_same_predictions(probs, window_by_window)
-        assert any(shape[-2] > 24 for shape in shapes) == dense
+        assert any(shape[-2] > 24
+                   for shape in self.input_shapes(spied)) == dense
 
     def test_reordered_windows_run_on_their_own(self, monkeypatch):
         # shuffled starts: a window joins the one before it only where its
@@ -563,9 +591,10 @@ class TestChunkedPasses:
         for batch in (shuffled, reversed_):
             self.assert_same_predictions(forward_network(net, batch),
                                          forward_network(net, batch.windows))
-        shapes = self.layer_inputs(monkeypatch)
+        spied = self.kernel_calls(monkeypatch)
         forward_network(net, reversed_)
-        assert {shape[0] for shape in shapes} == {training.EVAL_CHUNK}
+        assert {shape[0] for shape in self.input_shapes(spied)} \
+            == {training.EVAL_CHUNK}
 
     @staticmethod
     def dense_blocks(union, win_len, field, unit):
@@ -665,28 +694,20 @@ class TestChunkedPasses:
                             [{"variant": "elementwise", "k_h": 3, "k_w": 3,
                               "out_channels": 8}], seed=12)
         ds = plant_test_set()
-        out_rows = []
-        original = training.layer_forward
-
-        def counting(x, params, cache, op, workspace):
-            out = original(x, params, cache=cache, op=op,
-                           workspace=workspace)
-            out_rows.append(out.shape[0] * out.shape[1])
-            return out
-        monkeypatch.setattr(training, "layer_forward", counting)
+        spied = self.kernel_calls(monkeypatch)
         evaluate(net, ds)
         # a run: 13 normal windows in one block of 158 output rows, 77
         # faulty ones (798 rows) in five blocks of 158 and one of 8
-        assert len(out_rows) == 4 * 7
-        assert sum(out_rows) == 4 * (158 + 798) == 3824
-        out_rows.clear()  # read back from the window cache: the same
+        assert len(spied.forward) == 4 * 7
+        assert self.out_rows(spied) == 4 * (158 + 798) == 3824
+        spied.forward.clear()  # read back from the window cache: the same
         save_windows_csv(ds, tmp_path / "windows.csv")
         evaluate(net, load_windows_csv(tmp_path / "windows.csv"))
-        assert len(out_rows) == 4 * 7
-        assert sum(out_rows) == 3824
-        out_rows.clear()  # windows said to share no rows: one by one
+        assert len(spied.forward) == 4 * 7
+        assert self.out_rows(spied) == 3824
+        spied.forward.clear()  # windows said to share no rows: one by one
         evaluate(net, WindowedDataset(ds.windows, ds.labels, 40, 40))
-        assert sum(out_rows) == len(ds) * 38 == 13680
+        assert self.out_rows(spied) == len(ds) * 38 == 13680
 
     def test_a_version_1_cache_evaluates_window_by_window(self, tmp_path):
         # a cache of one window a line, as the CSV writer wrote them, the
@@ -721,18 +742,10 @@ class TestChunkedPasses:
         ds = plant_test_set(n_runs=3)
         assert len(ds) == 270
         monkeypatch.setattr(training, "EVAL_WORKERS", 2)
-        out_rows = []
-        original = training.layer_forward
-
-        def counting(x, params, cache, op, workspace):
-            out = original(x, params, cache=cache, op=op,
-                           workspace=workspace)
-            out_rows.append(out.shape[0] * out.shape[1])
-            return out
-        monkeypatch.setattr(training, "layer_forward", counting)
+        spied = self.kernel_calls(monkeypatch)
         evaluate(net, ds)
-        assert len(out_rows) == 3 * 7
-        assert sum(out_rows) == 3 * (158 + 798) == 2868
+        assert len(spied.forward) == 3 * 7
+        assert self.out_rows(spied) == 3 * (158 + 798) == 2868
 
     @pytest.mark.parametrize("cut", ("dense", "apart"))
     def test_passes_read_slices_of_the_series(self, monkeypatch, cut):
@@ -759,19 +772,18 @@ class TestChunkedPasses:
         assert views == [True] * tasks
 
     @staticmethod
-    def exponentials(monkeypatch) -> list:
-        """M * n * N, the exponentials of every later ``layer_forward``:
-        M output channels, n kernel positions, N output positions."""
-        exps = []
-        original = training.layer_forward
+    def out_rows(spied) -> int:
+        """The output rows of the ``layer_forward`` calls ``spied``, a
+        window's map rows counted once per window."""
+        return sum(shape[0] * shape[1] for _, _, shape in spied.forward)
 
-        def counting(x, params, cache, op, workspace):
-            out = original(x, params, cache=cache, op=op,
-                           workspace=workspace)
-            exps.append(out.size * params.k_h * params.k_w)
-            return out
-        monkeypatch.setattr(training, "layer_forward", counting)
-        return exps
+    @staticmethod
+    def exponentials(spied) -> list:
+        """M * n * N, the exponentials of each ``layer_forward`` call
+        ``spied``: M output channels, n kernel positions, N output
+        positions."""
+        return [math.prod(shape) * params.k_h * params.k_w
+                for _, params, shape in spied.forward]
 
     @pytest.mark.parametrize("variant", ("elementwise", "full_matrix"))
     def test_plant_evaluation_exponentials(self, monkeypatch, variant):
@@ -781,15 +793,17 @@ class TestChunkedPasses:
                             [{"variant": variant, "k_h": 3, "k_w": 3,
                               "out_channels": 8}], seed=12)
         ds = plant_test_set()
-        exps = self.exponentials(monkeypatch)
+        spied = self.kernel_calls(monkeypatch)
         evaluate(net, ds)
+        exps = self.exponentials(spied)
         assert len(exps) == 28
         assert sum(exps) == 8 * 9 * 3824 * 50 == 13_766_400
 
-    def test_synth_stack_exponentials(self, monkeypatch):
-        # the synth workload's stack on 32 windows of 40 x 52 cut apart, in
-        # stacked chunks of EVAL_CHUNK windows: bilinear 3x3x1 on 38 x 50
-        # positions a window, full_matrix 2x2x4 on 37 x 49
+    @staticmethod
+    def synth_stack():
+        """The synth workload's network, bilinear 3x3x1 into full_matrix
+        2x2x4 under sigmoid reparam, and 32 seeded windows of 40 x 52 cut
+        apart."""
         net = build_network((40, 52), 2,
                             [{"variant": "bilinear", "k_h": 3, "k_w": 3},
                              {"variant": "full_matrix", "k_h": 2, "k_w": 2,
@@ -797,16 +811,103 @@ class TestChunkedPasses:
                             policy=ConstraintPolicy(mode="reparam",
                                                     kind="sigmoid"), seed=12)
         rng = make_rng(27)
-        ds = WindowedDataset(rng.normal(size=(32, 40, 52)),
-                             rng.integers(0, 2, size=32), 40, 40)
-        exps = self.exponentials(monkeypatch)
+        return net, WindowedDataset(rng.normal(size=(32, 40, 52)),
+                                    rng.integers(0, 2, size=32), 40, 40)
+
+    def test_synth_stack_exponentials(self, monkeypatch):
+        # the synth workload's stack on 32 windows of 40 x 52 cut apart, in
+        # stacked chunks of EVAL_CHUNK windows: bilinear 3x3x1 on 38 x 50
+        # positions a window, full_matrix 2x2x4 on 37 x 49
+        net, ds = self.synth_stack()
+        spied = self.kernel_calls(monkeypatch)
         per_chunk = [4 * 9 * 38 * 50, 4 * 4 * 4 * 37 * 49]
         for run in (lambda: evaluate(net, ds),
                     lambda: network_loss_grads(net, ds.windows, ds.labels)):
-            exps.clear()
+            spied.forward.clear()
             run()  # evaluate's chunks may run on two threads
+            exps = self.exponentials(spied)
             assert sorted(exps) == sorted(per_chunk * 8)
             assert sum(exps) == 1_475_456
+
+    @staticmethod
+    def work(net, spied) -> list:
+        """The work of the kernel calls ``spied``, per layer of ``net``
+        (whose layers differ in kernel shape): kernel calls, exponentials,
+        input-gradient entries computed and read, patch bytes."""
+        layer_of = {(layer.k_h, layer.k_w): i
+                    for i, layer in enumerate(net.layers)}
+        work = [dict.fromkeys(("forward", "backward", "exponentials",
+                               "d_input", "d_input_read", "patch_bytes"), 0)
+                for _ in net.layers]
+        for _, params, shape in spied.forward:
+            entry = work[layer_of[params.k_h, params.k_w]]
+            entry["forward"] += 1
+            if params.variant != "standard":
+                entry["exponentials"] += (math.prod(shape) * params.k_h
+                                          * params.k_w)
+        for (_, params, shape), read in zip(spied.backward, spied.read):
+            i = layer_of[params.k_h, params.k_w]
+            work[i]["backward"] += 1
+            work[i]["d_input"] += math.prod(shape)
+            if i + 1 < len(work):  # the upstream of layer i is the input
+                work[i + 1]["d_input_read"] += read  # gradient of i + 1
+        for k_h, k_w, nbytes in spied.patches:
+            work[layer_of[k_h, k_w]]["patch_bytes"] += nbytes
+        return work
+
+    # The work of the benchmark's passes, per layer, in chunks of
+    # EVAL_CHUNK = 4 windows: M * n * N exponentials and 2 * 8 * n * N patch
+    # bytes (the sign's and the log-magnitude's) a chunk of N positions
+    # for M channels of n kernel positions. The plant layer (elementwise
+    # 3x3x8 on 40 x 52 windows) runs 8 chunks of 4 x 38 x 50 positions in a
+    # step of 32 windows, computing no input gradient, and blocks of 3 824
+    # output rows of 50 in all on plant_test_set(). The synth stack runs 8
+    # chunks either way: layer 1 reads 4 x 37 x 49 positions of layer 0's
+    # 4 x 38 x 50 and computes its input gradient, which layer 0's backward
+    # reads in full.
+    WORK = {
+        ("plant", "step"): [
+            {"forward": 8, "backward": 8, "exponentials": 8 * 9 * 7_600 * 8,
+             "d_input": 0, "d_input_read": 0,
+             "patch_bytes": 2 * 8 * 9 * 7_600 * 8}],
+        ("plant", "evaluate"): [
+            {"forward": 28, "backward": 0,
+             "exponentials": 8 * 9 * 3_824 * 50, "d_input": 0,
+             "d_input_read": 0, "patch_bytes": 2 * 8 * 9 * 3_824 * 50}],
+        ("synth", "step"): [
+            {"forward": 8, "backward": 8, "exponentials": 9 * 7_600 * 8,
+             "d_input": 0, "d_input_read": 0,
+             "patch_bytes": 2 * 8 * 9 * 7_600 * 8},
+            {"forward": 8, "backward": 8, "exponentials": 4 * 4 * 7_252 * 8,
+             "d_input": 7_600 * 8, "d_input_read": 7_600 * 8,
+             "patch_bytes": 2 * 8 * 4 * 7_252 * 8}],
+        ("synth", "evaluate"): [
+            {"forward": 8, "backward": 0, "exponentials": 9 * 7_600 * 8,
+             "d_input": 0, "d_input_read": 0,
+             "patch_bytes": 2 * 8 * 9 * 7_600 * 8},
+            {"forward": 8, "backward": 0, "exponentials": 4 * 4 * 7_252 * 8,
+             "d_input": 0, "d_input_read": 0,
+             "patch_bytes": 2 * 8 * 4 * 7_252 * 8}],
+    }
+
+    @pytest.mark.parametrize("workload, pass_name", sorted(WORK))
+    def test_the_work_of_a_pass_is_pinned(self, monkeypatch, workload,
+                                          pass_name):
+        if workload == "plant":
+            net, rng = plant_net(), make_rng(13)
+            ds = plant_test_set()
+            ds.labels %= 3  # classes of the network
+            windows = rng.normal(size=(32, 40, 52))
+            labels = rng.integers(0, 3, size=32)
+        else:
+            net, ds = self.synth_stack()
+            windows, labels = ds.windows, ds.labels
+        spied = self.kernel_calls(monkeypatch)
+        if pass_name == "step":
+            network_loss_grads(net, windows, labels)
+        else:
+            evaluate(net, ds)
+        assert self.work(net, spied) == self.WORK[workload, pass_name]
 
     @staticmethod
     def traced_peak(fn) -> int:

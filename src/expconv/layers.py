@@ -44,21 +44,22 @@ product with its filter.
 
 A layer call takes one ``LayerCache``, the pass's object for that layer:
 ``layer_forward`` writes its large arrays through NumPy's ``out=``
-arguments into the cache's arrays, one per role (``LayerCache.buffer``),
-and records there the views its backward pass reads, and
-``layer_backward`` reads them and writes its own arrays beside them, so
-the exponent stage runs once per training step. The owner of a pass
-passes one cache per layer to all of its chunks, so they reuse one set
-of memory; a call without one makes a fresh one. A map returned to a
-caller that passed a cache is a view of it, valid until that caller's
-next call with it. The powered values alone are M * n * N floats for N
-patches, so the forward keeps every channel's only when asked to
-(``keep=True``, what a backward pass needs), and training passes a few
-windows at a time (``training.EVAL_CHUNK``); otherwise the channels
-share one (n, N) scratch matrix for them. The operator
-(``layer_operator``) depends on the parameters alone: a pass over many
-chunks builds it once per layer and passes it as ``op`` to every kernel
-call, and a call without ``op`` builds its own. The
+arguments into the cache's arrays, one per role (``LayerCache.buffer``:
+a view of exactly the call's shape at the start of the role's flat
+array, which only grows), and records there the views its backward pass
+reads, and ``layer_backward`` reads them and writes its own arrays beside
+them, so the exponent stage runs once per training step. The owner of a
+pass passes one cache per layer to all of its chunks, so they reuse one
+set of memory, whatever their shapes; a call without one makes a fresh
+one. A map returned to a caller that passed a cache is a view of it,
+valid until that caller's next call with it. The powered values alone
+are M * n * N floats for N patches, so the forward keeps every channel's
+only when asked to (``keep=True``, what a backward pass needs), and
+training passes a few windows at a time (``training.EVAL_CHUNK``);
+otherwise the channels share one (n, N) scratch matrix for them. The
+operator (``layer_operator``) depends on the parameters alone: a pass
+over many chunks builds it once per layer and passes it as ``op`` to
+every kernel call, and a call without ``op`` builds its own. The
 single-receptive-field ``unit_*`` functions are separate direct
 implementations and serve as the oracle for the layer kernel.
 """
@@ -429,7 +430,8 @@ class LayerCache:
     powered  (M, n, N) signed powered values of every channel, kept only
              by a forward with ``keep=True``; None otherwise
     output   the feature map, (..., grid_t, grid_c, M)
-    buffers  one array per role, kept from call to call
+    buffers  one flat array per role, kept from call to call and
+             replaced only by a larger one
     """
 
     patches: np.ndarray | None = None
@@ -439,16 +441,19 @@ class LayerCache:
     buffers: dict = field(default_factory=dict, repr=False)
 
     def buffer(self, role: str, shape: tuple) -> np.ndarray:
-        """The array held for ``role``, of exactly ``shape`` and with
-        whatever it last held: the one held already when its shape
-        matches, else a new one that replaces it. A larger array is never
-        sliced, since a strided view could take BLAS down another path
-        and change the bits."""
-        shape = tuple(shape)
-        if role not in self.buffers or self.buffers[role].shape != shape:
+        """An array of exactly ``shape`` for ``role``, with whatever the
+        role last held there: the first prod(shape) entries of the role's
+        one flat array, reshaped. That is a C-contiguous view at the flat
+        array's start, laid out as a fresh array would be, so BLAS and the
+        ufuncs take the paths they take on a fresh one. The flat array
+        only grows: a request larger than it replaces it, the old one
+        freed first, so blocks that alternate between two shapes reuse
+        one array."""
+        size = math.prod(shape)
+        if role not in self.buffers or self.buffers[role].size < size:
             self.buffers.pop(role, None)  # freed before its replacement
-            self.buffers[role] = np.empty(shape)
-        return self.buffers[role]
+            self.buffers[role] = np.empty(size)
+        return self.buffers[role][:size].reshape(shape)
 
 
 def channel_preact(patches: np.ndarray, weights: np.ndarray, bias: float,

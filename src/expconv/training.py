@@ -8,14 +8,16 @@ output is again a (time, channel) matrix.
 Passes run the network on chunks of a few windows (``EVAL_CHUNK``) with
 one workspace (``new_workspace``): one ``LayerCache`` per layer, the one
 object every kernel call on that layer takes, holding its arrays, one per
-role, and the record of its last forward call. The chunks of a pass so
-reuse one set of memory rather than allocating and freeing it chunk
-after chunk, and layer i's feature map is its cache's ``output``.
-``train`` holds one workspace for the steps of an epoch and drops it
-before the end-of-epoch evaluation; ``forward_network`` gives the calling
-thread and its helper one each for the length of the call. No array a
-pass returns lies in a workspace.
-Evaluation reads the windows from their series (``WindowedDataset``) and
+role, and the record of its last forward call, then one for the
+classifier head's arrays. The chunks of a pass so reuse one set of
+memory rather than allocating and freeing it chunk after chunk, and
+layer i's feature map is its cache's ``output``. ``train`` holds one
+workspace for the steps of an epoch and drops it before the end-of-epoch
+evaluation; ``forward_network`` gives the calling thread and its helper
+one each for the length of the call. No array a pass returns lies in a
+workspace.
+Evaluation reads the windows from their series (``WindowedDataset``; a
+bare window array is the dataset of its windows cut back to back) and
 how many rows apart they were cut (``WindowedDataset.stride``): a run of
 consecutive windows whose starts are that many rows apart is a dense
 group with one last feature map, the network's output on the union of
@@ -23,9 +25,10 @@ the group's rows, a slice of the series, and each window's features are
 its slice of that map, as in the dense sliding-window evaluation of
 OverFeat (Sermanet et al. 2014, arXiv:1312.6229). The map is computed
 once, in fixed blocks of output rows whose input is at most EVAL_CHUNK
-windows' rows. The classifier head is linear, so each block adds the head
-product of the map rows it holds to every window that reads them, and no
-block waits for or keeps another's rows. Training steps see shuffled,
+windows' rows. The classifier head is linear, so each block returns the
+head product of the map rows it holds for every window that reads them,
+and no block waits for or keeps another's rows; the shares are added in
+a fixed order once every block is done. Training steps see shuffled,
 augmented batches, whose windows share no rows.
 
 Exponent payloads are stored in the representation their constraint
@@ -227,18 +230,19 @@ def _effective_layers(net: Network) -> tuple[list, list]:
 def new_workspace(net: Network) -> list:
     """A pass's workspace: one ``LayerCache`` per layer, which every kernel
     call on that layer takes, for its arrays, one per role
-    (``LayerCache.buffer``), and its forward record; the last also holds
-    the classifier head's arrays. Chunks run with one workspace reuse one
-    set of memory."""
-    return [LayerCache() for _ in net.layers]
+    (``LayerCache.buffer``), and its forward record, then one more, the
+    classifier head's, for its arrays alone, so no kernel role can alias a
+    head array. Chunks run with one workspace reuse one set of memory."""
+    return [LayerCache() for _ in range(len(net.layers) + 1)]
 
 
 def _run_stack(x: np.ndarray, layers: list, ops: list, workspace: list,
                keep: bool = False) -> np.ndarray:
     """Run the conv stack on ``x`` and return the last feature map.
     ``ops`` are the layers' operators and ``workspace`` holds one
-    LayerCache per layer for their arrays (``new_workspace``): layer i's
-    map is ``workspace[i].output``, and each layer after the first reads
+    LayerCache per layer for their arrays, then the head's
+    (``new_workspace``), which the stack leaves alone: layer i's map is
+    ``workspace[i].output``, and each layer after the first reads
     the map of the one before it. With ``keep``, each layer's cache also
     keeps what the backward pass reads (``layer_forward``)."""
     for i, (layer, op, cache) in enumerate(zip(layers, ops, workspace)):
@@ -283,30 +287,25 @@ def _head_shares(net: Network, maps: np.ndarray, starts: slice,
 def _eval_chunks(continued: np.ndarray, stride: int) -> list:
     """``forward_network``'s chunks and dense groups of n windows, as
     (first, stop, stride) window ranges; ``continued[j]`` (n of them) is
-    whether window j continues window j - 1, ``stride`` rows after it.
+    whether window j continues window j - 1, ``stride`` > 0 rows after it,
+    and window 0 continues nothing.
 
-    A window and the windows after it that each continue the one before
-    form a dense group. The other windows form chunks of up to
-    EVAL_CHUNK consecutive windows, with stride 0; a step, whose windows
-    continue nothing, passes n zeros.
+    The windows that continue nothing split the windows into groups: a
+    window and the windows after it that each continue the one before. A
+    group of more than one window is a dense group. Consecutive groups of
+    one window merge into chunks of up to EVAL_CHUNK windows, with stride
+    0; a step, whose windows continue nothing, passes n zeros.
     """
-    n = len(continued)
-    # continues[j]: window j + 1 continues window j
-    continues = np.asarray(continued[1:], dtype=bool).tolist() + [False]
+    bounds = np.flatnonzero(~np.asarray(continued, dtype=bool)).tolist()
     chunks = []
-    first = 0
-    while first < n:
-        stop = first + 1
-        if continues[first]:
-            while continues[stop - 1]:
-                stop += 1
+    for first, stop in zip(bounds, bounds[1:] + [len(continued)]):
+        if stop - first > 1:
             chunks.append((first, stop, stride))
+        elif chunks and not chunks[-1][2] \
+                and first - chunks[-1][0] < EVAL_CHUNK:
+            chunks[-1] = (chunks[-1][0], stop, 0)
         else:
-            while (stop < n and stop - first < EVAL_CHUNK
-                   and not continues[stop]):
-                stop += 1
             chunks.append((first, stop, 0))
-        first = stop
     return chunks
 
 
@@ -328,38 +327,47 @@ def forward_network(net: Network, windows) -> np.ndarray:
     """Class probabilities for a ``WindowedDataset``, a batch of windows
     (n, T, C) or one window (T, C).
 
-    In a dataset, a window continues the one before it when its start in
-    the series is ``stride`` rows later (``WindowedDataset.stride``), with
-    0 < stride < T a multiple of the product ``unit`` of the layers'
-    ``stride_t``; such a run of windows is a dense group
-    (``_eval_chunks``). A window array, or one window, is held as a series
-    of back-to-back windows and continues nothing. A group has one last
-    feature map, the network's output on the union of its rows, and each
-    window's features are its slice of that map. The map is computed once,
-    in fixed blocks of ``size`` output rows counted from the group's first
-    row, each from at most EVAL_CHUNK * T input rows (``_dense_blocks``);
+    A batch is held as a dataset of back-to-back windows cut T rows apart,
+    so none continues another, and one window runs as row 0 of a
+    one-window batch. In a dataset, a window continues the one before it
+    when its start in the series is ``stride`` rows later
+    (``WindowedDataset.stride``), with 0 < stride < T a multiple of the
+    product ``unit`` of the layers' ``stride_t``; such a run of windows is
+    a dense group (``_eval_chunks``). A group has one last feature map,
+    the network's output on the union of its rows, and each window's
+    features are its slice of that map. The map is computed once, in fixed
+    blocks of ``size`` output rows counted from the group's first row,
+    each from at most EVAL_CHUNK * T input rows (``_dense_blocks``);
     adjacent blocks share input rows, never an output row. The blocks are
     fixed because a row's last bit can depend on the extent it is computed
     in, so they must not depend on how the tasks are split. The head is
-    linear, so each block adds the head product of the map rows it holds
-    to every window that reads any of them (``_head_shares``), and nothing
-    passes from one block to the next. Other windows run in chunks of up
+    linear, so each block computes the head product of the map rows it
+    holds for every window that reads any of them (``_head_shares``), and
+    nothing passes from one block to the next. Other windows run in chunks of up
     to EVAL_CHUNK windows, through the whole head. A dense block's input
     rows are a slice of the series, and a chunk of windows that lie back
     to back in it is a view (``window_rows``). Either way each window's
     probabilities are those of the network run on it alone, up to
     summation order.
 
-    Each block or chunk is a task that writes its windows' shares of the
-    head product into ``shares``, in the slot of its block's parity: a
-    window's map spans at most two adjacent blocks, so no two tasks write
-    the same cell, and a window reading one block gets zero from the other
-    slot. The softmax of ``shares[0] + shares[1] + head_b`` runs once all
-    tasks are done, in a fixed order, so the probabilities do not depend
-    on which thread ran which task. With EVAL_WORKERS = 2 the tasks are
-    shared with one helper thread (``_share_with_helper``).
+    Each block or chunk is a task that returns its windows' shares of the
+    head product into its own slot of ``parts``. Once all tasks are done,
+    the parts are added, in task order, into one (n, K) array, so a window
+    whose map spans two blocks sums its two shares in a fixed order, and
+    the softmax of that sum plus ``head_b`` does not depend on which
+    thread ran which task. With EVAL_WORKERS = 2 the tasks are shared with
+    one helper thread (``_share_with_helper``).
     """
     win_len = net.input_shape[0]
+    if not isinstance(windows, WindowedDataset):
+        windows = np.asarray(windows, dtype=np.float64)
+        if windows.ndim == 2:
+            return forward_network(net, windows[None])[0]
+        _check_batch_shape(net, windows.shape)
+        windows = WindowedDataset(windows, np.zeros(len(windows), dtype=int),
+                                  win_len, win_len)
+    _check_batch_shape(net, (len(windows), windows.win_len, windows.channels))
+    series, starts, stride = windows.series, windows.starts, windows.stride
     layers, ops = _effective_layers(net)
     field, unit = 1, 1  # input rows one output row reads, and between two
     for layer in layers:
@@ -367,18 +375,6 @@ def forward_network(net: Network, windows) -> np.ndarray:
         unit *= layer.stride_t
     r_w = (win_len - field) // unit + 1  # rows of a window's last map
     size = (EVAL_CHUNK * win_len - field) // unit + 1  # rows of a block
-    single = False
-    if isinstance(windows, WindowedDataset):
-        _check_batch_shape(net, (len(windows), windows.win_len,
-                                 windows.channels))
-        series, starts, stride = windows.series, windows.starts, windows.stride
-    else:
-        windows = np.asarray(windows, dtype=np.float64)
-        single = windows.ndim == 2
-        windows = windows[None] if single else windows
-        _check_batch_shape(net, windows.shape)
-        series = windows.reshape(-1, windows.shape[2])
-        starts, stride = np.arange(len(windows)) * win_len, 0
     dense = 0 < stride < win_len and stride % unit == 0
     # window 0's difference is 0: it continues nothing
     continued = dense & (np.diff(starts, prepend=starts[:1]) == stride)
@@ -394,7 +390,7 @@ def forward_network(net: Network, windows) -> np.ndarray:
         blocks = (_dense_blocks(stop - origin, step // unit, r_w, size)
                   if step else [(0, stop - origin, 0, 0)])
         tasks += [(origin, step, *block) for block in blocks]
-    shares = np.zeros((2, len(continued), net.n_classes))
+    parts = [None] * len(tasks)
     workspaces = (new_workspace(net), new_workspace(net))  # one per thread
 
     def run_task(k, worker):
@@ -406,22 +402,23 @@ def forward_network(net: Network, windows) -> np.ndarray:
                 origin, lo * unit, (hi - 1) * unit + field)[None],
                 layers, ops, space)
             shift = step // unit
-            part = _head_shares(net, maps[0], slice(
+            parts[k] = _head_shares(net, maps[0], slice(
                 first * shift - lo + r_w - 1, stop * shift - lo + r_w - 1,
                 shift), r_w, space[-1])
         else:
             maps = _run_stack(
                 stacked(origin + first, origin + stop), layers, ops, space)
-            part = _features(maps, space[-1]) @ net.head_w
-        shares[lo // size % 2, origin + first:origin + stop] = part
+            parts[k] = _features(maps, space[-1]) @ net.head_w
 
     if EVAL_WORKERS < 2 or len(tasks) < 2:
         for k in range(len(tasks)):
             run_task(k, 0)
     else:
         _share_with_helper(run_task, len(tasks))
-    probs = softmax(shares[0] + shares[1] + net.head_b)
-    return probs[0] if single else probs
+    shares = np.zeros((len(starts), net.n_classes))
+    for (origin, _, first, stop, _, _), part in zip(tasks, parts):
+        shares[origin + first:origin + stop] += part
+    return softmax(shares + net.head_b)
 
 
 def _share_with_helper(run_task, n_tasks: int) -> None:

@@ -6,12 +6,16 @@ probabilities on fixed windows (``model_probs.npz``). The files were
 written once and are compared against by ``tests/test_model_format.py``,
 which checks that each loads and re-saves to its own bytes and gives the
 recorded probabilities within 1e-12; it does not retrain.
+``tests/test_scripts.py`` runs this script into a temporary directory:
+each file it writes must load and re-save to its own bytes, carry the
+checked-in file's header and metadata bytes, and give probabilities within
+1e-12 of ``model_probs.npz``.
 
 A rerun is deterministic: two runs of the same code write the same bytes,
 so comparing the output of two versions shows whether a change moved
 training. A rerun does not reproduce the checked-in files: training's
 summation order has changed since they were written, which moves every
-file, parameters and probabilities by up to about 1.1e-13.
+file's parameters and probabilities by up to about 1.1e-13.
 
 Usage: PYTHONPATH=src python tests/data/make_model_fixtures.py [OUT_DIR]
 """

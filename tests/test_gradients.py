@@ -319,18 +319,34 @@ class TestLayerCache:
             with pytest.raises(ValueError, match=r"keep=True"):
                 layer_backward(x, params, upstream, cache=cache)
 
-    def test_a_role_holds_one_array_of_the_last_shape(self, variant,
-                                                      activation, stride):
+    def test_a_role_holds_one_array_that_only_grows(self, variant,
+                                                    activation, stride):
         params, x, _ = self.instance(variant, activation, stride)
         cache = LayerCache()
-        layer_forward(x, params, cache)
-        held = dict(cache.buffers)
-        layer_forward(x, params, cache)
-        assert all(cache.buffers[r] is a for r, a in held.items())
+        asked = []  # (shape asked for, view given, the role's array then)
+        original = cache.buffer
+
+        def buffer(role, shape):
+            view = original(role, shape)
+            asked.append((tuple(shape), view, cache.buffers[role]))
+            return view
+        cache.buffer = buffer
         layer_forward(x[:1], params, cache)
+        small = dict(cache.buffers)
+        layer_forward(x, params, cache)  # larger: every role is replaced
+        held = dict(cache.buffers)
+        assert held.keys() == small.keys()
+        assert all(held[r] is not a and held[r].size > a.size
+                   for r, a in small.items())
+        layer_forward(x, params, cache)  # a repeat and a smaller call
+        layer_forward(x[1:], params, cache)
         assert cache.buffers.keys() == held.keys()
-        assert all(cache.buffers[r].shape != a.shape
-                   for r, a in held.items())
+        assert all(cache.buffers[r] is a for r, a in held.items())
+        for shape, view, flat in asked:
+            # exactly the shape asked for, contiguous, at the role's start
+            assert flat.ndim == 1 and view.base is flat
+            assert view.shape == shape and view.flags.c_contiguous
+            assert view.ctypes.data == flat.ctypes.data
 
     def test_skipping_the_input_gradient_keeps_the_rest(self, variant,
                                                         activation, stride):

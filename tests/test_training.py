@@ -678,6 +678,40 @@ class TestChunkedPasses:
         runs, want = Counter(ran), Counter(b.tobytes() for b in blocks)
         assert all(runs[key] == want[key] for key in want)
 
+    @staticmethod
+    def while_loop_chunks(continued, stride):
+        """``_eval_chunks`` as it was written with two nested ``while``
+        loops over the windows, kept as the oracle of the form that splits
+        at the windows that continue nothing."""
+        n = len(continued)
+        # continues[j]: window j + 1 continues window j
+        continues = np.asarray(continued[1:], dtype=bool).tolist() + [False]
+        chunks = []
+        first = 0
+        while first < n:
+            stop = first + 1
+            if continues[first]:
+                while continues[stop - 1]:
+                    stop += 1
+                chunks.append((first, stop, stride))
+            else:
+                while (stop < n and stop - first < training.EVAL_CHUNK
+                       and not continues[stop]):
+                    stop += 1
+                chunks.append((first, stop, 0))
+            first = stop
+        return chunks
+
+    @settings(max_examples=200, deadline=None)
+    @given(flags=st.lists(st.booleans(), max_size=40),
+           stride=st.integers(1, 45), chunk=st.sampled_from((1, 2, 4, 7)))
+    def test_chunks_split_at_group_bounds(self, flags, stride, chunk):
+        continued = np.array(flags, dtype=bool)
+        continued[:1] = False  # window 0 continues nothing
+        with mock.patch.object(training, "EVAL_CHUNK", chunk):
+            assert training._eval_chunks(continued, stride) == \
+                self.while_loop_chunks(continued, stride)
+
     @pytest.mark.parametrize("variant", ("elementwise", "full_matrix"))
     def test_plant_set_keeps_the_predictions(self, variant):
         net = self.perturbed(build_network(
@@ -890,9 +924,11 @@ class TestChunkedPasses:
              "patch_bytes": 2 * 8 * 4 * 7_252 * 8}],
     }
 
-    @pytest.mark.parametrize("workload, pass_name", sorted(WORK))
-    def test_the_work_of_a_pass_is_pinned(self, monkeypatch, workload,
-                                          pass_name):
+    @classmethod
+    def ledger_pass(cls, workload, pass_name):
+        """The ledger's network of ``workload`` and its pass ``pass_name``
+        as a call: a step on 32 windows of 40 x 52, or ``evaluate`` on
+        ``plant_test_set()`` or the synth stack's 32 windows."""
         if workload == "plant":
             net, rng = plant_net(), make_rng(13)
             ds = plant_test_set()
@@ -900,14 +936,37 @@ class TestChunkedPasses:
             windows = rng.normal(size=(32, 40, 52))
             labels = rng.integers(0, 3, size=32)
         else:
-            net, ds = self.synth_stack()
+            net, ds = cls.synth_stack()
             windows, labels = ds.windows, ds.labels
-        spied = self.kernel_calls(monkeypatch)
         if pass_name == "step":
-            network_loss_grads(net, windows, labels)
-        else:
-            evaluate(net, ds)
+            return net, lambda: network_loss_grads(net, windows, labels)
+        return net, lambda: evaluate(net, ds)
+
+    @pytest.mark.parametrize("workload, pass_name", sorted(WORK))
+    def test_the_work_of_a_pass_is_pinned(self, monkeypatch, workload,
+                                          pass_name):
+        net, run = self.ledger_pass(workload, pass_name)
+        spied = self.kernel_calls(monkeypatch)
+        run()
         assert self.work(net, spied) == self.WORK[workload, pass_name]
+
+    # The traced peak of each ledger pass with one worker, in MiB, about 3%
+    # above its reading: 8.49 for the plant step and 6.09 for the synth
+    # step, each with a fresh workspace; 2.97 for the plant evaluation and
+    # 2.89 for the synth one. EVAL_CHUNK = 8 reads 16.15, 11.36, 5.71 and
+    # 5.77. With two workers an evaluation's peak varies from run to run
+    # (5.75-5.92 MiB on the plant set), so these pins take one.
+    PEAK_MIB = {("plant", "step"): 8.75, ("plant", "evaluate"): 3.06,
+                ("synth", "step"): 6.28, ("synth", "evaluate"): 2.98}
+
+    @pytest.mark.parametrize("workload, pass_name", sorted(PEAK_MIB))
+    def test_the_peak_of_a_pass_is_pinned(self, monkeypatch, workload,
+                                          pass_name):
+        monkeypatch.setattr(training, "EVAL_WORKERS", 1)
+        _, run = self.ledger_pass(workload, pass_name)
+        run()  # warm up lazy set-up outside the measurement
+        peak = self.traced_peak(run) / 2**20
+        assert peak <= self.PEAK_MIB[workload, pass_name], peak
 
     @staticmethod
     def traced_peak(fn) -> int:
@@ -980,6 +1039,30 @@ class TestChunkedPasses:
             probs.append(forward_network(net, windows))
         assert probs[0].shape == (n, 3)
         np.testing.assert_array_equal(*probs)
+
+    @pytest.mark.parametrize("workers", (1, 2))
+    @pytest.mark.parametrize("n", (0, 1, training.EVAL_CHUNK + 1,
+                                   5 * training.EVAL_CHUNK + 3))
+    @pytest.mark.parametrize("variant", ("elementwise", "full_matrix"))
+    def test_an_array_runs_as_its_dataset(self, monkeypatch, variant, n,
+                                          workers):
+        # a bare array is the dataset of its windows cut T rows apart, and
+        # one window is row 0 of a one-window batch, bit for bit
+        monkeypatch.setattr(training, "EVAL_WORKERS", workers)
+        net = self.two_layer_net(variant, "clip")
+        windows = make_rng(15).normal(size=(n, 8, 6))
+        probs = forward_network(net, windows)
+        for ds in (WindowedDataset(windows, np.zeros(n, dtype=int), 8, 8),
+                   WindowedDataset.from_series(
+                       windows.reshape(-1, 6), 8 * np.arange(n),
+                       np.zeros(n, dtype=int), 8, 8)):
+            np.testing.assert_array_equal(
+                forward_network(net, ds).view(np.uint64),
+                probs.view(np.uint64))
+        for window in windows[:3]:
+            np.testing.assert_array_equal(
+                forward_network(net, window).view(np.uint64),
+                forward_network(net, window[None])[0].view(np.uint64))
 
 
 class TestWorkspace:
@@ -1085,8 +1168,8 @@ class TestWorkspace:
 
     def test_evaluation_holds_one_array_per_role(self, monkeypatch):
         # plant_test_set runs 158-row blocks and, once a run, an 8-row one;
-        # the 8-row block's arrays (0.36 MiB) must replace the 158-row
-        # ones, not join them
+        # the 8-row block must reuse the 158-row block's arrays, not join
+        # them with arrays of its own (0.36 MiB)
         monkeypatch.setattr(training, "EVAL_WORKERS", 1)
         net = plant_net()
         ds = plant_test_set()

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import make_rng, signed_pow
+from .numerics import check_int, make_rng, signed_pow
 
 OPS = ("flip_lr", "flip_blockwise", "flip_bidirectional", "exp_augment")
 GRANULARITIES = ("per_point", "per_row", "per_channel")
@@ -43,8 +43,9 @@ class AugmentSpec:
             raise ValueError(f"op must be one of {OPS}, got {self.op!r}")
         if not 0.0 <= self.probability <= 1.0:
             raise ValueError("probability must lie in [0, 1]")
-        if self.block_len < 1:
-            raise ValueError("block_len must be >= 1")
+        check_int("block_len", self.block_len, 1)
+        if self.seed is not None:
+            check_int("seed", self.seed, 0)
         if self.granularity not in GRANULARITIES:
             raise ValueError(f"granularity must be one of {GRANULARITIES}")
         if not -np.inf < self.lo <= self.hi < np.inf:

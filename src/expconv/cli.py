@@ -195,20 +195,6 @@ DEFAULTS = {
 }
 
 
-def _merge_defaults(defaults, user):
-    """Defaults overridden by user values; nested dicts merge, lists and
-    scalars replace."""
-    if not isinstance(user, dict) or not isinstance(defaults, dict):
-        return copy.deepcopy(user)
-    merged = copy.deepcopy(defaults)
-    for key, value in user.items():
-        if key in merged:
-            merged[key] = _merge_defaults(merged[key], value)
-        else:
-            merged[key] = copy.deepcopy(value)
-    return merged
-
-
 # jsonschema counts an integral float such as 8.0 as an "integer"; the
 # config's integer fields take ints only
 _ConfigValidator = jsonschema.validators.extend(
@@ -248,7 +234,10 @@ def load_config(path) -> dict:
     if error is not None:
         where = ".".join(str(p) for p in error.absolute_path) or "(top level)"
         raise ConfigError(f"{path}: {where}: {error.message}")
-    cfg = _merge_defaults(DEFAULTS, raw)
+    cfg = copy.deepcopy(DEFAULTS)
+    for key, value in raw.items():  # a section's keys override its defaults
+        cfg[key] = ({**cfg.get(key, {}), **value} if isinstance(value, dict)
+                    else value)
     data = cfg["data"]
     if ("path" in data) == ("synthetic" in data):
         raise ConfigError(
@@ -451,7 +440,7 @@ def cmd_synth(args) -> int:
         raise ConfigError("synth requires a data.synthetic section")
     out_dir = _echo_config(args, cfg, cfg["data"]["synthetic"])
     task = _synthetic_task(cfg["data"]["synthetic"])
-    save_windows_csv(task.as_windowed(), os.path.join(out_dir, "dataset.csv"))
+    save_windows_csv(task, os.path.join(out_dir, "dataset.csv"))
     print(f"generated {len(task)} windows "
           f"(exponent {task.exponent}, noise {task.noise}, "
           f"threshold {task.threshold:.6f}, margin {task.margin:.6f})")

@@ -12,13 +12,14 @@ and each window as its start in it.
 The synthetic task generator builds two-class window datasets whose
 classes differ in a power-law energy feature with a known exponent, so a
 trained exponent can be checked against the value that generated the
-data.
+data. A task is a windowed dataset of back-to-back windows that also
+records the parameters that generated it.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import islice, repeat
 
 import numpy as np
@@ -84,12 +85,13 @@ class WindowedDataset:
     Plant ingest (``make_windows``, ``merge_windows``) keeps the runs'
     rows as the series and never copies a window, and so does a version-2
     CSV cache (``load_windows_csv``). Built from a window array (n,
-    win_len, channels), a dataset keeps that array as its series, the
-    windows back to back (starts ``arange(n) * win_len``). The starts are
-    the one record of which windows continue each other: evaluation joins
-    windows whose starts lie ``stride`` rows apart. ``windows`` gathers
-    the window array for callers that need it; training and evaluation
-    read the series. A ``stride`` below 1 is a ValueError.
+    win_len, channels), as a synthetic task (``SyntheticTask``) is, a
+    dataset keeps that array as its series, the windows back to back
+    (starts ``arange(n) * win_len``). The starts are the one record of
+    which windows continue each other: evaluation joins windows whose
+    starts lie ``stride`` rows apart. ``windows`` gathers the window
+    array for callers that need it; training and evaluation read the
+    series. A ``stride`` below 1 is a ValueError.
     """
 
     def __init__(self, windows, labels, win_len: int, stride: int):
@@ -166,35 +168,22 @@ def window_rows(series: np.ndarray, starts, win_len: int) -> np.ndarray:
     return series[starts[:, None] + np.arange(win_len)]
 
 
-@dataclass
-class SyntheticTask:
+class SyntheticTask(WindowedDataset):
     """Two-class windows separable by a signed power-energy feature.
 
-    The generating exponent, threshold and margin are recorded so the
-    labeling rule can be re-evaluated on the emitted windows.
+    A task is the dataset of its (count, win_len, channels) ``windows``
+    back to back, stride = win_len, so it trains, evaluates and caches as
+    any dataset does. It also records its generator's exponent, noise,
+    seed, threshold and margin, so the labeling rule can be re-evaluated
+    on the emitted windows.
     """
 
-    windows: np.ndarray  # (count, win_len, channels)
-    labels: np.ndarray  # (count,)
-    exponent: float
-    noise: float
-    seed: int
-    threshold: float
-    margin: float
-    win_len: int = field(init=False)
-    channels: int = field(init=False)
-
-    def __post_init__(self):
-        self.windows = np.asarray(self.windows, dtype=np.float64)
-        self.labels = np.asarray(self.labels, dtype=np.int64)
-        _, self.win_len, self.channels = (int(d) for d in self.windows.shape)
-
-    def __len__(self) -> int:
-        return self.windows.shape[0]
-
-    def as_windowed(self) -> WindowedDataset:
-        return WindowedDataset(self.windows, self.labels,
-                               win_len=self.win_len, stride=self.win_len)
+    def __init__(self, windows, labels, exponent: float, noise: float,
+                 seed: int, threshold: float, margin: float):
+        _, win_len, _ = np.shape(windows)
+        super().__init__(windows, labels, win_len, win_len)
+        self.exponent, self.noise, self.seed = exponent, noise, seed
+        self.threshold, self.margin = threshold, margin
 
 
 # --------------------------------------------------------------------------

@@ -22,6 +22,16 @@ def as_tensor(values, name: str = "tensor") -> np.ndarray:
     return arr
 
 
+def check_int(name: str, value, minimum: int | None = None) -> int:
+    """``value`` as an int; a ValueError naming ``name`` unless it is an
+    integer (a NumPy integer is, a bool is not) of at least ``minimum``."""
+    if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
+            or minimum is not None and value < minimum):
+        least = "" if minimum is None else f" >= {minimum}"
+        raise ValueError(f"{name} must be an integer{least}, got {value!r}")
+    return int(value)
+
+
 def make_rng(seed: int) -> np.random.Generator:
     """Deterministic generator (PCG64): identical seed, identical stream."""
     return np.random.Generator(np.random.PCG64(seed))

@@ -75,7 +75,7 @@ from .layers import (
     layer_operator,
     output_grid,
 )
-from .numerics import as_tensor, make_rng
+from .numerics import as_tensor, check_int, make_rng
 
 FORMAT_MAGIC = b"EXPC"
 FORMAT_VERSION = 1
@@ -159,15 +159,16 @@ def build_network(input_shape: tuple, n_classes: int, layer_specs,
     layers = []
     for i, spec in enumerate(layer_specs):
         _reject_unknown_keys(spec, LAYER_KEYS, f"layer {i}")
-        k_h, k_w = int(spec["k_h"]), int(spec["k_w"])
-        out_ch = int(spec.get("out_channels", 1))
+        sized = {"out_channels": 1, "stride_t": 1, "stride_c": 1, **spec}
+        k_h, k_w, out_ch, stride_t, stride_c = (
+            check_int(f"layer {i}: {key}", sized[key], 1) for key in
+            ("k_h", "k_w", "out_channels", "stride_t", "stride_c"))
         fan = k_h * k_w
         weights = glorot_uniform(rng, (out_ch, k_h, k_w), fan, out_ch)
         biases = np.zeros(out_ch)
         ewms = [init_exponents(spec["variant"], k_h, k_w, policy)] * out_ch
         layers.append(LayerParams(weights, biases, ewms,
-                                  stride_t=int(spec.get("stride_t", 1)),
-                                  stride_c=int(spec.get("stride_c", 1)),
+                                  stride_t=stride_t, stride_c=stride_c,
                                   activation=spec.get("activation", "tanh")))
     n_features = _n_features(layers, input_shape)
     head_w = glorot_uniform(rng, (n_features, n_classes),
@@ -595,8 +596,9 @@ class TrainConfig:
     eval_every: int = 1
 
     def __post_init__(self):
-        if self.epochs < 0 or self.batch_size < 1 or self.eval_every < 1:
-            raise ValueError("epochs >= 0, batch_size >= 1, eval_every >= 1")
+        for name, minimum in (("epochs", 0), ("batch_size", 1),
+                              ("eval_every", 1), ("seed", 0)):
+            check_int(name, getattr(self, name), minimum)
         if not self.learning_rate > 0:
             raise ValueError("learning_rate must be positive")
         if self.optimizer not in OPTIMIZERS:
@@ -908,8 +910,7 @@ def _network_from(meta: dict, blob: bytes, pos: int) -> Network:
         sizes += [(f"layers[{i}].{key}", spec[key]) for key in
                   ("out_channels", "k_h", "k_w", "stride_t", "stride_c")]
     for name, value in sizes:
-        if type(value) is not int:
-            raise ValueError(f"{name} must be an integer, got {value!r}")
+        check_int(name, value)
 
     layers = []
     policies = []

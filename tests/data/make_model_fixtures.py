@@ -51,7 +51,7 @@ def build_fixture(variant: str, mode: str):
                          count=48, seed=5)
     config = TrainConfig(epochs=1, batch_size=16, learning_rate=0.05,
                          seed=7, policy=policy)
-    net, _ = train(net, task.as_windowed(), config)
+    net, _ = train(net, task, config)
     return net
 
 

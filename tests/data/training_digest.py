@@ -86,7 +86,7 @@ def training_digest():
                                          learning_rate=0.05,
                                          optimizer=optimizer, seed=7,
                                          policy=policy)
-                    net, history = train(net, task.as_windowed(), config)
+                    net, history = train(net, task, config)
                     save_model(net, path)
                     with open(path, "rb") as fh:
                         trained = fh.read() + json.dumps(

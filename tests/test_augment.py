@@ -132,6 +132,21 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             AugmentSpec("flip_blockwise", block_len=0)
 
+    @pytest.mark.parametrize("field, value", [
+        ("block_len", 2.5), ("block_len", True), ("seed", 1.5),
+        ("seed", -1), ("seed", np.float64(3.0))])
+    def test_integer_fields_rejected_at_construction(self, field, value):
+        # let through, each would fail only the first time the spec fires
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            AugmentSpec("flip_blockwise", **{field: value})
+
+    def test_numpy_integers_accepted(self):
+        spec = AugmentSpec("flip_blockwise", block_len=np.int64(2),
+                           seed=np.uint32(5))
+        x = random_window(8)
+        np.testing.assert_array_equal(
+            apply_op(x, spec, make_rng(0)), flip_blockwise(x, 2))
+
     def test_bounds_ordered(self):
         with pytest.raises(ValueError):
             AugmentSpec("exp_augment", lo=2.0, hi=-2.0)

@@ -38,6 +38,14 @@ from expconv.dataset import (
     save_windows_csv,
 )
 from expconv.numerics import make_rng, signed_pow
+from expconv.training import (
+    TrainConfig,
+    build_network,
+    evaluate,
+    forward_network,
+    save_model,
+    train,
+)
 
 
 def fake_run(seed, rows, fault_id=1, split="train"):
@@ -470,12 +478,39 @@ class TestSyntheticTask:
         with pytest.raises(RuntimeError, match="budget"):
             gen_synthetic(count=2, seed=26, margin_scale=100.0)
 
-    def test_as_windowed(self):
+    def test_a_task_is_a_dataset(self):
         task = gen_synthetic(win_len=5, channels=2, count=10, seed=27)
-        ds = task.as_windowed()
-        assert isinstance(ds, WindowedDataset)
-        assert ds.windows.shape == (10, 5, 2)
-        assert ds.win_len == 5
+        assert isinstance(task, WindowedDataset)
+        assert (len(task), task.win_len, task.channels) == (10, 5, 2)
+        assert task.stride == task.win_len
+        assert task.windows.shape == (10, 5, 2)
+        assert np.shares_memory(task.windows, task.series)
+
+    def test_a_task_runs_as_a_dataset_of_its_windows(self, tmp_path):
+        # training, evaluation, the forward pass and the CSV cache give the
+        # same bytes on a task as on a dataset built from a copy of its
+        # windows
+        task = gen_synthetic(win_len=6, channels=3, count=24, seed=32)
+        copied = WindowedDataset(task.windows.copy(), task.labels, 6, 6)
+        outputs = []
+        for ds in (task, copied):
+            net = build_network((6, 3), 2, [{"variant": "bilinear",
+                                             "k_h": 2, "k_w": 2}], seed=33)
+            net, history = train(net, ds, TrainConfig(epochs=2, batch_size=8,
+                                                      seed=34), ds)
+            save_model(net, tmp_path / "model.bin")
+            save_windows_csv(ds, tmp_path / "cache.csv")
+            metrics = evaluate(net, ds)
+            outputs.append((history, (tmp_path / "model.bin").read_bytes(),
+                            (tmp_path / "cache.csv").read_bytes(),
+                            forward_network(net, ds).tobytes(),
+                            metrics.confusion.tobytes(), metrics.accuracy))
+        assert outputs[0] == outputs[1]
+
+    def test_an_empty_task_keeps_its_window_shape(self):
+        task = gen_synthetic(win_len=5, channels=2, count=0, seed=27)
+        assert len(task) == 0 and task.windows.shape == (0, 5, 2)
+        assert (task.win_len, task.channels, task.stride) == (5, 2, 5)
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
@@ -628,8 +663,7 @@ V2 = "# version=2 win_len=2 channels=2 stride=1 rows=3 windows=2\nc0,c1\n"
 
 class TestWindowsCsv:
     def test_round_trip_bit_exact(self, tmp_path):
-        task = gen_synthetic(win_len=4, channels=3, count=12, seed=30)
-        ds = task.as_windowed()
+        ds = gen_synthetic(win_len=4, channels=3, count=12, seed=30)
         path = tmp_path / "cache.csv"
         save_windows_csv(ds, path)
         back = load_windows_csv(path)

@@ -164,6 +164,23 @@ class TestNetworkConstruction:
                                       other.layers[0].weights)
         np.testing.assert_array_equal(base.head_w, other.head_w)
 
+    @pytest.mark.parametrize("field, value", [
+        ("k_h", 2.7), ("k_w", 2.0), ("out_channels", True),
+        ("stride_t", 1.5), ("stride_c", np.float64(1.0))])
+    def test_layer_sizes_must_be_integers(self, field, value):
+        # int() would truncate 2.7 to a 2-row kernel without a word
+        spec = {"variant": "elementwise", "k_h": 2, "k_w": 2, field: value}
+        with pytest.raises(ValueError,
+                           match=f"layer 0: {field} must be an integer"):
+            build_network((8, 4), 2, [spec])
+
+    def test_numpy_integer_sizes_build(self):
+        spec = {"variant": "elementwise", "k_h": np.int64(3),
+                "k_w": np.int32(2), "stride_t": np.int64(1)}
+        layer = build_network((8, 4), 2, [spec]).layers[0]
+        assert layer.weights.shape == (1, 3, 2)
+        assert type(layer.stride_t) is int
+
     def test_glorot_bounds(self):
         net = tiny_net(seed=3)
         limit = np.sqrt(6.0 / (2 * 2 + 1))
@@ -1369,9 +1386,8 @@ class TestTrainLoop:
         assert params_bytes(net) == before
 
     def test_loss_trend_decreases_on_learnable_task(self):
-        task = gen_synthetic(win_len=6, channels=3, exponent=2.0,
-                             noise=0.05, count=80, seed=40)
-        ds = task.as_windowed()
+        ds = gen_synthetic(win_len=6, channels=3, exponent=2.0,
+                           noise=0.05, count=80, seed=40)
         net = build_network((6, 3), 2,
                             [{"variant": "elementwise", "k_h": 2, "k_w": 2,
                               "activation": "tanh"}], seed=41)
@@ -1456,6 +1472,20 @@ class TestTrainConfigValidation:
     def test_negative_epochs(self):
         with pytest.raises(ValueError):
             TrainConfig(epochs=-1)
+
+    @pytest.mark.parametrize("field, value", [
+        ("batch_size", 2.5), ("epochs", 1.5), ("seed", 1.5), ("seed", -1),
+        ("eval_every", True), ("batch_size", np.float64(4.0))])
+    def test_integer_fields_rejected_at_construction(self, field, value):
+        # let through, each would fail only in train (a TypeError from range
+        # or SeedSequence), or never
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            TrainConfig(**{field: value})
+
+    def test_numpy_integers_accepted(self):
+        config = TrainConfig(epochs=np.int64(2), batch_size=np.int32(4),
+                             seed=np.uint8(3))
+        assert config.batch_size == 4
 
     def test_unknown_optimizer(self):
         with pytest.raises(ValueError):
